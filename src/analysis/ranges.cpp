@@ -12,11 +12,14 @@ namespace repro::analysis {
 namespace {
 
 std::string tap_str(const stencil::Tap& t, int dim) {
-  std::string s = "(" + std::to_string(t.ds[0]);
+  std::string s = "(";
+  s += std::to_string(t.ds[0]);
   for (int d = 1; d < dim; ++d) {
-    s += "," + std::to_string(t.ds[static_cast<std::size_t>(d)]);
+    s += ',';
+    s += std::to_string(t.ds[static_cast<std::size_t>(d)]);
   }
-  return s + ")";
+  s += ')';
+  return s;
 }
 
 std::string num(double v) {

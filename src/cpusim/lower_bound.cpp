@@ -9,10 +9,9 @@ namespace repro::cpusim {
 
 LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
                        const stencil::ProblemSize& p,
-                       const hhc::TileSizes& ts,
-                       const hhc::ThreadConfig& thr) {
+                       const hhc::TileSizes& ts) {
   LowerBound lb;
-  const SweepGeometry g = analyze_sweep(dev, def, p, ts, thr);
+  const TileGeometry g = analyze_tile(dev, def, p, ts);
   if (!g.feasible) {
     lb.seconds = std::numeric_limits<double>::infinity();
     return lb;
@@ -52,6 +51,18 @@ LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
 
   lb.seconds = lb.compute_floor + lb.memory_floor + lb.overhead_floor;
   return lb;
+}
+
+LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
+                       const stencil::ProblemSize& p,
+                       const hhc::TileSizes& ts,
+                       const hhc::ThreadConfig& thr) {
+  if (!strands_in_range(thr)) {
+    LowerBound lb;
+    lb.seconds = std::numeric_limits<double>::infinity();
+    return lb;
+  }
+  return lower_bound(dev, def, p, ts);
 }
 
 }  // namespace repro::cpusim

@@ -1,13 +1,14 @@
 // Admissible lower bound on the CPU simulator's execution time.
 //
 // Mirrors gpusim/lower_bound.hpp for the second backend. The floor is
-// built from the same SweepGeometry the simulator prices, relaxing
+// built from the same TileGeometry the simulator prices, relaxing
 // every term the simulator can only inflate:
 //
 //   * compute floor: total iteration points over the SIMD width with
 //     no strand-chunking or remainder ceilings (groups >= volume/n_v
 //     per tile) and no stall / over-subscription penalties (both
-//     factors are >= 1 by construction);
+//     factors are >= 1 by construction) — so the floor never reads
+//     the strand count and one value serves a whole thread sweep;
 //   * memory floor: the one-directional DRAM traffic with line waste
 //     relaxed to 1 and without the write-allocate doubling, over the
 //     same per-core bandwidth share, plus the exact per-tile DRAM
@@ -44,6 +45,13 @@ struct LowerBound {
   double overhead_floor = 0.0;  // fences + parallel-region launches
 };
 
+// The bound of every in-range strand count on tile `ts`.
+LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
+                       const stencil::ProblemSize& p,
+                       const hhc::TileSizes& ts);
+
+// One point: the tile's bound, or infeasible (+infinity) when
+// thr.total() is outside the simulator's strand range.
 LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
                        const stencil::ProblemSize& p,
                        const hhc::TileSizes& ts,

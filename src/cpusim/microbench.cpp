@@ -99,11 +99,8 @@ double measure_citer(const CpuParams& dev, const stencil::StencilDef& def,
     const double compute_s = simulate_compute_only(dev, def, p, ts, thr);
     const SweepGeometry g = analyze_sweep(dev, def, p, ts, thr);
     if (compute_s <= 0.0 || !g.feasible) continue;
-    std::int64_t inner = 1;
-    if (def.dim >= 2) inner *= ts.tS2;
-    if (def.dim >= 3) inner *= ts.tS3;
     const double model_groups = model_groups_per_subtile(
-        ts, inner, std::max<std::int64_t>(def.radius, 1), dev.vector_words);
+        ts, g.inner, g.radius, dev.vector_words);
     const double subs = static_cast<double>(g.wavefronts) *
                         static_cast<double>(g.tasks_row);
     if (model_groups <= 0.0 || subs <= 0.0) continue;

@@ -14,11 +14,13 @@ namespace {
 using repro::ceil_div;
 
 // Deterministic key for jitter: mixes every input that identifies a
-// configuration, so repeated runs differ only through run_id.
-std::uint64_t config_key(const CpuParams& dev, const stencil::StencilDef& def,
-                         const stencil::ProblemSize& p,
-                         const hhc::TileSizes& ts,
-                         const hhc::ThreadConfig& thr, std::uint64_t run_id) {
+// configuration, so repeated runs differ only through run_id. The
+// chain is split at the thread config: tile_key hashes the
+// thread-invariant prefix once per tile, config_key finishes it per
+// thread config and run.
+std::uint64_t tile_key(const CpuParams& dev, const stencil::StencilDef& def,
+                       const stencil::ProblemSize& p,
+                       const hhc::TileSizes& ts) {
   std::uint64_t h = 0x9e3779b97f4a7c15ull;
   for (const char c : dev.name) {
     h = mix64(h ^ static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
@@ -32,9 +34,15 @@ std::uint64_t config_key(const CpuParams& dev, const stencil::StencilDef& def,
   h = mix64(h ^ static_cast<std::uint64_t>(ts.tT));
   h = mix64(h ^ static_cast<std::uint64_t>(ts.tS1));
   h = mix64(h ^ static_cast<std::uint64_t>(ts.tS2));
-  h = mix64(h ^ static_cast<std::uint64_t>(ts.tS3));
-  h = mix64(h ^ static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(thr.n1)) << 32 ^
+  return mix64(h ^ static_cast<std::uint64_t>(ts.tS3));
+}
+
+std::uint64_t config_key(std::uint64_t tile, const hhc::ThreadConfig& thr,
+                         std::uint64_t run_id) {
+  std::uint64_t h =
+      mix64(tile ^
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(thr.n1))
+             << 32) ^
             static_cast<std::uint64_t>(static_cast<std::uint32_t>(thr.n2)));
   h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(thr.n3)));
   return mix64(h ^ run_id);
@@ -75,12 +83,15 @@ std::int64_t family_groups(std::int64_t base, std::int64_t tT,
 
 }  // namespace
 
-SweepGeometry analyze_sweep(const CpuParams& dev,
-                            const stencil::StencilDef& def,
-                            const stencil::ProblemSize& p,
-                            const hhc::TileSizes& ts,
-                            const hhc::ThreadConfig& thr) {
-  SweepGeometry g;
+bool strands_in_range(const hhc::ThreadConfig& thr) noexcept {
+  const int strands = thr.total();
+  return strands >= 1 && strands <= 1024;
+}
+
+TileGeometry analyze_tile(const CpuParams& dev, const stencil::StencilDef& def,
+                          const stencil::ProblemSize& p,
+                          const hhc::TileSizes& ts) {
+  TileGeometry g;
   const std::int64_t r = std::max<std::int64_t>(def.radius, 1);
   if (dev.cores < 1 || dev.vector_words < 1 || dev.clock_hz <= 0.0) {
     g.infeasible_reason = "device descriptor lacks cores/lanes/clock";
@@ -98,12 +109,7 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
     g.infeasible_reason = "non-positive spatial tile extent";
     return g;
   }
-  g.strands = thr.total();
-  if (g.strands < 1 || g.strands > 1024) {
-    g.infeasible_reason = "strand count out of range [1, 1024]";
-    return g;
-  }
-
+  g.radius = r;
   g.w = ceil_div(p.S[0], hhc::tile_pitch(ts, r));
   g.n_sub = 1;
   if (p.dim == 2) {
@@ -135,14 +141,9 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
       0.5 * (static_cast<double>(g.io_words) +
              static_cast<double>(hhc::io_words_per_subtile(p.dim, wide, r)));
 
-  std::int64_t inner = 1;
-  if (p.dim >= 2) inner *= ts.tS2;
-  if (p.dim >= 3) inner *= ts.tS3;
-  g.groups_avg =
-      0.5 * (static_cast<double>(family_groups(ts.tS1, ts.tT, inner, r,
-                                               g.strands, dev.vector_words)) +
-             static_cast<double>(family_groups(ts.tS1 + 2 * r, ts.tT, inner, r,
-                                               g.strands, dev.vector_words)));
+  g.inner = 1;
+  if (p.dim >= 2) g.inner *= ts.tS2;
+  if (p.dim >= 3) g.inner *= ts.tS3;
 
   // Smallest level whose per-core share holds the tile's working set.
   // The narrow-family footprint is also what the model's Eqn 31 budget
@@ -179,16 +180,50 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
   return g;
 }
 
+SweepGeometry analyze_strands(const TileGeometry& tile, const CpuParams& dev,
+                              const hhc::TileSizes& ts,
+                              const hhc::ThreadConfig& thr) {
+  SweepGeometry g;
+  static_cast<TileGeometry&>(g) = tile;
+  if (!g.feasible) return g;
+  g.strands = thr.total();
+  if (!strands_in_range(thr)) {
+    g.feasible = false;
+    g.infeasible_reason = "strand count out of range [1, 1024]";
+    return g;
+  }
+  const std::int64_t r = g.radius;
+  g.groups_avg =
+      0.5 * (static_cast<double>(family_groups(ts.tS1, ts.tT, g.inner, r,
+                                               g.strands, dev.vector_words)) +
+             static_cast<double>(family_groups(ts.tS1 + 2 * r, ts.tT, g.inner,
+                                               r, g.strands,
+                                               dev.vector_words)));
+  return g;
+}
+
+SweepGeometry analyze_sweep(const CpuParams& dev,
+                            const stencil::StencilDef& def,
+                            const stencil::ProblemSize& p,
+                            const hhc::TileSizes& ts,
+                            const hhc::ThreadConfig& thr) {
+  return analyze_strands(analyze_tile(dev, def, p, ts), dev, ts, thr);
+}
+
 namespace {
 
-// Jitter-free base simulation shared by simulate_time (one jitter
-// draw) and measure_best_of (min over draws).
-SimResult simulate_base(const CpuParams& dev, const stencil::StencilDef& def,
-                        const stencil::ProblemSize& p,
-                        const hhc::TileSizes& ts,
-                        const hhc::ThreadConfig& thr) {
+// The one CPU pricing body, shared by simulate_time, measure_best_of
+// and measure_best_of_batch: prices strand config `thr` on an analyzed
+// tile and applies the smallest jitter over the run ids
+// [first_run, first_run + runs) (at least one draw). The jitter is a
+// final multiplicative factor, so one base simulation plus `runs`
+// draws is exactly min over `runs` full simulations.
+SimResult price(const CpuParams& dev, const TileGeometry& tile,
+                const hhc::TileSizes& ts, std::uint64_t key_prefix,
+                double flops, const hhc::ThreadConfig& thr,
+                std::uint64_t first_run, int runs) {
   SimResult res;
-  const SweepGeometry g = analyze_sweep(dev, def, p, ts, thr);
+  const SweepGeometry g = analyze_strands(tile, dev, ts, thr);
   if (!g.feasible) {
     res.infeasible_reason = g.infeasible_reason;
     return res;
@@ -271,6 +306,18 @@ SimResult simulate_base(const CpuParams& dev, const stencil::StencilDef& def,
   res.wavefronts = g.wavefronts;
   res.tiles_per_row = g.tasks_row;
   res.seconds = rows * (dev.parallel_launch_s + rounds * t_tile);
+
+  double min_jitter =
+      hash_jitter(config_key(key_prefix, thr, first_run), dev.jitter_amplitude);
+  for (int run = 1; run < runs; ++run) {
+    min_jitter = std::min(
+        min_jitter,
+        hash_jitter(config_key(key_prefix, thr,
+                               first_run + static_cast<std::uint64_t>(run)),
+                    dev.jitter_amplitude));
+  }
+  res.seconds *= min_jitter;
+  res.gflops = flops / res.seconds / 1e9;
   return res;
 }
 
@@ -280,35 +327,31 @@ SimResult simulate_time(const CpuParams& dev, const stencil::StencilDef& def,
                         const stencil::ProblemSize& p,
                         const hhc::TileSizes& ts,
                         const hhc::ThreadConfig& thr, std::uint64_t run_id) {
-  SimResult res = simulate_base(dev, def, p, ts, thr);
-  if (!res.feasible) return res;
-  res.seconds *= hash_jitter(config_key(dev, def, p, ts, thr, run_id),
-                             dev.jitter_amplitude);
-  res.gflops = stencil::total_flops(def, p) / res.seconds / 1e9;
-  return res;
+  return price(dev, analyze_tile(dev, def, p, ts), ts, tile_key(dev, def, p, ts),
+               stencil::total_flops(def, p), thr, run_id, 1);
 }
 
 SimResult measure_best_of(const CpuParams& dev, const stencil::StencilDef& def,
                           const stencil::ProblemSize& p,
                           const hhc::TileSizes& ts,
                           const hhc::ThreadConfig& thr, int runs) {
-  SimResult res = simulate_base(dev, def, p, ts, thr);
-  if (!res.feasible) return res;
-  // The jitter is a final multiplicative factor, so one base
-  // simulation plus `runs` draws is exactly min over `runs` full
-  // simulations.
-  double min_jitter = hash_jitter(config_key(dev, def, p, ts, thr, 0),
-                                  dev.jitter_amplitude);
-  for (int run = 1; run < runs; ++run) {
-    min_jitter = std::min(
-        min_jitter,
-        hash_jitter(config_key(dev, def, p, ts, thr,
-                               static_cast<std::uint64_t>(run)),
-                    dev.jitter_amplitude));
-  }
-  res.seconds *= min_jitter;
-  res.gflops = stencil::total_flops(def, p) / res.seconds / 1e9;
+  SimResult res;
+  measure_best_of_batch(dev, def, p, ts, {&thr, 1}, {&res, 1}, runs);
   return res;
+}
+
+void measure_best_of_batch(const CpuParams& dev,
+                           const stencil::StencilDef& def,
+                           const stencil::ProblemSize& p,
+                           const hhc::TileSizes& ts,
+                           std::span<const hhc::ThreadConfig> thrs,
+                           std::span<SimResult> out, int runs) {
+  const TileGeometry tile = analyze_tile(dev, def, p, ts);
+  const std::uint64_t key = tile_key(dev, def, p, ts);
+  const double flops = stencil::total_flops(def, p);
+  for (std::size_t j = 0; j < thrs.size(); ++j) {
+    out[j] = price(dev, tile, ts, key, flops, thrs[j], 0, runs);
+  }
 }
 
 double simulate_compute_only(const CpuParams& dev,

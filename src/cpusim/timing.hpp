@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "cpusim/device.hpp"
@@ -70,10 +71,17 @@ struct SimResult {
 // the two interlocked hexagon families; the plain fields describe the
 // narrow (base-width tS1) family, whose quantities never exceed the
 // mean.
-struct SweepGeometry {
+//
+// Pricing is two-stage, like gpusim's: TileGeometry is everything the
+// strand count does not touch, computed once per tile by analyze_tile;
+// SweepGeometry adds the per-strand step (the [1, 1024] range check
+// and the chunked SIMD group count), so a thread sweep over one tile
+// repeats only that step.
+struct TileGeometry {
   bool feasible = false;
   std::string infeasible_reason;
-  int strands = 0;            // thr.total()
+  std::int64_t radius = 0;    // dependence slope, max(def.radius, 1)
+  std::int64_t inner = 0;     // points per s1 column: tS2 (2D), tS2*tS3 (3D)
   std::int64_t w = 0;         // hexagons per wavefront row along s1
   std::int64_t n_sub = 0;     // sub-prisms/slabs per hexagon (serial)
   std::int64_t tasks_row = 0; // w * n_sub (total sub-tiles per row)
@@ -85,12 +93,31 @@ struct SweepGeometry {
   std::int64_t footprint_bytes = 0;  // narrow family (= model's Eqn 31)
   std::int64_t io_words = 0;  // one-directional words per sub-tile (narrow)
   double io_words_avg = 0.0;  // family-averaged; == model m_io / 2
-  double groups_avg = 0.0;    // family-averaged SIMD groups per sub-tile
   int fit_level = -1;         // smallest level whose share fits; -1 = DRAM
   double line_waste = 1.0;    // >= 1: line-granularity inflation
   double cyc_group = 0.0;     // cycles per SIMD group of n_v points
 };
 
+struct SweepGeometry : TileGeometry {
+  int strands = 0;            // thr.total()
+  double groups_avg = 0.0;    // family-averaged SIMD groups per sub-tile
+};
+
+// Stage one: the strand-invariant accounting of one tile.
+TileGeometry analyze_tile(const CpuParams& dev, const stencil::StencilDef& def,
+                          const stencil::ProblemSize& p,
+                          const hhc::TileSizes& ts);
+
+// Whether thr.total() lies in the simulator's strand range [1, 1024].
+bool strands_in_range(const hhc::ThreadConfig& thr) noexcept;
+
+// Stage two: one strand count on an analyzed tile. Infeasible when the
+// tile is or when the strand count is out of range.
+SweepGeometry analyze_strands(const TileGeometry& tile, const CpuParams& dev,
+                              const hhc::TileSizes& ts,
+                              const hhc::ThreadConfig& thr);
+
+// Both stages for one point.
 SweepGeometry analyze_sweep(const CpuParams& dev,
                             const stencil::StencilDef& def,
                             const stencil::ProblemSize& p,
@@ -109,6 +136,19 @@ SimResult measure_best_of(const CpuParams& dev, const stencil::StencilDef& def,
                           const stencil::ProblemSize& p,
                           const hhc::TileSizes& ts,
                           const hhc::ThreadConfig& thr, int runs = 5);
+
+// Batched measurement: every strand config in `thrs` on one tile. The
+// tile is analyzed and its jitter-key prefix hashed once; each config
+// then pays only the per-strand step and the pricing body. out[j] is
+// bit-identical to measure_best_of(dev, def, p, ts, thrs[j], runs):
+// simulate_time, measure_best_of and this batch share one pricing
+// body. `out` must hold thrs.size() entries.
+void measure_best_of_batch(const CpuParams& dev,
+                           const stencil::StencilDef& def,
+                           const stencil::ProblemSize& p,
+                           const hhc::TileSizes& ts,
+                           std::span<const hhc::ThreadConfig> thrs,
+                           std::span<SimResult> out, int runs = 5);
 
 // Compute-only time of the whole sweep on ONE core with no memory
 // system, no penalties and no overheads: the C_iter micro-benchmark

@@ -21,9 +21,11 @@ std::string identity_key(const Stage& st) {
 std::string problem_key(const stencil::ProblemSize& p) {
   std::string k = "S";
   for (int i = 0; i < p.dim; ++i) {
-    k += ":" + std::to_string(p.S[static_cast<std::size_t>(i)]);
+    k += ':';
+    k += std::to_string(p.S[static_cast<std::size_t>(i)]);
   }
-  k += "|T:" + std::to_string(p.T);
+  k += "|T:";
+  k += std::to_string(p.T);
   return k;
 }
 

@@ -9,7 +9,8 @@ std::string_view to_string(Staging s) noexcept {
 }
 
 std::string KernelVariant::to_string() const {
-  std::string out = "u" + std::to_string(unroll);
+  std::string out = "u";
+  out += std::to_string(unroll);
   if (staging == Staging::kRegister) out += "+reg";
   return out;
 }

@@ -26,6 +26,16 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+// Copy a simulator result (gpusim or cpusim SimResult) into `ep`.
+template <class Result>
+void take_result(EvaluatedPoint& ep, const Result& res) {
+  ep.feasible = res.feasible;
+  if (res.feasible) {
+    ep.texec = res.seconds;
+    ep.gflops = res.gflops;
+  }
+}
+
 }  // namespace
 
 // --- TuningContext ---------------------------------------------------
@@ -208,36 +218,32 @@ EvaluatedPoint Session::measure(const DataPoint& dp) {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.machine_points;
   }
+  EvaluatedPoint ep;
+  double priced = 0.0;
   if (ctx_.dev.is_cpu()) {
-    // The CPU backend has no thread-invariant geometry profile; the
-    // sweep walk is cheap enough to price per point.
+    // A single CPU point is a batch of one through the pricing body
+    // sweep_tile's batches use.
     const auto t0 = Clock::now();
-    EvaluatedPoint ep;
     ep.dp = dp;
     ep.talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, dp.ts);
-    const cpusim::SimResult res = cpusim::measure_best_of(
-        ctx_.dev.cpu(), ctx_.def, ctx_.problem, dp.ts, dp.thr);
-    ep.feasible = res.feasible;
-    if (res.feasible) {
-      ep.texec = res.seconds;
-      ep.gflops = res.gflops;
-    }
-    const double priced = seconds_since(t0);
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.pricing_seconds += priced;
-    if (opt_.memoize) cache_.emplace(key, ep);
-    return ep;
+    cpusim::SimResult res;
+    cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
+                                  dp.ts, {&dp.thr, 1}, {&res, 1});
+    take_result(ep, res);
+    priced = seconds_since(t0);
+  } else {
+    // Stage one (memoized schedule walk), then stage two (closed-form
+    // pricing).
+    const std::shared_ptr<const gpusim::TileCostProfile> prof =
+        profile_for(dp.ts);
+    const auto t0 = Clock::now();
+    ep = tuner::evaluate_point(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                               ctx_.inputs, dp, *prof);
+    priced = seconds_since(t0);
   }
-  // Stage one (memoized schedule walk), then stage two (closed-form
-  // pricing). Both run outside the lock; two threads may race to fill
-  // the same key, but they insert the same value, so first-wins is
+  // Pricing ran outside the lock; two threads may race to fill the
+  // same key, but they insert the same value, so first-wins is
   // harmless.
-  const std::shared_ptr<const gpusim::TileCostProfile> prof =
-      profile_for(dp.ts);
-  const auto t0 = Clock::now();
-  const EvaluatedPoint ep = tuner::evaluate_point(
-      ctx_.dev.gpu(), ctx_.def, ctx_.problem, ctx_.inputs, dp, *prof);
-  const double priced = seconds_since(t0);
   std::lock_guard<std::mutex> lk(mu_);
   stats_.pricing_seconds += priced;
   if (opt_.memoize) cache_.emplace(key, ep);
@@ -394,15 +400,16 @@ EvaluatedPoint Session::sweep_tile(
   // An empty span means the default variant; CPU backends have no
   // variant codegen, so the axis collapses to the default there too.
   static constexpr stencil::KernelVariant kDefault{};
+  const bool cpu = ctx_.dev.is_cpu();
   const std::span<const stencil::KernelVariant> vars =
-      (variants.empty() || ctx_.dev.is_cpu())
+      (variants.empty() || cpu)
           ? std::span<const stencil::KernelVariant>(&kDefault, 1)
           : variants;
   const std::vector<hhc::ThreadConfig> threads =
       device_thread_configs(ctx_.dev, ctx_.problem.dim);
   EvaluatedPoint best;
 
-  if (!use_batch()) {
+  if (!cpu && !use_batch()) {
     // Scalar reference path: one measure_bounded per (variant,
     // thread) point, variant-major — the order the batched fold
     // below reproduces.
@@ -416,11 +423,19 @@ EvaluatedPoint Session::sweep_tile(
     return best;
   }
 
-  // Batched SoA path. Pass 1 walks the sweep in the scalar visit
-  // order, serving cache hits and bounding misses exactly like
-  // measure_bounded; pass 2 prices each variant's surviving misses in
-  // one measure_best_of_batch call. Results land in visit-order slots
-  // so the final fold's tie-breaking matches the scalar loop.
+  // Batched path (every CPU tile; GPU tiles under use_batch()). Pass 1
+  // walks the sweep in the scalar visit order, serving cache hits and
+  // bounding misses exactly like measure_bounded; pass 2 prices each
+  // variant's surviving misses in one measure_best_of_batch call.
+  // Results land in visit-order slots so the final fold's tie-breaking
+  // matches the scalar loop.
+  const bool bounded = inc != nullptr && opt_.prune;
+  // The CPU bound never reads the strand count, so it is evaluated
+  // once per tile, on the first miss that needs it. Every measured
+  // texec of this tile is >= that bound, so at one worker a tile's
+  // misses are either all pruned or none are, exactly as in a
+  // point-by-point walk.
+  std::optional<double> cpu_tile_bound;
   const std::size_t nthr = threads.size();
   std::vector<EvaluatedPoint> slot(vars.size() * nthr);
   std::vector<char> have(vars.size() * nthr, 0);
@@ -439,27 +454,34 @@ EvaluatedPoint Session::sweep_tile(
         if (it != cache_.end()) {
           ++stats_.machine_points;
           ++stats_.cache_hits;
-          if (inc != nullptr && opt_.prune && it->second.feasible) {
-            inc->offer(it->second.texec);
-          }
+          if (bounded && it->second.feasible) inc->offer(it->second.texec);
           slot[vi * nthr + ti] = it->second;
           have[vi * nthr + ti] = 1;
           continue;
         }
       }
-      if (inc != nullptr && opt_.prune) {
+      if (bounded) {
         // Same bound gate (and determinism invariant) as
         // measure_bounded: prune only on lower_bound > incumbent
         // strictly, incumbent being a measured texec of this scope.
         const double cut = inc->load();
         if (cut < std::numeric_limits<double>::infinity()) {
-          const std::shared_ptr<const gpusim::TileCostProfile> prof =
-              profile_for(ts);
+          std::shared_ptr<const gpusim::TileCostProfile> prof;
+          if (!cpu) prof = profile_for(ts);
           const auto tb = Clock::now();
-          const double bound =
-              gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem, ts,
-                                  thr, *prof, var)
-                  .seconds;
+          double bound = std::numeric_limits<double>::infinity();
+          if (cpu) {
+            if (!cpu_tile_bound) {
+              cpu_tile_bound = cpusim::lower_bound(ctx_.dev.cpu(), ctx_.def,
+                                                   ctx_.problem, ts)
+                                   .seconds;
+            }
+            if (cpusim::strands_in_range(thr)) bound = *cpu_tile_bound;
+          } else {
+            bound = gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def,
+                                        ctx_.problem, ts, thr, *prof, var)
+                        .seconds;
+          }
           const double elapsed = seconds_since(tb);
           std::lock_guard<std::mutex> lk(mu_);
           stats_.bound_seconds += elapsed;
@@ -474,31 +496,40 @@ EvaluatedPoint Session::sweep_tile(
   }
 
   // Talg depends only on the tile, not on threads or variant: price
-  // it once for the whole sweep (the scalar path recomputes the same
-  // double per point).
+  // it once for the whole sweep.
   double talg = 0.0;
   bool have_talg = false;
   std::vector<hhc::ThreadConfig> batch_thrs;
-  std::vector<gpusim::SimResult> batch_res;
+  std::vector<gpusim::SimResult> gpu_res;
+  std::vector<cpusim::SimResult> cpu_res;
   for (std::size_t vi = 0; vi < vars.size(); ++vi) {
     if (miss[vi].empty()) continue;
     if (!have_talg) {
       talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
       have_talg = true;
     }
-    // One profile_for per measured point, mirroring the scalar path
-    // so the profile-cache counters stay comparable (one build, the
-    // rest hits).
-    std::shared_ptr<const gpusim::TileCostProfile> prof;
-    for (std::size_t k = 0; k < miss[vi].size(); ++k) prof = profile_for(ts);
     batch_thrs.clear();
     for (const std::size_t ti : miss[vi]) batch_thrs.push_back(threads[ti]);
-    batch_res.assign(batch_thrs.size(), gpusim::SimResult{});
-    const auto t0 = Clock::now();
-    gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem, ts,
-                                  batch_thrs, *prof, batch_res, /*runs=*/5,
-                                  vars[vi]);
-    const double priced = seconds_since(t0);
+    double priced = 0.0;
+    if (cpu) {
+      cpu_res.assign(batch_thrs.size(), cpusim::SimResult{});
+      const auto t0 = Clock::now();
+      cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
+                                    ts, batch_thrs, cpu_res);
+      priced = seconds_since(t0);
+    } else {
+      // One profile_for per measured point, mirroring the scalar path
+      // so the profile-cache counters stay comparable (one build, the
+      // rest hits).
+      std::shared_ptr<const gpusim::TileCostProfile> prof;
+      for (std::size_t k = 0; k < miss[vi].size(); ++k) prof = profile_for(ts);
+      gpu_res.assign(batch_thrs.size(), gpusim::SimResult{});
+      const auto t0 = Clock::now();
+      gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                                    ts, batch_thrs, *prof, gpu_res,
+                                    /*runs=*/5, vars[vi]);
+      priced = seconds_since(t0);
+    }
     {
       std::lock_guard<std::mutex> lk(mu_);
       stats_.machine_points += miss[vi].size();
@@ -509,11 +540,10 @@ EvaluatedPoint Session::sweep_tile(
       EvaluatedPoint ep;
       ep.dp = DataPoint{ts, threads[ti], vars[vi]};
       ep.talg = talg;
-      const gpusim::SimResult& res = batch_res[k];
-      ep.feasible = res.feasible;
-      if (res.feasible) {
-        ep.texec = res.seconds;
-        ep.gflops = res.gflops;
+      if (cpu) {
+        take_result(ep, cpu_res[k]);
+      } else {
+        take_result(ep, gpu_res[k]);
       }
       if (opt_.memoize) {
         const PointKey key{ts.tT,  ts.tS1,
@@ -524,7 +554,7 @@ EvaluatedPoint Session::sweep_tile(
         std::lock_guard<std::mutex> lk(mu_);
         cache_.emplace(key, ep);
       }
-      if (inc != nullptr && opt_.prune && ep.feasible) inc->offer(ep.texec);
+      if (bounded && ep.feasible) inc->offer(ep.texec);
       slot[vi * nthr + ti] = ep;
       have[vi * nthr + ti] = 1;
     }

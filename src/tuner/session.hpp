@@ -55,16 +55,22 @@
 // on vs off across job counts; SweepStats reports the pruning volume
 // (points_pruned) and the bound-evaluation wall time (bound_seconds).
 //
-// Batched pricing (SessionOptions::batch, default on): a thread sweep
-// over one (tile, variant) is priced in one gpusim::measure_best_of_batch
-// call against the tile's SoA profile instead of one simulate_time
-// call per config — Talg is computed once per tile, the profile is
-// fetched per point but built once, and the per-class unit fold runs
-// over the contiguous slab. The batch path is bit-identical to the
-// scalar path (gpusim/cost_profile.hpp documents why), so flipping
-// `batch` — or setting REPRO_SIM_PATH=reference, which forces the
-// scalar AoS path — never changes a result, only the wall time; the
-// tuner-tier tests pin byte-equality across batch on/off, prune
+// Batched pricing: a thread sweep over one tile is priced per tile,
+// not per point. Talg is computed once per tile and the surviving
+// thread configs are priced in one measure_best_of_batch call.
+//   * GPU (SessionOptions::batch, default on): against the tile's SoA
+//     profile — the profile is fetched per point but built once, and
+//     the per-class unit fold runs over the contiguous slab. The batch
+//     path is bit-identical to the scalar path
+//     (gpusim/cost_profile.hpp documents why), so flipping `batch` —
+//     or setting REPRO_SIM_PATH=reference, which forces the scalar
+//     AoS path — never changes a result, only the wall time.
+//   * CPU (always): cpusim analyzes the tile and hashes its jitter-key
+//     prefix once, then pays only the per-strand step per config, and
+//     the strand-invariant lower bound is evaluated once per tile.
+//     Single CPU points are batches of one through the same pricing
+//     body; neither `batch` nor REPRO_SIM_PATH applies.
+// The tuner-tier tests pin byte-equality across batch on/off, prune
 // on/off and job counts over the variant-extended space.
 #pragma once
 
@@ -140,25 +146,27 @@ struct SweepStats {
   double model_seconds = 0.0;      // wall time inside model sweeps
   double machine_seconds = 0.0;    // wall time inside machine evaluation
 
-  // Two-stage pipeline split: a tile size's geometry profile is built
-  // once (stage one, the schedule walk) and every thread config after
-  // the first reuses it (stage two, closed-form pricing). A "step" is
-  // an incremental rebuild (TileCostProfile::build_step) from a
-  // cached profile sharing (tT, tS1) — the schedule walk is skipped
-  // and only the per-class geometry is recomputed. Steps belong to
-  // the batched pipeline: with batch off every profile is a scratch
-  // build, so the scalar A/B arm reproduces the pre-batch stage-one
-  // work (results are bit-identical either way).
+  // Two-stage pipeline split (GPU): a tile size's geometry profile is
+  // built once (stage one, the schedule walk) and every thread config
+  // after the first reuses it (stage two, closed-form pricing). A
+  // "step" is an incremental rebuild (TileCostProfile::build_step)
+  // from a cached profile sharing (tT, tS1) — the schedule walk is
+  // skipped and only the per-class geometry is recomputed. Steps
+  // belong to the batched pipeline: with batch off every profile is a
+  // scratch build (results are bit-identical either way). CPU tiles
+  // build no profile: cpusim's per-tile stage runs inside each batch
+  // call, so its time counts in pricing_seconds and the profile
+  // counters stay 0.
   std::size_t profile_builds = 0;   // geometry profiles built from scratch
   std::size_t profile_steps = 0;    // ... rebuilt incrementally instead
   std::size_t profile_hits = 0;     // served from the profile cache
-  double geometry_seconds = 0.0;    // wall time building profiles
-  double pricing_seconds = 0.0;     // wall time pricing via profiles
+  double geometry_seconds = 0.0;    // wall time building GPU profiles
+  double pricing_seconds = 0.0;     // wall time in simulator pricing calls
 
   // Bound-and-prune: points skipped because their admissible lower
   // bound exceeded the incumbent (these count in neither
   // machine_points nor cache_hits), and the wall time spent inside
-  // gpusim::lower_bound / Talg visit ordering.
+  // gpusim::lower_bound / cpusim::lower_bound / Talg visit ordering.
   std::size_t points_pruned = 0;
   double bound_seconds = 0.0;
 
@@ -192,10 +200,11 @@ struct SessionOptions {
   // measures every requested point — the A/B switch the pruning
   // equality tests and benches flip.
   bool prune = true;
-  // Batched SoA pricing of thread sweeps (see the header comment).
-  // Off forces the scalar per-point path — the A/B switch the batch
-  // equality tests and the throughput bench flip. REPRO_SIM_PATH=
-  // reference overrides this to off at runtime.
+  // Batched SoA pricing of GPU thread sweeps (see the header
+  // comment); CPU sweeps ignore it. Off forces the scalar per-point
+  // path — the A/B switch the batch equality tests and the throughput
+  // bench flip. REPRO_SIM_PATH=reference overrides this to off at
+  // runtime.
   bool batch = true;
 
   SessionOptions& with_jobs(int j) noexcept { jobs = j; return *this; }
@@ -345,8 +354,9 @@ class Session {
     std::size_t operator()(const StepKey& k) const noexcept;
   };
 
-  // Whether thread sweeps run through the batched SoA pricing path
-  // (GPU device, batch option on, reference sim path not forced).
+  // Whether GPU thread sweeps run through the batched SoA pricing
+  // path (GPU device, batch option on, reference sim path not forced).
+  // CPU sweeps are always batched.
   bool use_batch() const;
 
   // Cache-aware single measurement; also bumps the point counters.
@@ -364,9 +374,9 @@ class Session {
   // The unit of work of every thread sweep: the best measured
   // (thread, variant) point of one tile, folded variant-major in span
   // order (empty span = default variant; CPU devices always collapse
-  // to it). Routes through the batched SoA pricing path when
-  // use_batch(), the scalar per-point path otherwise — bit-identical
-  // either way. `inc` participates exactly like measure_bounded's:
+  // to it). CPU tiles and GPU tiles under use_batch() are priced in
+  // one batch call per variant; the GPU scalar A/B arm prices per
+  // point — bit-identical either way. `inc` participates exactly like measure_bounded's:
   // nullptr (or prune off) measures every point. Not timed — callers
   // own the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,

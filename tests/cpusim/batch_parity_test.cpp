@@ -1,0 +1,259 @@
+// Batch parity for the two-stage CPU pricing path: measure_best_of_batch
+// (one tile analysis, one jitter-key prefix, a per-strand step per
+// config) must reproduce measure_best_of bit for bit, element by
+// element, over both CPU descriptors, every catalogue stencil, every
+// strand count the tuner sweeps, out-of-range strand counts and
+// infeasible tiles. The strand-invariant lower bound is pinned against
+// a per-strand reference built the way the bound was before the split
+// (from analyze_sweep at each strand count) and checked to stay a
+// floor of the measured time. A few prices are pinned to their values
+// before the split.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "cpusim/device.hpp"
+#include "cpusim/lower_bound.hpp"
+#include "cpusim/timing.hpp"
+#include "hhc/footprint.hpp"
+#include "stencil/stencil.hpp"
+#include "tuner/space.hpp"
+
+namespace repro::cpusim {
+namespace {
+
+using stencil::ProblemSize;
+using stencil::StencilDef;
+
+std::vector<const CpuParams*> cpu_devices() {
+  return {&xeon_e5_2690v4(), &ryzen_3700x()};
+}
+
+ProblemSize problem_for(int dim) {
+  if (dim == 1) return {.dim = 1, .S = {65536, 0, 0}, .T = 256};
+  if (dim == 2) return {.dim = 2, .S = {1000, 1000, 0}, .T = 100};
+  return {.dim = 3, .S = {100, 100, 100}, .T = 30};
+}
+
+// Feasible tiles of each dimension (interior, clipped, a cache spill)
+// plus two infeasible ones: an odd tT and tS1 below the dependence
+// slope.
+std::vector<hhc::TileSizes> tiles_for(int dim) {
+  std::vector<hhc::TileSizes> out;
+  if (dim == 1) {
+    out = {{.tT = 8, .tS1 = 512, .tS2 = 1, .tS3 = 1},
+           {.tT = 4, .tS1 = 37, .tS2 = 1, .tS3 = 1},
+           {.tT = 16, .tS1 = 4096, .tS2 = 1, .tS3 = 1}};
+  } else if (dim == 2) {
+    out = {{.tT = 8, .tS1 = 16, .tS2 = 128, .tS3 = 1},
+           {.tT = 12, .tS1 = 24, .tS2 = 56, .tS3 = 1},
+           {.tT = 16, .tS1 = 64, .tS2 = 4096, .tS3 = 1}};
+  } else {
+    out = {{.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 32},
+           {.tT = 4, .tS1 = 12, .tS2 = 24, .tS3 = 24},
+           {.tT = 2, .tS1 = 5, .tS2 = 100, .tS3 = 100}};
+  }
+  hhc::TileSizes odd = out.front();
+  odd.tT = 7;
+  hhc::TileSizes flat = out.front();
+  flat.tS1 = 0;  // below every stencil's slope (radius >= 1)
+  out.push_back(odd);
+  out.push_back(flat);
+  return out;
+}
+
+// Every strand count Session sweeps on a CPU, plus both sides of the
+// simulator's [1, 1024] range.
+std::vector<hhc::ThreadConfig> strand_configs(const CpuParams& dev, int dim) {
+  std::vector<hhc::ThreadConfig> out =
+      tuner::device_thread_configs(device::Descriptor(dev), dim);
+  out.push_back({.n1 = 0, .n2 = 1, .n3 = 1});
+  out.push_back({.n1 = 1025, .n2 = 1, .n3 = 1});
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const SimResult& a, const SimResult& b,
+                          const std::string& tag) {
+  EXPECT_EQ(a.feasible, b.feasible) << tag;
+  EXPECT_EQ(a.infeasible_reason, b.infeasible_reason) << tag;
+  EXPECT_EQ(bits(a.seconds), bits(b.seconds)) << tag;
+  EXPECT_EQ(bits(a.gflops), bits(b.gflops)) << tag;
+  EXPECT_EQ(a.fit_level, b.fit_level) << tag;
+  EXPECT_EQ(bits(a.fill_seconds), bits(b.fill_seconds)) << tag;
+  EXPECT_EQ(bits(a.service_seconds), bits(b.service_seconds)) << tag;
+  EXPECT_EQ(bits(a.compute_seconds), bits(b.compute_seconds)) << tag;
+  EXPECT_EQ(bits(a.fence_seconds), bits(b.fence_seconds)) << tag;
+  EXPECT_EQ(bits(a.launch_seconds), bits(b.launch_seconds)) << tag;
+  EXPECT_EQ(a.wavefronts, b.wavefronts) << tag;
+  EXPECT_EQ(a.tiles_per_row, b.tiles_per_row) << tag;
+}
+
+// The lower bound as it was computed before the tile/strand split:
+// from the per-strand SweepGeometry of each point.
+LowerBound per_strand_bound(const CpuParams& dev, const StencilDef& def,
+                            const ProblemSize& p, const hhc::TileSizes& ts,
+                            const hhc::ThreadConfig& thr) {
+  LowerBound lb;
+  const SweepGeometry g = analyze_sweep(dev, def, p, ts, thr);
+  if (!g.feasible) {
+    lb.seconds = std::numeric_limits<double>::infinity();
+    return lb;
+  }
+  lb.feasible = true;
+  const double rows = static_cast<double>(g.wavefronts);
+  const double subs =
+      static_cast<double>(g.rounds) * static_cast<double>(g.n_sub);
+  const double word_bytes = static_cast<double>(hhc::kWordBytes);
+  const double groups_floor =
+      static_cast<double>(g.volume) / static_cast<double>(dev.vector_words);
+  lb.compute_floor = rows * subs * groups_floor * g.cyc_group / dev.clock_hz;
+  const double head_bytes =
+      2.0 * static_cast<double>(g.io_words) * word_bytes;
+  lb.memory_floor =
+      rows * subs * (dev.mem_latency_s + head_bytes / dev.mem_bandwidth_bps);
+  lb.overhead_floor =
+      rows * (dev.parallel_launch_s +
+              subs * static_cast<double>(ts.tT + 2) * dev.step_fence_s);
+  lb.seconds = lb.compute_floor + lb.memory_floor + lb.overhead_floor;
+  return lb;
+}
+
+TEST(CpuBatchParity, BatchEqualsPerPointMeasureBitwise) {
+  int feasible = 0;
+  int infeasible = 0;
+  for (const CpuParams* dev : cpu_devices()) {
+    for (const StencilDef& def : stencil::all_stencils()) {
+      const ProblemSize p = problem_for(def.dim);
+      const std::vector<hhc::ThreadConfig> thrs =
+          strand_configs(*dev, def.dim);
+      for (const hhc::TileSizes& ts : tiles_for(def.dim)) {
+        std::vector<SimResult> batch(thrs.size());
+        measure_best_of_batch(*dev, def, p, ts, thrs, batch);
+        for (std::size_t j = 0; j < thrs.size(); ++j) {
+          const std::string tag = dev->name + " " + def.name + " tile " +
+                                  std::to_string(ts.tT) + "x" +
+                                  std::to_string(ts.tS1) + " strands " +
+                                  std::to_string(thrs[j].total());
+          const SimResult one = measure_best_of(*dev, def, p, ts, thrs[j]);
+          expect_bitwise_equal(batch[j], one, tag);
+          (one.feasible ? feasible : infeasible) += 1;
+        }
+      }
+    }
+  }
+  // The grid must exercise both outcomes on every descriptor.
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 100);
+}
+
+TEST(CpuBatchParity, SingleDrawBatchEqualsSimulateTime) {
+  // simulate_time is the same pricing body with one jitter draw, so a
+  // one-run batch reproduces run 0 exactly.
+  for (const CpuParams* dev : cpu_devices()) {
+    for (const StencilDef& def : stencil::all_stencils()) {
+      const ProblemSize p = problem_for(def.dim);
+      const std::vector<hhc::ThreadConfig> thrs =
+          strand_configs(*dev, def.dim);
+      const hhc::TileSizes ts = tiles_for(def.dim).front();
+      std::vector<SimResult> batch(thrs.size());
+      measure_best_of_batch(*dev, def, p, ts, thrs, batch, /*runs=*/1);
+      for (std::size_t j = 0; j < thrs.size(); ++j) {
+        expect_bitwise_equal(batch[j],
+                             simulate_time(*dev, def, p, ts, thrs[j], 0),
+                             dev->name + " " + def.name + " strands " +
+                                 std::to_string(thrs[j].total()));
+      }
+    }
+  }
+}
+
+TEST(CpuBatchParity, TileBoundMatchesPerStrandReferenceAndStaysAFloor) {
+  for (const CpuParams* dev : cpu_devices()) {
+    for (const StencilDef& def : stencil::all_stencils()) {
+      const ProblemSize p = problem_for(def.dim);
+      for (const hhc::TileSizes& ts : tiles_for(def.dim)) {
+        const LowerBound tile = lower_bound(*dev, def, p, ts);
+        for (const hhc::ThreadConfig& thr : strand_configs(*dev, def.dim)) {
+          const std::string tag = dev->name + " " + def.name + " tile " +
+                                  std::to_string(ts.tT) + "x" +
+                                  std::to_string(ts.tS1) + " strands " +
+                                  std::to_string(thr.total());
+          const LowerBound ref = per_strand_bound(*dev, def, p, ts, thr);
+          const LowerBound point = lower_bound(*dev, def, p, ts, thr);
+          EXPECT_EQ(point.feasible, ref.feasible) << tag;
+          EXPECT_EQ(bits(point.seconds), bits(ref.seconds)) << tag;
+          EXPECT_EQ(bits(point.compute_floor), bits(ref.compute_floor)) << tag;
+          EXPECT_EQ(bits(point.memory_floor), bits(ref.memory_floor)) << tag;
+          EXPECT_EQ(bits(point.overhead_floor), bits(ref.overhead_floor))
+              << tag;
+          const SimResult sim = measure_best_of(*dev, def, p, ts, thr);
+          EXPECT_EQ(point.feasible, sim.feasible) << tag;
+          if (!ref.feasible) continue;
+          // In range, the tile bound is the point bound.
+          EXPECT_EQ(bits(tile.seconds), bits(ref.seconds)) << tag;
+          EXPECT_LE(point.seconds, sim.seconds) << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuBatchParity, PricesPinnedToTheUnsplitSimulator) {
+  // Bit patterns the simulator produced before pricing was split into
+  // tile and strand stages: best-of-5 seconds, simulate_time at run 3,
+  // and the lower bound. Any drift in the geometry, the jitter-key
+  // chain or the pricing body shows up here.
+  struct Pin {
+    const CpuParams* dev;
+    stencil::StencilKind kind;
+    hhc::TileSizes ts;
+    int strands;
+    std::uint64_t best, run3, bound;
+  };
+  using stencil::StencilKind;
+  const Pin pins[] = {
+      {&xeon_e5_2690v4(), StencilKind::kJacobi1D,
+       {.tT = 8, .tS1 = 512, .tS2 = 1, .tS3 = 1}, 2,
+       0x3f4e96093bfc337bull, 0x3f4ea033e117b42bull, 0x3f4c71ac80479f32ull},
+      {&ryzen_3700x(), StencilKind::kGauss1D,
+       {.tT = 4, .tS1 = 37, .tS2 = 1, .tS3 = 1}, 1,
+       0x3f7a001dc9fc0e92ull, 0x3f7a001dc9fc0e92ull, 0x3f7663cbc90863c3ull},
+      {&xeon_e5_2690v4(), StencilKind::kHeat2D,
+       {.tT = 12, .tS1 = 24, .tS2 = 56, .tS3 = 1}, 6,
+       0x3f7cbf5b6af8c7ebull, 0x3f7cbf5b6af8c7ebull, 0x3f78fd68c7e68501ull},
+      {&ryzen_3700x(), StencilKind::kWideStar2D,
+       {.tT = 16, .tS1 = 64, .tS2 = 4096, .tS3 = 1}, 48,
+       0x3fc20e15f38cf439ull, 0x3fc20e15f38cf439ull, 0x3f9f14611f12d3d6ull},
+      {&xeon_e5_2690v4(), StencilKind::kHeat3D,
+       {.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 32}, 16,
+       0x3f87375b3fb15f46ull, 0x3f87474bde213c27ull, 0x3f7b34aef1d78cb9ull},
+      {&ryzen_3700x(), StencilKind::kJacobi3D,
+       {.tT = 4, .tS1 = 12, .tS2 = 24, .tS3 = 24}, 24,
+       0x3f877b9185329165ull, 0x3f87932875ff921aull, 0x3f792a3fe6ed2be0ull},
+  };
+  for (const Pin& pin : pins) {
+    const StencilDef& def = stencil::get_stencil(pin.kind);
+    const ProblemSize p = problem_for(def.dim);
+    const hhc::ThreadConfig thr{.n1 = pin.strands, .n2 = 1, .n3 = 1};
+    const std::string tag = pin.dev->name + " " + def.name;
+    EXPECT_EQ(bits(measure_best_of(*pin.dev, def, p, pin.ts, thr).seconds),
+              pin.best)
+        << tag;
+    EXPECT_EQ(bits(simulate_time(*pin.dev, def, p, pin.ts, thr, 3).seconds),
+              pin.run3)
+        << tag;
+    EXPECT_EQ(bits(lower_bound(*pin.dev, def, p, pin.ts, thr).seconds),
+              pin.bound)
+        << tag;
+  }
+}
+
+}  // namespace
+}  // namespace repro::cpusim

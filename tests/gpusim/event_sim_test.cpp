@@ -38,24 +38,27 @@ TEST_P(EventVsAggregate, WithinTolerance) {
   EXPECT_EQ(ev.kernel_calls, agg.kernel_calls);
 }
 
+// Constant-initialised, so the padding bytes gtest prints into each
+// test name are zero rather than whatever the stack last held.
+constexpr AgreeCase kAgreeCases[] = {
+    AgreeCase{StencilKind::kHeat2D, {2, {512, 512, 0}, 64},
+              {.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1},
+              {.n1 = 32, .n2 = 8, .n3 = 1}},
+    AgreeCase{StencilKind::kJacobi2D, {2, {1024, 1024, 0}, 64},
+              {.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 1},
+              {.n1 = 64, .n2 = 4, .n3 = 1}},
+    AgreeCase{StencilKind::kGradient2D, {2, {512, 512, 0}, 32},
+              {.tT = 2, .tS1 = 4, .tS2 = 128, .tS3 = 1},
+              {.n1 = 32, .n2 = 4, .n3 = 1}},
+    AgreeCase{StencilKind::kJacobi1D, {1, {1 << 15, 0, 0}, 128},
+              {.tT = 16, .tS1 = 128, .tS2 = 1, .tS3 = 1},
+              {.n1 = 256, .n2 = 1, .n3 = 1}},
+    AgreeCase{StencilKind::kHeat3D, {3, {64, 64, 64}, 16},
+              {.tT = 2, .tS1 = 4, .tS2 = 8, .tS3 = 32},
+              {.n1 = 32, .n2 = 4, .n3 = 2}}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Configs, EventVsAggregate,
-    ::testing::Values(
-        AgreeCase{StencilKind::kHeat2D, {2, {512, 512, 0}, 64},
-                  {.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1},
-                  {.n1 = 32, .n2 = 8, .n3 = 1}},
-        AgreeCase{StencilKind::kJacobi2D, {2, {1024, 1024, 0}, 64},
-                  {.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 1},
-                  {.n1 = 64, .n2 = 4, .n3 = 1}},
-        AgreeCase{StencilKind::kGradient2D, {2, {512, 512, 0}, 32},
-                  {.tT = 2, .tS1 = 4, .tS2 = 128, .tS3 = 1},
-                  {.n1 = 32, .n2 = 4, .n3 = 1}},
-        AgreeCase{StencilKind::kJacobi1D, {1, {1 << 15, 0, 0}, 128},
-                  {.tT = 16, .tS1 = 128, .tS2 = 1, .tS3 = 1},
-                  {.n1 = 256, .n2 = 1, .n3 = 1}},
-        AgreeCase{StencilKind::kHeat3D, {3, {64, 64, 64}, 16},
-                  {.tT = 2, .tS1 = 4, .tS2 = 8, .tS3 = 32},
-                  {.n1 = 32, .n2 = 4, .n3 = 2}}),
+    Configs, EventVsAggregate, ::testing::ValuesIn(kAgreeCases),
     [](const ::testing::TestParamInfo<AgreeCase>& info) {
       return std::string(stencil::to_string(info.param.kind)) + "_" +
              std::to_string(info.index);

@@ -139,8 +139,15 @@ INSTANTIATE_TEST_SUITE_P(
                       GeometryParam{3, 7, 6, 3}),
     [](const ::testing::TestParamInfo<GeometryParam>& info) {
       const auto& p = info.param;
-      return "T" + std::to_string(p.T) + "_S" + std::to_string(p.S) + "_tT" +
-             std::to_string(p.tT) + "_tS" + std::to_string(p.tS1);
+      std::string name = "T";
+      name += std::to_string(p.T);
+      name += "_S";
+      name += std::to_string(p.S);
+      name += "_tT";
+      name += std::to_string(p.tT);
+      name += "_tS";
+      name += std::to_string(p.tS1);
+      return name;
     });
 
 }  // namespace

@@ -32,25 +32,28 @@ TEST_P(GhostMatchesReference, BitIdenticalResult) {
   EXPECT_GE(stats.computed_points, p.total_points());
 }
 
+// Constant-initialised, so the padding bytes gtest prints into each
+// test name are zero rather than whatever the stack last held.
+constexpr GhostCase kGhostCases[] = {
+    GhostCase{StencilKind::kJacobi1D, {1, {40, 0, 0}, 11},
+              {.tT = 3, .b = {8, 1, 1}}},
+    GhostCase{StencilKind::kJacobi2D, {2, {20, 17, 0}, 7},
+              {.tT = 2, .b = {6, 5, 1}}},
+    GhostCase{StencilKind::kHeat2D, {2, {16, 16, 0}, 9},
+              {.tT = 4, .b = {8, 8, 1}}},
+    GhostCase{StencilKind::kGradient2D, {2, {14, 14, 0}, 5},
+              {.tT = 1, .b = {4, 4, 1}}},
+    GhostCase{StencilKind::kHeat3D, {3, {9, 8, 7}, 5},
+              {.tT = 2, .b = {4, 4, 4}}},
+    // Radius-2 stencil through the ghost path.
+    GhostCase{StencilKind::kWideStar2D, {2, {15, 13, 0}, 6},
+              {.tT = 2, .b = {5, 6, 1}}},
+    // Tile bigger than the domain: one block, no redundancy.
+    GhostCase{StencilKind::kJacobi2D, {2, {8, 8, 0}, 4},
+              {.tT = 4, .b = {32, 32, 1}}}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Stencils, GhostMatchesReference,
-    ::testing::Values(
-        GhostCase{StencilKind::kJacobi1D, {1, {40, 0, 0}, 11},
-                  {.tT = 3, .b = {8, 1, 1}}},
-        GhostCase{StencilKind::kJacobi2D, {2, {20, 17, 0}, 7},
-                  {.tT = 2, .b = {6, 5, 1}}},
-        GhostCase{StencilKind::kHeat2D, {2, {16, 16, 0}, 9},
-                  {.tT = 4, .b = {8, 8, 1}}},
-        GhostCase{StencilKind::kGradient2D, {2, {14, 14, 0}, 5},
-                  {.tT = 1, .b = {4, 4, 1}}},
-        GhostCase{StencilKind::kHeat3D, {3, {9, 8, 7}, 5},
-                  {.tT = 2, .b = {4, 4, 4}}},
-        // Radius-2 stencil through the ghost path.
-        GhostCase{StencilKind::kWideStar2D, {2, {15, 13, 0}, 6},
-                  {.tT = 2, .b = {5, 6, 1}}},
-        // Tile bigger than the domain: one block, no redundancy.
-        GhostCase{StencilKind::kJacobi2D, {2, {8, 8, 0}, 4},
-                  {.tT = 4, .b = {32, 32, 1}}}),
+    Stencils, GhostMatchesReference, ::testing::ValuesIn(kGhostCases),
     [](const ::testing::TestParamInfo<GhostCase>& info) {
       return std::string(stencil::to_string(info.param.kind)) + "_" +
              std::to_string(info.index);

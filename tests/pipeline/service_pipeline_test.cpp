@@ -8,6 +8,7 @@
 
 #include "service/core.hpp"
 #include "service/protocol.hpp"
+#include "support/temp_dir.hpp"
 
 namespace repro::service {
 namespace {
@@ -29,12 +30,7 @@ constexpr const char* kPipelineReq =
 class ServicePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest -j runs the cases concurrently.
-    const std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    store_dir_ =
-        fs::temp_directory_path() / ("repro_pipeline_svc_store_" + name);
-    fs::remove_all(store_dir_);
+    store_dir_ = test::unique_temp_dir("repro_pipeline_svc_store");
   }
   void TearDown() override { fs::remove_all(store_dir_); }
 

@@ -13,6 +13,7 @@
 
 #include "device/registry.hpp"
 #include "stencil/stencil.hpp"
+#include "support/temp_dir.hpp"
 
 namespace repro::service {
 namespace {
@@ -44,8 +45,7 @@ std::string predict_with_tT(int tT, const std::string& id) {
 class CoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_dir_ = fs::temp_directory_path() / "repro_core_test_store";
-    fs::remove_all(store_dir_);
+    store_dir_ = test::unique_temp_dir("repro_core_test_store");
   }
   void TearDown() override { fs::remove_all(store_dir_); }
 

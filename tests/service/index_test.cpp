@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "service/store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace repro::service {
 namespace {
@@ -38,8 +39,7 @@ std::string best_tile_payload(double texec = 1.5e-4) {
 class IndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "repro_index_test";
-    fs::remove_all(dir_);
+    dir_ = test::unique_temp_dir("repro_index_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/temp_dir.hpp"
+
 namespace repro::service {
 namespace {
 
@@ -14,8 +16,7 @@ namespace fs = std::filesystem;
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "repro_store_test";
-    fs::remove_all(dir_);
+    dir_ = test::unique_temp_dir("repro_store_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 
