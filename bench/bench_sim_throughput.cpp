@@ -2,26 +2,25 @@
 // pipeline. Three sweep shapes are timed in points per second:
 //
 //   * model sweep      — Talg over the feasible space (pure model),
-//   * machine sweep    — measure_best_of over (tile, thread) points,
-//   * best_over_threads — the Section 7 empirical thread-count step,
+//   * machine sweep    — every (tile, thread) point through a Session,
+//   * best_over_threads — the Section 7 empirical thread-count step.
 //
-// each with a "legacy" arm (the serial free functions: one full
-// geometry walk per simulator call) and a "profiled" arm (a
-// tuner::Session: the walk runs once per tile size, every thread
-// config after the first is closed-form pricing). The
-// best_over_threads shape adds a third, "batched" arm: the session's
-// SoA pricing path (measure_best_of_batch) that prices a whole
-// thread sweep per tile in one fold — its speedup over the scalar
-// profiled arm, with bitwise-identical results, is the acceptance
-// metric of the batch pipeline. A fig6-shaped strategy comparison
-// over the variant-extended space (all six kernel variants) rounds
-// out the headline arms.
+// best_over_threads runs twice, serially: a "scalar" reference arm
+// (the public scalar API — one TileCostProfile::build per tile, one
+// measure_best_of per thread config, folded like Session::sweep_tile)
+// and the "batched" arm (a tuner::Session, whose SoA pricing path
+// prices a whole thread sweep per tile in one measure_best_of_batch
+// fold and steps profiles incrementally along tS2). The batched arm's
+// speedup over the reference, with bitwise-identical results, is the
+// acceptance metric of the batch pipeline. A fig6-shaped strategy
+// comparison over the variant-extended space (all six kernel
+// variants) rounds out the headline arms.
 //
 // Emits BENCH_gpusim.json into --csv-dir (default bench/out/).
 // Default scale is a smoke run sized for CI; --full runs paper-scale
-// problems. --jobs=N sets the profiled arms' worker count (legacy
-// arms are serial by definition); jobs=1 keeps the comparison
-// apples-to-apples.
+// problems. --jobs=N sets the worker count of the model/machine sweep
+// and search arms; the best_over_threads arms run at jobs=1 so the
+// comparison stays apples-to-apples.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -30,7 +29,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
+#include "gpusim/cost_profile.hpp"
 #include "gpusim/microbench.hpp"
 #include "gpusim/timing.hpp"
 #include "tuner/session.hpp"
@@ -74,7 +75,7 @@ struct PruningReport {
 };
 
 // The batched-pricing A/B: the best_over_threads sweep run through
-// the scalar per-point path, then through the SoA batch path.
+// the public scalar API, then through the Session's SoA batch path.
 // Results must match exactly; the speedup is the acceptance metric.
 struct BatchReport {
   double speedup = 0.0;
@@ -233,71 +234,70 @@ int main(int argc, char** argv) {
 
   // --- Machine sweep: every (tile, thread) point once ---------------
   {
-    const auto t0 = Clock::now();
-    for (const auto& ts : tiles) {
-      for (const auto& thr : threads) {
-        (void)tuner::evaluate_point(dev, def, p, in,
-                                    tuner::DataPoint{ts, thr});
-      }
-    }
-    arms.push_back({"machine_sweep_legacy", tiles.size() * threads.size(),
-                    seconds_since(t0)});
-  }
-  {
-    // Memoization off: every point is genuinely priced; the profile
-    // cache still collapses the geometry walks (that is the pipeline,
-    // not the memo).
-    tuner::Session s(
-        tuner::TuningContext::with_inputs(dev, def, p, in),
-        tuner::SessionOptions{}.with_jobs(scale.jobs).with_memoize(false));
+    // Every point is distinct, so a fresh session prices each one; the
+    // profile cache still collapses the geometry walks per tile.
+    tuner::Session s(tuner::TuningContext::with_inputs(dev, def, p, in),
+                     tuner::SessionOptions{}.with_jobs(scale.jobs));
     std::vector<tuner::DataPoint> dps;
     for (const auto& ts : tiles) {
       for (const auto& thr : threads) dps.push_back({ts, thr});
     }
     const auto t0 = Clock::now();
     (void)s.evaluate_points(dps);
-    arms.push_back(
-        {"machine_sweep_profiled", dps.size(), seconds_since(t0)});
+    arms.push_back({"machine_sweep", dps.size(), seconds_since(t0)});
   }
 
   // --- best_over_threads: the acceptance metric ---------------------
-  // Serial vs serial (jobs=1): the speedups isolate the two-stage
-  // pipeline and the SoA batch fold from thread-pool parallelism.
-  {
-    const auto t0 = Clock::now();
-    for (const auto& ts : tiles) {
-      (void)tuner::best_over_threads(dev, def, p, in, ts);
-    }
-    arms.push_back({"best_over_threads_legacy",
-                    tiles.size() * threads.size(), seconds_since(t0)});
-  }
+  // Serial vs serial (jobs=1): the speedup isolates the batched
+  // pricing path from thread-pool parallelism. One pass is ~1 ms, so
+  // each arm is timed as the median of kReps passes, the two arms
+  // alternating, rather than by a single scheduler-noisy pass.
+  constexpr int kReps = 7;
   BatchReport batch;
   {
-    // Scalar per-point pricing (batch off): one simulate_time call
-    // per (tile, thread) point against the shared profile.
-    tuner::Session s(tuner::TuningContext::with_inputs(dev, def, p, in),
-                     tuner::SessionOptions{}
-                         .with_jobs(1)
-                         .with_memoize(false)
-                         .with_batch(false));
     std::vector<tuner::EvaluatedPoint> scalar_best;
-    const auto t0 = Clock::now();
-    for (const auto& ts : tiles) scalar_best.push_back(s.best_over_threads(ts));
-    arms.push_back({"best_over_threads_profiled",
-                    tiles.size() * threads.size(), seconds_since(t0)});
-    bench::print_sweep_stats(std::cout, s.stats(), s.jobs());
-
-    // Batched SoA pricing (the session default): one
-    // measure_best_of_batch fold per tile, Talg hoisted per tile.
-    tuner::Session b(tuner::TuningContext::with_inputs(dev, def, p, in),
-                     tuner::SessionOptions{}.with_jobs(1).with_memoize(false));
     std::vector<tuner::EvaluatedPoint> batch_best;
-    const auto t1 = Clock::now();
-    for (const auto& ts : tiles) batch_best.push_back(b.best_over_threads(ts));
-    arms.push_back({"best_over_threads_batched",
-                    tiles.size() * threads.size(), seconds_since(t1)});
-    bench::print_sweep_stats(std::cout, b.stats(), b.jobs());
+    std::vector<double> scalar_s;
+    std::vector<double> batch_s;
+    for (int rep = 0; rep < kReps; ++rep) {
+      // Reference arm: the public scalar API, one point at a time
+      // (Talg + measure_best_of against the tile's profile), folded
+      // like Session::sweep_tile (thread configs in order, first
+      // strictly better point wins).
+      scalar_best.clear();
+      const auto t0 = Clock::now();
+      for (const auto& ts : tiles) {
+        const gpusim::TileCostProfile prof =
+            gpusim::TileCostProfile::build(p, ts, def.radius);
+        tuner::EvaluatedPoint best;
+        for (const auto& thr : threads) {
+          const gpusim::SimResult r =
+              gpusim::measure_best_of(dev, def, p, ts, thr, prof);
+          if (r.feasible && (!best.feasible || r.seconds < best.texec)) {
+            best = {tuner::DataPoint{ts, thr},
+                    tuner::model_talg_or_inf(in, p, ts), r.seconds,
+                    r.gflops, true};
+          }
+        }
+        scalar_best.push_back(best);
+      }
+      scalar_s.push_back(seconds_since(t0));
 
+      // Batched SoA pricing, on a fresh session so nothing is cached:
+      // one measure_best_of_batch fold per tile, Talg hoisted per
+      // tile, profiles stepped along tS2.
+      tuner::Session b(tuner::TuningContext::with_inputs(dev, def, p, in),
+                       tuner::SessionOptions{}.with_jobs(1));
+      batch_best.clear();
+      const auto t1 = Clock::now();
+      for (const auto& ts : tiles) batch_best.push_back(b.best_over_threads(ts));
+      batch_s.push_back(seconds_since(t1));
+      if (rep + 1 == kReps) bench::print_sweep_stats(std::cout, b.stats(), 1);
+    }
+    arms.push_back({"best_over_threads_scalar", tiles.size() * threads.size(),
+                    percentile(scalar_s, 0.5)});
+    arms.push_back({"best_over_threads_batched",
+                    tiles.size() * threads.size(), percentile(batch_s, 0.5)});
     batch.results_identical = scalar_best == batch_best;
   }
 
@@ -408,22 +408,17 @@ int main(int argc, char** argv) {
     static const ArmResult none;
     return none;
   };
-  const auto ratio = [&](const std::string& prof, const std::string& legacy) {
-    const double l = arm(legacy).pts_per_sec();
-    const double f = arm(prof).pts_per_sec();
-    return l > 0.0 ? f / l : 0.0;
-  };
-  const std::vector<std::pair<std::string, double>> speedups = {
-      {"machine_sweep",
-       ratio("machine_sweep_profiled", "machine_sweep_legacy")},
-      {"best_over_threads",
-       ratio("best_over_threads_profiled", "best_over_threads_legacy")},
-      {"best_over_threads_batch",
-       ratio("best_over_threads_batched", "best_over_threads_profiled")},
+  const auto ratio = [&](const std::string& arm_name,
+                         const std::string& reference) {
+    const double r = arm(reference).pts_per_sec();
+    return r > 0.0 ? arm(arm_name).pts_per_sec() / r : 0.0;
   };
   batch.speedup =
-      ratio("best_over_threads_batched", "best_over_threads_profiled");
+      ratio("best_over_threads_batched", "best_over_threads_scalar");
   batch.points_per_sec = arm("best_over_threads_batched").pts_per_sec();
+  const std::vector<std::pair<std::string, double>> speedups = {
+      {"best_over_threads_batch", batch.speedup},
+  };
 
   AsciiTable t({"arm", "points", "seconds", "points/s"});
   for (const auto& a : arms) {
@@ -431,12 +426,8 @@ int main(int argc, char** argv) {
                AsciiTable::fmt(a.pts_per_sec(), 1)});
   }
   std::cout << t.render();
-  for (const auto& [name, x] : speedups) {
-    std::cout << name << " profiled-vs-legacy speedup: "
-              << AsciiTable::fmt(x, 2) << "x\n";
-  }
   std::cout << "batched pricing: " << AsciiTable::fmt(batch.speedup, 2)
-            << "x over scalar profiled, results "
+            << "x over the scalar reference, results "
             << (batch.results_identical ? "identical" : "DIVERGED") << "\n";
   std::cout << "pruned search: " << pruning.machine_points_unpruned
             << " -> " << pruning.machine_points_pruned

@@ -86,22 +86,6 @@ inline const gpusim::DeviceParams& gpu_device_or_die(const std::string& name) {
   return d->gpu();
 }
 
-// Fold one session's counters into a report-wide total.
-inline void accumulate(tuner::SweepStats& into, const tuner::SweepStats& s) {
-  into.model_points += s.model_points;
-  into.machine_points += s.machine_points;
-  into.cache_hits += s.cache_hits;
-  into.model_seconds += s.model_seconds;
-  into.machine_seconds += s.machine_seconds;
-  into.profile_builds += s.profile_builds;
-  into.profile_steps += s.profile_steps;
-  into.profile_hits += s.profile_hits;
-  into.geometry_seconds += s.geometry_seconds;
-  into.pricing_seconds += s.pricing_seconds;
-  into.points_pruned += s.points_pruned;
-  into.bound_seconds += s.bound_seconds;
-}
-
 // One-line engine summary the figure benches print after their table.
 // Wall times are real (they vary run to run); every other number — and
 // the CSV/table output itself — is identical for any worker count.

@@ -68,7 +68,7 @@ ExperimentResult run_experiment(const gpusim::DeviceParams& dev,
     tuner::Session session(tuner::TuningContext::with_inputs(dev, def, p, in),
                            tuner::SessionOptions{}.with_jobs(jobs));
     const std::vector<tuner::EvaluatedPoint> eps = session.evaluate_points(dps);
-    bench::accumulate(totals, session.stats());
+    totals += session.stats();
     for (const auto& ep : eps) {
       if (!ep.feasible) continue;
       pred.push_back(ep.talg);

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                 !args.has_flag("no-prune")));
         const tuner::StrategyComparison cmp =
             session.compare_strategies(copt);
-        bench::accumulate(totals, session.stats());
+        totals += session.stats();
         const std::vector<std::pair<std::string, const tuner::EvaluatedPoint*>>
             rows = {{"HHC", &cmp.hhc_default},
                     {"Talg min", &cmp.talg_min},

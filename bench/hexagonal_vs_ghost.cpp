@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "gpusim/microbench.hpp"
 #include "overtile/ghost.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 using namespace repro;
 
@@ -87,15 +87,11 @@ int main(int argc, char** argv) {
     const model::ModelInputs in = gpusim::calibrate_model(dev, def);
 
     // HHC side: the paper's within-10% pipeline.
+    tuner::Session session(tuner::TuningContext::with_inputs(dev, def, p, in),
+                           tuner::SessionOptions{}.with_jobs(scale.jobs));
     const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-    const tuner::ModelSweep sweep = tuner::sweep_model(in, p, space, 0.10);
-    tuner::EvaluatedPoint hhc_best;
-    for (const auto& ts : sweep.candidates) {
-      const auto ep = tuner::best_over_threads(dev, def, p, in, ts);
-      if (ep.feasible && (!hhc_best.feasible || ep.texec < hhc_best.texec)) {
-        hhc_best = ep;
-      }
-    }
+    const tuner::ModelSweep sweep = session.sweep_model(space, 0.10);
+    const tuner::EvaluatedPoint hhc_best = session.best_tile(sweep.candidates);
 
     // Ghost side: exhaustively tuned over its own space.
     const GhostBest ghost = tune_ghost(dev, def, p);

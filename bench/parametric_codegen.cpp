@@ -22,7 +22,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "gpusim/microbench.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 using namespace repro;
 
@@ -56,26 +56,20 @@ int main(int argc, char** argv) {
     opt.tS1_max = scale.full ? 64 : 32;
     opt.tS1_step = scale.full ? 2 : 4;
     const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-    const tuner::ModelSweep sweep = tuner::sweep_model(in, p, space, 0.10);
+    tuner::Session fixed(tuner::TuningContext::with_inputs(dev, def, p, in),
+                         tuner::SessionOptions{}.with_jobs(scale.jobs));
+    tuner::Session param(
+        tuner::TuningContext::with_inputs(param_dev, def, p, in),
+        tuner::SessionOptions{}.with_jobs(scale.jobs));
+    const tuner::ModelSweep sweep = fixed.sweep_model(space, 0.10);
 
     const std::size_t thread_cfgs = tuner::default_thread_configs(2).size();
 
     // Evaluate the candidate set on both machines.
-    tuner::EvaluatedPoint best_fixed;
-    double best_param = 0.0;
-    bool have_param = false;
-    for (const auto& ts : sweep.candidates) {
-      const auto ef = tuner::best_over_threads(dev, def, p, in, ts);
-      if (ef.feasible && (!best_fixed.feasible || ef.texec < best_fixed.texec)) {
-        best_fixed = ef;
-      }
-      const auto epar = tuner::best_over_threads(param_dev, def, p, in, ts);
-      if (epar.feasible && (!have_param || epar.texec < best_param)) {
-        best_param = epar.texec;
-        have_param = true;
-      }
-    }
-    if (!best_fixed.feasible || !have_param) continue;
+    const tuner::EvaluatedPoint best_fixed = fixed.best_tile(sweep.candidates);
+    const tuner::EvaluatedPoint param_best = param.best_tile(sweep.candidates);
+    if (!best_fixed.feasible || !param_best.feasible) continue;
+    const double best_param = param_best.texec;
 
     // Tuning cost: fixed-size compiles one program per (tile, thread)
     // data point and runs each 5 times; parametric compiles once.

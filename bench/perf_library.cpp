@@ -11,7 +11,7 @@
 #include "hhc/tiled_executor.hpp"
 #include "model/talg.hpp"
 #include "stencil/reference.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 using namespace repro;
 
@@ -43,8 +43,11 @@ void BM_ModelSweepSpace(benchmark::State& state) {
   tuner::EnumOptions opt;
   opt.tS1_step = 4;
   const auto space = tuner::enumerate_feasible(2, in.hw, opt);
+  tuner::Session session(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), p, in),
+      tuner::SessionOptions{}.with_jobs(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tuner::sweep_model(in, p, space, 0.10).talg_min);
+    benchmark::DoNotOptimize(session.sweep_model(space, 0.10).talg_min);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));

@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "gpusim/microbench.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 using namespace repro;
 
@@ -34,9 +34,12 @@ int main(int argc, char** argv) {
       const auto& def = stencil::get_stencil(kind);
       const stencil::ProblemSize p{.dim = 2, .S = {8192, 8192, 0}, .T = 4096};
       const model::ModelInputs in = gpusim::calibrate_model(*dev, def);
+      tuner::Session session(
+          tuner::TuningContext::with_inputs(*dev, def, p, in),
+          tuner::SessionOptions{}.with_jobs(scale.jobs));
       const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-      const tuner::ModelSweep sweep = tuner::sweep_model(in, p, space, 0.10);
-      const tuner::SolverResult sol = tuner::anneal_talg(in, p, opt, 17, iters);
+      const tuner::ModelSweep sweep = session.sweep_model(space, 0.10);
+      const tuner::SolverResult sol = session.anneal_talg(opt, 17, iters);
       const double gap = sol.talg / sweep.talg_min - 1.0;
       t.add_row({dev->name, def.name, AsciiTable::fmt_sci(sweep.talg_min, 3),
                  AsciiTable::fmt_sci(sol.talg, 3), AsciiTable::fmt_pct(gap),

@@ -22,9 +22,4 @@ std::optional<std::string> env_once(const std::string& name) {
   return it->second;
 }
 
-bool env_once_equals(const std::string& name, std::string_view value) {
-  const std::optional<std::string> v = env_once(name);
-  return v.has_value() && *v == value;
-}
-
 }  // namespace repro

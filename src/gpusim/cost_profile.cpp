@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "hhc/bands.hpp"
 
@@ -237,24 +236,6 @@ void TileCostProfile::soa_iter_units(int threads, int n_v,
   }
 }
 
-void price_block_batch(const DeviceParams& dev,
-                       const TileCostProfile& profile,
-                       std::span<const hhc::ThreadConfig> thrs,
-                       double cyc_iter, std::span<BlockWork> out) {
-  const std::vector<RowClass>& classes = profile.classes();
-  const std::size_t nc = classes.size();
-  const std::size_t nj = thrs.size();
-  std::vector<std::int64_t> units(nc);
-  for (std::size_t j = 0; j < nj; ++j) {
-    profile.soa_iter_units(thrs[j].total(), dev.n_v, units.data());
-    for (std::size_t c = 0; c < nc; ++c) {
-      out[c * nj + j] =
-          block_work_from_units(dev, units[c], classes[c].geom.sync_count(),
-                                classes[c].geom.io_words, cyc_iter);
-    }
-  }
-}
-
 void TileCostProfile::finalize_soa() {
   soa_ = ProfileSoA{};
   if (!valid_) return;
@@ -395,13 +376,6 @@ TileCostProfile TileCostProfile::build_reference(
   return build_impl(p, ts, radius, /*collapse=*/false);
 }
 
-TileCostProfile TileCostProfile::build_auto(const stencil::ProblemSize& p,
-                                            const hhc::TileSizes& ts,
-                                            std::int64_t radius) {
-  return use_reference_sim_path() ? build_reference(p, ts, radius)
-                                  : build(p, ts, radius);
-}
-
 std::int64_t TileCostProfile::total_rows() const noexcept {
   std::int64_t n = empty_rows_;
   for (const RowClass& c : classes_) n += c.mult;
@@ -412,14 +386,6 @@ std::int64_t TileCostProfile::total_blocks() const noexcept {
   std::int64_t n = 0;
   for (const RowClass& c : classes_) n += c.mult * c.blocks;
   return n;
-}
-
-bool use_reference_sim_path() {
-  // Captured once via common/env.hpp; the local static keeps the hot
-  // path a single load.
-  static const bool reference =
-      repro::env_once_equals("REPRO_SIM_PATH", "reference");
-  return reference;
 }
 
 }  // namespace repro::gpusim

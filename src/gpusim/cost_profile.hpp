@@ -1,7 +1,7 @@
 // Two-stage tile-cost pipeline, stage one: thread-invariant geometry.
 //
 // Every optimizer entry point ends in simulate_time / measure_best_of,
-// and best_over_threads re-prices the same (problem, tile-sizes)
+// and a thread sweep re-prices the same (problem, tile-sizes)
 // geometry for each thread count even though the HexSchedule, the
 // SkewedBands and the per-level point histograms depend only on the
 // problem and the tile sizes — the thread count enters the final
@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +69,7 @@ struct BlockGeometry {
 
 // Structure-of-arrays mirror of every class's bins, packed into one
 // arena-allocated slab of int64 so the batched pricing fold
-// (price_block_batch, measure_best_of_batch) streams `points[]` and
+// (measure_best_of_batch) streams `points[]` and
 // `weight[]` as two contiguous arrays instead of chasing AoS
 // PointBins. Layout of `slab`:
 //
@@ -127,14 +126,6 @@ class TileCostProfile {
   static TileCostProfile build_reference(const stencil::ProblemSize& p,
                                          const hhc::TileSizes& ts,
                                          std::int64_t radius);
-
-  // build(), or build_reference() when REPRO_SIM_PATH=reference is
-  // set in the environment — the A/B switch the parity benches flip.
-  // The variable follows the once-per-process contract documented in
-  // common/env.hpp.
-  static TileCostProfile build_auto(const stencil::ProblemSize& p,
-                                    const hhc::TileSizes& ts,
-                                    std::int64_t radius);
 
   // Incremental rebuild for a tile that differs from this profile's
   // only in the inner extents (tS2/tS3). The HexSchedule depends only
@@ -194,16 +185,8 @@ class TileCostProfile {
   ProfileSoA soa_;
 };
 
-// True when REPRO_SIM_PATH=reference: simulate_time and the Session
-// route geometry through build_reference(), the Session prices
-// through the scalar AoS path instead of the batched SoA fold, and
-// the event simulator disables congruent-tile reuse. Results are
-// bit-identical either way; the switch exists so benches and tests
-// can prove it. REPRO_SIM_PATH follows the once-per-process contract
-// documented in common/env.hpp.
-bool use_reference_sim_path();
-
-// Stage-one primitive shared with the event simulator: the
+// Stage-one primitive (also the per-tile cost of the event-level
+// cross-check simulator under tests/support/): the
 // thread-invariant geometry of one exact (possibly boundary-clipped)
 // tile shape. `collapse_bands` selects class-collapsed or
 // fully-enumerated skewed bands — identical results by integer
@@ -226,20 +209,11 @@ BlockWork price_block(const DeviceParams& dev, const BlockGeometry& g,
 
 // The shared pricing tail: fold precomputed iteration units, the
 // barrier count and the traffic words into a BlockWork. price_block
-// and every batched path call this one out-of-line function, so the
+// and the batched path call this one out-of-line function, so the
 // floating-point expression is compiled exactly once and scalar vs
 // batched pricing cannot diverge by contraction.
 BlockWork block_work_from_units(const DeviceParams& dev, std::int64_t units,
                                 std::int64_t syncs, double io_words,
                                 double cyc_iter);
-
-// Stage two, batched: price every class of `profile` at every thread
-// config in one SoA pass. out[c * thrs.size() + j] is bit-identical
-// to price_block(dev, profile.classes()[c].geom, thrs[j].total(),
-// cyc_iter); `out` must hold classes * thrs.size() entries.
-void price_block_batch(const DeviceParams& dev,
-                       const TileCostProfile& profile,
-                       std::span<const hhc::ThreadConfig> thrs,
-                       double cyc_iter, std::span<BlockWork> out);
 
 }  // namespace repro::gpusim

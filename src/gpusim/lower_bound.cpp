@@ -116,7 +116,7 @@ LowerBound lower_bound(const DeviceParams& dev,
       resolve_config(dev, def, p.dim, ts, thr.total(), var);
   if (!rc.feasible) return infeasible_bound();
   const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+      TileCostProfile::build(p, ts, def.radius);
   return lower_bound(dev, def, p, ts, thr, profile, var);
 }
 

@@ -67,7 +67,7 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const TileCostProfile& profile,
                        const stencil::KernelVariant& var = {});
 
-// Convenience overload: builds the profile via build_auto. Prefer the
+// Convenience overload: builds the profile via build(). Prefer the
 // profile form in sweeps — the tuner's per-tile profile cache makes
 // the geometry walk free across thread configs.
 LowerBound lower_bound(const DeviceParams& dev,

@@ -127,13 +127,6 @@ void apply_best_of(const DeviceParams& dev, const stencil::StencilDef& def,
 
 }  // namespace
 
-BlockWork tile_block_work(const DeviceParams& dev,
-                          const stencil::ProblemSize& p,
-                          const hhc::TileSizes& ts, int threads,
-                          const hhc::TileShape& shape, double cyc_iter) {
-  return price_block(dev, block_geometry(p, ts, shape), threads, cyc_iter);
-}
-
 double iteration_cycles(const DeviceParams& dev,
                         const stencil::StencilDef& def,
                         const hhc::TileSizes& ts) {
@@ -298,7 +291,7 @@ SimResult simulate_time(const DeviceParams& dev,
     return res;
   }
   const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+      TileCostProfile::build(p, ts, def.radius);
   return simulate_time(dev, def, p, ts, thr, profile, run_id, var);
 }
 
@@ -329,7 +322,7 @@ SimResult measure_best_of(const DeviceParams& dev,
     return res;
   }
   const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+      TileCostProfile::build(p, ts, def.radius);
   return measure_best_of(dev, def, p, ts, thr, profile, runs, var);
 }
 
@@ -386,7 +379,7 @@ double simulate_compute_only(const DeviceParams& dev,
                              const hhc::ThreadConfig& thr) {
   hhc::validate(ts, p.dim);
   const TileCostProfile profile =
-      TileCostProfile::build_auto(p, ts, def.radius);
+      TileCostProfile::build(p, ts, def.radius);
   return simulate_compute_only(dev, def, p, ts, thr, profile);
 }
 

@@ -30,7 +30,6 @@
 
 #include "gpusim/device.hpp"
 #include "gpusim/scheduling.hpp"
-#include "hhc/hex_schedule.hpp"
 #include "hhc/tile_sizes.hpp"
 #include "stencil/problem.hpp"
 #include "stencil/stencil.hpp"
@@ -155,8 +154,9 @@ double iteration_cycles(const DeviceParams& dev,
 // Machine-resource resolution for one configuration: residency k,
 // register outcome, the effective per-iteration cycle cost (spills,
 // bank conflicts, issue-latency stalls included) and the DRAM
-// coalescing efficiency. Shared by the aggregate timing engine and
-// the event-level cross-check simulator.
+// coalescing efficiency. Shared by the aggregate timing engine, the
+// lower bound and the event-level cross-check simulator (a test-only
+// oracle under tests/support/).
 struct ResolvedConfig {
   bool feasible = false;
   std::string infeasible_reason;
@@ -171,14 +171,5 @@ ResolvedConfig resolve_config(const DeviceParams& dev,
                               const stencil::StencilDef& def, int dim,
                               const hhc::TileSizes& ts, int threads,
                               const stencil::KernelVariant& var = {});
-
-// Exact per-block work of one tile shape (compute seconds and raw
-// global traffic in bytes, before coalescing derating). Used by the
-// event-level simulator, which prices every tile individually instead
-// of aggregating congruent ones.
-BlockWork tile_block_work(const DeviceParams& dev,
-                          const stencil::ProblemSize& p,
-                          const hhc::TileSizes& ts, int threads,
-                          const hhc::TileShape& shape, double cyc_iter);
 
 }  // namespace repro::gpusim

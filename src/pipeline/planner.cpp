@@ -58,23 +58,6 @@ struct Winner {
   tuner::EvaluatedPoint best;
 };
 
-void accumulate(tuner::SweepStats& into, const tuner::SweepStats& s) {
-  into.model_points += s.model_points;
-  into.machine_points += s.machine_points;
-  into.cache_hits += s.cache_hits;
-  into.model_seconds += s.model_seconds;
-  into.machine_seconds += s.machine_seconds;
-  into.profile_builds += s.profile_builds;
-  into.profile_steps += s.profile_steps;
-  into.profile_hits += s.profile_hits;
-  into.geometry_seconds += s.geometry_seconds;
-  into.pricing_seconds += s.pricing_seconds;
-  into.points_pruned += s.points_pruned;
-  into.bound_seconds += s.bound_seconds;
-  into.seeds_offered += s.seeds_offered;
-  into.seeds_admitted += s.seeds_admitted;
-}
-
 json::Value problem_to_json(const stencil::ProblemSize& p) {
   json::Value o = json::Value::object();
   json::Value s = json::Value::array();
@@ -236,7 +219,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   }
   for (const auto& [key, sess] : sessions) {
     (void)key;
-    if (sess) accumulate(plan.stats, sess->stats());
+    if (sess) plan.stats += sess->stats();
   }
   return plan;
 }

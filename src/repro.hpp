@@ -17,7 +17,6 @@
 #include "common/table.hpp"        // IWYU pragma: export
 #include "gpusim/calibration_io.hpp" // IWYU pragma: export
 #include "gpusim/device.hpp"       // IWYU pragma: export
-#include "gpusim/event_sim.hpp"    // IWYU pragma: export
 #include "gpusim/microbench.hpp"   // IWYU pragma: export
 #include "gpusim/registers.hpp"    // IWYU pragma: export
 #include "gpusim/scheduling.hpp"   // IWYU pragma: export

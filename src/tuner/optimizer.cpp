@@ -7,10 +7,7 @@
 
 #include "analysis/legality.hpp"
 #include "common/rng.hpp"
-#include "gpusim/cost_profile.hpp"
-#include "gpusim/timing.hpp"
 #include "hhc/footprint.hpp"
-#include "tuner/session.hpp"
 
 namespace repro::tuner {
 
@@ -24,15 +21,6 @@ double model_talg_or_inf(const model::ModelInputs& in,
   }
   return model::talg_auto_k(in, p, ts).talg;
 }
-
-namespace {
-
-double talg_of(const model::ModelInputs& in, const stencil::ProblemSize& p,
-               const hhc::TileSizes& ts) {
-  return model_talg_or_inf(in, p, ts);
-}
-
-}  // namespace
 
 void validate_sweep_delta(double delta, analysis::DiagnosticEngine& eng) {
   if (!std::isfinite(delta) || delta < 0.0) {
@@ -100,101 +88,6 @@ void CompareOptions::validate() const {
   }
 }
 
-ModelSweep sweep_model(const model::ModelInputs& in,
-                       const stencil::ProblemSize& p,
-                       std::span<const hhc::TileSizes> space, double delta) {
-  validate_sweep_delta(delta);
-  ModelSweep sweep;
-  sweep.space_size = space.size();
-  sweep.talg_min = std::numeric_limits<double>::infinity();
-
-  std::vector<double> values(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    values[i] = talg_of(in, p, space[i]);
-    if (values[i] < sweep.talg_min) {
-      sweep.talg_min = values[i];
-      sweep.argmin = space[i];
-    }
-  }
-  const double cutoff = sweep.talg_min * (1.0 + delta);
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    if (values[i] <= cutoff) sweep.candidates.push_back(space[i]);
-  }
-  return sweep;
-}
-
-EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
-                              const stencil::StencilDef& def,
-                              const stencil::ProblemSize& p,
-                              const model::ModelInputs& in,
-                              const DataPoint& dp) {
-  EvaluatedPoint ep;
-  ep.dp = dp;
-  ep.talg = talg_of(in, p, dp.ts);
-  const gpusim::SimResult res =
-      gpusim::measure_best_of(dev, def, p, dp.ts, dp.thr, /*runs=*/5, dp.var);
-  ep.feasible = res.feasible;
-  if (res.feasible) {
-    ep.texec = res.seconds;
-    ep.gflops = res.gflops;
-  }
-  return ep;
-}
-
-EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
-                              const stencil::StencilDef& def,
-                              const stencil::ProblemSize& p,
-                              const model::ModelInputs& in,
-                              const DataPoint& dp,
-                              const gpusim::TileCostProfile& profile) {
-  EvaluatedPoint ep;
-  ep.dp = dp;
-  ep.talg = talg_of(in, p, dp.ts);
-  const gpusim::SimResult res = gpusim::measure_best_of(
-      dev, def, p, dp.ts, dp.thr, profile, /*runs=*/5, dp.var);
-  ep.feasible = res.feasible;
-  if (res.feasible) {
-    ep.texec = res.seconds;
-    ep.gflops = res.gflops;
-  }
-  return ep;
-}
-
-EvaluatedPoint best_over_threads(const gpusim::DeviceParams& dev,
-                                 const stencil::StencilDef& def,
-                                 const stencil::ProblemSize& p,
-                                 const model::ModelInputs& in,
-                                 const hhc::TileSizes& ts) {
-  // The tile geometry is thread-invariant: walk the schedule once and
-  // price every thread config against the same profile (stage two of
-  // the cost pipeline) instead of rebuilding it per config. An
-  // invalid tile yields an invalid profile, and simulate_time then
-  // reports the same infeasibility resolve_config finds first —
-  // results are parity-pinned against the per-config rebuild.
-  const gpusim::TileCostProfile profile =
-      gpusim::TileCostProfile::build_auto(p, ts, def.radius);
-  EvaluatedPoint best;
-  for (const auto& thr : default_thread_configs(p.dim)) {
-    const EvaluatedPoint ep =
-        evaluate_point(dev, def, p, in, DataPoint{ts, thr}, profile);
-    if (!ep.feasible) continue;
-    if (!best.feasible || ep.texec < best.texec) best = ep;
-  }
-  return best;
-}
-
-StrategyComparison compare_strategies(const gpusim::DeviceParams& dev,
-                                      const stencil::StencilDef& def,
-                                      const stencil::ProblemSize& p,
-                                      const CompareOptions& opt) {
-  // Serial compatibility wrapper: one-shot session, one worker. The
-  // memo cache still dedups the baseline/within-10% points the
-  // exhaustive pass revisits.
-  Session session(TuningContext::calibrate(dev, def, p),
-                  SessionOptions{}.with_jobs(1));
-  return session.compare_strategies(opt);
-}
-
 SolverResult anneal_talg(const model::ModelInputs& in,
                          const stencil::ProblemSize& p,
                          const EnumOptions& bounds, std::uint64_t seed,
@@ -226,7 +119,7 @@ SolverResult anneal_talg(const model::ModelInputs& in,
 
   SolverResult best;
   best.ts = random_point();
-  best.talg = talg_of(in, p, best.ts);
+  best.talg = model_talg_or_inf(in, p, best.ts);
   hhc::TileSizes cur = best.ts;
   double cur_v = best.talg;
 
@@ -254,7 +147,7 @@ SolverResult anneal_talg(const model::ModelInputs& in,
             bounds.tS3_step, bounds.tS3_max);
         break;
     }
-    const double v = talg_of(in, p, nxt);
+    const double v = model_talg_or_inf(in, p, nxt);
     const double temp =
         1.0 - static_cast<double>(it) / static_cast<double>(iterations);
     const bool accept =
@@ -273,7 +166,7 @@ SolverResult anneal_talg(const model::ModelInputs& in,
     // Occasional restart keeps the solver honest about local minima.
     if (it % 97 == 96) {
       cur = random_point();
-      cur_v = talg_of(in, p, cur);
+      cur_v = model_talg_or_inf(in, p, cur);
     }
   }
   return best;

@@ -7,15 +7,15 @@
 // strategy comparison for Fig. 6 and the simulated-annealing solver
 // that stands in for the paper's disappointing Bonmin attempt.
 //
-// The free functions below are kept as thin *serial* compatibility
-// wrappers. New code should use tuner::Session (tuner/session.hpp),
-// which owns the calibrated context, runs the sweeps on a thread pool
-// (--jobs / REPRO_JOBS) with bitwise-deterministic reductions, and
-// memoizes repeated machine measurements.
+// This header holds the value types and the pure model primitives.
+// Sweeps and machine evaluation are tuner::Session methods
+// (tuner/session.hpp): the session owns the calibrated context, runs
+// the sweeps on a thread pool (--jobs / REPRO_JOBS) with
+// bitwise-deterministic reductions, and memoizes repeated machine
+// measurements.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -26,10 +26,6 @@
 #include "stencil/problem.hpp"
 #include "stencil/variant.hpp"
 #include "tuner/space.hpp"
-
-namespace repro::gpusim {
-class TileCostProfile;  // gpusim/cost_profile.hpp
-}
 
 namespace repro::tuner {
 
@@ -94,36 +90,6 @@ struct ModelSweep {
   std::size_t space_size = 0;
 };
 
-ModelSweep sweep_model(const model::ModelInputs& in,
-                       const stencil::ProblemSize& p,
-                       std::span<const hhc::TileSizes> space, double delta);
-
-// --- Machine evaluation ---------------------------------------------
-
-EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
-                              const stencil::StencilDef& def,
-                              const stencil::ProblemSize& p,
-                              const model::ModelInputs& in,
-                              const DataPoint& dp);
-
-// Stage-two form: price against a prebuilt geometry profile for
-// dp.ts (see gpusim/cost_profile.hpp). The Session uses this so a
-// thread sweep walks the schedule once, not once per thread config.
-EvaluatedPoint evaluate_point(const gpusim::DeviceParams& dev,
-                              const stencil::StencilDef& def,
-                              const stencil::ProblemSize& p,
-                              const model::ModelInputs& in,
-                              const DataPoint& dp,
-                              const gpusim::TileCostProfile& profile);
-
-// Evaluate a tile size across all thread configs and keep the best
-// measured one (the paper's empirical thread-count step, Section 7).
-EvaluatedPoint best_over_threads(const gpusim::DeviceParams& dev,
-                                 const stencil::StencilDef& def,
-                                 const stencil::ProblemSize& p,
-                                 const model::ModelInputs& in,
-                                 const hhc::TileSizes& ts);
-
 // --- Strategy comparison (Figs 5 and 6) ------------------------------
 
 struct StrategyComparison {
@@ -175,11 +141,6 @@ struct CompareOptions {
   void validate(analysis::DiagnosticEngine& eng) const;
   void validate() const;
 };
-
-StrategyComparison compare_strategies(const gpusim::DeviceParams& dev,
-                                      const stencil::StencilDef& def,
-                                      const stencil::ProblemSize& p,
-                                      const CompareOptions& opt = {});
 
 // --- Heuristic solver (the Bonmin stand-in, Section 6.1) -------------
 

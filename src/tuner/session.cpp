@@ -93,8 +93,12 @@ std::size_t Session::StepKeyHash::operator()(const StepKey& k) const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-bool Session::use_batch() const {
-  return opt_.batch && ctx_.dev.is_gpu() && !gpusim::use_reference_sim_path();
+Session::PointKey Session::point_key(
+    const hhc::TileSizes& ts, const hhc::ThreadConfig& thr,
+    const stencil::KernelVariant& var) noexcept {
+  return {ts.tT,  ts.tS1, ts.tS2,     ts.tS3,
+          thr.n1, thr.n2, thr.n3,     var.unroll,
+          static_cast<int>(var.staging)};
 }
 
 Session::Session(TuningContext ctx, SessionOptions opt)
@@ -169,15 +173,9 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
     // A cached profile sharing (tT, tS1) serves as the base of an
     // incremental rebuild: the hexahedral schedule depends only on
     // those two dimensions, so build_step reuses its wavefront
-    // structure and recomputes per-class geometry only. This is part
-    // of the batched pipeline: with batch off (or under the
-    // reference sim path, whose profiles keep every band enumerated)
-    // every profile is built from scratch, reproducing the scalar
-    // pipeline's stage-one work exactly.
-    if (use_batch()) {
-      const auto sit = steps_.find(skey);
-      if (sit != steps_.end() && sit->second->valid()) base = sit->second;
-    }
+    // structure and recomputes per-class geometry only.
+    const auto sit = steps_.find(skey);
+    if (sit != steps_.end() && sit->second->valid()) base = sit->second;
   }
   // Build outside the lock (the schedule walk is the expensive part);
   // racing builders produce identical profiles, first insert wins —
@@ -186,8 +184,8 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
   const auto t0 = Clock::now();
   auto prof = std::make_shared<const gpusim::TileCostProfile>(
       base ? base->build_step(ts)
-           : gpusim::TileCostProfile::build_auto(ctx_.problem, ts,
-                                                 ctx_.def.radius));
+           : gpusim::TileCostProfile::build(ctx_.problem, ts,
+                                            ctx_.def.radius));
   const double elapsed = seconds_since(t0);
   std::lock_guard<std::mutex> lk(mu_);
   if (base) {
@@ -201,12 +199,41 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
   return inserted;
 }
 
+double Session::price_batch(const hhc::TileSizes& ts,
+                            const stencil::KernelVariant& var,
+                            std::span<const hhc::ThreadConfig> thrs,
+                            double talg, std::span<EvaluatedPoint> out) {
+  const auto fill = [&](const auto& results) {
+    for (std::size_t j = 0; j < thrs.size(); ++j) {
+      out[j].dp = DataPoint{ts, thrs[j], var};
+      out[j].talg = talg;
+      take_result(out[j], results[j]);
+    }
+  };
+  if (ctx_.dev.is_cpu()) {
+    std::vector<cpusim::SimResult> res(thrs.size());
+    const auto t0 = Clock::now();
+    cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
+                                  ts, thrs, res);
+    const double priced = seconds_since(t0);
+    fill(res);
+    return priced;
+  }
+  // Stage one (memoized schedule walk), then stage two: the SoA fold
+  // over every thread config.
+  const std::shared_ptr<const gpusim::TileCostProfile> prof = profile_for(ts);
+  std::vector<gpusim::SimResult> res(thrs.size());
+  const auto t0 = Clock::now();
+  gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem, ts,
+                                thrs, *prof, res, /*runs=*/5, var);
+  const double priced = seconds_since(t0);
+  fill(res);
+  return priced;
+}
+
 EvaluatedPoint Session::measure(const DataPoint& dp) {
-  const PointKey key{dp.ts.tT,  dp.ts.tS1, dp.ts.tS2,
-                     dp.ts.tS3, dp.thr.n1, dp.thr.n2,
-                     dp.thr.n3, dp.var.unroll,
-                     static_cast<int>(dp.var.staging)};
-  if (opt_.memoize) {
+  const PointKey key = point_key(dp.ts, dp.thr, dp.var);
+  {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.machine_points;
     const auto it = cache_.find(key);
@@ -214,39 +241,18 @@ EvaluatedPoint Session::measure(const DataPoint& dp) {
       ++stats_.cache_hits;
       return it->second;
     }
-  } else {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.machine_points;
   }
   EvaluatedPoint ep;
-  double priced = 0.0;
-  if (ctx_.dev.is_cpu()) {
-    // A single CPU point is a batch of one through the pricing body
-    // sweep_tile's batches use.
-    const auto t0 = Clock::now();
-    ep.dp = dp;
-    ep.talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, dp.ts);
-    cpusim::SimResult res;
-    cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
-                                  dp.ts, {&dp.thr, 1}, {&res, 1});
-    take_result(ep, res);
-    priced = seconds_since(t0);
-  } else {
-    // Stage one (memoized schedule walk), then stage two (closed-form
-    // pricing).
-    const std::shared_ptr<const gpusim::TileCostProfile> prof =
-        profile_for(dp.ts);
-    const auto t0 = Clock::now();
-    ep = tuner::evaluate_point(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
-                               ctx_.inputs, dp, *prof);
-    priced = seconds_since(t0);
-  }
+  const double priced =
+      price_batch(dp.ts, dp.var, {&dp.thr, 1},
+                  model_talg_or_inf(ctx_.inputs, ctx_.problem, dp.ts),
+                  {&ep, 1});
   // Pricing ran outside the lock; two threads may race to fill the
   // same key, but they insert the same value, so first-wins is
   // harmless.
   std::lock_guard<std::mutex> lk(mu_);
   stats_.pricing_seconds += priced;
-  if (opt_.memoize) cache_.emplace(key, ep);
+  cache_.emplace(key, ep);
   return ep;
 }
 
@@ -255,13 +261,9 @@ std::optional<EvaluatedPoint> Session::measure_bounded(const DataPoint& dp,
   if (inc == nullptr || !opt_.prune) return measure(dp);
   // Cache first: a hit costs less than the bound and keeps the memo
   // counters meaningful (revisits stay cache hits, never prunes).
-  const PointKey key{dp.ts.tT,  dp.ts.tS1, dp.ts.tS2,
-                     dp.ts.tS3, dp.thr.n1, dp.thr.n2,
-                     dp.thr.n3, dp.var.unroll,
-                     static_cast<int>(dp.var.staging)};
-  if (opt_.memoize) {
+  {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto it = cache_.find(key);
+    const auto it = cache_.find(point_key(dp.ts, dp.thr, dp.var));
     if (it != cache_.end()) {
       ++stats_.machine_points;
       ++stats_.cache_hits;
@@ -409,26 +411,11 @@ EvaluatedPoint Session::sweep_tile(
       device_thread_configs(ctx_.dev, ctx_.problem.dim);
   EvaluatedPoint best;
 
-  if (!cpu && !use_batch()) {
-    // Scalar reference path: one measure_bounded per (variant,
-    // thread) point, variant-major — the order the batched fold
-    // below reproduces.
-    for (const stencil::KernelVariant& var : vars) {
-      for (const hhc::ThreadConfig& thr : threads) {
-        const std::optional<EvaluatedPoint> ep =
-            measure_bounded(DataPoint{ts, thr, var}, inc);
-        if (ep) fold_best(best, *ep);
-      }
-    }
-    return best;
-  }
-
-  // Batched path (every CPU tile; GPU tiles under use_batch()). Pass 1
-  // walks the sweep in the scalar visit order, serving cache hits and
+  // Pass 1 walks the sweep variant-major, serving cache hits and
   // bounding misses exactly like measure_bounded; pass 2 prices each
-  // variant's surviving misses in one measure_best_of_batch call.
-  // Results land in visit-order slots so the final fold's tie-breaking
-  // matches the scalar loop.
+  // variant's surviving misses in one batch call. Results land in
+  // visit-order slots so the final fold's tie-breaking is the serial
+  // variant-major loop's.
   const bool bounded = inc != nullptr && opt_.prune;
   // The CPU bound never reads the strand count, so it is evaluated
   // once per tile, on the first miss that needs it. Every measured
@@ -436,6 +423,7 @@ EvaluatedPoint Session::sweep_tile(
   // misses are either all pruned or none are, exactly as in a
   // point-by-point walk.
   std::optional<double> cpu_tile_bound;
+  std::shared_ptr<const gpusim::TileCostProfile> prof;  // GPU bounds
   const std::size_t nthr = threads.size();
   std::vector<EvaluatedPoint> slot(vars.size() * nthr);
   std::vector<char> have(vars.size() * nthr, 0);
@@ -444,13 +432,9 @@ EvaluatedPoint Session::sweep_tile(
     const stencil::KernelVariant& var = vars[vi];
     for (std::size_t ti = 0; ti < nthr; ++ti) {
       const hhc::ThreadConfig& thr = threads[ti];
-      if (opt_.memoize) {
-        const PointKey key{ts.tT,   ts.tS1,     ts.tS2,
-                           ts.tS3,  thr.n1,     thr.n2,
-                           thr.n3,  var.unroll,
-                           static_cast<int>(var.staging)};
+      {
         std::lock_guard<std::mutex> lk(mu_);
-        const auto it = cache_.find(key);
+        const auto it = cache_.find(point_key(ts, thr, var));
         if (it != cache_.end()) {
           ++stats_.machine_points;
           ++stats_.cache_hits;
@@ -466,8 +450,7 @@ EvaluatedPoint Session::sweep_tile(
         // strictly, incumbent being a measured texec of this scope.
         const double cut = inc->load();
         if (cut < std::numeric_limits<double>::infinity()) {
-          std::shared_ptr<const gpusim::TileCostProfile> prof;
-          if (!cpu) prof = profile_for(ts);
+          if (!cpu && !prof) prof = profile_for(ts);
           const auto tb = Clock::now();
           double bound = std::numeric_limits<double>::infinity();
           if (cpu) {
@@ -497,66 +480,29 @@ EvaluatedPoint Session::sweep_tile(
 
   // Talg depends only on the tile, not on threads or variant: price
   // it once for the whole sweep.
-  double talg = 0.0;
-  bool have_talg = false;
+  std::optional<double> talg;
   std::vector<hhc::ThreadConfig> batch_thrs;
-  std::vector<gpusim::SimResult> gpu_res;
-  std::vector<cpusim::SimResult> cpu_res;
   for (std::size_t vi = 0; vi < vars.size(); ++vi) {
     if (miss[vi].empty()) continue;
-    if (!have_talg) {
-      talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
-      have_talg = true;
-    }
+    if (!talg) talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
     batch_thrs.clear();
     for (const std::size_t ti : miss[vi]) batch_thrs.push_back(threads[ti]);
-    double priced = 0.0;
-    if (cpu) {
-      cpu_res.assign(batch_thrs.size(), cpusim::SimResult{});
-      const auto t0 = Clock::now();
-      cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
-                                    ts, batch_thrs, cpu_res);
-      priced = seconds_since(t0);
-    } else {
-      // One profile_for per measured point, mirroring the scalar path
-      // so the profile-cache counters stay comparable (one build, the
-      // rest hits).
-      std::shared_ptr<const gpusim::TileCostProfile> prof;
-      for (std::size_t k = 0; k < miss[vi].size(); ++k) prof = profile_for(ts);
-      gpu_res.assign(batch_thrs.size(), gpusim::SimResult{});
-      const auto t0 = Clock::now();
-      gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
-                                    ts, batch_thrs, *prof, gpu_res,
-                                    /*runs=*/5, vars[vi]);
-      priced = seconds_since(t0);
-    }
+    std::vector<EvaluatedPoint> priced_pts(batch_thrs.size());
+    const double priced =
+        price_batch(ts, vars[vi], batch_thrs, *talg, priced_pts);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      stats_.machine_points += miss[vi].size();
+      stats_.machine_points += priced_pts.size();
       stats_.pricing_seconds += priced;
+      for (const EvaluatedPoint& ep : priced_pts) {
+        cache_.emplace(point_key(ts, ep.dp.thr, vars[vi]), ep);
+      }
     }
-    for (std::size_t k = 0; k < miss[vi].size(); ++k) {
-      const std::size_t ti = miss[vi][k];
-      EvaluatedPoint ep;
-      ep.dp = DataPoint{ts, threads[ti], vars[vi]};
-      ep.talg = talg;
-      if (cpu) {
-        take_result(ep, cpu_res[k]);
-      } else {
-        take_result(ep, gpu_res[k]);
-      }
-      if (opt_.memoize) {
-        const PointKey key{ts.tT,  ts.tS1,
-                           ts.tS2, ts.tS3,
-                           threads[ti].n1, threads[ti].n2,
-                           threads[ti].n3, vars[vi].unroll,
-                           static_cast<int>(vars[vi].staging)};
-        std::lock_guard<std::mutex> lk(mu_);
-        cache_.emplace(key, ep);
-      }
+    for (std::size_t k = 0; k < priced_pts.size(); ++k) {
+      const EvaluatedPoint& ep = priced_pts[k];
       if (bounded && ep.feasible) inc->offer(ep.texec);
-      slot[vi * nthr + ti] = ep;
-      have[vi * nthr + ti] = 1;
+      slot[vi * nthr + miss[vi][k]] = ep;
+      have[vi * nthr + miss[vi][k]] = 1;
     }
   }
   for (std::size_t i = 0; i < slot.size(); ++i) {

@@ -3,9 +3,8 @@
 // A `Session` binds together everything one tuning run needs — the
 // device, the stencil, the problem size, the calibrated model inputs
 // (a `TuningContext`), a fixed thread pool, and a memoization cache
-// of simulator measurements — and re-exports the optimizer entry
-// points as methods. The free functions in optimizer.hpp remain as
-// thin serial wrappers; new code should prefer the Session:
+// of simulator measurements — and exposes the optimizer entry points
+// as methods. It is the only machine-evaluation API of the tuner:
 //
 //   tuner::Session s(gpusim::gtx980(), def, p);       // calibrates
 //   const auto space = tuner::enumerate_feasible(p.dim, s.inputs().hw);
@@ -55,23 +54,20 @@
 // on vs off across job counts; SweepStats reports the pruning volume
 // (points_pruned) and the bound-evaluation wall time (bound_seconds).
 //
-// Batched pricing: a thread sweep over one tile is priced per tile,
-// not per point. Talg is computed once per tile and the surviving
-// thread configs are priced in one measure_best_of_batch call.
-//   * GPU (SessionOptions::batch, default on): against the tile's SoA
-//     profile — the profile is fetched per point but built once, and
-//     the per-class unit fold runs over the contiguous slab. The batch
-//     path is bit-identical to the scalar path
-//     (gpusim/cost_profile.hpp documents why), so flipping `batch` —
-//     or setting REPRO_SIM_PATH=reference, which forces the scalar
-//     AoS path — never changes a result, only the wall time.
-//   * CPU (always): cpusim analyzes the tile and hashes its jitter-key
-//     prefix once, then pays only the per-strand step per config, and
-//     the strand-invariant lower bound is evaluated once per tile.
-//     Single CPU points are batches of one through the same pricing
-//     body; neither `batch` nor REPRO_SIM_PATH applies.
-// The tuner-tier tests pin byte-equality across batch on/off, prune
-// on/off and job counts over the variant-extended space.
+// Batched pricing: every point is priced through one backend batch
+// call per (tile, variant) — a single point is a batch of one. Talg
+// is computed once per tile and the surviving thread configs of a
+// sweep are priced together:
+//   * GPU: gpusim::measure_best_of_batch against the tile's cached
+//     SoA profile (stage one runs once per tile, or as an incremental
+//     build_step from a profile sharing (tT, tS1)); the per-class unit
+//     fold runs over the contiguous slab.
+//   * CPU: cpusim analyzes the tile and hashes its jitter-key prefix
+//     once, then pays only the per-strand step per config, and the
+//     strand-invariant lower bound is evaluated once per tile.
+// Both batch calls are bit-identical to the public scalar
+// measure_best_of; the tuner-tier tests pin Session results against
+// a serial scalar fold (tests/support/scalar_oracle.hpp).
 #pragma once
 
 #include <atomic>
@@ -87,6 +83,10 @@
 
 #include "common/parallel.hpp"
 #include "tuner/optimizer.hpp"
+
+namespace repro::gpusim {
+class TileCostProfile;  // gpusim/cost_profile.hpp
+}
 
 namespace repro::tuner {
 
@@ -147,13 +147,11 @@ struct SweepStats {
   double machine_seconds = 0.0;    // wall time inside machine evaluation
 
   // Two-stage pipeline split (GPU): a tile size's geometry profile is
-  // built once (stage one, the schedule walk) and every thread config
-  // after the first reuses it (stage two, closed-form pricing). A
-  // "step" is an incremental rebuild (TileCostProfile::build_step)
+  // built once (stage one, the schedule walk) and every later batch
+  // or bound on that tile reuses it (stage two, closed-form pricing).
+  // A "step" is an incremental rebuild (TileCostProfile::build_step)
   // from a cached profile sharing (tT, tS1) — the schedule walk is
-  // skipped and only the per-class geometry is recomputed. Steps
-  // belong to the batched pipeline: with batch off every profile is a
-  // scratch build (results are bit-identical either way). CPU tiles
+  // skipped and only the per-class geometry is recomputed. CPU tiles
   // build no profile: cpusim's per-tile stage runs inside each batch
   // call, so its time counts in pricing_seconds and the profile
   // counters stay 0.
@@ -175,6 +173,26 @@ struct SweepStats {
   // session's problem and allowed to tighten the incumbent.
   std::size_t seeds_offered = 0;
   std::size_t seeds_admitted = 0;
+
+  // Field-wise sum: benches and the pipeline planner total the stats
+  // of several sessions with it.
+  SweepStats& operator+=(const SweepStats& o) noexcept {
+    model_points += o.model_points;
+    machine_points += o.machine_points;
+    cache_hits += o.cache_hits;
+    model_seconds += o.model_seconds;
+    machine_seconds += o.machine_seconds;
+    profile_builds += o.profile_builds;
+    profile_steps += o.profile_steps;
+    profile_hits += o.profile_hits;
+    geometry_seconds += o.geometry_seconds;
+    pricing_seconds += o.pricing_seconds;
+    points_pruned += o.points_pruned;
+    bound_seconds += o.bound_seconds;
+    seeds_offered += o.seeds_offered;
+    seeds_admitted += o.seeds_admitted;
+    return *this;
+  }
 };
 
 // A warm-start candidate: a (tile, thread, variant) point some
@@ -193,24 +211,14 @@ struct SessionOptions {
   // <= 0: default_jobs() (REPRO_JOBS env var, else all hardware
   // threads). The bench binaries wire --jobs into this.
   int jobs = 0;
-  // Disable to re-simulate every requested point (for A/B timing).
-  bool memoize = true;
   // Bound-and-prune: skip the simulator for points whose admissible
   // lower bound beats the incumbent (see the header comment). Off
-  // measures every requested point — the A/B switch the pruning
-  // equality tests and benches flip.
+  // measures every requested point — the oracle the pruning equality
+  // tests and the fig6 --no-prune run compare against.
   bool prune = true;
-  // Batched SoA pricing of GPU thread sweeps (see the header
-  // comment); CPU sweeps ignore it. Off forces the scalar per-point
-  // path — the A/B switch the batch equality tests and the throughput
-  // bench flip. REPRO_SIM_PATH=reference overrides this to off at
-  // runtime.
-  bool batch = true;
 
   SessionOptions& with_jobs(int j) noexcept { jobs = j; return *this; }
-  SessionOptions& with_memoize(bool m) noexcept { memoize = m; return *this; }
   SessionOptions& with_prune(bool p) noexcept { prune = p; return *this; }
-  SessionOptions& with_batch(bool b) noexcept { batch = b; return *this; }
 };
 
 class Session {
@@ -282,7 +290,7 @@ class Session {
   // point of this very reduction (the sweep revisits it as a cache
   // hit), and visit order never affects the index-ordered fold — so
   // warm results are byte-identical to cold, seeded or not, for any
-  // prune/batch/jobs setting. Out-of-space seeds are ignored
+  // prune/jobs setting. Out-of-space seeds are ignored
   // (counted in SweepStats::seeds_offered but not seeds_admitted).
   // `incumbent_seed` must be a valid cutoff (SL315 otherwise): +inf
   // means none; a finite value must be the measured texec of a point
@@ -341,8 +349,8 @@ class Session {
 
   // Stage one, memoized: the thread-invariant geometry profile of one
   // tile size. Orthogonal to the (tiles, threads) measurement memo —
-  // a thread sweep over one tile is 10 profile hits even when every
-  // measurement is new.
+  // every variant batch, bound and single point on a tile after the
+  // first is a profile hit even when every measurement is new.
   std::shared_ptr<const gpusim::TileCostProfile> profile_for(
       const hhc::TileSizes& ts);
 
@@ -354,12 +362,21 @@ class Session {
     std::size_t operator()(const StepKey& k) const noexcept;
   };
 
-  // Whether GPU thread sweeps run through the batched SoA pricing
-  // path (GPU device, batch option on, reference sim path not forced).
-  // CPU sweeps are always batched.
-  bool use_batch() const;
+  static PointKey point_key(const hhc::TileSizes& ts,
+                            const hhc::ThreadConfig& thr,
+                            const stencil::KernelVariant& var) noexcept;
 
-  // Cache-aware single measurement; also bumps the point counters.
+  // The one pricing call of the session: out[j] = the measured point
+  // (ts, thrs[j], var) with model price `talg`, priced in a single
+  // backend batch call (GPU: against profile_for(ts)). Uncached and
+  // uncounted; returns the pricing wall time for the caller to book.
+  double price_batch(const hhc::TileSizes& ts,
+                     const stencil::KernelVariant& var,
+                     std::span<const hhc::ThreadConfig> thrs, double talg,
+                     std::span<EvaluatedPoint> out);
+
+  // Cache-aware single measurement (a batch of one); also bumps the
+  // point counters.
   EvaluatedPoint measure(const DataPoint& dp);
   // Like measure(), but consults `inc` first: cache hits and fresh
   // measurements offer their texec to the incumbent; a cache miss
@@ -374,9 +391,8 @@ class Session {
   // The unit of work of every thread sweep: the best measured
   // (thread, variant) point of one tile, folded variant-major in span
   // order (empty span = default variant; CPU devices always collapse
-  // to it). CPU tiles and GPU tiles under use_batch() are priced in
-  // one batch call per variant; the GPU scalar A/B arm prices per
-  // point — bit-identical either way. `inc` participates exactly like measure_bounded's:
+  // to it). The surviving misses are priced in one batch call per
+  // variant. `inc` participates exactly like measure_bounded's:
   // nullptr (or prune off) measures every point. Not timed — callers
   // own the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
@@ -413,10 +429,8 @@ class Session {
   // Latest cached profile per (tT, tS1): HexSchedule depends only on
   // those two tile dimensions, so a miss whose (tT, tS1) matches a
   // cached profile rebuilds incrementally via build_step (the
-  // schedule walk is skipped) instead of from scratch. Consulted only
-  // when use_batch() — the scalar A/B arm pays the full scratch
-  // build, like the pre-batch pipeline did. Bit-identical to a
-  // scratch build, so which base a racing worker sees can never
+  // schedule walk is skipped) instead of from scratch. Bit-identical
+  // to a scratch build, so which base a racing worker sees can never
   // change a result, only the profile_builds/profile_steps split.
   std::unordered_map<StepKey, std::shared_ptr<const gpusim::TileCostProfile>,
                      StepKeyHash>

@@ -1,7 +1,7 @@
 // The event-level simulator validates the aggregate timing engine:
 // the two price the same machine from different first principles, so
 // they must agree within the aggregation approximations' tolerance.
-#include "gpusim/event_sim.hpp"
+#include "support/event_sim.hpp"
 
 #include <gtest/gtest.h>
 

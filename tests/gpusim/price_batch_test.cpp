@@ -1,4 +1,4 @@
-// Batched-pricing parity: the SoA fold (price_block_batch,
+// Batched-pricing parity: the SoA fold (soa_iter_units,
 // measure_best_of_batch) must reproduce the scalar per-point pipeline
 // bit for bit — same integers by associativity, same floating-point
 // tails because every FP expression lives in one out-of-line function
@@ -116,37 +116,6 @@ std::vector<hhc::ThreadConfig> sweep_threads(int dim) {
           {.n1 = 32, .n2 = 4, .n3 = 1},
           {.n1 = 8, .n2 = 8, .n3 = 8},
           {.n1 = 33, .n2 = 3, .n3 = 1}};
-}
-
-// Property: out[c * nthr + j] of the batched fold is bit-identical to
-// the scalar price_block of class c at thrs[j], for every class of
-// every case's profile.
-TEST(PriceBatch, PriceBlockBatchMatchesScalarPerClass) {
-  const DeviceParams dev = gtx980();
-  for (const BatchCase& c : batch_cases()) {
-    const StencilDef& def = get_stencil(c.kind);
-    const TileCostProfile prof =
-        TileCostProfile::build(c.p, c.ts, def.radius);
-    ASSERT_TRUE(prof.valid()) << c.name << ": " << prof.error();
-    ASSERT_FALSE(prof.classes().empty()) << c.name;
-
-    const std::vector<hhc::ThreadConfig> thrs = sweep_threads(c.p.dim);
-    const double cyc = iteration_cycles(dev, def, c.ts);
-    std::vector<BlockWork> out(prof.classes().size() * thrs.size());
-    price_block_batch(dev, prof, thrs, cyc, out);
-
-    for (std::size_t cl = 0; cl < prof.classes().size(); ++cl) {
-      for (std::size_t j = 0; j < thrs.size(); ++j) {
-        const BlockWork scalar = price_block(
-            dev, prof.classes()[cl].geom, thrs[j].total(), cyc);
-        const BlockWork& batched = out[cl * thrs.size() + j];
-        EXPECT_EQ(batched.compute_s, scalar.compute_s)
-            << c.name << " class " << cl << " thr " << j;
-        EXPECT_EQ(batched.io_bytes, scalar.io_bytes)
-            << c.name << " class " << cl << " thr " << j;
-      }
-    }
-  }
 }
 
 // The SoA unit fold alone: units_out[c] must be the exact integer the

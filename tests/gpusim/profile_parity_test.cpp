@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/event_sim.hpp"
 #include "gpusim/timing.hpp"
 #include "stencil/stencil.hpp"
+#include "support/event_sim.hpp"
 
 namespace repro::gpusim {
 namespace {

@@ -11,7 +11,7 @@
 #include "hhc/tiled_executor.hpp"
 #include "overtile/ghost.hpp"
 #include "stencil/reference.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 namespace repro {
 namespace {
@@ -45,12 +45,12 @@ TEST(Baselines, TunedHexBeatsTunedGhost) {
   opt.tS1_max = 32;
   opt.tS1_step = 4;
   const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-  const auto sweep = tuner::sweep_model(in, p, space, 0.10);
-  double hex_best = std::numeric_limits<double>::infinity();
-  for (const auto& ts : sweep.candidates) {
-    const auto ep = tuner::best_over_threads(dev, def, p, in, ts);
-    if (ep.feasible) hex_best = std::min(hex_best, ep.texec);
-  }
+  tuner::Session session(tuner::TuningContext::with_inputs(dev, def, p, in),
+                         tuner::SessionOptions{}.with_jobs(1));
+  const auto sweep = session.sweep_model(space, 0.10);
+  const tuner::EvaluatedPoint hex = session.best_tile(sweep.candidates);
+  const double hex_best =
+      hex.feasible ? hex.texec : std::numeric_limits<double>::infinity();
 
   // Ghost: exhaustive over its own small space.
   double ghost_best = std::numeric_limits<double>::infinity();

@@ -8,7 +8,7 @@
 #include "hhc/tiled_executor.hpp"
 #include "model/talg.hpp"
 #include "stencil/reference.hpp"
-#include "tuner/optimizer.hpp"
+#include "tuner/session.hpp"
 
 namespace repro {
 namespace {
@@ -87,7 +87,10 @@ TEST(Pipeline, CandidateSetIsSmall) {
   opt.tS1_step = 2;
   opt.tS2_max = 256;
   const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-  const tuner::ModelSweep sweep = tuner::sweep_model(in, p, space, 0.10);
+  tuner::Session session(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
+      tuner::SessionOptions{}.with_jobs(1));
+  const tuner::ModelSweep sweep = session.sweep_model(space, 0.10);
   EXPECT_GT(space.size(), 1000u);
   EXPECT_LT(sweep.candidates.size(), 400u);
 }

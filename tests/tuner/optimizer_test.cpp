@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "gpusim/microbench.hpp"
+#include "tuner/session.hpp"
 
 namespace repro::tuner {
 namespace {
@@ -28,11 +29,20 @@ EnumOptions small_space() {
   return opt;
 }
 
+// A serial session over an existing calibration.
+Session serial_session(const stencil::StencilDef& def,
+                       const model::ModelInputs& in) {
+  return Session(
+      TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
+      SessionOptions{}.with_jobs(1));
+}
+
 TEST(Optimizer, SweepFindsMinAndCandidates) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
   const auto space = enumerate_feasible(2, in.hw, small_space());
-  const ModelSweep sweep = sweep_model(in, kSmall2D, space, 0.10);
+  Session session = serial_session(def, in);
+  const ModelSweep sweep = session.sweep_model(space, 0.10);
 
   EXPECT_EQ(sweep.space_size, space.size());
   EXPECT_GT(sweep.talg_min, 0.0);
@@ -56,8 +66,8 @@ TEST(Optimizer, EvaluatePointFillsBothSides) {
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
   const DataPoint dp{{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1},
                      {.n1 = 32, .n2 = 8, .n3 = 1}};
-  const EvaluatedPoint ep =
-      evaluate_point(gpusim::gtx980(), def, kSmall2D, in, dp);
+  Session session = serial_session(def, in);
+  const EvaluatedPoint ep = session.evaluate_point(dp);
   ASSERT_TRUE(ep.feasible);
   EXPECT_GT(ep.talg, 0.0);
   EXPECT_GT(ep.texec, 0.0);
@@ -68,12 +78,11 @@ TEST(Optimizer, BestOverThreadsNotWorseThanAnySingleConfig) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
   const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
-  const EvaluatedPoint best =
-      best_over_threads(gpusim::gtx980(), def, kSmall2D, in, ts);
+  Session session = serial_session(def, in);
+  const EvaluatedPoint best = session.best_over_threads(ts);
   ASSERT_TRUE(best.feasible);
   for (const auto& thr : default_thread_configs(2)) {
-    const EvaluatedPoint one =
-        evaluate_point(gpusim::gtx980(), def, kSmall2D, in, {ts, thr});
+    const EvaluatedPoint one = session.evaluate_point({ts, thr});
     if (one.feasible) {
       EXPECT_LE(best.texec, one.texec);
     }
@@ -107,7 +116,8 @@ TEST(Optimizer, AnnealIsNoBetterThanExhaustiveSweep) {
   EnumOptions fine = small_space();
   fine.tS1_step = 1;
   const auto space = enumerate_feasible(2, in.hw, fine);
-  const ModelSweep sweep = sweep_model(in, kSmall2D, space, 0.10);
+  Session session = serial_session(def, in);
+  const ModelSweep sweep = session.sweep_model(space, 0.10);
   const SolverResult sol = anneal_talg(in, kSmall2D, fine, 3, 300);
   EXPECT_GE(sol.talg, sweep.talg_min * (1.0 - 1e-9));
 }
@@ -120,8 +130,9 @@ TEST(Optimizer, CompareStrategiesOrdering) {
   opt.enumeration = small_space();
   opt.exhaustive_cap = 60;
   opt.baseline_count = 24;
-  const StrategyComparison cmp =
-      compare_strategies(gpusim::gtx980(), def, kSmall2D, opt);
+  Session session(gpusim::gtx980(), def, kSmall2D,
+                  SessionOptions{}.with_jobs(1));
+  const StrategyComparison cmp = session.compare_strategies(opt);
 
   ASSERT_TRUE(cmp.within10_best.feasible);
   ASSERT_TRUE(cmp.baseline_best.feasible);

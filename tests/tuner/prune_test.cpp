@@ -157,13 +157,6 @@ TEST(Prune, SweepDeltaRejectedAsSL313) {
   for (const double bad :
        {-0.1, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity()}) {
-    // Free function and Session method funnel through the same check.
-    try {
-      sweep_model(in, kSmall2D, space, bad);
-      FAIL() << "free sweep_model accepted delta " << bad;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("SL313"), std::string::npos);
-    }
     Session session(
         TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
         SessionOptions{}.with_jobs(1));
@@ -179,7 +172,10 @@ TEST(Prune, SweepDeltaRejectedAsSL313) {
     EXPECT_TRUE(eng.has_code(analysis::Code::kSweepDelta));
   }
   // A zero delta (argmin only) is legal.
-  EXPECT_NO_THROW(sweep_model(in, kSmall2D, space, 0.0));
+  Session session(
+      TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
+      SessionOptions{}.with_jobs(1));
+  EXPECT_NO_THROW(session.sweep_model(space, 0.0));
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gpusim/microbench.hpp"
+#include "support/scalar_oracle.hpp"
 
 namespace repro::tuner {
 namespace {
@@ -41,29 +43,92 @@ TEST(TuningContext, CalibrateFillsModelInputs) {
   EXPECT_EQ(ctx2.inputs.c_iter, ctx.inputs.c_iter);
 }
 
+// The Session against serial folds written out in test code: the
+// model sweep against a plain model_talg_or_inf loop, machine
+// evaluation against the scalar oracle (tests/support).
 TEST(Session, MatchesFreeFunctions) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
-  Session session(TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D,
-                                             in),
-                  SessionOptions{}.with_jobs(2));
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in);
+  Session session(ctx, SessionOptions{}.with_jobs(2));
 
   const auto space = enumerate_feasible(2, in.hw, small_space());
-  const ModelSweep free_sweep = sweep_model(in, kSmall2D, space, 0.10);
+  std::vector<double> talg;
+  double talg_min = std::numeric_limits<double>::infinity();
+  hhc::TileSizes argmin;
+  for (const hhc::TileSizes& ts : space) {
+    talg.push_back(model_talg_or_inf(in, kSmall2D, ts));
+    if (talg.back() < talg_min) {
+      talg_min = talg.back();
+      argmin = ts;
+    }
+  }
+  std::vector<hhc::TileSizes> candidates;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    if (talg[i] <= talg_min * (1.0 + 0.10)) candidates.push_back(space[i]);
+  }
   const ModelSweep s_sweep = session.sweep_model(space, 0.10);
-  EXPECT_EQ(s_sweep.talg_min, free_sweep.talg_min);
-  EXPECT_EQ(s_sweep.argmin, free_sweep.argmin);
-  EXPECT_EQ(s_sweep.candidates, free_sweep.candidates);
-  EXPECT_EQ(s_sweep.space_size, free_sweep.space_size);
+  EXPECT_EQ(s_sweep.talg_min, talg_min);
+  EXPECT_EQ(s_sweep.argmin, argmin);
+  EXPECT_EQ(s_sweep.candidates, candidates);
+  EXPECT_EQ(s_sweep.space_size, space.size());
 
   const DataPoint dp{{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1},
                      {.n1 = 32, .n2 = 8, .n3 = 1}};
-  EXPECT_EQ(session.evaluate_point(dp),
-            evaluate_point(gpusim::gtx980(), def, kSmall2D, in, dp));
+  EXPECT_EQ(session.evaluate_point(dp), test::scalar_point(ctx, dp));
 
   const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
-  EXPECT_EQ(session.best_over_threads(ts),
-            best_over_threads(gpusim::gtx980(), def, kSmall2D, in, ts));
+  EXPECT_EQ(session.best_over_threads(ts), test::scalar_best(ctx, {&ts, 1}));
+  EXPECT_EQ(session.best_tile(candidates),
+            test::scalar_best(ctx, candidates));
+}
+
+// A single GPU point is a batch of one: Session::evaluate_point must
+// equal the scalar oracle field for field — including the jitter key
+// (texec depends on it bit for bit) and Talg — on 1D, 2D and 3D
+// stencils, every kernel variant and thread configs the machine
+// rejects.
+TEST(Session, EvaluatePointIsABatchOfOneOfTheScalarPath) {
+  struct Case {
+    StencilKind kind;
+    ProblemSize p;
+    hhc::TileSizes ts;
+  };
+  const Case cases[] = {
+      {StencilKind::kJacobi1D, {.dim = 1, .S = {10000, 0, 0}, .T = 500},
+       {.tT = 6, .tS1 = 48, .tS2 = 1, .tS3 = 1}},
+      {StencilKind::kHeat2D, kSmall2D,
+       {.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1}},
+      {StencilKind::kHeat3D, {.dim = 3, .S = {128, 128, 128}, .T = 32},
+       {.tT = 4, .tS1 = 8, .tS2 = 16, .tS3 = 32}},
+  };
+  for (const Case& c : cases) {
+    const auto& def = get_stencil(c.kind);
+    const TuningContext ctx = TuningContext::calibrate(gpusim::gtx980(), def,
+                                                       c.p);
+    Session session(ctx, SessionOptions{}.with_jobs(1));
+    std::vector<hhc::ThreadConfig> threads =
+        device_thread_configs(ctx.dev, c.p.dim);
+    threads.push_back({.n1 = 2048, .n2 = 1, .n3 = 1});  // > 1024 / block
+    bool saw_infeasible = false;
+    for (const stencil::KernelVariant& var : stencil::all_kernel_variants()) {
+      for (const hhc::ThreadConfig& thr : threads) {
+        const DataPoint dp{c.ts, thr, var};
+        const EvaluatedPoint got = session.evaluate_point(dp);
+        const EvaluatedPoint want = test::scalar_point(ctx, dp);
+        const std::string what = def.name + " " + var.to_string() + " " +
+                                 std::to_string(thr.total());
+        EXPECT_EQ(got.dp, dp) << what;
+        EXPECT_EQ(got.talg, want.talg) << what;
+        EXPECT_EQ(got.texec, want.texec) << what;
+        EXPECT_EQ(got.gflops, want.gflops) << what;
+        EXPECT_EQ(got.feasible, want.feasible) << what;
+        saw_infeasible = saw_infeasible || !want.feasible;
+      }
+    }
+    EXPECT_TRUE(saw_infeasible) << def.name;
+  }
 }
 
 TEST(Session, AuditSurfacesFindingsWithoutPerturbingTuning) {
@@ -114,9 +179,11 @@ TEST(Session, CompareStrategiesIsDeterministicAcrossJobCounts) {
                                  .with_exhaustive_cap(60)
                                  .with_baseline_count(24);
 
-  const StrategyComparison serial =
-      compare_strategies(gpusim::gtx980(), def, kSmall2D, opt);
-  for (const int jobs : {1, 2, 4}) {
+  Session reference(
+      TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
+      SessionOptions{}.with_jobs(1));
+  const StrategyComparison serial = reference.compare_strategies(opt);
+  for (const int jobs : {2, 4}) {
     Session session(
         TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
         SessionOptions{}.with_jobs(jobs));
@@ -181,13 +248,19 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
                   SessionOptions{}.with_jobs(1).with_prune(false));
   const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
 
-  // One thread sweep: the schedule is walked once, every other thread
-  // config reuses the cached profile (the two-stage pipeline's point).
+  // One thread sweep: the schedule is walked once and every thread
+  // config is priced against that profile in one batch.
   session.best_over_threads(ts);
-  const std::size_t nconfigs = default_thread_configs(2).size();
-  const SweepStats st = session.stats();
+  SweepStats st = session.stats();
   EXPECT_EQ(st.profile_builds, 1u);
-  EXPECT_EQ(st.profile_hits, nconfigs - 1);
+  EXPECT_EQ(st.profile_hits, 0u);
+
+  // New measurements on the same tile (another variant) reuse it.
+  const stencil::KernelVariant u2{.unroll = 2};
+  session.best_over_variants(ts, {&u2, 1});
+  st = session.stats();
+  EXPECT_EQ(st.profile_builds, 1u);
+  EXPECT_EQ(st.profile_hits, 1u);
 
   // A different tile size is a new profile; repeating it is not.
   const hhc::TileSizes other{.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 1};
@@ -196,18 +269,6 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
   session.clear_cache();  // drops profiles too
   session.best_over_threads(ts);
   EXPECT_EQ(session.stats().profile_builds, 3u);
-}
-
-TEST(Session, MemoizeOffDisablesTheCache) {
-  const auto& def = get_stencil(StencilKind::kHeat2D);
-  Session session(gpusim::gtx980(), def, kSmall2D,
-                  SessionOptions{}.with_jobs(1).with_memoize(false));
-  const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
-  const EvaluatedPoint a = session.best_over_threads(ts);
-  const EvaluatedPoint b = session.best_over_threads(ts);
-  EXPECT_EQ(a, b);  // the simulator is deterministic either way
-  EXPECT_EQ(session.stats().cache_hits, 0u);
-  EXPECT_EQ(session.cache_size(), 0u);
 }
 
 TEST(Session, CompareStrategiesReusesSharedPoints) {
@@ -280,12 +341,51 @@ TEST(CompareOptionsValidate, ReportsStructuredErrors) {
 }
 
 TEST(SessionOptions, BuildersCompose) {
-  const SessionOptions opt =
-      SessionOptions{}.with_jobs(7).with_memoize(false).with_prune(false);
+  const SessionOptions opt = SessionOptions{}.with_jobs(7).with_prune(false);
   EXPECT_EQ(opt.jobs, 7);
-  EXPECT_FALSE(opt.memoize);
   EXPECT_FALSE(opt.prune);
   EXPECT_TRUE(SessionOptions{}.prune);  // pruning defaults on
+}
+
+// operator+= sums every field: each gets a distinct value, so a field
+// left out of the sum (or summed into the wrong one) shows up.
+TEST(SweepStats, PlusEqualsSumsEveryField) {
+  SweepStats a;
+  a.model_points = 1;
+  a.machine_points = 2;
+  a.cache_hits = 3;
+  a.model_seconds = 4.0;
+  a.machine_seconds = 5.0;
+  a.profile_builds = 6;
+  a.profile_steps = 7;
+  a.profile_hits = 8;
+  a.geometry_seconds = 9.0;
+  a.pricing_seconds = 10.0;
+  a.points_pruned = 11;
+  a.bound_seconds = 12.0;
+  a.seeds_offered = 13;
+  a.seeds_admitted = 14;
+  SweepStats sum = a;
+  sum += a;
+  EXPECT_EQ(sum.model_points, 2u);
+  EXPECT_EQ(sum.machine_points, 4u);
+  EXPECT_EQ(sum.cache_hits, 6u);
+  EXPECT_EQ(sum.model_seconds, 8.0);
+  EXPECT_EQ(sum.machine_seconds, 10.0);
+  EXPECT_EQ(sum.profile_builds, 12u);
+  EXPECT_EQ(sum.profile_steps, 14u);
+  EXPECT_EQ(sum.profile_hits, 16u);
+  EXPECT_EQ(sum.geometry_seconds, 18.0);
+  EXPECT_EQ(sum.pricing_seconds, 20.0);
+  EXPECT_EQ(sum.points_pruned, 22u);
+  EXPECT_EQ(sum.bound_seconds, 24.0);
+  EXPECT_EQ(sum.seeds_offered, 26u);
+  EXPECT_EQ(sum.seeds_admitted, 28u);
+  // The empty stats are the identity.
+  SweepStats id = a;
+  id += SweepStats{};
+  EXPECT_EQ(id.seeds_admitted, a.seeds_admitted);
+  EXPECT_EQ(id.bound_seconds, a.bound_seconds);
 }
 
 TEST(Session, AnnealMatchesFreeFunction) {

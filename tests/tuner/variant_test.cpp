@@ -1,11 +1,11 @@
 // The kernel-variant search axis and the batched SoA pricing path:
-// sweeping the variant-extended space must be byte-identical across
-// scalar vs batched pricing, pruning on vs off and any job count
-// (mirroring prune_test.cpp's invariant), best_over_variants must
-// reproduce the serial variant-major fold, the batch path must keep
-// the session's counter pins (one profile build per tile, incremental
-// steps for inner-extent neighbours), and the SL312/SL314 diagnostics
-// must fire on invalid or register-hungry variants.
+// sweeping the variant-extended space must equal the serial scalar
+// fold and be byte-identical across pruning on vs off and any job
+// count (mirroring prune_test.cpp's invariant), best_over_variants
+// must reproduce the serial variant-major fold, the batch path must
+// keep the session's counter pins (one profile build per tile,
+// incremental steps for inner-extent neighbours), and the SL312/SL314
+// diagnostics must fire on invalid or register-hungry variants.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 #include "analysis/legality.hpp"
 #include "gpusim/microbench.hpp"
 #include "gpusim/registers.hpp"
+#include "support/scalar_oracle.hpp"
 #include "tuner/session.hpp"
 
 namespace repro::tuner {
@@ -44,8 +45,9 @@ EnumOptions variant_space() {
 
 // The headline invariant (mirrors Prune.CompareStrategies...): over
 // the variant-extended space, compare_strategies is bitwise-equal
-// across batched vs scalar pricing, pruning on vs off, and job
-// counts. The reference is the scalar, unpruned, serial sweep.
+// across pruning on vs off and job counts. The reference is the
+// unpruned serial sweep, itself pinned pass by pass against the
+// serial scalar fold (tests/support/scalar_oracle.hpp).
 TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
@@ -53,36 +55,45 @@ TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
                                  .with_enumeration(variant_space())
                                  .with_exhaustive_cap(0)  // visit everything
                                  .with_baseline_count(12);
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, kProblem, in);
 
-  Session exact(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
-                                           in),
-                SessionOptions{}.with_jobs(1).with_prune(false).with_batch(
-                    false));
+  Session exact(ctx, SessionOptions{}.with_jobs(1).with_prune(false));
   const StrategyComparison reference = exact.compare_strategies(opt);
   const SweepStats exact_st = exact.stats();
   EXPECT_EQ(exact_st.points_pruned, 0u);
-  // The winner should actually use the variant axis: with unrolling
-  // amortizing issue overhead, some non-default variant must beat or
-  // match the best default-variant point.
   EXPECT_TRUE(reference.exhaustive.feasible);
 
+  // Every pass against the scalar fold over the same tiles. With the
+  // cap at 0 the exhaustive pass visits the whole space.
+  const std::vector<KernelVariant> vars = all_variants();
+  const std::vector<hhc::TileSizes> space =
+      enumerate_feasible(2, in.hw, opt.enumeration, def.radius);
+  const ModelSweep sweep = exact.sweep_model(space, opt.delta);
+  EXPECT_EQ(reference.hhc_default,
+            test::scalar_point(ctx, {hhc_default_tiles(2),
+                                     hhc::ThreadConfig{32, 2, 1}}));
+  EXPECT_EQ(reference.talg_min,
+            test::scalar_best(ctx, {&sweep.argmin, 1}, vars));
+  EXPECT_EQ(reference.within10_best,
+            test::scalar_best(ctx, sweep.candidates, vars));
+  EXPECT_EQ(reference.baseline_best,
+            test::scalar_best(ctx,
+                              baseline_tile_set(2, in.hw, opt.baseline_count,
+                                                opt.enumeration, def.radius),
+                              vars));
+  EXPECT_EQ(reference.exhaustive, test::scalar_best(ctx, space, vars));
+
   struct Combo {
-    bool batch;
     bool prune;
     int jobs;
   };
-  for (const Combo c : {Combo{true, false, 1}, Combo{true, true, 1},
-                        Combo{true, true, 4}, Combo{false, true, 2}}) {
-    Session s(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
-                                         in),
-              SessionOptions{}
-                  .with_jobs(c.jobs)
-                  .with_prune(c.prune)
-                  .with_batch(c.batch));
+  for (const Combo c : {Combo{false, 4}, Combo{true, 1}, Combo{true, 2},
+                        Combo{true, 4}}) {
+    Session s(ctx, SessionOptions{}.with_jobs(c.jobs).with_prune(c.prune));
     const StrategyComparison cmp = s.compare_strategies(opt);
-    const std::string what = std::string("batch=") +
-                             (c.batch ? "on" : "off") +
-                             " prune=" + (c.prune ? "on" : "off") +
+    const std::string what = std::string("prune=") +
+                             (c.prune ? "on" : "off") +
                              " jobs=" + std::to_string(c.jobs);
     EXPECT_EQ(cmp, reference) << what;
 
@@ -107,36 +118,18 @@ TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
   const hhc::TileSizes ts{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
   const std::vector<KernelVariant> vars = all_variants();
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, kProblem, in);
 
-  Session batched(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
-                                             in),
-                  SessionOptions{}.with_jobs(1));
-  const EvaluatedPoint got = batched.best_over_variants(ts, vars);
-
-  Session scalar(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem,
-                                            in),
-                 SessionOptions{}.with_jobs(1).with_prune(false).with_batch(
-                     false));
-  EvaluatedPoint best{};
-  bool have = false;
-  for (const KernelVariant& var : vars) {
-    for (const hhc::ThreadConfig& thr :
-         device_thread_configs(gpusim::gtx980(), kProblem.dim)) {
-      const EvaluatedPoint ep = scalar.evaluate_point({ts, thr, var});
-      if (!have) {
-        best = ep;
-        have = true;
-      } else if (ep.feasible && (!best.feasible || ep.texec < best.texec)) {
-        best = ep;
-      }
-    }
-  }
-  ASSERT_TRUE(have);
-  EXPECT_EQ(got, best);
+  Session session(ctx, SessionOptions{}.with_jobs(1));
+  const EvaluatedPoint got = session.best_over_variants(ts, vars);
+  const EvaluatedPoint want = test::scalar_best(ctx, {&ts, 1}, vars);
+  ASSERT_TRUE(want.feasible);
+  EXPECT_EQ(got, want);
 
   // The variant axis can only help: its best is at least as good as
   // the default-variant thread sweep over the same tile.
-  const EvaluatedPoint default_best = scalar.best_over_threads(ts);
+  const EvaluatedPoint default_best = test::scalar_best(ctx, {&ts, 1});
   ASSERT_TRUE(default_best.feasible);
   EXPECT_LE(got.texec, default_best.texec);
 }
@@ -177,7 +170,7 @@ TEST(Variant, MemoCacheKeysOnVariant) {
 }
 
 // The batch path keeps the session's counter pins: one profile build
-// per tile (stage one), every further thread config a profile hit,
+// per tile (stage one) serving the whole thread sweep in one batch,
 // repeats served from the memo cache, and an inner-extent neighbour
 // tile rebuilt incrementally (profile_steps) instead of from scratch.
 TEST(Variant, BatchPathKeepsCounterPins) {
@@ -195,7 +188,7 @@ TEST(Variant, BatchPathKeepsCounterPins) {
   EXPECT_EQ(st.cache_hits, 0u);
   EXPECT_EQ(st.profile_builds, 1u);
   EXPECT_EQ(st.profile_steps, 0u);
-  EXPECT_EQ(st.profile_hits, nthr - 1);
+  EXPECT_EQ(st.profile_hits, 0u);
 
   s.best_over_threads(ts);  // all memo hits, no new profile work
   st = s.stats();

@@ -1,7 +1,7 @@
 // Warm-start admissibility: a seeded Session::best_tile sweep must
 // return the bitwise-identical winner of the cold, prune-off sweep —
-// for any seed list (good, adversarial, or out-of-space), any job
-// count, and batch on or off — because a seed is only admitted after
+// for any seed list (good, adversarial, or out-of-space) and any job
+// count — because a seed is only admitted after
 // being re-priced in-space, where it participates in the same final
 // reduction. Also pins the SL315 incumbent-seed validation at the
 // sweep entry points.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gpusim/microbench.hpp"
+#include "support/scalar_oracle.hpp"
 #include "tuner/session.hpp"
 
 namespace repro::tuner {
@@ -92,28 +93,24 @@ TEST(Warmstart, SeededBestTileBitwiseEqualAcrossPruneBatchJobs) {
     ASSERT_GE(tiles.size(), 4u) << c.name;
     if (tiles.size() > 18) tiles.resize(18);
 
-    // Cold, prune-off, unseeded: the ground-truth reduction.
-    Session exact(
-        TuningContext::with_inputs(gpusim::gtx980(), def, c.p, in),
-        SessionOptions{}.with_jobs(2).with_prune(false));
+    // Cold, prune-off, unseeded: the ground-truth reduction, itself
+    // equal to the serial scalar fold.
+    const TuningContext ctx =
+        TuningContext::with_inputs(gpusim::gtx980(), def, c.p, in);
+    Session exact(ctx, SessionOptions{}.with_jobs(2).with_prune(false));
     const EvaluatedPoint ref = exact.best_tile(tiles);
     ASSERT_TRUE(ref.feasible) << c.name;
+    EXPECT_EQ(ref, test::scalar_best(ctx, tiles)) << c.name;
     const std::vector<WarmSeed> seeds = seeds_for(ref);
 
     for (const int jobs : {1, 2, 4}) {
-      for (const bool batch : {true, false}) {
-        Session warm(
-            TuningContext::with_inputs(gpusim::gtx980(), def, c.p, in),
-            SessionOptions{}.with_jobs(jobs).with_batch(batch));
-        const EvaluatedPoint got = warm.best_tile(tiles, {}, seeds);
-        EXPECT_EQ(got, ref)
-            << c.name << " jobs=" << jobs << " batch=" << batch;
-        const SweepStats st = warm.stats();
-        EXPECT_EQ(st.seeds_offered, seeds.size())
-            << c.name << " jobs=" << jobs;
-        // Exactly one of the three seeds is in-space.
-        EXPECT_EQ(st.seeds_admitted, 1u) << c.name << " jobs=" << jobs;
-      }
+      Session warm(ctx, SessionOptions{}.with_jobs(jobs));
+      const EvaluatedPoint got = warm.best_tile(tiles, {}, seeds);
+      EXPECT_EQ(got, ref) << c.name << " jobs=" << jobs;
+      const SweepStats st = warm.stats();
+      EXPECT_EQ(st.seeds_offered, seeds.size()) << c.name << " jobs=" << jobs;
+      // Exactly one of the three seeds is in-space.
+      EXPECT_EQ(st.seeds_admitted, 1u) << c.name << " jobs=" << jobs;
     }
   }
 }
