@@ -7,6 +7,7 @@
 #include <iostream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -115,20 +116,9 @@ inline bool write_stats_json(const std::string& path,
                              const tuner::SweepStats& st, int jobs) {
   json::Value o = json::Value::object();
   o.set("jobs", jobs);
-  o.set("model_points", st.model_points);
-  o.set("machine_points", st.machine_points);
-  o.set("cache_hits", st.cache_hits);
-  o.set("model_seconds", st.model_seconds);
-  o.set("machine_seconds", st.machine_seconds);
-  o.set("profile_builds", st.profile_builds);
-  o.set("profile_steps", st.profile_steps);
-  o.set("profile_hits", st.profile_hits);
-  o.set("geometry_seconds", st.geometry_seconds);
-  o.set("pricing_seconds", st.pricing_seconds);
-  o.set("points_pruned", st.points_pruned);
-  o.set("bound_seconds", st.bound_seconds);
-  o.set("seeds_offered", st.seeds_offered);
-  o.set("seeds_admitted", st.seeds_admitted);
+  tuner::SweepStats::for_each_field([&](std::string_view name, auto member) {
+    o.set(std::string(name), st.*member);
+  });
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << o.dump() << "\n";

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "analysis/legality.hpp"
-#include "gpusim/registers.hpp"
-#include "hhc/footprint.hpp"
+#include "gpusim/timing.hpp"
 
 namespace repro::analysis {
 
@@ -25,45 +23,22 @@ ResourcePrediction predict_resources(const gpusim::DeviceParams& dev,
                                      const stencil::StencilDef& def,
                                      const hhc::TileSizes& ts,
                                      const hhc::ThreadConfig& thr) {
-  // This function must stay arithmetic-identical to the front half of
-  // gpusim::resolve_config (timing.cpp): the consistency test compares
-  // k / regs / spills field by field, so the auditor can never promise
-  // an occupancy the simulator will not deliver.
+  // One resolution with the simulator (default variant), so the
+  // auditor can never promise an occupancy the simulator will not
+  // deliver.
+  const gpusim::ResolvedConfig rc =
+      gpusim::resolve_config(dev, def, def.dim, ts, thr.total());
   ResourcePrediction rp;
-  try {
-    hhc::validate(ts, def.dim);
-  } catch (const std::invalid_argument&) {
-    return rp;
-  }
-  if (ts.tS1 < def.radius) return rp;
-  rp.shared_bytes = hhc::shared_bytes_per_tile(def.dim, ts, def.radius);
-  if (rp.shared_bytes > dev.max_shared_bytes_per_block) return rp;
-  const int threads = thr.total();
-  if (threads < 1 || threads > dev.max_threads_per_block) return rp;
-
-  rp.regs_per_thread = gpusim::estimate_regs_per_thread(def, ts, threads);
-  rp.spilled_regs =
-      std::max(0, rp.regs_per_thread - dev.max_regs_per_thread);
-  const int regs_resident =
-      std::min(rp.regs_per_thread, dev.max_regs_per_thread);
-
-  rp.k_shared = dev.shared_bytes_per_sm / rp.shared_bytes;
-  rp.k_regs =
-      dev.regs_per_sm /
-      std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(regs_resident) * threads);
-  rp.k_threads = dev.max_threads_per_sm / threads;
-  rp.k = std::max<std::int64_t>(
-      1, std::min({static_cast<std::int64_t>(dev.max_tb_per_sm),
-                   rp.k_shared, rp.k_regs, rp.k_threads}));
-
-  rp.resident_warps =
-      std::max(1.0, static_cast<double>(rp.k) * threads / 32.0);
-  if (rp.resident_warps < dev.warps_for_full_issue) {
-    rp.stall_inflation = dev.latency_stall_factor *
-                         (dev.warps_for_full_issue - rp.resident_warps) /
-                         dev.warps_for_full_issue;
-  }
+  rp.shared_bytes = rc.shared_bytes;
+  if (!rc.feasible) return rp;
+  rp.regs_per_thread = rc.regs_per_thread;
+  rp.spilled_regs = rc.spilled_regs;
+  rp.k_shared = rc.k_shared;
+  rp.k_regs = rc.k_regs;
+  rp.k_threads = rc.k_threads;
+  rp.k = rc.k;
+  rp.resident_warps = rc.resident_warps;
+  rp.stall_inflation = rc.stall_inflation;
 
   // Widest row of the hexagonal tile (the w_tile of Eqn 4): what one
   // wavefront of this tile actually offers the block to chew on.

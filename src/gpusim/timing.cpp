@@ -183,7 +183,7 @@ ResolvedConfig resolve_config(const DeviceParams& dev,
     rc.infeasible_reason = "tS1 smaller than the stencil radius";
     return rc;
   }
-  std::int64_t mtile_bytes = hhc::shared_bytes_per_tile(dim, ts, def.radius);
+  rc.shared_bytes = hhc::shared_bytes_per_tile(dim, ts, def.radius);
   if (var.staging == stencil::Staging::kRegister) {
     // Register staging keeps one of the tile's operand planes in
     // registers, shrinking the shared buffer to 3/4 of its words
@@ -191,9 +191,9 @@ ResolvedConfig resolve_config(const DeviceParams& dev,
     // decision derived from it — is exact and deterministic).
     const std::int64_t words =
         hhc::shared_words_per_tile(dim, ts, def.radius);
-    mtile_bytes = (3 * words / 4) * hhc::kWordBytes;
+    rc.shared_bytes = (3 * words / 4) * hhc::kWordBytes;
   }
-  if (mtile_bytes > dev.max_shared_bytes_per_block) {
+  if (rc.shared_bytes > dev.max_shared_bytes_per_block) {
     rc.infeasible_reason = "tile exceeds per-block shared memory";
     return rc;
   }
@@ -204,36 +204,37 @@ ResolvedConfig resolve_config(const DeviceParams& dev,
 
   // Registers: beyond the physical per-thread budget the compiler
   // spills; spilled values cost extra cycles every iteration.
-  const int regs = estimate_regs_per_thread(def, ts, threads, var);
-  rc.regs_per_thread = regs;
-  const int spilled = std::max(0, regs - dev.max_regs_per_thread);
-  rc.spills = spilled > 0;
-  const int regs_resident = std::min(regs, dev.max_regs_per_thread);
+  rc.regs_per_thread = estimate_regs_per_thread(def, ts, threads, var);
+  rc.spilled_regs = std::max(0, rc.regs_per_thread - dev.max_regs_per_thread);
+  rc.spills = rc.spilled_regs > 0;
+  const int regs_resident =
+      std::min(rc.regs_per_thread, dev.max_regs_per_thread);
 
   // Residency (hyper-threading factor) honoring *all* machine limits,
   // not only the shared-memory bound the model knows about.
-  const std::int64_t k_shared = dev.shared_bytes_per_sm / mtile_bytes;
-  const std::int64_t k_regs =
+  rc.k_shared = dev.shared_bytes_per_sm / rc.shared_bytes;
+  rc.k_regs =
       dev.regs_per_sm /
       std::max<std::int64_t>(1, static_cast<std::int64_t>(regs_resident) *
                                     threads);
-  const std::int64_t k_threads = dev.max_threads_per_sm / threads;
+  rc.k_threads = dev.max_threads_per_sm / threads;
   rc.k = std::max<std::int64_t>(
-      1, std::min({static_cast<std::int64_t>(dev.max_tb_per_sm), k_shared,
-                   k_regs, k_threads}));
+      1, std::min({static_cast<std::int64_t>(dev.max_tb_per_sm), rc.k_shared,
+                   rc.k_regs, rc.k_threads}));
 
   double cyc_iter = iteration_cycles(dev, def, ts, var);
-  cyc_iter +=
-      dev.spill_cycles_per_reg * static_cast<double>(std::min(spilled, 64));
+  cyc_iter += dev.spill_cycles_per_reg *
+              static_cast<double>(std::min(rc.spilled_regs, 64));
 
   // Issue-latency hiding: too few resident warps leave the pipeline
   // stalled between dependent instructions.
-  const double warps =
+  rc.resident_warps =
       std::max(1.0, static_cast<double>(rc.k) * threads / 32.0);
-  if (warps < dev.warps_for_full_issue) {
-    cyc_iter *= 1.0 + dev.latency_stall_factor *
-                          (dev.warps_for_full_issue - warps) /
-                          dev.warps_for_full_issue;
+  if (rc.resident_warps < dev.warps_for_full_issue) {
+    rc.stall_inflation = dev.latency_stall_factor *
+                         (dev.warps_for_full_issue - rc.resident_warps) /
+                         dev.warps_for_full_issue;
+    cyc_iter *= 1.0 + rc.stall_inflation;
   }
   rc.cyc_iter = cyc_iter;
 

@@ -160,9 +160,20 @@ double iteration_cycles(const DeviceParams& dev,
 struct ResolvedConfig {
   bool feasible = false;
   std::string infeasible_reason;
+  // Set once the tile shape passes, even when it then overflows the
+  // per-block limit.
+  std::int64_t shared_bytes = 0;
   std::int64_t k = 0;
   int regs_per_thread = 0;
+  int spilled_regs = 0;  // regs beyond the physical per-thread cap
   bool spills = false;
+  std::int64_t k_shared = 0;   // residency if shared memory alone bound
+  std::int64_t k_regs = 0;     // ... if the register file alone bound
+  std::int64_t k_threads = 0;  // ... if the thread capacity alone bound
+  double resident_warps = 0.0;
+  // Fractional issue-latency stall inflation of cyc_iter: 0 at or
+  // above warps_for_full_issue, up to latency_stall_factor at one warp.
+  double stall_inflation = 0.0;
   double cyc_iter = 0.0;
   double coalesce_eff = 1.0;
 };

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "stencil/parser.hpp"
+#include "tuner/wire.hpp"
 
 namespace repro::pipeline {
 
@@ -12,115 +13,7 @@ namespace {
 
 using analysis::Code;
 using analysis::DiagnosticEngine;
-
-// Integer field read with range check; emits SL601 and returns
-// nullopt on any mismatch (same shape as the protocol's get_int, but
-// in the pipeline diagnostic family).
-std::optional<std::int64_t> get_int(const json::Value& obj,
-                                    std::string_view key, std::int64_t lo,
-                                    std::int64_t hi, DiagnosticEngine& diags) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return std::nullopt;
-  if (!v->is_int() || v->as_int() < lo || v->as_int() > hi) {
-    diags.error(Code::kPipeMalformed,
-                "stage field '" + std::string(key) +
-                    "' must be an integer in [" + std::to_string(lo) + ", " +
-                    std::to_string(hi) + "]");
-    return std::nullopt;
-  }
-  return v->as_int();
-}
-
-std::optional<stencil::ProblemSize> parse_problem(const json::Value& v,
-                                                  const std::string& id,
-                                                  DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kPipeMalformed,
-                "stage '" + id + "': 'problem' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "S" && key != "T") {
-      diags.error(Code::kPipeMalformed,
-                  "stage '" + id + "': unknown 'problem' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  const json::Value* s = v.find("S");
-  if (s == nullptr || !s->is_array() || s->size() < 1 || s->size() > 3) {
-    diags.error(Code::kPipeMalformed,
-                "stage '" + id +
-                    "': 'problem.S' must be an array of 1 to 3 extents");
-    return std::nullopt;
-  }
-  stencil::ProblemSize p;
-  p.dim = static_cast<int>(s->size());
-  for (std::size_t i = 0; i < s->size(); ++i) {
-    const json::Value& e = s->items()[i];
-    if (!e.is_int() || e.as_int() < 1) {
-      diags.error(Code::kPipeMalformed,
-                  "stage '" + id +
-                      "': 'problem.S' extents must be positive integers");
-      return std::nullopt;
-    }
-    p.S[i] = e.as_int();
-  }
-  const json::Value* t = v.find("T");
-  if (t == nullptr) {
-    diags.error(Code::kPipeMalformed,
-                "stage '" + id + "': 'problem.T' is required");
-    return std::nullopt;
-  }
-  if (!t->is_int() || t->as_int() < 1 || t->as_int() > (std::int64_t{1} << 40)) {
-    diags.error(Code::kPipeMalformed,
-                "stage '" + id +
-                    "': 'problem.T' must be a positive integer");
-    return std::nullopt;
-  }
-  p.T = t->as_int();
-  return p;
-}
-
-std::optional<stencil::KernelVariant> parse_variant(const json::Value& v,
-                                                    const std::string& id,
-                                                    DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kPipeMalformed,
-                "stage '" + id + "': 'variant' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "unroll" && key != "staging") {
-      diags.error(Code::kPipeMalformed,
-                  "stage '" + id + "': unknown 'variant' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  stencil::KernelVariant var;
-  if (const json::Value* u = v.find("unroll"); u != nullptr) {
-    if (!u->is_int() || !stencil::valid_unroll(static_cast<int>(u->as_int()))) {
-      diags.error(Code::kPipeMalformed,
-                  "stage '" + id + "': 'variant.unroll' must be 1, 2 or 4");
-      return std::nullopt;
-    }
-    var.unroll = static_cast<int>(u->as_int());
-  }
-  if (const json::Value* s = v.find("staging"); s != nullptr) {
-    if (!s->is_string() ||
-        (s->as_string() != "shared" && s->as_string() != "register")) {
-      diags.error(Code::kPipeMalformed,
-                  "stage '" + id +
-                      "': 'variant.staging' must be \"shared\" or "
-                      "\"register\"");
-      return std::nullopt;
-    }
-    var.staging = s->as_string() == "register" ? stencil::Staging::kRegister
-                                               : stencil::Staging::kShared;
-  }
-  return var;
-}
+namespace wire = tuner::wire;
 
 std::optional<Stage> parse_stage(const json::Value& v,
                                  DiagnosticEngine& diags) {
@@ -195,8 +88,11 @@ std::optional<Stage> parse_stage(const json::Value& v,
                 "stage '" + st.id + "': 'problem' is required");
     return std::nullopt;
   }
+  // Every fragment error is SL601, named after its stage.
+  const wire::Codes codes{Code::kPipeMalformed, Code::kPipeMalformed,
+                          Code::kPipeMalformed, "stage '" + st.id + "': "};
   const std::optional<stencil::ProblemSize> problem =
-      parse_problem(*p, st.id, diags);
+      wire::parse_problem(*p, codes, diags);
   if (!problem) return std::nullopt;
   st.problem = *problem;
   if (st.problem.dim != st.def.dim) {
@@ -210,7 +106,7 @@ std::optional<Stage> parse_stage(const json::Value& v,
 
   if (v.find("repeat") != nullptr) {
     const std::optional<std::int64_t> r =
-        get_int(v, "repeat", 1, 1 << 20, diags);
+        wire::read_int(v, "repeat", 1, 1 << 20, codes, diags);
     if (!r) return std::nullopt;
     st.repeat = *r;
   }
@@ -231,31 +127,16 @@ std::optional<Stage> parse_stage(const json::Value& v,
     }
   }
   if (v.find("level") != nullptr) {
-    const std::optional<std::int64_t> l = get_int(v, "level", 0, 1 << 20, diags);
+    const std::optional<std::int64_t> l =
+        wire::read_int(v, "level", 0, 1 << 20, codes, diags);
     if (!l) return std::nullopt;
     st.level = *l;
   }
   if (const json::Value* var = v.find("variant"); var != nullptr) {
-    st.variant = parse_variant(*var, st.id, diags);
+    st.variant = wire::parse_variant(*var, codes, diags);
     if (!st.variant) return std::nullopt;
   }
   return st;
-}
-
-json::Value problem_to_json(const stencil::ProblemSize& p) {
-  json::Value o = json::Value::object();
-  json::Value s = json::Value::array();
-  for (int i = 0; i < p.dim; ++i) s.push_back(p.S[static_cast<std::size_t>(i)]);
-  o.set("S", std::move(s));
-  o.set("T", p.T);
-  return o;
-}
-
-json::Value variant_to_json(const stencil::KernelVariant& var) {
-  json::Value o = json::Value::object();
-  o.set("unroll", static_cast<std::int64_t>(var.unroll));
-  o.set("staging", std::string(stencil::to_string(var.staging)));
-  return o;
 }
 
 }  // namespace
@@ -273,7 +154,7 @@ json::Value Pipeline::to_json() const {
     } else {
       s.set("stencil", st.stencil_name);
     }
-    s.set("problem", problem_to_json(st.problem));
+    s.set("problem", wire::to_json(st.problem));
     s.set("repeat", st.repeat);
     json::Value after = json::Value::array();
     for (const std::string& a : st.after) after.push_back(a);
@@ -281,7 +162,7 @@ json::Value Pipeline::to_json() const {
     // Only when present: the annotations are optional in the IR, and
     // the normalized form keeps them optional (absent != 0).
     if (st.level) s.set("level", *st.level);
-    if (st.variant) s.set("variant", variant_to_json(*st.variant));
+    if (st.variant) s.set("variant", wire::to_json(*st.variant));
     arr.push_back(std::move(s));
   }
   o.set("stages", std::move(arr));

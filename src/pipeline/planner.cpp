@@ -1,11 +1,12 @@
 #include "pipeline/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
+
+#include "tuner/wire.hpp"
 
 namespace repro::pipeline {
 
@@ -35,60 +36,6 @@ std::string variant_key(const stencil::KernelVariant& var) {
 
 stencil::KernelVariant effective_variant(const Stage& st) {
   return st.variant.value_or(stencil::KernelVariant{});
-}
-
-// Log-space problem distance, the SimilarityIndex's metric: a 256 ->
-// 512 halving is as far as a 512 -> 1024 doubling.
-double problem_distance(const stencil::ProblemSize& a,
-                        const stencil::ProblemSize& b) {
-  double d = 0.0;
-  for (int i = 0; i < a.dim; ++i) {
-    const auto ai = static_cast<double>(a.S[static_cast<std::size_t>(i)]);
-    const auto bi = static_cast<double>(b.S[static_cast<std::size_t>(i)]);
-    d += std::abs(std::log(ai / bi));
-  }
-  d += std::abs(std::log(static_cast<double>(a.T) / static_cast<double>(b.T)));
-  return d;
-}
-
-// A feasible winner found earlier in the walk, available as a warm
-// seed for later stages of the same stencil.
-struct Winner {
-  stencil::ProblemSize problem;
-  tuner::EvaluatedPoint best;
-};
-
-json::Value problem_to_json(const stencil::ProblemSize& p) {
-  json::Value o = json::Value::object();
-  json::Value s = json::Value::array();
-  for (int i = 0; i < p.dim; ++i) s.push_back(p.S[static_cast<std::size_t>(i)]);
-  o.set("S", std::move(s));
-  o.set("T", p.T);
-  return o;
-}
-
-json::Value point_to_json(const tuner::EvaluatedPoint& ep) {
-  json::Value o = json::Value::object();
-  json::Value tile = json::Value::object();
-  tile.set("tT", ep.dp.ts.tT);
-  tile.set("tS1", ep.dp.ts.tS1);
-  tile.set("tS2", ep.dp.ts.tS2);
-  tile.set("tS3", ep.dp.ts.tS3);
-  o.set("tile", std::move(tile));
-  json::Value thr = json::Value::object();
-  thr.set("n1", ep.dp.thr.n1);
-  thr.set("n2", ep.dp.thr.n2);
-  thr.set("n3", ep.dp.thr.n3);
-  o.set("threads", std::move(thr));
-  json::Value var = json::Value::object();
-  var.set("unroll", static_cast<std::int64_t>(ep.dp.var.unroll));
-  var.set("staging", std::string(stencil::to_string(ep.dp.var.staging)));
-  o.set("variant", std::move(var));
-  o.set("feasible", ep.feasible);
-  o.set("talg", ep.talg);  // non-finite doubles render as null
-  o.set("texec", ep.texec);
-  o.set("gflops", ep.gflops);
-  return o;
 }
 
 }  // namespace
@@ -179,20 +126,8 @@ PipelinePlan Planner::plan(const Pipeline& p) {
         std::vector<tuner::WarmSeed> seeds;
         if (opt_.warm_seed) {
           const std::vector<Winner>& pool = winners[ident];
-          const stencil::KernelVariant want = effective_variant(st);
-          std::vector<std::size_t> idx(pool.size());
-          for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-          std::stable_sort(idx.begin(), idx.end(),
-                           [&](std::size_t a, std::size_t b) {
-                             const bool am = pool[a].best.dp.var == want;
-                             const bool bm = pool[b].best.dp.var == want;
-                             if (am != bm) return am;
-                             return problem_distance(pool[a].problem,
-                                                     st.problem) <
-                                    problem_distance(pool[b].problem,
-                                                     st.problem);
-                           });
-          for (const std::size_t i : idx) {
+          for (const std::size_t i :
+               seed_order(pool, st.problem, effective_variant(st))) {
             if (seeds.size() >= opt_.warm_seed_limit) break;
             seeds.push_back({pool[i].best.dp.ts, pool[i].best.dp.thr,
                              pool[i].best.dp.var});
@@ -224,6 +159,21 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   return plan;
 }
 
+std::vector<std::size_t> seed_order(std::span<const Winner> pool,
+                                    const stencil::ProblemSize& problem,
+                                    const stencil::KernelVariant& want) {
+  std::vector<std::size_t> idx(pool.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    const bool am = pool[a].best.dp.var == want;
+    const bool bm = pool[b].best.dp.var == want;
+    if (am != bm) return am;
+    return stencil::log_distance(problem, pool[a].problem) <
+           stencil::log_distance(problem, pool[b].problem);
+  });
+  return idx;
+}
+
 json::Value plan_to_json(const PipelinePlan& plan) {
   json::Value o = json::Value::object();
   o.set("pipeline", plan.name);
@@ -242,12 +192,13 @@ json::Value plan_to_json(const PipelinePlan& plan) {
     } else {
       s.set("stencil", r.stencil_name);
     }
-    s.set("problem", problem_to_json(r.problem));
+    s.set("problem", tuner::wire::to_json(r.problem));
     s.set("repeat", r.repeat);
     s.set("reused", r.reused);
     s.set("space_size", r.space_size);
     s.set("candidates_tried", r.candidates_tried);
-    s.set("best", r.best.feasible ? point_to_json(r.best) : json::Value());
+    s.set("best", r.best.feasible ? tuner::wire::point_to_json(r.best, true)
+                                  : json::Value());
     s.set("talg_total", r.talg_total);
     s.set("texec_total", r.texec_total);
     stages.push_back(std::move(s));

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,21 @@ class Planner {
   device::Descriptor dev_;
   PlanOptions opt_;
 };
+
+// A feasible winner found earlier in the walk, available as a warm
+// seed for later stages of the same stencil.
+struct Winner {
+  stencil::ProblemSize problem;
+  tuner::EvaluatedPoint best;
+};
+
+// The order the level descent offers `pool` (winners in discovery
+// order) to a stage tuning `problem` with variant `want`: same-variant
+// winners first, then nearest by stencil::log_distance, discovery
+// order breaking ties. Returns indices into `pool`.
+std::vector<std::size_t> seed_order(std::span<const Winner> pool,
+                                    const stencil::ProblemSize& problem,
+                                    const stencil::KernelVariant& want);
 
 // The deterministic JSON rendering of a plan: per-stage breakdown in
 // declaration order plus the end-to-end aggregates. Contains only

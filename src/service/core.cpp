@@ -11,31 +11,28 @@
 #include "device/registry.hpp"
 #include "pipeline/planner.hpp"
 #include "tuner/space.hpp"
+#include "tuner/wire.hpp"
 
 namespace repro::service {
 
 namespace {
 
+namespace wire = tuner::wire;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+// best_tile and compare sweep the default variant; their points
+// predate the variant axis and carry none.
 json::Value point_to_json(const tuner::EvaluatedPoint& ep) {
-  json::Value o = json::Value::object();
-  o.set("tile", tile_to_json(ep.dp.ts));
-  o.set("threads", threads_to_json(ep.dp.thr));
-  o.set("feasible", ep.feasible);
-  o.set("talg", ep.talg);  // non-finite doubles render as null
-  o.set("texec", ep.texec);
-  o.set("gflops", ep.gflops);
-  return o;
+  return wire::point_to_json(ep, false);
 }
 
 std::string compute_predict(const Request& req, tuner::Session& session) {
   json::Value o = json::Value::object();
-  o.set("tile", tile_to_json(*req.tile));
+  o.set("tile", wire::to_json(*req.tile));
   const double talg =
       tuner::model_talg_or_inf(session.inputs(), *req.problem, *req.tile);
   const bool model_feasible = std::isfinite(talg);
@@ -46,15 +43,15 @@ std::string compute_predict(const Request& req, tuner::Session& session) {
     const tuner::EvaluatedPoint ep = session.evaluate_point(
         {*req.tile, *req.threads,
          req.variant.value_or(stencil::KernelVariant{})});
-    o.set("threads", threads_to_json(*req.threads));
-    if (req.variant) o.set("variant", variant_to_json(*req.variant));
+    o.set("threads", wire::to_json(*req.threads));
+    if (req.variant) o.set("variant", wire::to_json(*req.variant));
     o.set("feasible", ep.feasible);
     o.set("talg", ep.talg);
     o.set("texec", ep.texec);
     o.set("gflops", ep.gflops);
   } else {
-    if (req.threads) o.set("threads", threads_to_json(*req.threads));
-    if (req.variant) o.set("variant", variant_to_json(*req.variant));
+    if (req.threads) o.set("threads", wire::to_json(*req.threads));
+    if (req.variant) o.set("variant", wire::to_json(*req.variant));
     o.set("feasible", model_feasible);
     o.set("talg", talg);  // null when infeasible
   }
@@ -77,7 +74,7 @@ std::string compute_best_tile(const Request& req, tuner::Session& session,
     return o.dump();
   }
   o.set("talg_min", sweep.talg_min);
-  o.set("argmin", tile_to_json(sweep.argmin));
+  o.set("argmin", wire::to_json(sweep.argmin));
 
   // Measure every within-delta candidate and reduce with the
   // first-strictly-better rule in candidate index order (best_tile's
@@ -322,12 +319,7 @@ ServiceCore::SessionEntry& ServiceCore::session_entry(const Request& req) {
   } else {
     k.set("stencil", req.stencil_name);
   }
-  json::Value s = json::Value::array();
-  for (int i = 0; i < req.problem->dim; ++i) {
-    s.push_back(req.problem->S[static_cast<std::size_t>(i)]);
-  }
-  k.set("S", std::move(s));
-  k.set("T", req.problem->T);
+  k.set("problem", wire::to_json(*req.problem));
   const std::string key = k.dump_canonical();
 
   std::lock_guard<std::mutex> lk(sessions_mu_);

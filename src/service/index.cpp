@@ -1,7 +1,6 @@
 #include "service/index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,83 +11,29 @@
 #include "common/json.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
+#include "tuner/wire.hpp"
 
 namespace repro::service {
 
 namespace fs = std::filesystem;
+namespace wire = tuner::wire;
 
 namespace {
 
-// Lenient decoders for the fragments the index round-trips. Unlike
-// the protocol parsers these never diagnose — a fragment that does
-// not decode simply disqualifies its line/payload.
-std::optional<stencil::ProblemSize> problem_from(const json::Value* v) {
-  if (v == nullptr || !v->is_object()) return std::nullopt;
-  const json::Value* s = v->find("S");
-  const json::Value* t = v->find("T");
-  if (s == nullptr || !s->is_array() || s->size() < 1 || s->size() > 3 ||
-      t == nullptr || !t->is_int() || t->as_int() < 1) {
-    return std::nullopt;
-  }
-  stencil::ProblemSize p;
-  p.dim = static_cast<int>(s->size());
-  for (std::size_t i = 0; i < s->size(); ++i) {
-    const json::Value& e = s->items()[i];
-    if (!e.is_int() || e.as_int() < 1) return std::nullopt;
-    p.S[i] = e.as_int();
-  }
-  p.T = t->as_int();
-  return p;
+// Stored fragments decode strictly, as requests do; a fragment that
+// does not decode disqualifies its line or payload, so the diagnostics
+// go to a throwaway engine.
+template <class T>
+std::optional<T> decode(const json::Value* v, wire::Decoder<T> parse) {
+  if (v == nullptr) return std::nullopt;
+  analysis::DiagnosticEngine discarded;
+  return parse(*v, kRequestCodes, discarded);
 }
 
-std::optional<hhc::TileSizes> tile_from(const json::Value* v) {
-  if (v == nullptr || !v->is_object()) return std::nullopt;
-  hhc::TileSizes ts;
-  struct Field {
-    std::string_view key;
-    std::int64_t* slot;
-  };
-  for (const Field& f : {Field{"tT", &ts.tT}, Field{"tS1", &ts.tS1},
-                         Field{"tS2", &ts.tS2}, Field{"tS3", &ts.tS3}}) {
-    const json::Value* e = v->find(f.key);
-    if (e == nullptr || !e->is_int() || e->as_int() < 1) return std::nullopt;
-    *f.slot = e->as_int();
-  }
-  return ts;
-}
-
-std::optional<hhc::ThreadConfig> threads_from(const json::Value* v) {
-  if (v == nullptr || !v->is_object()) return std::nullopt;
-  hhc::ThreadConfig thr;
-  struct Field {
-    std::string_view key;
-    int* slot;
-  };
-  for (const Field& f :
-       {Field{"n1", &thr.n1}, Field{"n2", &thr.n2}, Field{"n3", &thr.n3}}) {
-    const json::Value* e = v->find(f.key);
-    if (e == nullptr || !e->is_int() || e->as_int() < 1) return std::nullopt;
-    *f.slot = static_cast<int>(e->as_int());
-  }
-  return thr;
-}
-
+// An absent variant is the default one.
 std::optional<stencil::KernelVariant> variant_from(const json::Value* v) {
-  if (v == nullptr) return stencil::KernelVariant{};  // absent = default
-  if (!v->is_object()) return std::nullopt;
-  stencil::KernelVariant var;
-  const json::Value* u = v->find("unroll");
-  const json::Value* s = v->find("staging");
-  if (u == nullptr || !u->is_int() ||
-      !stencil::valid_unroll(static_cast<int>(u->as_int())) || s == nullptr ||
-      !s->is_string() ||
-      (s->as_string() != "shared" && s->as_string() != "register")) {
-    return std::nullopt;
-  }
-  var.unroll = static_cast<int>(u->as_int());
-  var.staging = s->as_string() == "register" ? stencil::Staging::kRegister
-                                             : stencil::Staging::kShared;
-  return var;
+  if (v == nullptr) return stencil::KernelVariant{};
+  return decode(v, &wire::parse_variant);
 }
 
 // Both the index line and the canonical key use the either-or
@@ -118,17 +63,10 @@ std::string render_line(const IndexEntry& e) {
   } else {
     o.set("stencil", e.stencil_name);
   }
-  json::Value p = json::Value::object();
-  json::Value s = json::Value::array();
-  for (int i = 0; i < e.problem.dim; ++i) {
-    s.push_back(e.problem.S[static_cast<std::size_t>(i)]);
-  }
-  p.set("S", std::move(s));
-  p.set("T", e.problem.T);
-  o.set("problem", std::move(p));
-  o.set("tile", tile_to_json(e.tile));
-  o.set("threads", threads_to_json(e.threads));
-  o.set("variant", variant_to_json(e.variant));
+  o.set("problem", wire::to_json(e.problem));
+  o.set("tile", wire::to_json(e.tile));
+  o.set("threads", wire::to_json(e.threads));
+  o.set("variant", wire::to_json(e.variant));
   o.set("texec", e.texec);
   return o.dump();
 }
@@ -156,9 +94,9 @@ std::optional<IndexEntry> entry_from_line(const std::string& line) {
   e.kind = kind->as_string();
   e.device = dev->as_string();
   e.texec = texec->as_double();
-  const auto problem = problem_from(doc->find("problem"));
-  const auto tile = tile_from(doc->find("tile"));
-  const auto threads = threads_from(doc->find("threads"));
+  const auto problem = decode(doc->find("problem"), &wire::parse_problem);
+  const auto tile = decode(doc->find("tile"), &wire::parse_tile);
+  const auto threads = decode(doc->find("threads"), &wire::parse_threads);
   const auto variant = variant_from(doc->find("variant"));
   if (!problem || !tile || !threads || !variant) return std::nullopt;
   e.problem = *problem;
@@ -194,7 +132,7 @@ std::optional<IndexEntry> SimilarityIndex::entry_from(
   }
   e.kind = kind->as_string();
   e.device = dev->as_string();
-  const auto problem = problem_from(kdoc->find("problem"));
+  const auto problem = decode(kdoc->find("problem"), &wire::parse_problem);
   if (!problem) return std::nullopt;
   e.problem = *problem;
 
@@ -221,8 +159,8 @@ std::optional<IndexEntry> SimilarityIndex::entry_from(
       texec == nullptr || !texec->is_number()) {
     return std::nullopt;
   }
-  const auto tile = tile_from(point->find("tile"));
-  const auto threads = threads_from(point->find("threads"));
+  const auto tile = decode(point->find("tile"), &wire::parse_tile);
+  const auto threads = decode(point->find("threads"), &wire::parse_threads);
   // Only predict payloads record a variant (top-level, when the
   // request priced one); best/exhaustive points are default-variant.
   const auto variant = variant_from(
@@ -330,13 +268,7 @@ std::vector<SimilarityIndex::Neighbor> SimilarityIndex::neighbors(
         e.stencil_text != stencil_text || e.problem.dim != problem.dim) {
       continue;
     }
-    double dist = std::abs(std::log(static_cast<double>(problem.T) /
-                                    static_cast<double>(e.problem.T)));
-    for (int i = 0; i < problem.dim; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      dist += std::abs(std::log(static_cast<double>(problem.S[idx]) /
-                                static_cast<double>(e.problem.S[idx])));
-    }
+    const double dist = stencil::log_distance(problem, e.problem);
     out.push_back(Neighbor{std::move(e), dist});
   }
   // Same-variant entries first (another variant's point is rejected

@@ -104,9 +104,9 @@ class SimilarityIndex {
   // stencil identity, problem, variant): same device, same stencil,
   // same dimensionality, ranked same-variant-first (a seed whose
   // variant lies outside the sweep's span is rejected in-space and
-  // wastes its slot — see Session::best_tile), then by log-space
-  // problem distance sum_i |ln(S_i/S'_i)| + |ln(T/T')| with
-  // ascending-key tie-breaks, at most `max_results`. Other-variant
+  // wastes its slot — see Session::best_tile), then by
+  // stencil::log_distance(problem, entry problem) with ascending-key
+  // tie-breaks, at most `max_results`. Other-variant
   // entries still rank (the fallback when same-variant neighbors run
   // out); an entry for the *identical* problem is a legitimate
   // distance-0 neighbor (a different request kind or option set can

@@ -13,6 +13,7 @@ namespace {
 
 using analysis::Code;
 using analysis::DiagnosticEngine;
+namespace wire = tuner::wire;
 
 struct KindInfo {
   RequestKind kind;
@@ -69,216 +70,6 @@ bool key_allowed(RequestKind kind, std::string_view key) {
   return false;
 }
 
-// Integer field read with range check; emits SL405 and returns
-// nullopt on any mismatch.
-std::optional<std::int64_t> get_int(const json::Value& obj,
-                                    std::string_view key, std::int64_t lo,
-                                    std::int64_t hi, DiagnosticEngine& diags) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) return std::nullopt;
-  if (!v->is_int() || v->as_int() < lo || v->as_int() > hi) {
-    diags.error(Code::kSvcBadField,
-                "field '" + std::string(key) + "' must be an integer in [" +
-                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
-    return std::nullopt;
-  }
-  return v->as_int();
-}
-
-std::optional<stencil::ProblemSize> parse_problem(const json::Value& v,
-                                                  DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kSvcBadField, "'problem' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "S" && key != "T") {
-      diags.error(Code::kSvcBadField, "unknown 'problem' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  const json::Value* s = v.find("S");
-  if (s == nullptr || !s->is_array() || s->size() < 1 || s->size() > 3) {
-    diags.error(Code::kSvcBadField,
-                "'problem.S' must be an array of 1 to 3 extents");
-    return std::nullopt;
-  }
-  stencil::ProblemSize p;
-  p.dim = static_cast<int>(s->size());
-  for (std::size_t i = 0; i < s->size(); ++i) {
-    const json::Value& e = s->items()[i];
-    if (!e.is_int() || e.as_int() < 1) {
-      diags.error(Code::kSvcBadField,
-                  "'problem.S' extents must be positive integers");
-      return std::nullopt;
-    }
-    p.S[i] = e.as_int();
-  }
-  const std::optional<std::int64_t> T =
-      get_int(v, "T", 1, std::int64_t{1} << 40, diags);
-  if (!T) {
-    if (v.find("T") == nullptr) {
-      diags.error(Code::kSvcMissingField, "'problem.T' is required");
-    }
-    return std::nullopt;
-  }
-  p.T = *T;
-  return p;
-}
-
-std::optional<hhc::TileSizes> parse_tile(const json::Value& v,
-                                         DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kSvcBadField, "'tile' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "tT" && key != "tS1" && key != "tS2" && key != "tS3") {
-      diags.error(Code::kSvcBadField, "unknown 'tile' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  hhc::TileSizes ts;
-  const auto tT = get_int(v, "tT", 1, 1 << 20, diags);
-  const auto tS1 = get_int(v, "tS1", 1, 1 << 20, diags);
-  if (!tT || !tS1) {
-    if (v.find("tT") == nullptr || v.find("tS1") == nullptr) {
-      diags.error(Code::kSvcMissingField, "'tile' requires 'tT' and 'tS1'");
-    }
-    return std::nullopt;
-  }
-  ts.tT = *tT;
-  ts.tS1 = *tS1;
-  ts.tS2 = get_int(v, "tS2", 1, 1 << 20, diags).value_or(1);
-  ts.tS3 = get_int(v, "tS3", 1, 1 << 20, diags).value_or(1);
-  if (diags.has_errors()) return std::nullopt;
-  return ts;
-}
-
-std::optional<hhc::ThreadConfig> parse_threads(const json::Value& v,
-                                               DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kSvcBadField, "'threads' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "n1" && key != "n2" && key != "n3") {
-      diags.error(Code::kSvcBadField, "unknown 'threads' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  hhc::ThreadConfig thr;
-  const auto n1 = get_int(v, "n1", 1, 1024, diags);
-  if (!n1) {
-    if (v.find("n1") == nullptr) {
-      diags.error(Code::kSvcMissingField, "'threads' requires 'n1'");
-    }
-    return std::nullopt;
-  }
-  thr.n1 = static_cast<int>(*n1);
-  thr.n2 = static_cast<int>(get_int(v, "n2", 1, 1024, diags).value_or(1));
-  thr.n3 = static_cast<int>(get_int(v, "n3", 1, 1024, diags).value_or(1));
-  if (diags.has_errors()) return std::nullopt;
-  return thr;
-}
-
-std::optional<stencil::KernelVariant> parse_variant(const json::Value& v,
-                                                    DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kSvcBadField, "'variant' must be an object");
-    return std::nullopt;
-  }
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    if (key != "unroll" && key != "staging") {
-      diags.error(Code::kSvcBadField,
-                  "unknown 'variant' field '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  stencil::KernelVariant var;
-  if (const json::Value* u = v.find("unroll"); u != nullptr) {
-    if (!u->is_int() ||
-        !stencil::valid_unroll(static_cast<int>(u->as_int()))) {
-      diags.error(Code::kVariantResource,
-                  "'variant.unroll' must be 1, 2 or 4 (the factors the "
-                  "kernel generator emits)");
-      return std::nullopt;
-    }
-    var.unroll = static_cast<int>(u->as_int());
-  }
-  if (const json::Value* s = v.find("staging"); s != nullptr) {
-    if (!s->is_string() ||
-        (s->as_string() != "shared" && s->as_string() != "register")) {
-      diags.error(Code::kSvcBadField,
-                  "'variant.staging' must be \"shared\" or \"register\"");
-      return std::nullopt;
-    }
-    var.staging = s->as_string() == "register" ? stencil::Staging::kRegister
-                                               : stencil::Staging::kShared;
-  }
-  return var;
-}
-
-bool parse_enum_options(const json::Value& v, tuner::EnumOptions& opt,
-                        DiagnosticEngine& diags) {
-  if (!v.is_object()) {
-    diags.error(Code::kSvcBadField, "'enum' must be an object");
-    return false;
-  }
-  struct Field {
-    std::string_view key;
-    std::int64_t* slot;
-  };
-  const Field fields[] = {
-      {"tT_max", &opt.tT_max},   {"tT_step", &opt.tT_step},
-      {"tS1_max", &opt.tS1_max}, {"tS1_step", &opt.tS1_step},
-      {"tS2_max", &opt.tS2_max}, {"tS2_step", &opt.tS2_step},
-      {"tS3_max", &opt.tS3_max}, {"tS3_step", &opt.tS3_step},
-  };
-  for (const auto& [key, val] : v.members()) {
-    (void)val;
-    bool known = false;
-    for (const Field& f : fields) known = known || key == f.key;
-    if (!known) {
-      diags.error(Code::kSvcBadField, "unknown 'enum' field '" + key + "'");
-      return false;
-    }
-  }
-  for (const Field& f : fields) {
-    if (v.find(f.key) == nullptr) continue;
-    const auto i = get_int(v, f.key, 1, 1 << 20, diags);
-    if (!i) return false;
-    *f.slot = *i;
-  }
-  return true;
-}
-
-json::Value problem_to_json(const stencil::ProblemSize& p) {
-  json::Value o = json::Value::object();
-  json::Value s = json::Value::array();
-  for (int i = 0; i < p.dim; ++i) s.push_back(p.S[static_cast<std::size_t>(i)]);
-  o.set("S", std::move(s));
-  o.set("T", p.T);
-  return o;
-}
-
-json::Value enum_to_json(const tuner::EnumOptions& e) {
-  json::Value o = json::Value::object();
-  o.set("tT_max", e.tT_max);
-  o.set("tT_step", e.tT_step);
-  o.set("tS1_max", e.tS1_max);
-  o.set("tS1_step", e.tS1_step);
-  o.set("tS2_max", e.tS2_max);
-  o.set("tS2_step", e.tS2_step);
-  o.set("tS3_max", e.tS3_max);
-  o.set("tS3_step", e.tS3_step);
-  return o;
-}
-
 }  // namespace
 
 std::string_view to_string(RequestKind k) noexcept {
@@ -293,30 +84,6 @@ std::optional<RequestKind> parse_kind(std::string_view s) noexcept {
     if (ki.name == s) return ki.kind;
   }
   return std::nullopt;
-}
-
-json::Value tile_to_json(const hhc::TileSizes& ts) {
-  json::Value o = json::Value::object();
-  o.set("tT", ts.tT);
-  o.set("tS1", ts.tS1);
-  o.set("tS2", ts.tS2);
-  o.set("tS3", ts.tS3);
-  return o;
-}
-
-json::Value threads_to_json(const hhc::ThreadConfig& thr) {
-  json::Value o = json::Value::object();
-  o.set("n1", thr.n1);
-  o.set("n2", thr.n2);
-  o.set("n3", thr.n3);
-  return o;
-}
-
-json::Value variant_to_json(const stencil::KernelVariant& var) {
-  json::Value o = json::Value::object();
-  o.set("unroll", static_cast<std::int64_t>(var.unroll));
-  o.set("staging", std::string(stencil::to_string(var.staging)));
-  return o;
 }
 
 std::string Request::canonical_key() const {
@@ -335,7 +102,7 @@ std::string Request::canonical_key() const {
   if (kind == RequestKind::kPipeline) {
     if (pipe) o.set("pipeline", pipe->to_json());
     o.set("delta", delta);
-    o.set("enum", enum_to_json(enumeration));
+    o.set("enum", wire::to_json(enumeration));
     return o.dump_canonical();
   }
   if (!stencil_text.empty()) {
@@ -343,16 +110,16 @@ std::string Request::canonical_key() const {
   } else {
     o.set("stencil", stencil_name);
   }
-  if (problem) o.set("problem", problem_to_json(*problem));
+  if (problem) o.set("problem", wire::to_json(*problem));
   switch (kind) {
     case RequestKind::kPredict:
     case RequestKind::kLint:
-      if (tile) o.set("tile", tile_to_json(*tile));
-      if (threads) o.set("threads", threads_to_json(*threads));
+      if (tile) o.set("tile", wire::to_json(*tile));
+      if (threads) o.set("threads", wire::to_json(*threads));
       // Only when present: default-variant requests keep their
       // pre-variant keys, so stored results stay valid (and
       // byte-identical).
-      if (variant) o.set("variant", variant_to_json(*variant));
+      if (variant) o.set("variant", wire::to_json(*variant));
       // Only when on: audit-less lint requests keep their pre-audit
       // keys, so stored results stay valid (and byte-identical).
       if (audit) o.set("audit", true);
@@ -363,7 +130,7 @@ std::string Request::canonical_key() const {
       [[fallthrough]];
     case RequestKind::kBestTile:
       o.set("delta", delta);
-      o.set("enum", enum_to_json(enumeration));
+      o.set("enum", wire::to_json(enumeration));
       break;
     case RequestKind::kDevices:
     case RequestKind::kStats:
@@ -502,7 +269,7 @@ std::optional<Request> parse_request(std::string_view line,
   }
 
   if (const json::Value* p = doc->find("problem"); p != nullptr) {
-    req.problem = parse_problem(*p, diags);
+    req.problem = wire::parse_problem(*p, kRequestCodes, diags);
     if (!req.problem) return std::nullopt;
     if (req.problem->dim != req.def.dim) {
       diags.error(Code::kSvcBadField,
@@ -513,15 +280,15 @@ std::optional<Request> parse_request(std::string_view line,
     }
   }
   if (const json::Value* t = doc->find("tile"); t != nullptr) {
-    req.tile = parse_tile(*t, diags);
+    req.tile = wire::parse_tile(*t, kRequestCodes, diags);
     if (!req.tile) return std::nullopt;
   }
   if (const json::Value* t = doc->find("threads"); t != nullptr) {
-    req.threads = parse_threads(*t, diags);
+    req.threads = wire::parse_threads(*t, kRequestCodes, diags);
     if (!req.threads) return std::nullopt;
   }
   if (const json::Value* t = doc->find("variant"); t != nullptr) {
-    req.variant = parse_variant(*t, diags);
+    req.variant = wire::parse_variant(*t, kRequestCodes, diags);
     if (!req.variant) return std::nullopt;
   }
   if (const json::Value* a = doc->find("audit"); a != nullptr) {
@@ -541,15 +308,19 @@ std::optional<Request> parse_request(std::string_view line,
     if (diags.has_errors()) return std::nullopt;
   }
   if (const json::Value* e = doc->find("enum"); e != nullptr) {
-    if (!parse_enum_options(*e, req.enumeration, diags)) return std::nullopt;
+    std::optional<tuner::EnumOptions> en =
+        wire::parse_enum(*e, kRequestCodes, diags);
+    if (!en) return std::nullopt;
+    req.enumeration = std::move(*en);
     req.enumeration.validate(diags);
     if (diags.has_errors()) return std::nullopt;
   }
-  if (const auto cap =
-          get_int(*doc, "exhaustive_cap", 0, 1 << 20, diags)) {
+  if (const auto cap = wire::read_int(*doc, "exhaustive_cap", 0, 1 << 20,
+                                      kRequestCodes, diags)) {
     req.exhaustive_cap = static_cast<std::size_t>(*cap);
   }
-  if (const auto bc = get_int(*doc, "baseline_count", 1, 1 << 20, diags)) {
+  if (const auto bc = wire::read_int(*doc, "baseline_count", 1, 1 << 20,
+                                     kRequestCodes, diags)) {
     req.baseline_count = static_cast<std::size_t>(*bc);
   }
   if (diags.has_errors()) return std::nullopt;

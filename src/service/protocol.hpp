@@ -45,10 +45,18 @@
 #include "stencil/stencil.hpp"
 #include "stencil/variant.hpp"
 #include "tuner/space.hpp"
+#include "tuner/wire.hpp"
 
 namespace repro::service {
 
 inline constexpr int kProtocolVersion = 1;
+
+// How request fragments (tuner/wire.hpp) report: SL405 for a malformed
+// field, SL404 for a missing one, SL314 for an unroll factor the
+// kernel generator cannot emit.
+inline const tuner::wire::Codes kRequestCodes{
+    analysis::Code::kSvcBadField, analysis::Code::kSvcMissingField,
+    analysis::Code::kVariantResource, ""};
 
 enum class RequestKind : std::uint8_t {
   kPredict,
@@ -133,10 +141,5 @@ std::string render_result(const std::string& id, RequestKind kind,
                           const std::string& payload);
 std::string render_error(const std::string& id,
                          std::span<const analysis::Diagnostic> diags);
-
-// Payload-fragment builders shared by the executor and tests.
-json::Value tile_to_json(const hhc::TileSizes& ts);
-json::Value threads_to_json(const hhc::ThreadConfig& thr);
-json::Value variant_to_json(const stencil::KernelVariant& var);
 
 }  // namespace repro::service

@@ -1,5 +1,6 @@
 #include "stencil/problem.hpp"
 
+#include <cmath>
 #include <sstream>
 
 namespace repro::stencil {
@@ -12,6 +13,17 @@ std::string ProblemSize::to_string() const {
   }
   os << ",T=" << T;
   return os.str();
+}
+
+double log_distance(const ProblemSize& a, const ProblemSize& b) {
+  double d = std::abs(
+      std::log(static_cast<double>(a.T) / static_cast<double>(b.T)));
+  for (int i = 0; i < a.dim; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    d += std::abs(std::log(static_cast<double>(a.S[idx]) /
+                           static_cast<double>(b.S[idx])));
+  }
+  return d;
 }
 
 double total_flops(const StencilDef& def, const ProblemSize& p) {

@@ -29,6 +29,12 @@ struct ProblemSize {
   friend bool operator==(const ProblemSize&, const ProblemSize&) = default;
 };
 
+// Log-space distance between two problems of a's dimensionality:
+// |ln(T_a/T_b)| + sum_i |ln(S_a,i/S_b,i)|, so a 256 -> 512 halving is
+// as far as a 512 -> 1024 doubling. The warm-seed rankings of the
+// service's similarity index and the pipeline planner both use it.
+double log_distance(const ProblemSize& a, const ProblemSize& b);
+
 // Total floating-point work of a full run, for GFLOPS reporting.
 double total_flops(const StencilDef& def, const ProblemSize& p);
 

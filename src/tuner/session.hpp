@@ -78,6 +78,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -174,23 +175,33 @@ struct SweepStats {
   std::size_t seeds_offered = 0;
   std::size_t seeds_admitted = 0;
 
+  // Every field once, as f(name, member pointer) in declaration
+  // order: the field-wise sum below and the benches' --stats-json
+  // writer walk this list, so a counter added here reaches both.
+  template <class F>
+  static void for_each_field(F&& f) {
+    f("model_points", &SweepStats::model_points);
+    f("machine_points", &SweepStats::machine_points);
+    f("cache_hits", &SweepStats::cache_hits);
+    f("model_seconds", &SweepStats::model_seconds);
+    f("machine_seconds", &SweepStats::machine_seconds);
+    f("profile_builds", &SweepStats::profile_builds);
+    f("profile_steps", &SweepStats::profile_steps);
+    f("profile_hits", &SweepStats::profile_hits);
+    f("geometry_seconds", &SweepStats::geometry_seconds);
+    f("pricing_seconds", &SweepStats::pricing_seconds);
+    f("points_pruned", &SweepStats::points_pruned);
+    f("bound_seconds", &SweepStats::bound_seconds);
+    f("seeds_offered", &SweepStats::seeds_offered);
+    f("seeds_admitted", &SweepStats::seeds_admitted);
+  }
+
   // Field-wise sum: benches and the pipeline planner total the stats
   // of several sessions with it.
   SweepStats& operator+=(const SweepStats& o) noexcept {
-    model_points += o.model_points;
-    machine_points += o.machine_points;
-    cache_hits += o.cache_hits;
-    model_seconds += o.model_seconds;
-    machine_seconds += o.machine_seconds;
-    profile_builds += o.profile_builds;
-    profile_steps += o.profile_steps;
-    profile_hits += o.profile_hits;
-    geometry_seconds += o.geometry_seconds;
-    pricing_seconds += o.pricing_seconds;
-    points_pruned += o.points_pruned;
-    bound_seconds += o.bound_seconds;
-    seeds_offered += o.seeds_offered;
-    seeds_admitted += o.seeds_admitted;
+    for_each_field([&](std::string_view, auto member) {
+      this->*member += o.*member;
+    });
     return *this;
   }
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "device/registry.hpp"
 #include "pipeline/pipeline.hpp"
@@ -134,6 +135,17 @@ TEST(Planner, WarmSeededDescentPrunesStrictlyMoreThanCold) {
   EXPECT_GT(warm.stats.points_pruned, cold.stats.points_pruned);
   EXPECT_LT(fresh_pricings(warm), fresh_pricings(cold));
   EXPECT_EQ(plan_to_json(warm).dump(), plan_to_json(cold).dump());
+
+  // The seed order ranks by stencil::log_distance, like the service's
+  // similarity index: IndexTest.NeighborsRankByLogDistanceAndFilterIdentity
+  // ranks the same pool for the same 500^2 query as 512, 256, 1024.
+  std::vector<Winner> pool;
+  for (const std::int64_t s : {256, 512, 1024}) {
+    pool.push_back({{.dim = 2, .S = {s, s, 0}, .T = 64}, {}});
+  }
+  const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
+  EXPECT_EQ(seed_order(pool, q, stencil::KernelVariant{}),
+            (std::vector<std::size_t>{1, 0, 2}));
 }
 
 TEST(Planner, SharedCalibrationAcrossProblemSizes) {

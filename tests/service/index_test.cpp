@@ -173,18 +173,34 @@ TEST_F(IndexTest, CorruptAndWrongVersionLinesAreSkipped) {
       SimilarityIndex::entry_from(key, best_tile_payload());
   ASSERT_TRUE(index.append(*e));
 
+  std::string line;
+  {
+    std::ifstream in(index.path(), std::ios::binary);
+    ASSERT_TRUE(std::getline(in, line));
+  }
   {
     // Simulated tail corruption and a future-version line.
     std::ofstream out(index.path(), std::ios::binary | std::ios::app);
     out << "{\"index_version\":99,\"key\":\"k\"}\n"
-        << "not json at all\n"
-        << "{\"index_version\":1,\"key\":\"trunc";  // no newline: torn write
+        << "not json at all\n";
+    // Well-formed lines whose fragments do not decode (the fragments
+    // follow the key, so rfind edits them, not the key's copy).
+    const auto corrupt = [&](const std::string& from, const std::string& to) {
+      std::string bad = line;
+      bad.replace(bad.rfind(from), from.size(), to);
+      out << bad << "\n";
+    };
+    corrupt("\"tT\":8", "\"tT\":0");
+    corrupt("\"n1\":32", "\"n1\":4096");
+    corrupt("\"T\":64", "\"T\":64,\"R\":1");
+    corrupt("\"unroll\":1", "\"unroll\":3");
+    out << "{\"index_version\":1,\"key\":\"trunc";  // no newline: torn write
   }
 
   const std::vector<IndexEntry> live = index.load();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].key, key);
-  EXPECT_EQ(index.counters().skipped, 3u);
+  EXPECT_EQ(index.counters().skipped, 7u);
 }
 
 TEST_F(IndexTest, MissingIndexLoadsEmptyAndRebuildRecreatesIt) {
@@ -247,6 +263,11 @@ TEST_F(IndexTest, NeighborsRankByLogDistanceAndFilterIdentity) {
   EXPECT_EQ(near[2].entry.problem.S[0], 1024);
   EXPECT_LT(near[0].distance, near[1].distance);
   EXPECT_LT(near[1].distance, near[2].distance);
+  // The ranking is stencil::log_distance's, the metric the planner's
+  // seed order uses too (planner_test ranks this pool the same way).
+  for (const SimilarityIndex::Neighbor& n : near) {
+    EXPECT_EQ(n.distance, stencil::log_distance(q, n.entry.problem));
+  }
 
   // The cap truncates after ranking; an identical problem is a
   // legitimate distance-0 neighbor.

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_util.hpp"
+#include "common/json.hpp"
 #include "gpusim/microbench.hpp"
 #include "support/scalar_oracle.hpp"
+#include "support/temp_dir.hpp"
 
 namespace repro::tuner {
 namespace {
@@ -386,6 +393,40 @@ TEST(SweepStats, PlusEqualsSumsEveryField) {
   id += SweepStats{};
   EXPECT_EQ(id.seeds_admitted, a.seeds_admitted);
   EXPECT_EQ(id.bound_seconds, a.bound_seconds);
+
+  // --stats-json writes every field exactly once, beside "jobs".
+  const std::filesystem::path dir = test::unique_temp_dir("repro_stats");
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "stats.json").string();
+  ASSERT_TRUE(bench::write_stats_json(path, a, 3));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  const std::optional<json::Value> doc = json::parse(text.str());
+  ASSERT_TRUE(doc.has_value() && doc->is_object());
+  const std::vector<std::pair<std::string, double>> want = {
+      {"jobs", 3},
+      {"model_points", 1},
+      {"machine_points", 2},
+      {"cache_hits", 3},
+      {"model_seconds", 4},
+      {"machine_seconds", 5},
+      {"profile_builds", 6},
+      {"profile_steps", 7},
+      {"profile_hits", 8},
+      {"geometry_seconds", 9},
+      {"pricing_seconds", 10},
+      {"points_pruned", 11},
+      {"bound_seconds", 12},
+      {"seeds_offered", 13},
+      {"seeds_admitted", 14}};
+  ASSERT_EQ(doc->members().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(doc->members()[i].first, want[i].first);
+    EXPECT_EQ(doc->members()[i].second.as_double(), want[i].second)
+        << want[i].first;
+  }
 }
 
 TEST(Session, AnnealMatchesFreeFunction) {

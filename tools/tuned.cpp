@@ -61,6 +61,7 @@
 #include "service/core.hpp"
 #include "service/index.hpp"
 #include "service/protocol.hpp"
+#include "tuner/wire.hpp"
 
 namespace {
 
@@ -427,17 +428,6 @@ int cmd_index(const CliArgs& args) {
   const std::vector<service::IndexEntry> entries = index.load();
   const service::SimilarityIndex::Counters c = index.counters();
 
-  const auto problem_to_json = [](const stencil::ProblemSize& p) {
-    json::Value o = json::Value::object();
-    json::Value s = json::Value::array();
-    for (int i = 0; i < p.dim; ++i) {
-      s.push_back(p.S[static_cast<std::size_t>(i)]);
-    }
-    o.set("S", std::move(s));
-    o.set("T", p.T);
-    return o;
-  };
-
   if (args.has_flag("json")) {
     json::Value o = json::Value::object();
     o.set("path", index.path());
@@ -456,10 +446,10 @@ int cmd_index(const CliArgs& args) {
       } else {
         v.set("stencil", e.stencil_name);
       }
-      v.set("problem", problem_to_json(e.problem));
-      v.set("tile", service::tile_to_json(e.tile));
-      v.set("threads", service::threads_to_json(e.threads));
-      v.set("variant", service::variant_to_json(e.variant));
+      v.set("problem", tuner::wire::to_json(e.problem));
+      v.set("tile", tuner::wire::to_json(e.tile));
+      v.set("threads", tuner::wire::to_json(e.threads));
+      v.set("variant", tuner::wire::to_json(e.variant));
       v.set("texec", e.texec);
       arr.push_back(std::move(v));
     }
@@ -479,8 +469,8 @@ int cmd_index(const CliArgs& args) {
       std::cout << e.problem.S[static_cast<std::size_t>(i)];
     }
     std::cout << " T=" << e.problem.T
-              << "  tile=" << service::tile_to_json(e.tile).dump()
-              << " threads=" << service::threads_to_json(e.threads).dump()
+              << "  tile=" << tuner::wire::to_json(e.tile).dump()
+              << " threads=" << tuner::wire::to_json(e.threads).dump()
               << " texec=" << e.texec << "  [" << e.kind << "]\n";
   }
   return 0;
