@@ -1,8 +1,11 @@
 // Shared helpers for the per-table/per-figure report binaries.
 #pragma once
 
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -13,6 +16,7 @@
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
+#include "common/stats.hpp"
 #include "device/registry.hpp"
 #include "gpusim/device.hpp"
 #include "stencil/problem.hpp"
@@ -123,6 +127,74 @@ inline bool write_stats_json(const std::string& path,
   if (!out) return false;
   out << o.dump() << "\n";
   return out.good();
+}
+
+// One arm of a timed comparison. Each sample runs `setup` untimed,
+// then `body` `calls` times; the sample is the mean seconds per call.
+// `setup` holds work the measurement must exclude, such as building a
+// fresh Session so nothing is cached from the previous sample.
+struct Arm {
+  std::string name;
+  std::function<void()> body;
+  int calls = 1;
+  std::function<void()> setup = {};
+};
+
+// An arm's samples (seconds per call, in run order) and their spread.
+struct ArmTiming {
+  std::string name;
+  std::vector<double> samples;
+  double min = 0.0;
+  double median = 0.0;
+  double mad = 0.0;  // median absolute deviation from the median
+};
+
+inline ArmTiming summarize_samples(std::string name,
+                                   std::vector<double> samples) {
+  ArmTiming t{std::move(name), std::move(samples)};
+  if (t.samples.empty()) return t;
+  t.min = min_of(t.samples);
+  t.median = percentile(t.samples, 0.5);
+  std::vector<double> dev;
+  dev.reserve(t.samples.size());
+  for (const double s : t.samples) dev.push_back(std::abs(s - t.median));
+  t.mad = percentile(dev, 0.5);
+  return t;
+}
+
+// Times `arms` round-robin, one sample of each per pass, until every
+// arm has at least `min_reps` samples and `min_seconds` of wall time
+// has passed. Interleaving spreads slow drift (clock scaling, a busy
+// neighbour) over all arms alike, so ratios between arms of one run
+// are fair. Results come back in the order of `arms`.
+inline std::vector<ArmTiming> time_arms(const std::vector<Arm>& arms,
+                                        int min_reps, double min_seconds) {
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  std::vector<std::vector<double>> samples(arms.size());
+  const Clock::time_point start = Clock::now();
+  for (int rep = 0; rep < min_reps || since(start) < min_seconds; ++rep) {
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      if (arms[i].setup) arms[i].setup();
+      const Clock::time_point t0 = Clock::now();
+      for (int c = 0; c < arms[i].calls; ++c) arms[i].body();
+      samples[i].push_back(since(t0) / arms[i].calls);
+    }
+  }
+  std::vector<ArmTiming> out;
+  out.reserve(arms.size());
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    out.push_back(summarize_samples(arms[i].name, std::move(samples[i])));
+  }
+  return out;
+}
+
+// Keeps the computation that produced `x` from being optimized away.
+template <class T>
+inline void keep(const T& x) {
+  __asm__ __volatile__("" : : "m"(x) : "memory");
 }
 
 }  // namespace repro::bench

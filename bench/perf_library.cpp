@@ -1,10 +1,19 @@
-// google-benchmark micro-benchmarks of the library's own hot paths:
-// model evaluation, feasible-space sweeps, schedule construction,
-// simulator pricing and tiled functional execution. These guard the
-// performance envelope that makes the full-scale Fig. 3/6 sweeps
-// tractable on one core.
-#include <benchmark/benchmark.h>
+// Micro-benchmarks of the library's own hot paths: model evaluation,
+// feasible-space sweeps, schedule construction, simulator pricing and
+// tiled functional execution. These guard the performance envelope
+// that makes the full-scale Fig. 3/6 sweeps tractable on one core.
+//
+// The arms run round-robin through bench::time_arms for at least 5
+// passes and 1 s; each sample times a fixed number of calls, sized to
+// take a few milliseconds, and the table reports the min, median and
+// MAD of the per-call time over the samples.
+#include <cstdint>
+#include <iostream>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
+#include "common/table.hpp"
 #include "gpusim/microbench.hpp"
 #include "gpusim/timing.hpp"
 #include "hhc/hex_schedule.hpp"
@@ -21,103 +30,97 @@ const stencil::StencilDef& heat2d() {
   return stencil::get_stencil(stencil::StencilKind::kHeat2D);
 }
 
-model::ModelInputs cached_inputs() {
-  static const model::ModelInputs in =
-      gpusim::calibrate_model(gpusim::gtx980(), heat2d());
-  return in;
+// Per-call time in a readable unit.
+std::string fmt_time(double seconds) {
+  if (seconds < 1e-6) return AsciiTable::fmt(seconds * 1e9, 1) + " ns";
+  if (seconds < 1e-3) return AsciiTable::fmt(seconds * 1e6, 2) + " us";
+  return AsciiTable::fmt(seconds * 1e3, 3) + " ms";
 }
-
-void BM_ModelTalg2D(benchmark::State& state) {
-  const model::ModelInputs in = cached_inputs();
-  const stencil::ProblemSize p{.dim = 2, .S = {8192, 8192, 0}, .T = 8192};
-  const hhc::TileSizes ts{.tT = 16, .tS1 = 16, .tS2 = 64, .tS3 = 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model::talg_auto_k(in, p, ts).talg);
-  }
-}
-BENCHMARK(BM_ModelTalg2D);
-
-void BM_ModelSweepSpace(benchmark::State& state) {
-  const model::ModelInputs in = cached_inputs();
-  const stencil::ProblemSize p{.dim = 2, .S = {8192, 8192, 0}, .T = 8192};
-  tuner::EnumOptions opt;
-  opt.tS1_step = 4;
-  const auto space = tuner::enumerate_feasible(2, in.hw, opt);
-  tuner::Session session(
-      tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), p, in),
-      tuner::SessionOptions{}.with_jobs(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(session.sweep_model(space, 0.10).talg_min);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(space.size()));
-}
-BENCHMARK(BM_ModelSweepSpace);
-
-void BM_HexScheduleConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    const hhc::HexSchedule sched(8192, 8192, 16, 16);
-    benchmark::DoNotOptimize(sched.num_rows());
-  }
-}
-BENCHMARK(BM_HexScheduleConstruction);
-
-void BM_HexTileShape(benchmark::State& state) {
-  const hhc::HexSchedule sched(8192, 8192, 16, 16);
-  std::int64_t r = 3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched.shape(r, 5).input_footprint());
-    r = (r % 100) + 1;
-  }
-}
-BENCHMARK(BM_HexTileShape);
-
-void BM_SimulatePaperScale(benchmark::State& state) {
-  // One full timing simulation of an 8192^2 x 8192 problem — the cost
-  // that every data point of the Fig. 3 sweep pays.
-  const stencil::ProblemSize p{.dim = 2, .S = {8192, 8192, 0}, .T = 8192};
-  const hhc::TileSizes ts{.tT = static_cast<std::int64_t>(state.range(0)),
-                          .tS1 = 16, .tS2 = 64, .tS3 = 1};
-  const hhc::ThreadConfig thr{.n1 = 32, .n2 = 8, .n3 = 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gpusim::simulate_time(gpusim::gtx980(), heat2d(), p, ts, thr).seconds);
-  }
-}
-BENCHMARK(BM_SimulatePaperScale)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_TiledFunctionalExecution(benchmark::State& state) {
-  // Numeric execution throughput of the tiled executor (points/s).
-  const stencil::ProblemSize p{.dim = 2, .S = {128, 128, 0}, .T = 32};
-  const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 16, .tS3 = 1};
-  const auto init = stencil::make_initial_grid(p, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hhc::run_tiled(heat2d(), p, ts, init));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          p.total_points());
-}
-BENCHMARK(BM_TiledFunctionalExecution);
-
-void BM_ReferenceExecution(benchmark::State& state) {
-  const stencil::ProblemSize p{.dim = 2, .S = {128, 128, 0}, .T = 32};
-  const auto init = stencil::make_initial_grid(p, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stencil::run_reference(heat2d(), p, init));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          p.total_points());
-}
-BENCHMARK(BM_ReferenceExecution);
-
-void BM_MeasureCiter(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gpusim::measure_citer(gpusim::gtx980(), heat2d(), 10));
-  }
-}
-BENCHMARK(BM_MeasureCiter);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  const model::ModelInputs in =
+      gpusim::calibrate_model(gpusim::gtx980(), heat2d());
+  const stencil::ProblemSize big{.dim = 2, .S = {8192, 8192, 0}, .T = 8192};
+  const stencil::ProblemSize small{.dim = 2, .S = {128, 128, 0}, .T = 32};
+
+  const hhc::TileSizes talg_ts{.tT = 16, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  const auto space = tuner::enumerate_feasible(
+      2, in.hw, tuner::EnumOptions{}.with_tS1_step(4));
+  tuner::Session session(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), big, in),
+      tuner::SessionOptions{}.with_jobs(1));
+  const hhc::HexSchedule sched(8192, 8192, 16, 16);
+  std::int64_t r = 3;
+  const hhc::ThreadConfig thr{.n1 = 32, .n2 = 8, .n3 = 1};
+  const hhc::TileSizes exec_ts{.tT = 8, .tS1 = 8, .tS2 = 16, .tS3 = 1};
+  const auto init = stencil::make_initial_grid(small, 1);
+
+  std::vector<bench::Arm> arms = {
+      {"model_talg_2d",
+       [&] { bench::keep(model::talg_auto_k(in, big, talg_ts).talg); },
+       10000},
+      {"model_sweep_space",
+       [&] { bench::keep(session.sweep_model(space, 0.10).talg_min); }, 10},
+      {"hex_schedule_construction",
+       [] {
+         const hhc::HexSchedule s(8192, 8192, 16, 16);
+         bench::keep(s.num_rows());
+       },
+       200000},
+      {"hex_tile_shape",
+       [&] {
+         bench::keep(sched.shape(r, 5).input_footprint());
+         r = (r % 100) + 1;
+       },
+       20000},
+  };
+  // One full timing simulation of an 8192^2 x 8192 problem: the cost
+  // every data point of the Fig. 3 sweep pays.
+  for (const auto& [tT, calls] :
+       std::vector<std::pair<std::int64_t, int>>{{2, 10}, {8, 40}, {32, 100}}) {
+    const hhc::TileSizes ts{.tT = tT, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+    arms.push_back(
+        {"simulate_paper_scale/" + std::to_string(tT),
+         [&, ts] {
+           bench::keep(
+               gpusim::simulate_time(gpusim::gtx980(), heat2d(), big, ts, thr)
+                   .seconds);
+         },
+         calls});
+  }
+  // Numeric execution throughput of the tiled and reference executors.
+  arms.push_back({"tiled_functional_execution", [&] {
+                    bench::keep(hhc::run_tiled(heat2d(), small, exec_ts, init));
+                  }});
+  arms.push_back({"reference_execution", [&] {
+                    bench::keep(stencil::run_reference(heat2d(), small, init));
+                  }});
+  arms.push_back({"measure_citer",
+                  [] {
+                    bench::keep(
+                        gpusim::measure_citer(gpusim::gtx980(), heat2d(), 10));
+                  },
+                  40});
+
+  // Items per second for the arms whose work is a point count.
+  const auto items = [&](const std::string& name) -> double {
+    if (name == "model_sweep_space") return static_cast<double>(space.size());
+    if (name == "tiled_functional_execution" || name == "reference_execution") {
+      return static_cast<double>(small.total_points());
+    }
+    return 0.0;
+  };
+
+  AsciiTable t({"arm", "samples", "min", "median", "MAD", "items/s"});
+  for (const bench::ArmTiming& a :
+       bench::time_arms(arms, /*min_reps=*/5, /*min_seconds=*/1.0)) {
+    const double n = items(a.name);
+    t.add_row({a.name, std::to_string(a.samples.size()), fmt_time(a.min),
+               fmt_time(a.median), fmt_time(a.mad),
+               n > 0.0 ? AsciiTable::fmt(n / a.median, 0) : "-"});
+  }
+  std::cout << "=== library hot paths: per-call time ===\n" << t.render();
+  return 0;
+}

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace repro {
@@ -57,6 +58,18 @@ long long CliArgs::get_int_or(const std::string& name, long long def) const {
   const auto v = get(name);
   if (!v || v->empty()) return def;
   return std::strtoll(v->c_str(), nullptr, 10);
+}
+
+std::optional<long long> CliArgs::get_int_in(const std::string& name,
+                                             long long def, long long lo,
+                                             long long hi) const {
+  const auto v = get(name);
+  if (!v) return def;
+  long long n = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, n);
+  if (ec != std::errc() || ptr != end || n < lo || n > hi) return std::nullopt;
+  return n;
 }
 
 double CliArgs::get_double_or(const std::string& name, double def) const {

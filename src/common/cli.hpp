@@ -20,6 +20,11 @@ class CliArgs {
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& def) const;
   long long get_int_or(const std::string& name, long long def) const;
+  // --name as a base-10 integer in [lo, hi], or `def` when absent.
+  // nullopt when the value is empty, has trailing characters or lies
+  // outside the range, so the caller can reject it by flag name.
+  std::optional<long long> get_int_in(const std::string& name, long long def,
+                                      long long lo, long long hi) const;
   double get_double_or(const std::string& name, double def) const;
 
   // Names of every --flag / --key=value seen, for strict binaries

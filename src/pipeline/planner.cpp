@@ -30,6 +30,9 @@ std::string problem_key(const stencil::ProblemSize& p) {
   return k;
 }
 
+// At most this many same-stencil winners seed one stage's sweep.
+constexpr std::size_t kWarmSeedLimit = 3;
+
 std::string variant_key(const stencil::KernelVariant& var) {
   return var.to_string();
 }
@@ -60,7 +63,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   // stencil identity, shared across every problem size in the DAG.
   std::map<std::string, model::ModelInputs> calibrations;
   // The shared Session pool: one memoized session per (stencil,
-  // problem) — or per stage when sharing is switched off for A/B.
+  // problem).
   std::map<std::string, std::unique_ptr<tuner::Session>> sessions;
   // Finished tasks, by (stencil, problem, variant): the dedup map.
   std::map<std::string, std::size_t> done;
@@ -90,9 +93,8 @@ PipelinePlan Planner::plan(const Pipeline& p) {
       r.candidates_tried = src.candidates_tried;
       r.best = src.best;
     } else {
-      std::string skey = ident + "|" + problem_key(st.problem);
-      if (!opt_.share_sessions) skey += "|#" + std::to_string(si);
-      std::unique_ptr<tuner::Session>& sess = sessions[skey];
+      std::unique_ptr<tuner::Session>& sess =
+          sessions[ident + "|" + problem_key(st.problem)];
       if (!sess) {
         const auto cit = calibrations.find(ident);
         if (cit == calibrations.end()) {
@@ -128,7 +130,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
           const std::vector<Winner>& pool = winners[ident];
           for (const std::size_t i :
                seed_order(pool, st.problem, effective_variant(st))) {
-            if (seeds.size() >= opt_.warm_seed_limit) break;
+            if (seeds.size() >= kWarmSeedLimit) break;
             seeds.push_back({pool[i].best.dp.ts, pool[i].best.dp.thr,
                              pool[i].best.dp.var});
           }

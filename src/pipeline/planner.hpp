@@ -41,12 +41,10 @@ struct PlanOptions {
   double delta = 0.10;  // within-delta candidate fraction (Section 6)
   tuner::EnumOptions enumeration;
   tuner::SessionOptions session;
-  // A/B switches for the bench and the reuse tests. All three default
-  // on; flipping any of them must not change a single result byte.
-  bool dedup = true;           // reuse finished results of repeated stages
-  bool share_sessions = true;  // one Session per (stencil, problem)
-  bool warm_seed = true;       // seed sweeps from same-stencil winners
-  std::size_t warm_seed_limit = 3;
+  // A/B switches for the reuse tests. Both default on; flipping
+  // either must not change a single result byte.
+  bool dedup = true;      // reuse finished results of repeated stages
+  bool warm_seed = true;  // seed sweeps from same-stencil winners
 
   PlanOptions& with_delta(double d) noexcept { delta = d; return *this; }
   PlanOptions& with_enumeration(const tuner::EnumOptions& e) {
@@ -58,15 +56,7 @@ struct PlanOptions {
     return *this;
   }
   PlanOptions& with_dedup(bool b) noexcept { dedup = b; return *this; }
-  PlanOptions& with_share_sessions(bool b) noexcept {
-    share_sessions = b;
-    return *this;
-  }
   PlanOptions& with_warm_seed(bool b) noexcept { warm_seed = b; return *this; }
-  PlanOptions& with_warm_seed_limit(std::size_t n) noexcept {
-    warm_seed_limit = n;
-    return *this;
-  }
 };
 
 // One stage's tuning outcome. `talg_total`/`texec_total` fold the
@@ -97,7 +87,7 @@ struct PipelinePlan {
 
   // Aggregated Session counters across the pool (fresh pricings =
   // machine_points - cache_hits). Jobs- and wall-time-dependent, so
-  // the service payload never includes them — the bench does.
+  // the service payload never includes them.
   tuner::SweepStats stats;
 };
 

@@ -501,18 +501,15 @@ std::string ServiceCore::handle(const std::string& line) {
   bool leader = false;
   {
     std::lock_guard<std::mutex> lk(flights_mu_);
-    if (opt_.coalesce) {
-      const auto it = flights_.find(key);
-      if (it != flights_.end()) flight = it->second;
-    }
-    if (!flight) {
-      flight = std::make_shared<Flight>();
-      if (opt_.coalesce) flights_[key] = flight;
-      leader = true;
-    } else {
+    std::shared_ptr<Flight>& slot = flights_[key];
+    if (slot) {
       std::lock_guard<std::mutex> slk(stats_mu_);
       ++stats_.coalesced;
+    } else {
+      slot = std::make_shared<Flight>();
+      leader = true;
     }
+    flight = slot;
   }
 
   if (leader) {

@@ -52,10 +52,6 @@ struct ServiceOptions {
   // How long a leader may wait for a queue slot before the request is
   // rejected as overloaded (0 = fail immediately when full).
   int submit_wait_ms = 0;
-  // Share one in-flight computation among concurrent identical
-  // requests (singleflight). Off recomputes per request — the A/B
-  // switch bench_service flips.
-  bool coalesce = true;
   // Worker threads inside each tuner::Session (<= 0: default_jobs()).
   int session_jobs = 1;
   // Persistent result store directory; empty disables the store.
@@ -64,8 +60,8 @@ struct ServiceOptions {
   // store's similarity index for results of the same (device,
   // stencil) on nearby problems and seed the sweep's incumbent with
   // them (tuner::Session::best_tile). Strictly advisory — responses
-  // stay byte-identical with it off — so it defaults on; the A/B
-  // switch the near-miss bench flips. Needs a store_dir.
+  // stay byte-identical with it off — so it defaults on. Needs a
+  // store_dir.
   bool warm_start = true;
   // At most this many neighbor candidates are handed to a sweep.
   std::size_t warm_seed_limit = 3;
@@ -79,7 +75,6 @@ struct ServiceOptions {
     submit_wait_ms = ms;
     return *this;
   }
-  ServiceOptions& with_coalesce(bool c) noexcept { coalesce = c; return *this; }
   ServiceOptions& with_session_jobs(int j) noexcept {
     session_jobs = j;
     return *this;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <optional>
+
 namespace repro {
 namespace {
 
@@ -43,6 +46,27 @@ TEST(Cli, FlagFollowedByFlagIsBare) {
   EXPECT_TRUE(args.has_flag("a"));
   EXPECT_EQ(args.get_or("a", "x"), "");
   EXPECT_EQ(args.get_int_or("b", 0), 2);
+}
+
+TEST(Cli, CheckedIntegerRejectsMalformedAndOutOfRangeValues) {
+  const char* argv[] = {"prog",       "--ok=12",  "--neg=-1",
+                        "--trail=2x", "--empty",  "--huge=99999999999999999999",
+                        "--zero=0",   "--space= 3"};
+  const CliArgs args(8, argv);
+  EXPECT_EQ(args.get_int_in("ok", 5, 0, 100), 12);
+  EXPECT_EQ(args.get_int_in("missing", 5, 0, 100), 5);
+  // Inclusive bounds.
+  EXPECT_EQ(args.get_int_in("zero", 5, 0, 100), 0);
+  EXPECT_EQ(args.get_int_in("ok", 5, 0, 12), 12);
+  EXPECT_EQ(args.get_int_in("ok", 5, 0, 11), std::nullopt);
+  // A negative count must not wrap to a huge unsigned one.
+  EXPECT_EQ(args.get_int_in("neg", 5, 0, 100), std::nullopt);
+  EXPECT_EQ(args.get_int_in("neg", 5, -10, 100), -1);
+  // Trailing or leading junk, no value, and overflow are all rejected.
+  EXPECT_EQ(args.get_int_in("trail", 5, 0, 100), std::nullopt);
+  EXPECT_EQ(args.get_int_in("space", 5, 0, 100), std::nullopt);
+  EXPECT_EQ(args.get_int_in("empty", 5, 0, 100), std::nullopt);
+  EXPECT_EQ(args.get_int_in("huge", 5, 0, LLONG_MAX), std::nullopt);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -146,6 +149,45 @@ TEST(Planner, WarmSeededDescentPrunesStrictlyMoreThanCold) {
   const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
   EXPECT_EQ(seed_order(pool, q, stencil::KernelVariant{}),
             (std::vector<std::size_t>{1, 0, 2}));
+}
+
+// The reuse stack on the shipped 3-level V-cycle (11 stages, 8
+// distinct tasks). Dedup and warm seeding each save pricings, and
+// neither changes a stage's winner or the end-to-end times. When this
+// test was written the fresh pricings were 299 (no dedup), 299 (no
+// warm seeding) and 287 (all on).
+TEST(Planner, VcycleReuseStackSavesPricingsIdentically) {
+  std::ifstream in(std::filesystem::path(REPRO_SOURCE_DIR) / "examples" /
+                   "pipelines" / "vcycle3.json");
+  ASSERT_TRUE(in.is_open());
+  std::stringstream text;
+  text << in.rdbuf();
+  const Pipeline p = parse(text.str());
+
+  const PipelinePlan no_dedup =
+      Planner(gtx980(), test_options().with_dedup(false).with_warm_seed(false))
+          .plan(p);
+  const PipelinePlan no_warm =
+      Planner(gtx980(), test_options().with_warm_seed(false)).plan(p);
+  const PipelinePlan all_on = Planner(gtx980(), test_options()).plan(p);
+
+  ASSERT_TRUE(all_on.feasible);
+  for (const PipelinePlan* other : {&no_dedup, &no_warm}) {
+    ASSERT_EQ(other->stages.size(), all_on.stages.size());
+    for (std::size_t i = 0; i < all_on.stages.size(); ++i) {
+      EXPECT_EQ(other->stages[i].best, all_on.stages[i].best)
+          << all_on.stages[i].id;
+      EXPECT_EQ(other->stages[i].talg_total, all_on.stages[i].talg_total);
+    }
+    EXPECT_EQ(other->feasible, all_on.feasible);
+    EXPECT_EQ(other->talg, all_on.talg);
+    EXPECT_EQ(other->texec, all_on.texec);
+  }
+
+  EXPECT_LT(all_on.distinct_tasks, all_on.total_stages);
+  EXPECT_LT(fresh_pricings(all_on), fresh_pricings(no_dedup));
+  EXPECT_GE(all_on.stats.seeds_admitted, 1u);
+  EXPECT_GT(all_on.stats.points_pruned, no_warm.stats.points_pruned);
 }
 
 TEST(Planner, SharedCalibrationAcrossProblemSizes) {

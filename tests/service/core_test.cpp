@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "device/registry.hpp"
 #include "stencil/stencil.hpp"
 #include "support/temp_dir.hpp"
@@ -40,6 +41,64 @@ std::string predict_with_tT(int tT, const std::string& id) {
          R"("problem":{"S":[512,512],"T":64},"tile":{"tT":)" +
          std::to_string(tT) + R"(,"tS1":8,"tS2":160},)"
          R"("threads":{"n1":32,"n2":4}})";
+}
+
+// A replay trace: predict points around the Heat2D optimum, one
+// best_tile and one lint, the whole list twice so the cold pass
+// already meets repeats.
+std::vector<std::string> replay_trace() {
+  std::vector<std::string> base;
+  for (const int tT : {4, 6, 8}) {
+    for (const int tS2 : {96, 160, 224}) {
+      base.push_back(
+          R"({"v":1,"id":"q","kind":"predict","stencil":"Heat2D",)"
+          R"("problem":{"S":[512,512],"T":64},"tile":{"tT":)" +
+          std::to_string(tT) + R"(,"tS1":8,"tS2":)" + std::to_string(tS2) +
+          R"(},"threads":{"n1":32,"n2":4}})");
+    }
+  }
+  base.push_back(kBestTile);
+  base.push_back(kLint);
+  std::vector<std::string> trace = base;
+  trace.insert(trace.end(), base.begin(), base.end());
+  return trace;
+}
+
+// The near-miss trace: 24 best_tile requests over a lattice of
+// adjacent problem sizes, drawn zipfian (rank r with weight 1/(r+1))
+// from a fixed seed. Popular sizes repeat (store hits); the tail is
+// one lattice step from an already-tuned neighbor, which is what the
+// warm-start similarity index is for.
+std::vector<std::string> near_miss_trace() {
+  const std::vector<int> lattice = {512, 480, 544, 448, 576, 416, 608};
+  std::vector<double> cum;
+  double total = 0.0;
+  for (std::size_t r = 0; r < lattice.size(); ++r) {
+    total += 1.0 / static_cast<double>(r + 1);
+    cum.push_back(total);
+  }
+  Rng rng(0x5eedULL);
+  std::vector<std::string> trace;
+  for (int i = 0; i < 24; ++i) {
+    const double u = rng.next_double() * total;
+    std::size_t pick = 0;
+    while (pick + 1 < cum.size() && u > cum[pick]) ++pick;
+    const std::string s = std::to_string(lattice[pick]);
+    trace.push_back(
+        R"({"v":1,"id":"q","kind":"best_tile","stencil":"Heat2D",)"
+        R"("problem":{"S":[)" + s + "," + s + R"(],"T":64},)"
+        R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})");
+  }
+  return trace;
+}
+
+// Two compute workers, room for a whole trace, one job per session.
+ServiceOptions replay_options() {
+  ServiceOptions opt;
+  opt.workers = 2;
+  opt.queue_depth = 64;
+  opt.session_jobs = 1;
+  return opt;
 }
 
 class CoreTest : public ::testing::Test {
@@ -193,6 +252,9 @@ TEST_F(CoreTest, ConcurrentIdenticalRequestsCoalesce) {
   for (int i = 1; i < kClients; ++i) {
     EXPECT_EQ(responses[static_cast<std::size_t>(i)], responses[0]);
   }
+  // The shared answer is the one a fresh core computes serially.
+  ServiceCore serial{ServiceOptions{}};
+  EXPECT_EQ(responses[0], serial.handle(kPredict));
 }
 
 // Admission control: with the queue full, a new request fails fast
@@ -359,6 +421,48 @@ TEST_F(CoreTest, WarmStartSeedingKeepsBestTileBytesIdentical) {
   EXPECT_EQ(off.stats().warm_lookups, 0u);
   EXPECT_EQ(on.stats().warm_lookups, 2u);
   EXPECT_GE(on.stats().warm_seeds, 1u);  // the near miss found the donor
+}
+
+// A 22-request trace replayed cold, then through a new core over the
+// same store: every warm request is a store hit, byte for byte.
+TEST_F(CoreTest, ReplayedTraceIsServedEntirelyFromTheStore) {
+  const std::vector<std::string> trace = replay_trace();
+  const std::string dir = store_dir_.string();
+  std::vector<std::string> cold;
+  {
+    ServiceCore core(replay_options().with_store_dir(dir));
+    for (const std::string& line : trace) cold.push_back(core.handle(line));
+    EXPECT_EQ(core.stats().errors, 0u);
+  }
+  ServiceCore warm(replay_options().with_store_dir(dir));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(warm.handle(trace[i]), cold[i]) << "request " << i;
+  }
+  const ServiceStats s = warm.stats();
+  EXPECT_EQ(s.requests, trace.size());
+  EXPECT_EQ(s.store_hits, s.requests);
+  EXPECT_EQ(s.computed, 0u);
+}
+
+// The near-miss trace through a core with warm start on and one with
+// it off, each over its own fresh store: identical bytes, and the
+// seeded core prices strictly fewer points (252 -> 250 when this test
+// was written).
+TEST_F(CoreTest, NearMissTraceWarmStartPricesFewerPointsIdentically) {
+  const std::vector<std::string> trace = near_miss_trace();
+  ServiceCore off(replay_options()
+                      .with_store_dir((store_dir_ / "off").string())
+                      .with_warm_start(false));
+  ServiceCore on(replay_options().with_store_dir((store_dir_ / "on").string()));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(on.handle(trace[i]), off.handle(trace[i])) << "request " << i;
+  }
+  const ServiceStats cold = off.stats();
+  const ServiceStats warm = on.stats();
+  EXPECT_EQ(cold.errors, 0u);
+  EXPECT_EQ(warm.requests, cold.requests);
+  EXPECT_GE(warm.warm_seeds, 1u);
+  EXPECT_LT(warm.session_machine_points, cold.session_machine_points);
 }
 
 TEST_F(CoreTest, InternalFailuresBecomeSL407) {

@@ -34,35 +34,54 @@ EnumOptions small_space() {
 }
 
 TEST(Prune, CompareStrategiesBitwiseEqualPrunedVsUnpruned) {
+  // The second case is the Fig. 6 smoke shape: Heat2D 4096^2 x 1024
+  // over a 24 x 32 x 256 enumeration (3961 -> 1075 simulator pricings
+  // when this test was written).
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
-  const CompareOptions opt = CompareOptions{}
-                                 .with_enumeration(small_space())
-                                 .with_exhaustive_cap(0)  // visit everything
-                                 .with_baseline_count(24);
+  const struct {
+    ProblemSize p;
+    CompareOptions opt;
+  } cases[] = {
+      {kSmall2D, CompareOptions{}
+                     .with_enumeration(small_space())
+                     .with_exhaustive_cap(0)  // visit everything
+                     .with_baseline_count(24)},
+      {{.dim = 2, .S = {4096, 4096, 0}, .T = 1024},
+       CompareOptions{}
+           .with_enumeration(EnumOptions{}
+                                 .with_tT_max(24)
+                                 .with_tS1_max(32)
+                                 .with_tS1_step(4)
+                                 .with_tS2_max(256))
+           .with_exhaustive_cap(150)
+           .with_baseline_count(40)},
+  };
+  for (const auto& c : cases) {
+    const TuningContext ctx =
+        TuningContext::with_inputs(gpusim::gtx980(), def, c.p, in);
+    Session exact(ctx, SessionOptions{}.with_jobs(1).with_prune(false));
+    const StrategyComparison reference = exact.compare_strategies(c.opt);
+    const SweepStats exact_st = exact.stats();
+    EXPECT_EQ(exact_st.points_pruned, 0u);
 
-  Session exact(TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D,
-                                           in),
-                SessionOptions{}.with_jobs(1).with_prune(false));
-  const StrategyComparison reference = exact.compare_strategies(opt);
-  const SweepStats exact_st = exact.stats();
-  EXPECT_EQ(exact_st.points_pruned, 0u);
+    for (const int jobs : {1, 2, 4}) {
+      const std::string where =
+          c.p.to_string() + " jobs=" + std::to_string(jobs);
+      Session pruned(ctx, SessionOptions{}.with_jobs(jobs));  // prune on
+      const StrategyComparison cmp = pruned.compare_strategies(c.opt);
+      EXPECT_EQ(cmp, reference) << where;
 
-  for (const int jobs : {1, 2, 4}) {
-    Session pruned(
-        TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in),
-        SessionOptions{}.with_jobs(jobs));  // prune defaults on
-    const StrategyComparison cmp = pruned.compare_strategies(opt);
-    EXPECT_EQ(cmp, reference) << "jobs=" << jobs;
-
-    // The pruning is real: simulator work was skipped, and every
-    // request is accounted for exactly once — measured/hit
-    // (machine_points) or pruned (points_pruned).
-    const SweepStats st = pruned.stats();
-    EXPECT_GT(st.points_pruned, 0u) << "jobs=" << jobs;
-    EXPECT_LT(st.machine_points, exact_st.machine_points) << "jobs=" << jobs;
-    EXPECT_EQ(st.machine_points + st.points_pruned, exact_st.machine_points)
-        << "jobs=" << jobs;
+      // The pruning is real: at least half the simulator work was
+      // skipped, and every request is accounted for exactly once —
+      // measured/hit (machine_points) or pruned (points_pruned).
+      const SweepStats st = pruned.stats();
+      EXPECT_GE(exact_st.machine_points, 2 * st.machine_points)
+          << where << ": " << exact_st.machine_points << " -> "
+          << st.machine_points;
+      EXPECT_EQ(st.machine_points + st.points_pruned, exact_st.machine_points)
+          << where;
+    }
   }
 }
 

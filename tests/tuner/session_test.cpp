@@ -354,6 +354,36 @@ TEST(SessionOptions, BuildersCompose) {
   EXPECT_TRUE(SessionOptions{}.prune);  // pruning defaults on
 }
 
+// The bench timer's summary: min, median and median absolute
+// deviation of known samples, and round-robin passes of its arms.
+TEST(BenchTimer, SummarizesSamplesAndInterleavesArms) {
+  const bench::ArmTiming t =
+      bench::summarize_samples("a", {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0});
+  EXPECT_EQ(t.name, "a");
+  EXPECT_EQ(t.samples.size(), 7u);
+  EXPECT_EQ(t.min, 1.0);
+  EXPECT_EQ(t.median, 3.0);
+  // |x - 3| = 0 2 1 2 2 6 1, whose median is 2.
+  EXPECT_EQ(t.mad, 2.0);
+  // An even count interpolates between the middle pair.
+  EXPECT_EQ(bench::summarize_samples("b", {4.0, 1.0, 2.0, 3.0}).median, 2.5);
+
+  std::string order;
+  const std::vector<bench::ArmTiming> timed = bench::time_arms(
+      {{"x", [&] { order += 'x'; }, 2, [&] { order += '.'; }},
+       {"y", [&] { order += 'y'; }}},
+      3, 0.0);
+  EXPECT_EQ(order, ".xxy.xxy.xxy");
+  ASSERT_EQ(timed.size(), 2u);
+  EXPECT_EQ(timed[0].name, "x");
+  EXPECT_EQ(timed[1].name, "y");
+  for (const bench::ArmTiming& a : timed) {
+    EXPECT_EQ(a.samples.size(), 3u);
+    EXPECT_LE(a.min, a.median);
+    EXPECT_GE(a.mad, 0.0);
+  }
+}
+
 // operator+= sums every field: each gets a distinct value, so a field
 // left out of the sum (or summed into the wrong one) shows up.
 TEST(SweepStats, PlusEqualsSumsEveryField) {

@@ -153,39 +153,65 @@ TEST(Warmstart, OutOfSpaceSeedsAreIgnoredEntirely) {
 
 TEST(Warmstart, NearMissSeedPrunesStrictlyMore) {
   // The transfer scenario itself: tune an adjacent problem, seed this
-  // one with its winner — same answer, more pruning from visit one.
+  // one with its winner — same answer, more pruning from visit one,
+  // and a larger pruned fraction of the points the sweep visits. The
+  // second case is Fig. 6 scale: Heat2D 4096^2 x 1024 over a
+  // 24 x 32 x 256 enumeration, seeded from a 3584^2 donor.
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
-  const EnumOptions space = EnumOptions{}
-                                .with_tT_max(16)
-                                .with_tT_step(2)
-                                .with_tS1_max(24)
-                                .with_tS1_step(4)
-                                .with_tS2_max(128)
-                                .with_tS2_step(32);
-  const std::vector<hhc::TileSizes> tiles =
-      enumerate_feasible(2, in.hw, space, def.radius);
+  const struct {
+    EnumOptions space;
+    ProblemSize donor;
+    ProblemSize p;
+  } cases[] = {
+      {EnumOptions{}
+           .with_tT_max(16)
+           .with_tT_step(2)
+           .with_tS1_max(24)
+           .with_tS1_step(4)
+           .with_tS2_max(128)
+           .with_tS2_step(32),
+       {.dim = 2, .S = {1792, 1792, 0}, .T = 256},
+       {.dim = 2, .S = {2048, 2048, 0}, .T = 256}},
+      {EnumOptions{}
+           .with_tT_max(24)
+           .with_tS1_max(32)
+           .with_tS1_step(4)
+           .with_tS2_max(256),
+       {.dim = 2, .S = {3584, 3584, 0}, .T = 1024},
+       {.dim = 2, .S = {4096, 4096, 0}, .T = 1024}},
+  };
+  const auto pruned_fraction = [](const SweepStats& st) {
+    return static_cast<double>(st.points_pruned) /
+           static_cast<double>(st.machine_points + st.points_pruned);
+  };
+  for (const auto& c : cases) {
+    const std::string name = c.p.to_string();
+    const std::vector<hhc::TileSizes> tiles =
+        enumerate_feasible(2, in.hw, c.space, def.radius);
+    Session donor(TuningContext::with_inputs(gpusim::gtx980(), def, c.donor,
+                                             in),
+                  SessionOptions{}.with_jobs(1));
+    const EvaluatedPoint donor_best = donor.best_tile(tiles);
+    ASSERT_TRUE(donor_best.feasible) << name;
 
-  const ProblemSize donor_p{.dim = 2, .S = {1792, 1792, 0}, .T = 256};
-  Session donor(TuningContext::with_inputs(gpusim::gtx980(), def, donor_p, in),
-                SessionOptions{}.with_jobs(1));
-  const EvaluatedPoint donor_best = donor.best_tile(tiles);
-  ASSERT_TRUE(donor_best.feasible);
+    const TuningContext ctx =
+        TuningContext::with_inputs(gpusim::gtx980(), def, c.p, in);
+    Session cold(ctx, SessionOptions{}.with_jobs(1));
+    const EvaluatedPoint cold_best = cold.best_tile(tiles);
+    const std::vector<WarmSeed> seeds = {
+        {donor_best.dp.ts, donor_best.dp.thr, donor_best.dp.var}};
+    Session warm(ctx, SessionOptions{}.with_jobs(1));
+    const EvaluatedPoint warm_best = warm.best_tile(tiles, {}, seeds);
 
-  const ProblemSize p{.dim = 2, .S = {2048, 2048, 0}, .T = 256};
-  Session cold(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
-               SessionOptions{}.with_jobs(1));
-  const EvaluatedPoint cold_best = cold.best_tile(tiles);
-
-  const std::vector<WarmSeed> seeds = {
-      {donor_best.dp.ts, donor_best.dp.thr, donor_best.dp.var}};
-  Session warm(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
-               SessionOptions{}.with_jobs(1));
-  const EvaluatedPoint warm_best = warm.best_tile(tiles, {}, seeds);
-
-  EXPECT_EQ(warm_best, cold_best);
-  EXPECT_EQ(warm.stats().seeds_admitted, 1u);
-  EXPECT_GT(warm.stats().points_pruned, cold.stats().points_pruned);
+    EXPECT_EQ(warm_best, cold_best) << name;
+    EXPECT_EQ(warm.stats().seeds_admitted, 1u) << name;
+    EXPECT_GT(warm.stats().points_pruned, cold.stats().points_pruned) << name;
+    EXPECT_GT(pruned_fraction(warm.stats()), pruned_fraction(cold.stats()))
+        << name << ": cold " << cold.stats().points_pruned << "/"
+        << cold.stats().machine_points << ", warm "
+        << warm.stats().points_pruned << "/" << warm.stats().machine_points;
+  }
 }
 
 TEST(Warmstart, IncumbentSeedRejectedAsSL315) {

@@ -1,8 +1,8 @@
 // tuned — the persistent autotuning daemon and its client.
 //
 //   tuned serve [--store=DIR] [--socket=PATH] [--workers=N]
-//               [--queue-depth=N] [--submit-wait-ms=MS] [--no-coalesce]
-//               [--session-jobs=N]
+//               [--queue-depth=N] [--submit-wait-ms=MS]
+//               [--session-jobs=N] [--no-warm-start] [--warm-seeds=N]
 //     Serves newline-delimited JSON requests (service/protocol.hpp).
 //     Default transport is stdin/stdout (one response line per request
 //     line); with --socket it listens on a Unix domain socket and
@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -85,8 +86,8 @@ int usage(const char* argv0) {
             << " serve|client|once|pipeline|devices|index [options]\n"
             << "  serve    [--store=DIR] [--socket=PATH] [--workers=N]\n"
             << "           [--queue-depth=N] [--submit-wait-ms=MS]\n"
-            << "           [--no-coalesce] [--session-jobs=N]\n"
-            << "           [--no-warm-start] [--warm-seeds=N]\n"
+            << "           [--session-jobs=N] [--no-warm-start]\n"
+            << "           [--warm-seeds=N]\n"
             << "  client   --socket=PATH\n"
             << "  once     [--request='<json>']\n"
             << "  pipeline --file=FILE [--device=NAME] [--delta=X]\n"
@@ -175,19 +176,30 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-service::ServiceOptions serve_options(const CliArgs& args) {
+// The serve options, or nullopt after reporting a numeric flag that
+// is malformed or out of range.
+std::optional<service::ServiceOptions> serve_options(const CliArgs& args) {
+  bool ok = true;
+  const auto num = [&](const char* flag, long long def, long long lo,
+                       long long hi) {
+    const std::optional<long long> v = args.get_int_in(flag, def, lo, hi);
+    if (!v) {
+      std::cerr << "error: --" << flag << " takes an integer in [" << lo
+                << ", " << hi << "], got '" << args.get_or(flag, "") << "'\n";
+      ok = false;
+    }
+    return v.value_or(def);
+  };
   service::ServiceOptions opt;
-  opt.workers = static_cast<int>(args.get_int_or("workers", 2));
+  opt.workers = static_cast<int>(num("workers", 2, 0, 1024));
   opt.queue_depth =
-      static_cast<std::size_t>(args.get_int_or("queue-depth", 16));
-  opt.submit_wait_ms =
-      static_cast<int>(args.get_int_or("submit-wait-ms", 0));
-  opt.coalesce = !args.has_flag("no-coalesce");
-  opt.session_jobs = static_cast<int>(args.get_int_or("session-jobs", 1));
+      static_cast<std::size_t>(num("queue-depth", 16, 0, 1 << 20));
+  opt.submit_wait_ms = static_cast<int>(num("submit-wait-ms", 0, 0, 3'600'000));
+  opt.session_jobs = static_cast<int>(num("session-jobs", 1, 0, 1024));
   opt.store_dir = args.get_or("store", "");
   opt.warm_start = !args.has_flag("no-warm-start");
-  opt.warm_seed_limit =
-      static_cast<std::size_t>(args.get_int_or("warm-seeds", 3));
+  opt.warm_seed_limit = static_cast<std::size_t>(num("warm-seeds", 3, 0, 1024));
+  if (!ok) return std::nullopt;
   return opt;
 }
 
@@ -244,11 +256,13 @@ int serve_socket(service::ServiceCore& core, const std::string& path) {
 
 int cmd_serve(const CliArgs& args) {
   if (!check_options(args, {"socket", "store", "workers", "queue-depth",
-                            "submit-wait-ms", "no-coalesce", "session-jobs",
-                            "no-warm-start", "warm-seeds", "devices"})) {
+                            "submit-wait-ms", "session-jobs", "no-warm-start",
+                            "warm-seeds", "devices"})) {
     return 2;
   }
-  service::ServiceCore core(serve_options(args));
+  const std::optional<service::ServiceOptions> opt = serve_options(args);
+  if (!opt) return 2;
+  service::ServiceCore core(*opt);
   int rc = 0;
   if (const std::optional<std::string> sock = args.get("socket")) {
     rc = serve_socket(core, *sock);
@@ -481,8 +495,7 @@ int cmd_index(const CliArgs& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string mode = argv[1];
-  const CliArgs args(argc - 1, argv + 1,
-                     {"no-coalesce", "json", "rebuild", "no-warm-start"});
+  const CliArgs args(argc - 1, argv + 1, {"json", "rebuild", "no-warm-start"});
   if (!import_devices(args)) return 2;
   if (mode == "serve") return cmd_serve(args);
   if (mode == "client") return cmd_client(args);
