@@ -1,7 +1,9 @@
 // Micro-benchmarks of the library's own hot paths: model evaluation,
-// feasible-space sweeps, schedule construction, simulator pricing and
-// tiled functional execution. These guard the performance envelope
-// that makes the full-scale Fig. 3/6 sweeps tractable on one core.
+// feasible-space sweeps, schedule construction, simulator pricing
+// (whole, and per layer: profile build and step, lower bound, batched
+// thread sweep) and tiled functional execution. These guard the
+// performance envelope that makes the full-scale Fig. 3/6 sweeps
+// tractable on one core.
 //
 // The arms run round-robin through bench::time_arms for at least 5
 // passes and 1 s; each sample times a fixed number of calls, sized to
@@ -14,6 +16,8 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "gpusim/cost_profile.hpp"
+#include "gpusim/lower_bound.hpp"
 #include "gpusim/microbench.hpp"
 #include "gpusim/timing.hpp"
 #include "hhc/hex_schedule.hpp"
@@ -21,6 +25,7 @@
 #include "model/talg.hpp"
 #include "stencil/reference.hpp"
 #include "tuner/session.hpp"
+#include "tuner/space.hpp"
 
 using namespace repro;
 
@@ -90,6 +95,47 @@ int main() {
          },
          calls});
   }
+  // GPU pricing layer by layer on Heat2D 4096^2: the stage-one profile
+  // build at three T (O(classes), so flat in T), its incremental
+  // rebuild along tS2, the admissible lower bound and one batched
+  // stage-two pricing of the default thread sweep.
+  const stencil::ProblemSize heat{.dim = 2, .S = {4096, 4096, 0}, .T = 1024};
+  const hhc::TileSizes prof_ts{.tT = 16, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  for (const std::int64_t T : {1024, 8192, 16384}) {
+    stencil::ProblemSize pt = heat;
+    pt.T = T;
+    arms.push_back({"profile_build/T=" + std::to_string(T),
+                    [pt, prof_ts] {
+                      bench::keep(
+                          gpusim::TileCostProfile::build(pt, prof_ts, 1)
+                              .total_rows());
+                    },
+                    2000});
+  }
+  const gpusim::TileCostProfile prof =
+      gpusim::TileCostProfile::build(heat, prof_ts, 1);
+  hhc::TileSizes step_ts = prof_ts;
+  step_ts.tS2 = 96;
+  arms.push_back(
+      {"profile_build_step",
+       [&] { bench::keep(prof.build_step(step_ts).total_rows()); }, 2000});
+  arms.push_back({"lower_bound",
+                  [&] {
+                    bench::keep(gpusim::lower_bound(gpusim::gtx980(), heat2d(),
+                                                    heat, prof_ts, thr, prof)
+                                    .seconds);
+                  },
+                  20000});
+  const std::vector<hhc::ThreadConfig> sweep = tuner::default_thread_configs(2);
+  std::vector<gpusim::SimResult> swept(sweep.size());
+  arms.push_back({"measure_best_of_batch",
+                  [&] {
+                    gpusim::measure_best_of_batch(gpusim::gtx980(), heat2d(),
+                                                  heat, prof_ts, sweep, prof,
+                                                  swept);
+                    bench::keep(swept.front().seconds);
+                  },
+                  500});
   // Numeric execution throughput of the tiled and reference executors.
   arms.push_back({"tiled_functional_execution", [&] {
                     bench::keep(hhc::run_tiled(heat2d(), small, exec_ts, init));
@@ -107,6 +153,9 @@ int main() {
   // Items per second for the arms whose work is a point count.
   const auto items = [&](const std::string& name) -> double {
     if (name == "model_sweep_space") return static_cast<double>(space.size());
+    if (name == "measure_best_of_batch") {
+      return static_cast<double>(sweep.size());
+    }
     if (name == "tiled_functional_execution" || name == "reference_execution") {
       return static_cast<double>(small.total_points());
     }

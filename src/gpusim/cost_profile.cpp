@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -20,9 +19,9 @@ using hhc::SkewedBands;
 using hhc::TileShape;
 using repro::ceil_div;
 
-// Sort by point count and merge equal buckets so geometrically
-// different walks (collapsed vs enumerated bands) canonicalize to the
-// same histogram.
+// Sort by point count and merge equal buckets, so any grouping of
+// bands into pieces (classes here, one band at a time in the
+// reference walk the parity tests run) gives the same histogram.
 void canonicalize(std::vector<PointBin>& bins) {
   std::sort(bins.begin(), bins.end(),
             [](const PointBin& a, const PointBin& b) {
@@ -37,16 +36,6 @@ void canonicalize(std::vector<PointBin>& bins) {
     }
   }
   bins.resize(out);
-}
-
-std::vector<BandClass> enumerate_bands(const SkewedBands& bands,
-                                       bool collapse) {
-  if (collapse) return bands.congruence_classes();
-  std::vector<BandClass> singletons;
-  const std::int64_t n = bands.num_bands();
-  singletons.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t b = 0; b < n; ++b) singletons.push_back({b, 1});
-  return singletons;
 }
 
 // One (tile, band2-class, band3-class) piece: `mult` congruent
@@ -76,8 +65,7 @@ void add_piece(BlockGeometry& g, const TileShape& shape,
 
 BlockGeometry block_geometry(const stencil::ProblemSize& p,
                              const hhc::TileSizes& ts,
-                             const hhc::TileShape& shape,
-                             bool collapse_bands) {
+                             const hhc::TileShape& shape) {
   BlockGeometry g;
   // Global traffic: the per-(t,s1)-line footprint times the inner
   // area the block sweeps (Eqns 13/24 are this same product for the
@@ -99,14 +87,14 @@ BlockGeometry block_geometry(const stencil::ProblemSize& p,
     add_piece(g, shape, nullptr, nullptr, 0, 0, 1);
   } else if (p.dim == 2) {
     const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, radius);
-    for (const BandClass& c2 : enumerate_bands(bands2, collapse_bands)) {
+    for (const BandClass& c2 : bands2.congruence_classes()) {
       add_piece(g, shape, &bands2, nullptr, c2.rep_b, 0, c2.mult);
     }
   } else {
     const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, radius);
     const SkewedBands bands3(p.S[2], ts.tS3, t_lo, t_hi, radius);
-    const auto classes2 = enumerate_bands(bands2, collapse_bands);
-    const auto classes3 = enumerate_bands(bands3, collapse_bands);
+    const auto classes2 = bands2.congruence_classes();
+    const auto classes3 = bands3.congruence_classes();
     for (const BandClass& c2 : classes2) {
       for (const BandClass& c3 : classes3) {
         add_piece(g, shape, &bands2, &bands3, c2.rep_b, c3.rep_b,
@@ -261,47 +249,56 @@ void TileCostProfile::finalize_soa() {
   soa_.off[classes_.size()] = static_cast<std::uint32_t>(at);
 }
 
-TileCostProfile TileCostProfile::build_step(const hhc::TileSizes& ts) const {
-  if (!valid_ || !collapsed_ || ts.tT != ts_.tT || ts.tS1 != ts_.tS1) {
-    return collapsed_ ? build(p_, ts, radius_)
-                      : build_reference(p_, ts, radius_);
-  }
+TileCostProfile TileCostProfile::from_classes(
+    const stencil::ProblemSize& p, const hhc::TileSizes& ts,
+    std::int64_t radius, std::vector<RowClass> classes,
+    std::vector<hhc::TileShape> rep_shapes, std::int64_t empty_rows) {
   TileCostProfile prof;
-  prof.collapsed_ = true;
-  prof.p_ = p_;
+  prof.valid_ = true;
+  prof.classes_ = std::move(classes);
+  prof.empty_rows_ = empty_rows;
+  prof.p_ = p;
   prof.ts_ = ts;
-  prof.radius_ = radius_;
-  try {
-    hhc::validate(ts, p_.dim);
-    prof.classes_.reserve(classes_.size());
-    prof.rep_shapes_ = rep_shapes_;
-    for (std::size_t i = 0; i < classes_.size(); ++i) {
-      prof.classes_.push_back(
-          {classes_[i].mult, classes_[i].blocks,
-           block_geometry(p_, ts, rep_shapes_[i], /*collapse_bands=*/true)});
-    }
-    prof.empty_rows_ = empty_rows_;
-    prof.valid_ = true;
-  } catch (const std::invalid_argument& e) {
-    prof.valid_ = false;
-    prof.error_ = e.what();
-    prof.classes_.clear();
-    prof.rep_shapes_.clear();
-    prof.empty_rows_ = 0;
-  }
+  prof.radius_ = radius;
+  prof.rep_shapes_ = std::move(rep_shapes);
   prof.finalize_soa();
   return prof;
 }
 
-TileCostProfile TileCostProfile::build_impl(const stencil::ProblemSize& p,
-                                            const hhc::TileSizes& ts,
-                                            std::int64_t radius,
-                                            bool collapse) {
+TileCostProfile TileCostProfile::invalid(const stencil::ProblemSize& p,
+                                         const hhc::TileSizes& ts,
+                                         std::int64_t radius,
+                                         std::string error) {
   TileCostProfile prof;
-  prof.collapsed_ = collapse;
+  prof.error_ = std::move(error);
   prof.p_ = p;
   prof.ts_ = ts;
   prof.radius_ = radius;
+  return prof;
+}
+
+TileCostProfile TileCostProfile::build_step(const hhc::TileSizes& ts) const {
+  if (!valid_ || ts.tT != ts_.tT || ts.tS1 != ts_.tS1) {
+    return build(p_, ts, radius_);
+  }
+  try {
+    hhc::validate(ts, p_.dim);
+    std::vector<RowClass> classes;
+    classes.reserve(classes_.size());
+    for (std::size_t i = 0; i < classes_.size(); ++i) {
+      classes.push_back({classes_[i].mult, classes_[i].blocks,
+                         block_geometry(p_, ts, rep_shapes_[i])});
+    }
+    return from_classes(p_, ts, radius_, std::move(classes), rep_shapes_,
+                        empty_rows_);
+  } catch (const std::invalid_argument& e) {
+    return invalid(p_, ts, radius_, e.what());
+  }
+}
+
+TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
+                                       const hhc::TileSizes& ts,
+                                       std::int64_t radius) {
   try {
     hhc::validate(ts, p.dim);
     const HexSchedule sched(p.T, p.S[0], ts.tT, ts.tS1, radius);
@@ -310,70 +307,54 @@ TileCostProfile TileCostProfile::build_impl(const stencil::ProblemSize& p,
     // level range relative to their base, and the same tile count
     // price identically (their column-interior tiles are congruent).
     using RowKey = std::tuple<int, std::int64_t, std::int64_t, std::int64_t>;
-    std::map<RowKey, std::size_t> index;
+    std::vector<RowKey> keys;  // keys[c] belongs to classes[c]
+    std::vector<RowClass> classes;
+    std::vector<TileShape> rep_shapes;
+    std::int64_t empty_rows = 0;
 
-    const std::int64_t n_rows = sched.num_rows();
-    for (std::int64_t r = 0; r < n_rows; ++r) {
+    // Adds row r standing for `mult` rows of its key. The first row
+    // of a key opens its class, so classes come in row order.
+    const auto visit = [&](std::int64_t r, std::int64_t mult) {
       const std::int64_t blocks = sched.tiles_in_row(r);
       if (blocks <= 0) {
-        ++prof.empty_rows_;
-        continue;
+        empty_rows += mult;
+        return;
       }
       const hhc::Interval levels = sched.row_levels(r);
       const std::int64_t base = sched.row_base(r);
       const RowKey key{static_cast<int>(sched.row_family(r)),
                        levels.lo - base, levels.hi - base, blocks};
-      const auto it = index.find(key);
-      if (it != index.end() && collapse) {
-        ++prof.classes_[it->second].mult;
-        continue;
+      const auto it = std::find(keys.begin(), keys.end(), key);
+      if (it != keys.end()) {
+        classes[static_cast<std::size_t>(it - keys.begin())].mult += mult;
+        return;
       }
       // Representative tile: column-interior, so only time-clipping
       // affects its shape (boundary tiles in s1 are a vanishing
       // fraction of a row and are priced like interior ones).
       const std::int64_t q_mid =
           sched.q_begin(r) + (sched.q_end(r) - sched.q_begin(r)) / 2;
-      hhc::TileShape shape = sched.shape(r, q_mid);
-      BlockGeometry geom = block_geometry(p, ts, shape, collapse);
-      if (it != index.end()) {
-        // Reference walk: verify the congruence assumption row by row
-        // instead of trusting the first representative.
-        RowClass& c = prof.classes_[it->second];
-        if (geom == c.geom) {
-          ++c.mult;
-        } else {
-          ++prof.mismatches_;
-          prof.classes_.push_back({1, blocks, std::move(geom)});
-          prof.rep_shapes_.push_back(std::move(shape));
-        }
-        continue;
-      }
-      index.emplace(key, prof.classes_.size());
-      prof.classes_.push_back({1, blocks, std::move(geom)});
-      prof.rep_shapes_.push_back(std::move(shape));
-    }
-    prof.valid_ = true;
+      TileShape shape = sched.shape(r, q_mid);
+      keys.push_back(key);
+      classes.push_back({mult, blocks, block_geometry(p, ts, shape)});
+      rep_shapes.push_back(std::move(shape));
+    };
+
+    // Only row 0 and the tail rows are clipped. The interior rows
+    // alternate A, B, A, ... from interior.lo and share one key per
+    // family, so the first of each family stands for the rest.
+    const hhc::Interval interior = sched.interior_rows();
+    const std::int64_t n = interior.size();
+    for (std::int64_t r = 0; r < interior.lo; ++r) visit(r, 1);
+    if (n > 0) visit(interior.lo, (n + 1) / 2);
+    if (n > 1) visit(interior.lo + 1, n / 2);
+    for (std::int64_t r = interior.hi; r < sched.num_rows(); ++r) visit(r, 1);
+
+    return from_classes(p, ts, radius, std::move(classes),
+                        std::move(rep_shapes), empty_rows);
   } catch (const std::invalid_argument& e) {
-    prof.valid_ = false;
-    prof.error_ = e.what();
-    prof.classes_.clear();
-    prof.rep_shapes_.clear();
-    prof.empty_rows_ = 0;
+    return invalid(p, ts, radius, e.what());
   }
-  prof.finalize_soa();
-  return prof;
-}
-
-TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
-                                       const hhc::TileSizes& ts,
-                                       std::int64_t radius) {
-  return build_impl(p, ts, radius, /*collapse=*/true);
-}
-
-TileCostProfile TileCostProfile::build_reference(
-    const stencil::ProblemSize& p, const hhc::TileSizes& ts,
-    std::int64_t radius) {
-  return build_impl(p, ts, radius, /*collapse=*/false);
 }
 
 std::int64_t TileCostProfile::total_rows() const noexcept {

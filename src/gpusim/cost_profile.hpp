@@ -6,21 +6,25 @@
 // SkewedBands and the per-level point histograms depend only on the
 // problem and the tile sizes — the thread count enters the final
 // pricing only through ceil(points / threads) and the warp-wave
-// count. TileCostProfile performs the schedule walk once, collapses
-// congruent wavefront rows and skewed bands into classes, and stores
-// per class an integer histogram of per-barrier-row point counts plus
-// the block's global-traffic words. Pricing any ThreadConfig is then
+// count. TileCostProfile sorts the wavefront rows and skewed bands
+// into congruence classes and stores per class an integer histogram
+// of per-barrier-row point counts plus the block's global-traffic
+// words. Building it costs O(classes), not O(rows): only the clipped
+// rows near t = 0 and t = T are visited one by one, and each
+// family's interior rows are counted in closed form
+// (HexSchedule::interior_rows), the same regularity behind the
+// paper's Nw ~ 2*ceil(T/tT) (Eqn 3). Pricing any ThreadConfig is then
 // an O(classes x bins) fold with no schedule walk, no SkewedBands
 // reconstruction and no ordered-map lookups (stage two, in
 // gpusim/timing.cpp).
 //
 // Exactness: iteration units and barrier counts are aggregated in
 // std::int64_t and converted to double once per class, so collapsing
-// bands into classes (or not) cannot perturb the result — integer
-// addition is associative. build_reference() exploits this: it
-// re-walks every row and enumerates every band individually, and the
-// parity tests assert the SimResult of the two builds is identical in
-// every bit.
+// rows and bands into classes (or not) cannot perturb the result —
+// integer addition is associative. The parity tests exploit this:
+// a reference under tests/support/ re-derives every row and
+// enumerates every band individually, and its profile must equal
+// build()'s class for class and price identically in every bit.
 #pragma once
 
 #include <cstddef>
@@ -111,21 +115,24 @@ struct RowClass {
 
 class TileCostProfile {
  public:
-  // Walk the schedule once and collapse rows/bands into classes.
-  // Invalid tile geometry (odd tT, tS1 < radius, non-positive
-  // extents) yields valid() == false with the reason in error();
-  // nothing throws.
+  // Classify the schedule's rows in O(classes): the clipped head and
+  // tail rows one by one, and the first interior row of each family
+  // standing for all of that family's interior rows. Invalid tile
+  // geometry (odd tT, tS1 < radius, non-positive extents) yields
+  // valid() == false with the reason in error(); nothing throws.
   static TileCostProfile build(const stencil::ProblemSize& p,
                                const hhc::TileSizes& ts, std::int64_t radius);
 
-  // The uncollapsed reference: every row re-derived individually,
-  // every skewed band enumerated (no congruence classes). Rows whose
-  // geometry contradicts their congruence key become their own class
-  // and are counted in congruence_mismatches() — the parity tests pin
-  // both to build().
-  static TileCostProfile build_reference(const stencil::ProblemSize& p,
-                                         const hhc::TileSizes& ts,
-                                         std::int64_t radius);
+  // A valid profile from rows already sorted into classes, with
+  // rep_shapes[c] the representative tile of classes[c]. build() and
+  // build_step() end here, and so does the reference row walk under
+  // tests/support/, so every profile is priced by the same stage two.
+  static TileCostProfile from_classes(const stencil::ProblemSize& p,
+                                      const hhc::TileSizes& ts,
+                                      std::int64_t radius,
+                                      std::vector<RowClass> classes,
+                                      std::vector<hhc::TileShape> rep_shapes,
+                                      std::int64_t empty_rows);
 
   // Incremental rebuild for a tile that differs from this profile's
   // only in the inner extents (tS2/tS3). The HexSchedule depends only
@@ -133,10 +140,9 @@ class TileCostProfile {
   // order, multiplicities, block counts, empty rows — carries over
   // verbatim and only each class's band geometry is re-derived from
   // its stored representative shape: bit-identical to a fresh
-  // build(), minus the O(rows) schedule walk. Falls back to a full
-  // build when the precondition does not hold (different tT/tS1, an
-  // invalid base, or a reference-walk base, whose per-row mismatch
-  // audit an incremental step cannot reproduce).
+  // build(), without classifying the rows again. Falls back to a
+  // full build when the precondition does not hold (different
+  // tT/tS1, or an invalid base).
   TileCostProfile build_step(const hhc::TileSizes& ts) const;
 
   bool valid() const noexcept { return valid_; }
@@ -152,31 +158,29 @@ class TileCostProfile {
                       std::int64_t* units_out) const;
 
   const std::vector<RowClass>& classes() const noexcept { return classes_; }
+  // The representative tile shape of each class, in classes() order.
+  const std::vector<hhc::TileShape>& rep_shapes() const noexcept {
+    return rep_shapes_;
+  }
   // Rows with no tiles intersecting the domain (launch cost only).
   std::int64_t empty_rows() const noexcept { return empty_rows_; }
   // Diagnostics: total rows/tiles the profile stands for.
   std::int64_t total_rows() const noexcept;
   std::int64_t total_blocks() const noexcept;
-  // build_reference() only: rows whose recomputed geometry differed
-  // from the first row with the same congruence key (always 0 unless
-  // the row-congruence assumption is broken).
-  std::int64_t congruence_mismatches() const noexcept { return mismatches_; }
 
  private:
-  static TileCostProfile build_impl(const stencil::ProblemSize& p,
-                                    const hhc::TileSizes& ts,
-                                    std::int64_t radius, bool collapse);
+  static TileCostProfile invalid(const stencil::ProblemSize& p,
+                                 const hhc::TileSizes& ts,
+                                 std::int64_t radius, std::string error);
   void finalize_soa();
 
   bool valid_ = false;
   std::string error_;
   std::vector<RowClass> classes_;
   std::int64_t empty_rows_ = 0;
-  std::int64_t mismatches_ = 0;
 
   // Inputs and per-class representative tile shapes, retained so
-  // build_step can re-derive geometry without a schedule walk.
-  bool collapsed_ = false;
+  // build_step can re-derive geometry without classifying rows.
   stencil::ProblemSize p_{};
   hhc::TileSizes ts_{};
   std::int64_t radius_ = 1;
@@ -188,13 +192,11 @@ class TileCostProfile {
 // Stage-one primitive (also the per-tile cost of the event-level
 // cross-check simulator under tests/support/): the
 // thread-invariant geometry of one exact (possibly boundary-clipped)
-// tile shape. `collapse_bands` selects class-collapsed or
-// fully-enumerated skewed bands — identical results by integer
-// exactness.
+// tile shape, with the skewed bands collapsed into congruence
+// classes.
 BlockGeometry block_geometry(const stencil::ProblemSize& p,
                              const hhc::TileSizes& ts,
-                             const hhc::TileShape& shape,
-                             bool collapse_bands = true);
+                             const hhc::TileShape& shape);
 
 // Stage two, per block: fold the histogram for one thread count.
 // Returns sum over bins of weight * ceil(points/threads_r) * waves,

@@ -111,7 +111,7 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const hhc::ThreadConfig& thr,
                        const stencil::KernelVariant& var) {
   // Cheap machine-feasibility first, mirroring simulate_time: an
-  // infeasible point never pays the geometry walk.
+  // infeasible point never pays the profile build.
   const ResolvedConfig rc =
       resolve_config(dev, def, p.dim, ts, thr.total(), var);
   if (!rc.feasible) return infeasible_bound();

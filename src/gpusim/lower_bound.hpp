@@ -69,7 +69,7 @@ LowerBound lower_bound(const DeviceParams& dev,
 
 // Convenience overload: builds the profile via build(). Prefer the
 // profile form in sweeps — the tuner's per-tile profile cache makes
-// the geometry walk free across thread configs.
+// the profile build free across thread configs.
 LowerBound lower_bound(const DeviceParams& dev,
                        const stencil::StencilDef& def,
                        const stencil::ProblemSize& p,

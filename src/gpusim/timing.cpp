@@ -283,7 +283,7 @@ SimResult simulate_time(const DeviceParams& dev,
                         const hhc::ThreadConfig& thr, std::uint64_t run_id,
                         const stencil::KernelVariant& var) {
   // Cheap machine-feasibility first, so infeasible points (common in
-  // thread sweeps) never pay the geometry walk.
+  // thread sweeps) never pay the profile build.
   const ResolvedConfig rc =
       resolve_config(dev, def, p.dim, ts, thr.total(), var);
   if (!rc.feasible) {

@@ -75,7 +75,7 @@ SimResult simulate_time(const DeviceParams& dev,
 // Stage-two entry point: price one thread configuration against a
 // prebuilt geometry profile (see gpusim/cost_profile.hpp). `profile`
 // must have been built for the same (p, ts, def.radius); sweeping
-// thread counts against one profile skips the schedule walk entirely.
+// thread counts against one profile builds the geometry only once.
 SimResult simulate_time(const DeviceParams& dev,
                         const stencil::StencilDef& def,
                         const stencil::ProblemSize& p,

@@ -121,6 +121,10 @@ Interval HexSchedule::row_levels(std::int64_t r) const noexcept {
   return Interval{base, base + tT_}.clipped(0, T_);
 }
 
+Interval HexSchedule::interior_rows() const noexcept {
+  return Interval{1, std::max<std::int64_t>(1, std::min(T_ / H_, num_rows()))};
+}
+
 std::int64_t HexSchedule::base_col(std::int64_t r, std::int64_t q) const
     noexcept {
   const std::int64_t shift =

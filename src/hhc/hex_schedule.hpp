@@ -84,6 +84,14 @@ class HexSchedule {
   // Clipped level interval of row r within [0, T).
   Interval row_levels(std::int64_t r) const noexcept;
 
+  // The rows whose levels are not clipped, [1, floor(T/H)) capped at
+  // num_rows(): row r has base (r-1)*H, so it spans [base, base+tT)
+  // inside [0, T) exactly for these r. They alternate A, B, A, ...
+  // from row 1, and all rows of one family here are congruent (same
+  // level range relative to the base, same tile count). Empty when
+  // T < tT.
+  Interval interior_rows() const noexcept;
+
   // Column-index range [q_begin, q_end) of tiles in row r that
   // intersect the domain.
   std::int64_t q_begin(std::int64_t r) const noexcept;

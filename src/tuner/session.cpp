@@ -172,13 +172,14 @@ std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
     }
     // A cached profile sharing (tT, tS1) serves as the base of an
     // incremental rebuild: the hexahedral schedule depends only on
-    // those two dimensions, so build_step reuses its wavefront
-    // structure and recomputes per-class geometry only.
+    // those two dimensions, so build_step reuses its row classes and
+    // recomputes per-class geometry only.
     const auto sit = steps_.find(skey);
     if (sit != steps_.end() && sit->second->valid()) base = sit->second;
   }
-  // Build outside the lock (the schedule walk is the expensive part);
-  // racing builders produce identical profiles, first insert wins —
+  // Build outside the lock (per-class band geometry is the expensive
+  // part); racing builders produce identical profiles, first insert
+  // wins —
   // build_step is bit-identical to a scratch build, so which base a
   // racing worker saw can never change a result.
   const auto t0 = Clock::now();
@@ -219,7 +220,7 @@ double Session::price_batch(const hhc::TileSizes& ts,
     fill(res);
     return priced;
   }
-  // Stage one (memoized schedule walk), then stage two: the SoA fold
+  // Stage one (memoized profile build), then stage two: the SoA fold
   // over every thread config.
   const std::shared_ptr<const gpusim::TileCostProfile> prof = profile_for(ts);
   std::vector<gpusim::SimResult> res(thrs.size());

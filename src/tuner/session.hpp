@@ -148,11 +148,12 @@ struct SweepStats {
   double machine_seconds = 0.0;    // wall time inside machine evaluation
 
   // Two-stage pipeline split (GPU): a tile size's geometry profile is
-  // built once (stage one, the schedule walk) and every later batch
-  // or bound on that tile reuses it (stage two, closed-form pricing).
-  // A "step" is an incremental rebuild (TileCostProfile::build_step)
-  // from a cached profile sharing (tT, tS1) — the schedule walk is
-  // skipped and only the per-class geometry is recomputed. CPU tiles
+  // built once (stage one: row classes in O(classes), then per-class
+  // band geometry) and every later batch or bound on that tile reuses
+  // it (stage two, closed-form pricing). A "step" is an incremental
+  // rebuild (TileCostProfile::build_step) from a cached profile
+  // sharing (tT, tS1) — the row classes carry over and only the
+  // per-class geometry is recomputed. CPU tiles
   // build no profile: cpusim's per-tile stage runs inside each batch
   // call, so its time counts in pricing_seconds and the profile
   // counters stay 0.
@@ -439,8 +440,8 @@ class Session {
       profiles_;
   // Latest cached profile per (tT, tS1): HexSchedule depends only on
   // those two tile dimensions, so a miss whose (tT, tS1) matches a
-  // cached profile rebuilds incrementally via build_step (the
-  // schedule walk is skipped) instead of from scratch. Bit-identical
+  // cached profile rebuilds incrementally via build_step (the rows
+  // are not classified again) instead of from scratch. Bit-identical
   // to a scratch build, so which base a racing worker sees can never
   // change a result, only the profile_builds/profile_steps split.
   std::unordered_map<StepKey, std::shared_ptr<const gpusim::TileCostProfile>,

@@ -1,19 +1,26 @@
-// Parity suite for the two-stage tile-cost pipeline: the collapsed
-// profile (TileCostProfile::build) must price every configuration
-// bitwise-identically to the fully-enumerated reference walk
-// (build_reference), across dimensions, boundary-clipped tiles, spill
-// and low-occupancy configs, and radius-2 stencils. This is what
-// makes the O(classes) fast path safe to use everywhere.
+// Parity suite for the two-stage tile-cost pipeline: the O(classes)
+// profile (TileCostProfile::build) must equal the row-walk reference
+// under tests/support/ (test::build_reference, which visits every row
+// and enumerates every skewed band) class for class, and price every
+// configuration bitwise-identically, across dimensions,
+// boundary-clipped tiles, spill and low-occupancy configs, radius-2
+// stencils and a seeded sweep of generated problems. This is what
+// makes the O(classes) path safe to use everywhere.
 #include "gpusim/cost_profile.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "gpusim/timing.hpp"
+#include "hhc/hex_schedule.hpp"
 #include "stencil/stencil.hpp"
 #include "support/event_sim.hpp"
+#include "support/profile_oracle.hpp"
 
 namespace repro::gpusim {
 namespace {
@@ -107,7 +114,7 @@ TEST(ProfileParity, SimulateTimeBitwiseEqual) {
     const TileCostProfile fast =
         TileCostProfile::build(c.p, c.ts, def.radius);
     const TileCostProfile ref =
-        TileCostProfile::build_reference(c.p, c.ts, def.radius);
+        test::build_reference(c.p, c.ts, def.radius).profile;
     ASSERT_TRUE(fast.valid()) << c.name << ": " << fast.error();
     ASSERT_TRUE(ref.valid()) << c.name << ": " << ref.error();
     for (const std::uint64_t run : {0ULL, 1ULL, 7ULL}) {
@@ -129,7 +136,7 @@ TEST(ProfileParity, MeasureBestOfBitwiseEqual) {
     const TileCostProfile fast =
         TileCostProfile::build(c.p, c.ts, def.radius);
     const TileCostProfile ref =
-        TileCostProfile::build_reference(c.p, c.ts, def.radius);
+        test::build_reference(c.p, c.ts, def.radius).profile;
     expect_sim_equal(measure_best_of(gtx980(), def, c.p, c.ts, c.thr, fast),
                      measure_best_of(gtx980(), def, c.p, c.ts, c.thr, ref),
                      c.name);
@@ -142,7 +149,7 @@ TEST(ProfileParity, ComputeOnlyBitwiseEqual) {
     const TileCostProfile fast =
         TileCostProfile::build(c.p, c.ts, def.radius);
     const TileCostProfile ref =
-        TileCostProfile::build_reference(c.p, c.ts, def.radius);
+        test::build_reference(c.p, c.ts, def.radius).profile;
     EXPECT_EQ(simulate_compute_only(gtx980(), def, c.p, c.ts, c.thr, fast),
               simulate_compute_only(gtx980(), def, c.p, c.ts, c.thr, ref))
         << c.name;
@@ -173,10 +180,10 @@ TEST(ProfileParity, EventSimCongruentReuseBitwiseEqual) {
 TEST(ProfileParity, ReferenceWalkNeverFindsCongruenceMismatch) {
   for (const ParityCase& c : parity_cases()) {
     const StencilDef& def = get_stencil(c.kind);
-    const TileCostProfile ref =
-        TileCostProfile::build_reference(c.p, c.ts, def.radius);
-    ASSERT_TRUE(ref.valid()) << c.name;
-    EXPECT_EQ(ref.congruence_mismatches(), 0) << c.name;
+    const test::ReferenceProfile ref =
+        test::build_reference(c.p, c.ts, def.radius);
+    ASSERT_TRUE(ref.valid) << c.name;
+    EXPECT_EQ(ref.mismatches, 0) << c.name;
   }
 }
 
@@ -191,7 +198,7 @@ TEST(ProfileParity, CollapseCompressesRowsIntoFewClasses) {
   EXPECT_LE(static_cast<std::int64_t>(prof.classes().size()),
             prof.total_rows() / 10);
   // The profile still accounts for every row and block.
-  const TileCostProfile ref = TileCostProfile::build_reference(p, ts, 1);
+  const TileCostProfile ref = test::build_reference(p, ts, 1).profile;
   EXPECT_EQ(prof.total_rows(), ref.total_rows());
   EXPECT_EQ(prof.total_blocks(), ref.total_blocks());
   EXPECT_EQ(prof.empty_rows(), ref.empty_rows());
@@ -204,6 +211,147 @@ TEST(ProfileParity, InvalidGeometryIsReportedNotThrown) {
   EXPECT_FALSE(prof.valid());
   EXPECT_FALSE(prof.error().empty());
   EXPECT_TRUE(prof.classes().empty());
+}
+
+// Every field build() fixes, against the row walk: class order,
+// multiplicities, block counts, geometry, representative shapes,
+// empty rows and the SoA slab.
+void expect_profile_equal(const TileCostProfile& fast,
+                          const TileCostProfile& ref,
+                          const std::string& what) {
+  ASSERT_EQ(fast.classes().size(), ref.classes().size()) << what;
+  ASSERT_EQ(fast.rep_shapes().size(), ref.rep_shapes().size()) << what;
+  for (std::size_t c = 0; c < ref.classes().size(); ++c) {
+    EXPECT_EQ(fast.classes()[c].mult, ref.classes()[c].mult)
+        << what << " " << c;
+    EXPECT_EQ(fast.classes()[c].blocks, ref.classes()[c].blocks)
+        << what << " " << c;
+    EXPECT_EQ(fast.classes()[c].geom, ref.classes()[c].geom)
+        << what << " " << c;
+    const hhc::TileShape& a = fast.rep_shapes()[c];
+    const hhc::TileShape& b = ref.rep_shapes()[c];
+    EXPECT_EQ(a.first_level, b.first_level) << what << " " << c;
+    EXPECT_EQ(a.s1_domain, b.s1_domain) << what << " " << c;
+    EXPECT_EQ(a.radius, b.radius) << what << " " << c;
+    EXPECT_EQ(a.level_cols, b.level_cols) << what << " " << c;
+  }
+  EXPECT_EQ(fast.empty_rows(), ref.empty_rows()) << what;
+  EXPECT_EQ(fast.soa().slab, ref.soa().slab) << what;
+  EXPECT_EQ(fast.soa().off, ref.soa().off) << what;
+}
+
+// One generated case of the seeded sweep.
+struct SweepCase {
+  ProblemSize p;
+  hhc::TileSizes ts;
+  std::int64_t radius = 1;
+};
+
+// T spans 1 .. 2^14 log-uniformly, with a quarter of the cases in
+// [1, 2 tT] so T < tT and T just past a row boundary come up often.
+// One case in ten has odd tT and, for radius > 1, one in ten has
+// tS1 < radius (invalid either way). S is drawn independently of the
+// tile, so it is rarely a multiple of it.
+SweepCase draw_case(Rng& rng) {
+  SweepCase c;
+  const int dim = static_cast<int>(rng.uniform_int(1, 3));
+  c.radius = rng.uniform_int(1, 4);
+  std::int64_t tT = 2 * rng.uniform_int(1, 16);
+  if (rng.next_below(10) == 0) tT += rng.next_below(2) == 0 ? 1 : -1;
+  std::int64_t tS1 = rng.uniform_int(c.radius, 48);
+  if (c.radius > 1 && rng.next_below(10) == 0) {
+    tS1 = rng.uniform_int(1, c.radius - 1);
+  }
+  const std::int64_t T =
+      rng.next_below(4) == 0
+          ? rng.uniform_int(1, 2 * tT)
+          : static_cast<std::int64_t>(std::exp2(rng.uniform(0.0, 14.0)));
+  c.p.dim = dim;
+  c.p.T = rng.next_below(50) == 0 ? 16384 : T;
+  c.p.S = {rng.uniform_int(1, 4096), dim >= 2 ? rng.uniform_int(1, 1024) : 0,
+           dim >= 3 ? rng.uniform_int(1, 128) : 0};
+  // 3D inner tiles start at 4: a 1-wide 3D tile has hundreds of band
+  // classes per dimension and one such case would take the whole
+  // budget of the row walk.
+  c.ts = {.tT = tT,
+          .tS1 = tS1,
+          .tS2 = dim >= 2 ? rng.uniform_int(dim == 2 ? 1 : 4, 128) : 1,
+          .tS3 = dim >= 3 ? rng.uniform_int(4, 32) : 1};
+  return c;
+}
+
+const StencilDef& stencil_of_dim(int dim) {
+  if (dim == 1) return get_stencil(StencilKind::kJacobi1D);
+  if (dim == 2) return get_stencil(StencilKind::kHeat2D);
+  return get_stencil(StencilKind::kHeat3D);
+}
+
+std::string describe(const SweepCase& c) {
+  return "dim=" + std::to_string(c.p.dim) + " S=" + std::to_string(c.p.S[0]) +
+         "x" + std::to_string(c.p.S[1]) + "x" + std::to_string(c.p.S[2]) +
+         " T=" + std::to_string(c.p.T) + " tT=" + std::to_string(c.ts.tT) +
+         " tS=" + std::to_string(c.ts.tS1) + "," + std::to_string(c.ts.tS2) +
+         "," + std::to_string(c.ts.tS3) + " r=" + std::to_string(c.radius);
+}
+
+// Seeded sweep of generated problems against the row walk. Every case
+// audits every row; one case in 25 also enumerates every skewed band
+// (the band walk is O(rows x bands), so those cases get a smaller T
+// and inner extent to keep the tier-1 budget).
+TEST(ProfileParity, SeededSweepMatchesRowWalk) {
+  constexpr int kCases = 1500;
+  const std::vector<hhc::ThreadConfig> thrs = {{.n1 = 32, .n2 = 1, .n3 = 1},
+                                               {.n1 = 32, .n2 = 4, .n3 = 2},
+                                               {.n1 = 33, .n2 = 3, .n3 = 1},
+                                               {.n1 = 128, .n2 = 2, .n3 = 1}};
+  Rng rng(0x9E3779B97F4A7C15ULL);
+  int valid = 0;
+  int invalid = 0;
+  int enumerated = 0;
+  int shorter_than_tile = 0;  // T < tT: no interior rows at all
+  for (int i = 0; i < kCases; ++i) {
+    SweepCase c = draw_case(rng);
+    const bool enumerate = i % 25 == 0;
+    if (enumerate) {
+      c.p.T = std::min<std::int64_t>(c.p.T, 512);
+      c.p.S[1] = std::min<std::int64_t>(c.p.S[1], 256);
+      c.p.S[2] = std::min<std::int64_t>(c.p.S[2], 64);
+    }
+    const std::string what = describe(c) + (enumerate ? " (bands)" : "");
+    const TileCostProfile fast = TileCostProfile::build(c.p, c.ts, c.radius);
+    const test::ReferenceProfile ref =
+        test::build_reference(c.p, c.ts, c.radius, enumerate);
+    ASSERT_EQ(fast.valid(), ref.valid) << what;
+    if (!ref.valid) {
+      EXPECT_EQ(fast.error(), ref.error) << what;
+      EXPECT_TRUE(fast.classes().empty()) << what;
+      ++invalid;
+      continue;
+    }
+    ++valid;
+    enumerated += enumerate ? 1 : 0;
+    shorter_than_tile += c.p.T < c.ts.tT ? 1 : 0;
+    EXPECT_EQ(ref.mismatches, 0) << what;
+    expect_profile_equal(fast, ref.profile, what);
+    const hhc::HexSchedule sched(c.p.T, c.p.S[0], c.ts.tT, c.ts.tS1,
+                                 c.radius);
+    EXPECT_EQ(fast.total_rows(), sched.num_rows()) << what;
+    EXPECT_EQ(fast.total_blocks(), ref.profile.total_blocks()) << what;
+    const StencilDef& def = stencil_of_dim(c.p.dim);
+    for (const hhc::ThreadConfig& thr : thrs) {
+      if (thr.n3 > 1 && c.p.dim < 3) continue;
+      expect_sim_equal(
+          simulate_time(gtx980(), def, c.p, c.ts, thr, fast, 1),
+          simulate_time(gtx980(), def, c.p, c.ts, thr, ref.profile, 1), what);
+    }
+    if (HasFailure()) return;
+  }
+  // The generator must keep reaching both outcomes, T < tT and the
+  // band walk.
+  EXPECT_GT(valid, kCases / 2);
+  EXPECT_GT(invalid, kCases / 20);
+  EXPECT_GT(shorter_than_tile, kCases / 50);
+  EXPECT_GT(enumerated, kCases / 50);
 }
 
 }  // namespace

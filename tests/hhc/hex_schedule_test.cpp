@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/math_util.hpp"
 
 namespace repro::hhc {
@@ -141,6 +143,51 @@ TEST(HexSchedule, TotalPointsEqualsIterationSpace) {
           const HexSchedule s(T, S, tT, tS1);
           EXPECT_EQ(s.total_points(), T * S)
               << "T=" << T << " S=" << S << " tT=" << tT << " tS1=" << tS1;
+        }
+      }
+    }
+  }
+}
+
+TEST(HexSchedule, InteriorRowsAreExactlyTheUnclippedRows) {
+  // interior_rows() is closed-form; pin it to a row-by-row scan of
+  // row_levels: row r is unclipped iff [base, base + tT) lies in
+  // [0, T). Within the range, every row of one family shares its
+  // congruence key (levels relative to the base, tile count).
+  for (std::int64_t radius : {1, 2, 3, 4}) {
+    for (std::int64_t tT : {2, 4, 6, 8, 10, 16, 32}) {
+      for (std::int64_t T : {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64,
+                             65, 100, 257, 1000}) {
+        const HexSchedule s(T, 97, tT, radius + 2, radius);
+        const Interval interior = s.interior_rows();
+        const std::string what = "T=" + std::to_string(T) +
+                                 " tT=" + std::to_string(tT) +
+                                 " r=" + std::to_string(radius);
+        std::int64_t lo = -1;
+        std::int64_t hi = -1;
+        for (std::int64_t r = 0; r < s.num_rows(); ++r) {
+          const std::int64_t base = s.row_base(r);
+          const bool unclipped = base >= 0 && base + tT <= T;
+          EXPECT_EQ(s.row_levels(r) == (Interval{base, base + tT}), unclipped)
+              << what << " row " << r;
+          if (!unclipped) continue;
+          if (lo < 0) lo = r;
+          EXPECT_TRUE(hi < 0 || hi == r) << what << " rows not contiguous";
+          hi = r + 1;
+        }
+        if (lo < 0) {
+          EXPECT_TRUE(interior.empty()) << what;
+          EXPECT_GE(interior.lo, 1) << what;
+          EXPECT_LE(interior.hi, s.num_rows()) << what;
+        } else {
+          EXPECT_EQ(interior, (Interval{lo, hi})) << what;
+        }
+        if (T < tT) {
+          EXPECT_TRUE(interior.empty()) << what;
+        }
+        for (std::int64_t r = interior.lo + 2; r < interior.hi; ++r) {
+          EXPECT_EQ(s.row_family(r), s.row_family(r - 2)) << what;
+          EXPECT_EQ(s.tiles_in_row(r), s.tiles_in_row(r - 2)) << what;
         }
       }
     }
