@@ -101,7 +101,8 @@ inline void print_sweep_stats(std::ostream& os, const tuner::SweepStats& st,
      << st.machine_points << " pts (" << st.cache_hits
      << " cache hits) in " << st.machine_seconds << " s; profiles: "
      << st.profile_builds << " built + " << st.profile_steps
-     << " stepped (" << st.profile_hits << " hits), "
+     << " stepped (" << st.profile_hits << " hits, "
+     << st.histogram_builds << " with histograms), "
      << st.geometry_seconds << " s geometry + " << st.pricing_seconds
      << " s pricing; pruned: " << st.points_pruned << " pts in "
      << st.bound_seconds << " s bounds";

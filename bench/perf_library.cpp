@@ -1,7 +1,8 @@
 // Micro-benchmarks of the library's own hot paths: model evaluation,
 // feasible-space sweeps, schedule construction, simulator pricing
-// (whole, and per layer: profile build and step, lower bound, batched
-// thread sweep) and tiled functional execution. These guard the
+// (whole, and per layer: profile build, bounds-only build, histograms,
+// step, lower bound, batched thread sweep, cold session sweep of one
+// tile) and tiled functional execution. These guard the
 // performance envelope that makes the full-scale Fig. 3/6 sweeps
 // tractable on one core.
 //
@@ -96,9 +97,11 @@ int main() {
          calls});
   }
   // GPU pricing layer by layer on Heat2D 4096^2: the stage-one profile
-  // build at three T (O(classes), so flat in T), its incremental
-  // rebuild along tS2, the admissible lower bound and one batched
-  // stage-two pricing of the default thread sweep.
+  // build at three T (O(classes), so flat in T) — whole, bounds-only,
+  // and the histograms added to a bounds-only profile — its
+  // incremental (bounds-only) rebuild along tS2, the admissible lower
+  // bound, one batched stage-two pricing of the default thread sweep,
+  // and one cold bounded thread sweep through a Session.
   const stencil::ProblemSize heat{.dim = 2, .S = {4096, 4096, 0}, .T = 1024};
   const hhc::TileSizes prof_ts{.tT = 16, .tS1 = 16, .tS2 = 64, .tS3 = 1};
   for (const std::int64_t T : {1024, 8192, 16384}) {
@@ -111,6 +114,19 @@ int main() {
                               .total_rows());
                     },
                     2000});
+    arms.push_back({"profile_bounds/T=" + std::to_string(T),
+                    [pt, prof_ts] {
+                      bench::keep(
+                          gpusim::TileCostProfile::build_bounds(pt, prof_ts, 1)
+                              .total_rows());
+                    },
+                    2000});
+    arms.push_back(
+        {"profile_add_histograms/T=" + std::to_string(T),
+         [bounds = gpusim::TileCostProfile::build_bounds(pt, prof_ts, 1)] {
+           bench::keep(bounds.with_histograms().soa().nbins);
+         },
+         2000});
   }
   const gpusim::TileCostProfile prof =
       gpusim::TileCostProfile::build(heat, prof_ts, 1);
@@ -136,6 +152,22 @@ int main() {
                     bench::keep(swept.front().seconds);
                   },
                   500});
+  // A cold bounded sweep of one tile: the incumbent seed makes every
+  // thread config go through the bound gate, and clear_cache() drops
+  // the tile's record so each call builds its profile again.
+  tuner::Session cold(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), heat, in),
+      tuner::SessionOptions{}.with_jobs(1));
+  const double seed_texec = cold.best_over_threads(prof_ts).texec;
+  const hhc::TileSizes cold_ts{.tT = 12, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  arms.push_back({"sweep_tile_cold",
+                  [&] {
+                    cold.clear_cache();
+                    bench::keep(
+                        cold.best_tile({&cold_ts, 1}, {}, {}, seed_texec)
+                            .feasible);
+                  },
+                  2000});
   // Numeric execution throughput of the tiled and reference executors.
   arms.push_back({"tiled_functional_execution", [&] {
                     bench::keep(hhc::run_tiled(heat2d(), small, exec_ts, init));

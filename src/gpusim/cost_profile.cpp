@@ -38,34 +38,15 @@ void canonicalize(std::vector<PointBin>& bins) {
   bins.resize(out);
 }
 
-// One (tile, band2-class, band3-class) piece: `mult` congruent
-// sub-prisms, each a stack of barrier-separated rows of
-// width * i2 * i3 iterations.
-void add_piece(BlockGeometry& g, const TileShape& shape,
-               const SkewedBands* b2, const SkewedBands* b3,
-               std::int64_t rep2, std::int64_t rep3, std::int64_t mult) {
-  bool any = false;
-  for (std::size_t lev = 0; lev < shape.level_cols.size(); ++lev) {
-    const std::int64_t width = shape.level_cols[lev].size();
-    if (width == 0) continue;
-    const std::int64_t t =
-        shape.first_level + static_cast<std::int64_t>(lev);
-    const std::int64_t i2 = b2 ? b2->range_at(rep2, t).size() : 1;
-    if (i2 == 0) continue;
-    const std::int64_t i3 = b3 ? b3->range_at(rep3, t).size() : 1;
-    if (i3 == 0) continue;
-    any = true;
-    g.bins.push_back({width * i2 * i3, mult});
-    g.level_syncs += mult;  // barrier between dependent rows
-  }
-  if (any) g.busy_pieces += mult;  // barriers around the copies
-}
-
-}  // namespace
-
-BlockGeometry block_geometry(const stencil::ProblemSize& p,
-                             const hhc::TileSizes& ts,
-                             const hhc::TileShape& shape) {
+// The geometry of one tile shape, with the histogram (kBins) or the
+// bound aggregates alone. Each (tile, band2-class, band3-class) piece
+// is `mult` congruent sub-prisms, each a stack of barrier-separated
+// rows of width * i2 * i3 iterations; both forms visit the same
+// pieces in the same order, so their aggregates are the same
+// integers.
+template <bool kBins>
+BlockGeometry geometry_of(const stencil::ProblemSize& p,
+                          const hhc::TileSizes& ts, const TileShape& shape) {
   BlockGeometry g;
   // Global traffic: the per-(t,s1)-line footprint times the inner
   // area the block sweeps (Eqns 13/24 are this same product for the
@@ -83,33 +64,59 @@ BlockGeometry block_geometry(const stencil::ProblemSize& p,
   const std::int64_t t_hi =
       t_lo + static_cast<std::int64_t>(shape.level_cols.size());
 
+  const auto add_piece = [&](const SkewedBands* b2, const SkewedBands* b3,
+                             std::int64_t rep2, std::int64_t rep3,
+                             std::int64_t mult) {
+    bool any = false;
+    for (std::size_t lev = 0; lev < shape.level_cols.size(); ++lev) {
+      const std::int64_t width = shape.level_cols[lev].size();
+      if (width == 0) continue;
+      const std::int64_t t = t_lo + static_cast<std::int64_t>(lev);
+      const std::int64_t i2 = b2 ? b2->range_at(rep2, t).size() : 1;
+      if (i2 == 0) continue;
+      const std::int64_t i3 = b3 ? b3->range_at(rep3, t).size() : 1;
+      if (i3 == 0) continue;
+      any = true;
+      const std::int64_t points = width * i2 * i3;
+      if constexpr (kBins) g.bins.push_back({points, mult});
+      g.total_points += points * mult;
+      g.level_syncs += mult;  // barrier between dependent rows
+    }
+    if (any) g.busy_pieces += mult;  // barriers around the copies
+  };
+
   if (p.dim == 1) {
-    add_piece(g, shape, nullptr, nullptr, 0, 0, 1);
+    add_piece(nullptr, nullptr, 0, 0, 1);
   } else if (p.dim == 2) {
     const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, radius);
-    for (const BandClass& c2 : bands2.congruence_classes()) {
-      add_piece(g, shape, &bands2, nullptr, c2.rep_b, 0, c2.mult);
-    }
+    bands2.for_each_class([&](const BandClass& c2) {
+      add_piece(&bands2, nullptr, c2.rep_b, 0, c2.mult);
+    });
   } else {
     const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, radius);
     const SkewedBands bands3(p.S[2], ts.tS3, t_lo, t_hi, radius);
-    const auto classes2 = bands2.congruence_classes();
-    const auto classes3 = bands3.congruence_classes();
-    for (const BandClass& c2 : classes2) {
-      for (const BandClass& c3 : classes3) {
-        add_piece(g, shape, &bands2, &bands3, c2.rep_b, c3.rep_b,
-                  c2.mult * c3.mult);
-      }
-    }
+    bands2.for_each_class([&](const BandClass& c2) {
+      bands3.for_each_class([&](const BandClass& c3) {
+        add_piece(&bands2, &bands3, c2.rep_b, c3.rep_b, c2.mult * c3.mult);
+      });
+    });
   }
-  canonicalize(g.bins);
+  if constexpr (kBins) canonicalize(g.bins);
   return g;
 }
 
-std::int64_t BlockGeometry::total_points() const noexcept {
-  std::int64_t pts = 0;
-  for (const PointBin& b : bins) pts += b.points * b.weight;
-  return pts;
+}  // namespace
+
+BlockGeometry block_geometry(const stencil::ProblemSize& p,
+                             const hhc::TileSizes& ts,
+                             const hhc::TileShape& shape) {
+  return geometry_of<true>(p, ts, shape);
+}
+
+BlockGeometry block_bounds(const stencil::ProblemSize& p,
+                           const hhc::TileSizes& ts,
+                           const hhc::TileShape& shape) {
+  return geometry_of<false>(p, ts, shape);
 }
 
 namespace {
@@ -209,33 +216,26 @@ BlockWork price_block(const DeviceParams& dev, const BlockGeometry& g,
 void TileCostProfile::soa_iter_units(int threads, int n_v,
                                      std::int64_t* units_out) const {
   const UnitFold fold(threads, n_v);
-  if (!soa_.empty()) {
-    const std::int64_t* pts = soa_.points();
-    const std::int64_t* wts = soa_.weights();
-    for (std::size_t c = 0; c + 1 < soa_.off.size(); ++c) {
-      const std::size_t lo = soa_.off[c];
-      const std::size_t hi = soa_.off[c + 1];
-      units_out[c] = fold.fold(pts + lo, wts + lo, hi - lo);
-    }
-    return;
-  }
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    units_out[c] = geometry_iter_units(classes_[c].geom, threads, n_v);
+  const std::int64_t* pts = soa_.points();
+  const std::int64_t* wts = soa_.weights();
+  for (std::size_t c = 0; c + 1 < soa_.off.size(); ++c) {
+    const std::size_t lo = soa_.off[c];
+    const std::size_t hi = soa_.off[c + 1];
+    units_out[c] = fold.fold(pts + lo, wts + lo, hi - lo);
   }
 }
 
 void TileCostProfile::finalize_soa() {
   soa_ = ProfileSoA{};
-  if (!valid_) return;
+  if (!valid_ || !histograms_) return;
   std::size_t nbins = 0;
   for (const RowClass& c : classes_) nbins += c.geom.bins.size();
   soa_.nbins = nbins;
-  // One arena slab: points | weights | per-class totals.
-  soa_.slab.assign(2 * nbins + classes_.size(), 0);
+  // One arena slab: points | weights.
+  soa_.slab.assign(2 * nbins, 0);
   soa_.off.resize(classes_.size() + 1);
   std::int64_t* pts = soa_.slab.data();
   std::int64_t* wts = soa_.slab.data() + nbins;
-  std::int64_t* totals = soa_.slab.data() + 2 * nbins;
   std::size_t at = 0;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     soa_.off[c] = static_cast<std::uint32_t>(at);
@@ -244,7 +244,6 @@ void TileCostProfile::finalize_soa() {
       wts[at] = b.weight;
       ++at;
     }
-    totals[c] = classes_[c].geom.total_points();
   }
   soa_.off[classes_.size()] = static_cast<std::uint32_t>(at);
 }
@@ -255,12 +254,14 @@ TileCostProfile TileCostProfile::from_classes(
     std::vector<hhc::TileShape> rep_shapes, std::int64_t empty_rows) {
   TileCostProfile prof;
   prof.valid_ = true;
+  prof.histograms_ = true;
   prof.classes_ = std::move(classes);
   prof.empty_rows_ = empty_rows;
   prof.p_ = p;
   prof.ts_ = ts;
   prof.radius_ = radius;
-  prof.rep_shapes_ = std::move(rep_shapes);
+  prof.rep_shapes_ =
+      std::make_shared<const std::vector<TileShape>>(std::move(rep_shapes));
   prof.finalize_soa();
   return prof;
 }
@@ -277,28 +278,62 @@ TileCostProfile TileCostProfile::invalid(const stencil::ProblemSize& p,
   return prof;
 }
 
+const std::vector<TileShape>& TileCostProfile::rep_shapes() const noexcept {
+  static const std::vector<TileShape> kNone;
+  return rep_shapes_ ? *rep_shapes_ : kNone;
+}
+
 TileCostProfile TileCostProfile::build_step(const hhc::TileSizes& ts) const {
   if (!valid_ || ts.tT != ts_.tT || ts.tS1 != ts_.tS1) {
-    return build(p_, ts, radius_);
+    return build_bounds(p_, ts, radius_);
   }
   try {
     hhc::validate(ts, p_.dim);
-    std::vector<RowClass> classes;
-    classes.reserve(classes_.size());
+    TileCostProfile prof;
+    prof.valid_ = true;
+    prof.classes_.reserve(classes_.size());
     for (std::size_t i = 0; i < classes_.size(); ++i) {
-      classes.push_back({classes_[i].mult, classes_[i].blocks,
-                         block_geometry(p_, ts, rep_shapes_[i])});
+      prof.classes_.push_back({classes_[i].mult, classes_[i].blocks,
+                               block_bounds(p_, ts, (*rep_shapes_)[i])});
     }
-    return from_classes(p_, ts, radius_, std::move(classes), rep_shapes_,
-                        empty_rows_);
+    prof.empty_rows_ = empty_rows_;
+    prof.p_ = p_;
+    prof.ts_ = ts;
+    prof.radius_ = radius_;
+    prof.rep_shapes_ = rep_shapes_;
+    return prof;
   } catch (const std::invalid_argument& e) {
     return invalid(p_, ts, radius_, e.what());
   }
 }
 
+TileCostProfile TileCostProfile::with_histograms() const {
+  TileCostProfile prof = *this;
+  if (prof.has_histograms()) return prof;
+  for (std::size_t i = 0; i < prof.classes_.size(); ++i) {
+    prof.classes_[i].geom = block_geometry(p_, ts_, (*rep_shapes_)[i]);
+  }
+  prof.histograms_ = true;
+  prof.finalize_soa();
+  return prof;
+}
+
 TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
                                        const hhc::TileSizes& ts,
                                        std::int64_t radius) {
+  return classify(p, ts, radius, /*histograms=*/true);
+}
+
+TileCostProfile TileCostProfile::build_bounds(const stencil::ProblemSize& p,
+                                              const hhc::TileSizes& ts,
+                                              std::int64_t radius) {
+  return classify(p, ts, radius, /*histograms=*/false);
+}
+
+TileCostProfile TileCostProfile::classify(const stencil::ProblemSize& p,
+                                          const hhc::TileSizes& ts,
+                                          std::int64_t radius,
+                                          bool histograms) {
   try {
     hhc::validate(ts, p.dim);
     const HexSchedule sched(p.T, p.S[0], ts.tT, ts.tS1, radius);
@@ -307,17 +342,16 @@ TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
     // level range relative to their base, and the same tile count
     // price identically (their column-interior tiles are congruent).
     using RowKey = std::tuple<int, std::int64_t, std::int64_t, std::int64_t>;
-    std::vector<RowKey> keys;  // keys[c] belongs to classes[c]
-    std::vector<RowClass> classes;
+    std::vector<RowKey> keys;  // keys[c] belongs to prof.classes_[c]
+    TileCostProfile prof;
     std::vector<TileShape> rep_shapes;
-    std::int64_t empty_rows = 0;
 
     // Adds row r standing for `mult` rows of its key. The first row
     // of a key opens its class, so classes come in row order.
     const auto visit = [&](std::int64_t r, std::int64_t mult) {
       const std::int64_t blocks = sched.tiles_in_row(r);
       if (blocks <= 0) {
-        empty_rows += mult;
+        prof.empty_rows_ += mult;
         return;
       }
       const hhc::Interval levels = sched.row_levels(r);
@@ -326,7 +360,8 @@ TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
                        levels.lo - base, levels.hi - base, blocks};
       const auto it = std::find(keys.begin(), keys.end(), key);
       if (it != keys.end()) {
-        classes[static_cast<std::size_t>(it - keys.begin())].mult += mult;
+        prof.classes_[static_cast<std::size_t>(it - keys.begin())].mult +=
+            mult;
         return;
       }
       // Representative tile: column-interior, so only time-clipping
@@ -336,7 +371,9 @@ TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
           sched.q_begin(r) + (sched.q_end(r) - sched.q_begin(r)) / 2;
       TileShape shape = sched.shape(r, q_mid);
       keys.push_back(key);
-      classes.push_back({mult, blocks, block_geometry(p, ts, shape)});
+      prof.classes_.push_back({mult, blocks,
+                               histograms ? block_geometry(p, ts, shape)
+                                          : block_bounds(p, ts, shape)});
       rep_shapes.push_back(std::move(shape));
     };
 
@@ -350,8 +387,15 @@ TileCostProfile TileCostProfile::build(const stencil::ProblemSize& p,
     if (n > 1) visit(interior.lo + 1, n / 2);
     for (std::int64_t r = interior.hi; r < sched.num_rows(); ++r) visit(r, 1);
 
-    return from_classes(p, ts, radius, std::move(classes),
-                        std::move(rep_shapes), empty_rows);
+    prof.valid_ = true;
+    prof.histograms_ = histograms;
+    prof.p_ = p;
+    prof.ts_ = ts;
+    prof.radius_ = radius;
+    prof.rep_shapes_ =
+        std::make_shared<const std::vector<TileShape>>(std::move(rep_shapes));
+    prof.finalize_soa();
+    return prof;
   } catch (const std::invalid_argument& e) {
     return invalid(p, ts, radius, e.what());
   }

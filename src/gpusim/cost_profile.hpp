@@ -7,28 +7,39 @@
 // problem and the tile sizes — the thread count enters the final
 // pricing only through ceil(points / threads) and the warp-wave
 // count. TileCostProfile sorts the wavefront rows and skewed bands
-// into congruence classes and stores per class an integer histogram
-// of per-barrier-row point counts plus the block's global-traffic
-// words. Building it costs O(classes), not O(rows): only the clipped
-// rows near t = 0 and t = T are visited one by one, and each
-// family's interior rows are counted in closed form
+// into congruence classes. Building it costs O(classes), not
+// O(rows): only the clipped rows near t = 0 and t = T are visited one
+// by one, and each family's interior rows are counted in closed form
 // (HexSchedule::interior_rows), the same regularity behind the
-// paper's Nw ~ 2*ceil(T/tT) (Eqn 3). Pricing any ThreadConfig is then
-// an O(classes x bins) fold with no schedule walk, no SkewedBands
+// paper's Nw ~ 2*ceil(T/tT) (Eqn 3).
+//
+// Stage one comes in two layers, because the tuner bounds far more
+// tiles than it prices:
+//   * build_bounds: the row classes and, per class, the aggregates
+//     the admissible lower bound reads (total points, barrier count,
+//     traffic words). One allocation-free pass per class.
+//   * with_histograms: per class, the integer histogram of
+//     per-barrier-row point counts and its SoA slab, re-derived from
+//     the stored representative shapes. Only pricing needs them.
+// build() is both layers at once. Pricing any ThreadConfig is then an
+// O(classes x bins) fold with no schedule walk, no SkewedBands
 // reconstruction and no ordered-map lookups (stage two, in
 // gpusim/timing.cpp).
 //
 // Exactness: iteration units and barrier counts are aggregated in
 // std::int64_t and converted to double once per class, so collapsing
-// rows and bands into classes (or not) cannot perturb the result —
-// integer addition is associative. The parity tests exploit this:
-// a reference under tests/support/ re-derives every row and
-// enumerates every band individually, and its profile must equal
-// build()'s class for class and price identically in every bit.
+// rows and bands into classes (or not), and adding histograms later
+// or at once, cannot perturb the result — integer addition is
+// associative. The parity tests exploit this: a reference under
+// tests/support/ re-derives every row and enumerates every band
+// individually, and its profile must equal build()'s class for class
+// and price identically in every bit; a bounds-only profile must
+// equal build()'s in everything but the bins.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,19 +62,21 @@ struct PointBin {
 };
 
 // Thread-invariant cost geometry of one thread block (tile): the
-// canonical (sorted, merged) point histogram, the barrier counts, and
-// the block's global<->shared traffic in words (before coalescing
-// derating).
+// canonical (sorted, merged) point histogram, the aggregates the
+// admissible lower bound (gpusim/lower_bound.hpp) needs, and the
+// block's global<->shared traffic in words (before coalescing
+// derating). A bounds-only profile leaves `bins` empty; every other
+// field is exact either way.
 struct BlockGeometry {
   std::vector<PointBin> bins;
+  // Iterations of one block across all barrier rows: the sum of
+  // points * weight over the bins, summed exactly in int64.
+  std::int64_t total_points = 0;
   std::int64_t level_syncs = 0;  // barrier-separated rows with work
   std::int64_t busy_pieces = 0;  // pieces with any work (2 barriers each)
   double io_words = 0.0;
 
-  // Aggregates the admissible lower bound (gpusim/lower_bound.hpp)
-  // needs: total iterations of one block across all barrier rows, and
-  // the exact __syncthreads count price_block charges.
-  std::int64_t total_points() const noexcept;
+  // The exact __syncthreads count price_block charges.
   std::int64_t sync_count() const noexcept {
     return level_syncs + 2 * busy_pieces;
   }
@@ -77,7 +90,7 @@ struct BlockGeometry {
 // `weight[]` as two contiguous arrays instead of chasing AoS
 // PointBins. Layout of `slab`:
 //
-//   [ points[0..nbins) | weight[0..nbins) | class_totals[0..nc) ]
+//   [ points[0..nbins) | weight[0..nbins) ]
 //
 // with `off[c] .. off[c+1]` delimiting class c's bins. The fold over
 // this layout accumulates the exact integers geometry_iter_units
@@ -96,9 +109,6 @@ struct ProfileSoA {
   const std::int64_t* points() const noexcept { return slab.data(); }
   const std::int64_t* weights() const noexcept {
     return slab.data() + nbins;
-  }
-  const std::int64_t* class_totals() const noexcept {
-    return slab.data() + 2 * nbins;
   }
 };
 
@@ -120,13 +130,22 @@ class TileCostProfile {
   // standing for all of that family's interior rows. Invalid tile
   // geometry (odd tT, tS1 < radius, non-positive extents) yields
   // valid() == false with the reason in error(); nothing throws.
+  // The result has histograms: build_bounds(...).with_histograms(),
+  // in one pass.
   static TileCostProfile build(const stencil::ProblemSize& p,
                                const hhc::TileSizes& ts, std::int64_t radius);
 
-  // A valid profile from rows already sorted into classes, with
-  // rep_shapes[c] the representative tile of classes[c]. build() and
-  // build_step() end here, and so does the reference row walk under
-  // tests/support/, so every profile is priced by the same stage two.
+  // The same classification with bound aggregates only: equal to
+  // build() in everything but the bins (and the SoA slab), enough
+  // for gpusim::lower_bound, not for pricing.
+  static TileCostProfile build_bounds(const stencil::ProblemSize& p,
+                                      const hhc::TileSizes& ts,
+                                      std::int64_t radius);
+
+  // A valid profile with histograms from rows already sorted into
+  // classes, with rep_shapes[c] the representative tile of
+  // classes[c]. The reference row walk under tests/support/ ends
+  // here, so every profile is priced by the same stage two.
   static TileCostProfile from_classes(const stencil::ProblemSize& p,
                                       const hhc::TileSizes& ts,
                                       std::int64_t radius,
@@ -137,18 +156,28 @@ class TileCostProfile {
   // Incremental rebuild for a tile that differs from this profile's
   // only in the inner extents (tS2/tS3). The HexSchedule depends only
   // on (T, S1, tT, tS1, radius), so the row classification — class
-  // order, multiplicities, block counts, empty rows — carries over
-  // verbatim and only each class's band geometry is re-derived from
-  // its stored representative shape: bit-identical to a fresh
-  // build(), without classifying the rows again. Falls back to a
-  // full build when the precondition does not hold (different
-  // tT/tS1, or an invalid base).
+  // order, multiplicities, block counts, empty rows, representative
+  // shapes (shared, not copied) — carries over verbatim and only each
+  // class's bound aggregates are re-derived: bit-identical to
+  // build_bounds(), without classifying the rows again. Falls back
+  // to build_bounds when the precondition does not hold (different
+  // tT/tS1, or an invalid base). The result is bounds-only whatever
+  // this profile holds.
   TileCostProfile build_step(const hhc::TileSizes& ts) const;
+
+  // This profile with histograms and the SoA slab derived from the
+  // stored representative shapes: bit-identical to build() for the
+  // same tile. A copy of this profile when it already has them.
+  TileCostProfile with_histograms() const;
 
   bool valid() const noexcept { return valid_; }
   const std::string& error() const noexcept { return error_; }
+  // False only for a valid bounds-only profile, which stage two
+  // refuses to price.
+  bool has_histograms() const noexcept { return histograms_ || !valid_; }
 
-  // The SoA mirror of classes() (empty for invalid profiles).
+  // The SoA mirror of classes() (empty for invalid and bounds-only
+  // profiles).
   const ProfileSoA& soa() const noexcept { return soa_; }
 
   // Batched stage-two fold: units_out[c] = geometry_iter_units(
@@ -159,9 +188,7 @@ class TileCostProfile {
 
   const std::vector<RowClass>& classes() const noexcept { return classes_; }
   // The representative tile shape of each class, in classes() order.
-  const std::vector<hhc::TileShape>& rep_shapes() const noexcept {
-    return rep_shapes_;
-  }
+  const std::vector<hhc::TileShape>& rep_shapes() const noexcept;
   // Rows with no tiles intersecting the domain (launch cost only).
   std::int64_t empty_rows() const noexcept { return empty_rows_; }
   // Diagnostics: total rows/tiles the profile stands for.
@@ -169,22 +196,30 @@ class TileCostProfile {
   std::int64_t total_blocks() const noexcept;
 
  private:
+  using Shapes = std::shared_ptr<const std::vector<hhc::TileShape>>;
+
+  static TileCostProfile classify(const stencil::ProblemSize& p,
+                                  const hhc::TileSizes& ts,
+                                  std::int64_t radius, bool histograms);
   static TileCostProfile invalid(const stencil::ProblemSize& p,
                                  const hhc::TileSizes& ts,
                                  std::int64_t radius, std::string error);
   void finalize_soa();
 
   bool valid_ = false;
+  bool histograms_ = false;
   std::string error_;
   std::vector<RowClass> classes_;
   std::int64_t empty_rows_ = 0;
 
   // Inputs and per-class representative tile shapes, retained so
-  // build_step can re-derive geometry without classifying rows.
+  // build_step and with_histograms can re-derive geometry without
+  // classifying rows. Every profile of one (tT, tS1) shares the
+  // shapes.
   stencil::ProblemSize p_{};
   hhc::TileSizes ts_{};
   std::int64_t radius_ = 1;
-  std::vector<hhc::TileShape> rep_shapes_;
+  Shapes rep_shapes_;
 
   ProfileSoA soa_;
 };
@@ -197,6 +232,12 @@ class TileCostProfile {
 BlockGeometry block_geometry(const stencil::ProblemSize& p,
                              const hhc::TileSizes& ts,
                              const hhc::TileShape& shape);
+
+// The same geometry without the histogram (empty `bins`): the bound
+// aggregates only, in one pass that allocates nothing.
+BlockGeometry block_bounds(const stencil::ProblemSize& p,
+                           const hhc::TileSizes& ts,
+                           const hhc::TileShape& shape);
 
 // Stage two, per block: fold the histogram for one thread count.
 // Returns sum over bins of weight * ceil(points/threads_r) * waves,

@@ -56,19 +56,14 @@ LowerBound lower_bound(const DeviceParams& dev,
   const std::int64_t unit_denom =
       std::min<std::int64_t>(threads_r, std::max(dev.n_v, 1));
 
-  // Per-class aggregate point totals come precomputed with the SoA
-  // slab; the AoS walk stays as the fallback (identical integers
-  // either way — the totals are plain int64 sums).
-  const ProfileSoA& soa = profile.soa();
-  const std::int64_t* totals = soa.empty() ? nullptr : soa.class_totals();
-
-  for (std::size_t i = 0; i < profile.classes().size(); ++i) {
-    const RowClass& c = profile.classes()[i];
+  // Only the classes' bound aggregates are read, never the bins, so
+  // a bounds-only profile (TileCostProfile::build_bounds) serves.
+  for (const RowClass& c : profile.classes()) {
     // Compute floor per block: summing the per-bin ceil quotients is
     // >= the ceil of the aggregate quotient; the barrier charge is
     // the exact one price_block adds.
-    const std::int64_t units = repro::ceil_div(
-        totals ? totals[i] : c.geom.total_points(), unit_denom);
+    const std::int64_t units =
+        repro::ceil_div(c.geom.total_points, unit_denom);
     const double compute_s =
         (static_cast<double>(units) * rc.cyc_iter +
          static_cast<double>(c.geom.sync_count()) * dev.sync_cycles) /
@@ -111,12 +106,13 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const hhc::ThreadConfig& thr,
                        const stencil::KernelVariant& var) {
   // Cheap machine-feasibility first, mirroring simulate_time: an
-  // infeasible point never pays the profile build.
+  // infeasible point never pays the profile build, and a feasible
+  // one builds no histograms.
   const ResolvedConfig rc =
       resolve_config(dev, def, p.dim, ts, thr.total(), var);
   if (!rc.feasible) return infeasible_bound();
   const TileCostProfile profile =
-      TileCostProfile::build(p, ts, def.radius);
+      TileCostProfile::build_bounds(p, ts, def.radius);
   return lower_bound(dev, def, p, ts, thr, profile, var);
 }
 

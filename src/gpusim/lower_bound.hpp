@@ -5,7 +5,9 @@
 // current best. `lower_bound` computes a floor of `simulate_time` —
 // and therefore of `measure_best_of`, whose jitter factor never drops
 // below 1 — from the same thread-invariant `TileCostProfile` the
-// simulator prices, in O(classes) with no per-bin work:
+// simulator prices, in O(classes) with no per-bin work — it reads
+// only each class's bound aggregates, so a bounds-only profile
+// (TileCostProfile::build_bounds) is enough:
 //
 //   * compute floor: per class, ceil(total_points / d) issue units
 //     with d = min(threads_rounded, n_v) — every bin pays at least
@@ -67,9 +69,10 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const TileCostProfile& profile,
                        const stencil::KernelVariant& var = {});
 
-// Convenience overload: builds the profile via build(). Prefer the
-// profile form in sweeps — the tuner's per-tile profile cache makes
-// the profile build free across thread configs.
+// Convenience overload: builds a bounds-only profile via
+// TileCostProfile::build_bounds (no histograms). Prefer the profile
+// form in sweeps — the tuner's per-tile records make the profile
+// build free across thread configs.
 LowerBound lower_bound(const DeviceParams& dev,
                        const stencil::StencilDef& def,
                        const stencil::ProblemSize& p,

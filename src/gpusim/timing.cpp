@@ -48,6 +48,16 @@ std::uint64_t config_key(const DeviceParams& dev,
   return h;
 }
 
+// Stage two folds the point histograms; a bounds-only profile has
+// none and would price every block at zero iterations.
+void require_histograms(const TileCostProfile& profile) {
+  if (!profile.has_histograms()) {
+    throw std::logic_error(
+        "gpusim: pricing needs a profile with histograms "
+        "(TileCostProfile::with_histograms)");
+  }
+}
+
 // The shared pricing body of simulate_time: price every class at one
 // resolved configuration, with `units` either precomputed by the
 // batched SoA fold or (nullptr) derived per class on the fly. Both
@@ -62,6 +72,7 @@ SimResult price_profile(const DeviceParams& dev,
                         const ResolvedConfig& rc,
                         const stencil::KernelVariant& var,
                         std::uint64_t run_id, const std::int64_t* units) {
+  require_histograms(profile);
   SimResult res;
   res.regs_per_thread = rc.regs_per_thread;
   res.spills = rc.spills;
@@ -361,6 +372,7 @@ double simulate_compute_only(const DeviceParams& dev,
                              const hhc::ThreadConfig& thr,
                              const TileCostProfile& profile) {
   if (!profile.valid()) throw std::invalid_argument(profile.error());
+  require_histograms(profile);
   const double cyc_iter = iteration_cycles(dev, def, ts);
   const int threads = thr.total();
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/math_util.hpp"
 #include "hhc/interval.hpp"
@@ -20,7 +19,7 @@ namespace repro::hhc {
 // A group of congruent skewed bands: all interior bands of a prism
 // have identical per-level extents, so consumers price one
 // representative and multiply. Produced by
-// SkewedBands::congruence_classes().
+// SkewedBands::for_each_class().
 struct BandClass {
   std::int64_t rep_b = 0;  // representative band index
   std::int64_t mult = 1;   // number of congruent bands it stands for
@@ -61,22 +60,22 @@ class SkewedBands {
   // its range is the full [.., ..+ts) at every level: b*ts >= r*span
   // (never clipped below 0) and (b+1)*ts <= S; all interior bands are
   // congruent and become one class.
-  std::vector<BandClass> congruence_classes() const {
+  //
+  // f(BandClass) once per class, in band order, without allocating.
+  template <class F>
+  void for_each_class(F&& f) const {
     const std::int64_t n = num_bands();
     const std::int64_t span = r_ * ((t_hi_ - 1) - t_lo_);
     const std::int64_t int_lo = span > 0 ? repro::ceil_div(span, ts_) : 0;
     const std::int64_t int_hi = S_ / ts_ - 1;  // inclusive
 
-    std::vector<BandClass> classes;
     if (int_lo > int_hi) {
-      classes.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t b = 0; b < n; ++b) classes.push_back({b, 1});
-      return classes;
+      for (std::int64_t b = 0; b < n; ++b) f(BandClass{b, 1});
+      return;
     }
-    for (std::int64_t b = 0; b < int_lo; ++b) classes.push_back({b, 1});
-    classes.push_back({int_lo, int_hi - int_lo + 1});
-    for (std::int64_t b = int_hi + 1; b < n; ++b) classes.push_back({b, 1});
-    return classes;
+    for (std::int64_t b = 0; b < int_lo; ++b) f(BandClass{b, 1});
+    f(BandClass{int_lo, int_hi - int_lo + 1});
+    for (std::int64_t b = int_hi + 1; b < n; ++b) f(BandClass{b, 1});
   }
 
  private:

@@ -36,6 +36,17 @@ void take_result(EvaluatedPoint& ep, const Result& res) {
   }
 }
 
+// The point of `points` measured at (thr, var), or nullptr. A tile
+// holds at most a few dozen points, so a linear scan beats hashing.
+const EvaluatedPoint* find_point(const std::vector<EvaluatedPoint>& points,
+                                 const hhc::ThreadConfig& thr,
+                                 const stencil::KernelVariant& var) {
+  for (const EvaluatedPoint& ep : points) {
+    if (ep.dp.thr == thr && ep.dp.var == var) return &ep;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 // --- TuningContext ---------------------------------------------------
@@ -62,23 +73,6 @@ TuningContext TuningContext::with_inputs(const device::Descriptor& dev,
 
 // --- Session ---------------------------------------------------------
 
-std::size_t Session::PointKeyHash::operator()(
-    const PointKey& k) const noexcept {
-  std::uint64_t h = mix64(static_cast<std::uint64_t>(k.tT));
-  h = mix64(h ^ static_cast<std::uint64_t>(k.tS1));
-  h = mix64(h ^ static_cast<std::uint64_t>(k.tS2));
-  h = mix64(h ^ static_cast<std::uint64_t>(k.tS3));
-  h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.n1))
-                 << 32 |
-                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.n2))));
-  h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.n3)));
-  h = mix64(
-      h ^
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.unroll)) << 32 |
-       static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.staging))));
-  return static_cast<std::size_t>(h);
-}
-
 std::size_t Session::TileKeyHash::operator()(const TileKey& k) const noexcept {
   std::uint64_t h = mix64(static_cast<std::uint64_t>(k.tT));
   h = mix64(h ^ static_cast<std::uint64_t>(k.tS1));
@@ -93,16 +87,11 @@ std::size_t Session::StepKeyHash::operator()(const StepKey& k) const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-Session::PointKey Session::point_key(
-    const hhc::TileSizes& ts, const hhc::ThreadConfig& thr,
-    const stencil::KernelVariant& var) noexcept {
-  return {ts.tT,  ts.tS1, ts.tS2,     ts.tS3,
-          thr.n1, thr.n2, thr.n3,     var.unroll,
-          static_cast<int>(var.staging)};
-}
-
 Session::Session(TuningContext ctx, SessionOptions opt)
-    : ctx_(std::move(ctx)), opt_(opt), pool_(opt.jobs) {}
+    : ctx_(std::move(ctx)),
+      opt_(opt),
+      pool_(opt.jobs),
+      threads_(device_thread_configs(ctx_.dev, ctx_.problem.dim)) {}
 
 Session::Session(const device::Descriptor& dev,
                  const stencil::StencilDef& def,
@@ -148,62 +137,29 @@ void Session::reset_stats() {
 
 std::size_t Session::cache_size() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return cache_.size();
+  return points_held_;
 }
 
 void Session::clear_cache() {
   std::lock_guard<std::mutex> lk(mu_);
-  cache_.clear();
-  profiles_.clear();
+  tiles_.clear();
   steps_.clear();
+  points_held_ = 0;
 }
 
-std::shared_ptr<const gpusim::TileCostProfile> Session::profile_for(
-    const hhc::TileSizes& ts) {
-  const TileKey key{ts.tT, ts.tS1, ts.tS2, ts.tS3};
-  const StepKey skey{ts.tT, ts.tS1};
-  std::shared_ptr<const gpusim::TileCostProfile> base;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = profiles_.find(key);
-    if (it != profiles_.end()) {
-      ++stats_.profile_hits;
-      return it->second;
-    }
-    // A cached profile sharing (tT, tS1) serves as the base of an
-    // incremental rebuild: the hexahedral schedule depends only on
-    // those two dimensions, so build_step reuses its row classes and
-    // recomputes per-class geometry only.
-    const auto sit = steps_.find(skey);
-    if (sit != steps_.end() && sit->second->valid()) base = sit->second;
-  }
-  // Build outside the lock (per-class band geometry is the expensive
-  // part); racing builders produce identical profiles, first insert
-  // wins —
-  // build_step is bit-identical to a scratch build, so which base a
-  // racing worker saw can never change a result.
-  const auto t0 = Clock::now();
-  auto prof = std::make_shared<const gpusim::TileCostProfile>(
-      base ? base->build_step(ts)
-           : gpusim::TileCostProfile::build(ctx_.problem, ts,
-                                            ctx_.def.radius));
-  const double elapsed = seconds_since(t0);
-  std::lock_guard<std::mutex> lk(mu_);
-  if (base) {
-    ++stats_.profile_steps;
-  } else {
-    ++stats_.profile_builds;
-  }
-  stats_.geometry_seconds += elapsed;
-  auto inserted = profiles_.emplace(key, std::move(prof)).first->second;
-  steps_[skey] = inserted;
-  return inserted;
+std::span<const stencil::KernelVariant> Session::variant_axis(
+    std::span<const stencil::KernelVariant> variants) const noexcept {
+  static constexpr stencil::KernelVariant kDefault{};
+  return (variants.empty() || ctx_.dev.is_cpu())
+             ? std::span<const stencil::KernelVariant>(&kDefault, 1)
+             : variants;
 }
 
 double Session::price_batch(const hhc::TileSizes& ts,
                             const stencil::KernelVariant& var,
                             std::span<const hhc::ThreadConfig> thrs,
-                            double talg, std::span<EvaluatedPoint> out) {
+                            double talg, const gpusim::TileCostProfile* prof,
+                            std::span<EvaluatedPoint> out) {
   const auto fill = [&](const auto& results) {
     for (std::size_t j = 0; j < thrs.size(); ++j) {
       out[j].dp = DataPoint{ts, thrs[j], var};
@@ -220,9 +176,7 @@ double Session::price_batch(const hhc::TileSizes& ts,
     fill(res);
     return priced;
   }
-  // Stage one (memoized profile build), then stage two: the SoA fold
-  // over every thread config.
-  const std::shared_ptr<const gpusim::TileCostProfile> prof = profile_for(ts);
+  // Stage two: the SoA fold over every thread config.
   std::vector<gpusim::SimResult> res(thrs.size());
   const auto t0 = Clock::now();
   gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem, ts,
@@ -232,80 +186,182 @@ double Session::price_batch(const hhc::TileSizes& ts,
   return priced;
 }
 
-EvaluatedPoint Session::measure(const DataPoint& dp) {
-  const PointKey key = point_key(dp.ts, dp.thr, dp.var);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.machine_points;
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
-  }
-  EvaluatedPoint ep;
-  const double priced =
-      price_batch(dp.ts, dp.var, {&dp.thr, 1},
-                  model_talg_or_inf(ctx_.inputs, ctx_.problem, dp.ts),
-                  {&ep, 1});
-  // Pricing ran outside the lock; two threads may race to fill the
-  // same key, but they insert the same value, so first-wins is
-  // harmless.
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.pricing_seconds += priced;
-  cache_.emplace(key, ep);
-  return ep;
-}
+void Session::measure_tile(const hhc::TileSizes& ts,
+                           std::span<const stencil::KernelVariant> vars,
+                           std::span<const hhc::ThreadConfig> thrs,
+                           Incumbent* inc,
+                           std::span<std::optional<EvaluatedPoint>> out) {
+  const bool cpu = ctx_.dev.is_cpu();
+  const bool bounded = inc != nullptr && opt_.prune;
+  const TileKey key{ts.tT, ts.tS1, ts.tS2, ts.tS3};
+  const std::size_t nthr = thrs.size();
+  std::fill(out.begin(), out.end(), std::nullopt);
 
-std::optional<EvaluatedPoint> Session::measure_bounded(const DataPoint& dp,
-                                                       Incumbent* inc) {
-  if (inc == nullptr || !opt_.prune) return measure(dp);
-  // Cache first: a hit costs less than the bound and keeps the memo
-  // counters meaningful (revisits stay cache hits, never prunes).
+  // Read the tile's record once: its profile, its Talg and every
+  // requested point it already holds (those slots are the hits). A
+  // tile without a profile may step from a cached one sharing
+  // (tT, tS1).
+  std::shared_ptr<const gpusim::TileCostProfile> prof;
+  std::shared_ptr<const gpusim::TileCostProfile> base;
+  std::optional<double> talg;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto it = cache_.find(point_key(dp.ts, dp.thr, dp.var));
-    if (it != cache_.end()) {
-      ++stats_.machine_points;
-      ++stats_.cache_hits;
-      if (it->second.feasible) inc->offer(it->second.texec);
-      return it->second;
-    }
-  }
-  // Bound gate: only worth pricing once an incumbent exists. A prune
-  // requires lower_bound > incumbent strictly — see the header
-  // comment's determinism invariant.
-  const double cut = inc->load();
-  if (cut < std::numeric_limits<double>::infinity()) {
-    double bound = 0.0;
-    double elapsed = 0.0;
-    if (ctx_.dev.is_cpu()) {
-      const auto t0 = Clock::now();
-      bound = cpusim::lower_bound(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
-                                  dp.ts, dp.thr)
-                  .seconds;
-      elapsed = seconds_since(t0);
-    } else {
-      const std::shared_ptr<const gpusim::TileCostProfile> prof =
-          profile_for(dp.ts);
-      const auto t0 = Clock::now();
-      bound = gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
-                                  dp.ts, dp.thr, *prof, dp.var)
-                  .seconds;
-      elapsed = seconds_since(t0);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.bound_seconds += elapsed;
-      if (bound > cut) {
-        ++stats_.points_pruned;
-        return std::nullopt;
+    const auto it = tiles_.find(key);
+    if (it != tiles_.end()) {
+      const TileRecord& rec = it->second;
+      prof = rec.profile;
+      talg = rec.talg;
+      for (std::size_t i = 0; !rec.points.empty() && i < out.size(); ++i) {
+        const EvaluatedPoint* ep =
+            find_point(rec.points, thrs[i % nthr], vars[i / nthr]);
+        if (ep != nullptr) out[i] = *ep;
       }
     }
+    if (!cpu && !prof) {
+      const auto sit = steps_.find(StepKey{ts.tT, ts.tS1});
+      if (sit != steps_.end() && sit->second->valid()) base = sit->second;
+    }
   }
-  const EvaluatedPoint ep = measure(dp);
-  if (ep.feasible) inc->offer(ep.texec);
-  return ep;
+
+  // Counters and the record's new state accumulate locally and are
+  // committed under one lock at the end.
+  SweepStats local;
+  const bool prof_cached = prof != nullptr;
+  bool prof_changed = false;
+  // GPU stage one on demand: the record's profile, else one built
+  // here, bounds-only until the tile is priced. Racing builders
+  // produce identical profiles, so which one the record keeps can
+  // never change a result.
+  const auto stage_one = [&](bool priced) {
+    if (prof_cached) local.profile_hits = 1;
+    if (prof && (!priced || prof->has_histograms())) return;
+    const auto t0 = Clock::now();
+    if (!prof) {
+      if (base) {
+        prof = std::make_shared<const gpusim::TileCostProfile>(
+            base->build_step(ts));
+        ++local.profile_steps;
+      } else {
+        prof = std::make_shared<const gpusim::TileCostProfile>(
+            priced ? gpusim::TileCostProfile::build(ctx_.problem, ts,
+                                                    ctx_.def.radius)
+                   : gpusim::TileCostProfile::build_bounds(
+                         ctx_.problem, ts, ctx_.def.radius));
+        ++local.profile_builds;
+      }
+    }
+    if (priced) {
+      if (!prof->has_histograms()) {
+        prof = std::make_shared<const gpusim::TileCostProfile>(
+            prof->with_histograms());
+      }
+      ++local.histogram_builds;
+    }
+    local.geometry_seconds += seconds_since(t0);
+    prof_changed = true;
+  };
+
+  // Pass 1 walks the points variant-major, serving hits and bounding
+  // misses; pass 2 prices each variant's surviving misses in one
+  // batch call.
+  //
+  // The CPU bound never reads the strand count, so it is evaluated
+  // once per tile, on the first miss that needs it. Every measured
+  // texec of this tile is >= that bound, so at one worker a tile's
+  // misses are either all pruned or none are, exactly as in a
+  // point-by-point walk.
+  std::optional<double> cpu_tile_bound;
+  std::vector<std::size_t> miss;  // ascending, so grouped by variant
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i]) {
+      ++local.machine_points;
+      ++local.cache_hits;
+      if (bounded && out[i]->feasible) inc->offer(out[i]->texec);
+      continue;
+    }
+    if (bounded) {
+      // Bound gate: only worth evaluating once an incumbent exists. A
+      // prune requires lower_bound > incumbent strictly — see the
+      // header comment's determinism invariant.
+      const double cut = inc->load();
+      if (cut < std::numeric_limits<double>::infinity()) {
+        if (!cpu) stage_one(/*priced=*/false);
+        const hhc::ThreadConfig& thr = thrs[i % nthr];
+        const auto tb = Clock::now();
+        double bound = std::numeric_limits<double>::infinity();
+        if (cpu) {
+          if (!cpu_tile_bound) {
+            cpu_tile_bound = cpusim::lower_bound(ctx_.dev.cpu(), ctx_.def,
+                                                 ctx_.problem, ts)
+                                 .seconds;
+          }
+          if (cpusim::strands_in_range(thr)) bound = *cpu_tile_bound;
+        } else {
+          bound = gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                                      ts, thr, *prof, vars[i / nthr])
+                      .seconds;
+        }
+        local.bound_seconds += seconds_since(tb);
+        if (bound > cut) {
+          ++local.points_pruned;
+          continue;
+        }
+      }
+    }
+    miss.push_back(i);
+  }
+
+  if (!miss.empty()) {
+    // Talg depends only on the tile, not on threads or variant.
+    if (!talg) talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
+    if (!cpu) stage_one(/*priced=*/true);
+    std::vector<hhc::ThreadConfig> batch;
+    std::vector<EvaluatedPoint> priced;
+    for (std::size_t lo = 0; lo < miss.size();) {
+      const std::size_t vi = miss[lo] / nthr;
+      std::size_t hi = lo;
+      batch.clear();
+      for (; hi < miss.size() && miss[hi] / nthr == vi; ++hi) {
+        batch.push_back(thrs[miss[hi] % nthr]);
+      }
+      priced.assign(batch.size(), EvaluatedPoint{});
+      local.pricing_seconds +=
+          price_batch(ts, vars[vi], batch, *talg, prof.get(), priced);
+      local.machine_points += batch.size();
+      for (std::size_t k = 0; k < priced.size(); ++k) {
+        if (bounded && priced[k].feasible) inc->offer(priced[k].texec);
+        out[miss[lo + k]] = priced[k];
+      }
+      lo = hi;
+    }
+  }
+
+  std::lock_guard<std::mutex> lk(mu_);
+  stats_ += local;
+  if (miss.empty() && !prof_changed) return;
+  TileRecord& rec = tiles_[key];
+  if (prof_changed &&
+      (!rec.profile ||
+       (prof->has_histograms() && !rec.profile->has_histograms()))) {
+    rec.profile = prof;
+    steps_[StepKey{ts.tT, ts.tS1}] = prof;
+  }
+  if (talg && !rec.talg) rec.talg = talg;
+  // Two workers may race to price the same point; they measure the
+  // same value, so the first commit wins.
+  for (const std::size_t i : miss) {
+    const EvaluatedPoint& ep = *out[i];
+    if (find_point(rec.points, ep.dp.thr, ep.dp.var) == nullptr) {
+      rec.points.push_back(ep);
+      ++points_held_;
+    }
+  }
+}
+
+EvaluatedPoint Session::measure(const DataPoint& dp) {
+  std::optional<EvaluatedPoint> ep;
+  measure_tile(dp.ts, {&dp.var, 1}, {&dp.thr, 1}, nullptr, {&ep, 1});
+  return *ep;
 }
 
 void Session::fold_best(EvaluatedPoint& best, const EvaluatedPoint& cand) {
@@ -386,11 +442,13 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
   std::vector<EvaluatedPoint> out(dps.size());
   pool_.for_each_index(dps.size(), /*grain=*/1, [&](std::size_t j) {
     const std::size_t i = order[j];
-    const std::optional<EvaluatedPoint> ep = measure_bounded(dps[i], &inc);
+    const DataPoint& dp = dps[i];
+    std::optional<EvaluatedPoint> ep;
+    measure_tile(dp.ts, {&dp.var, 1}, {&dp.thr, 1}, &inc, {&ep, 1});
     if (ep) {
       out[i] = *ep;
     } else {
-      out[i].dp = dps[i];  // pruned: provably not the scope's argmin
+      out[i].dp = dp;  // pruned: provably not the scope's argmin
     }
   });
   add_machine_time(seconds_since(t0));
@@ -400,114 +458,15 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
 EvaluatedPoint Session::sweep_tile(
     const hhc::TileSizes& ts,
     std::span<const stencil::KernelVariant> variants, Incumbent* inc) {
-  // An empty span means the default variant; CPU backends have no
-  // variant codegen, so the axis collapses to the default there too.
-  static constexpr stencil::KernelVariant kDefault{};
-  const bool cpu = ctx_.dev.is_cpu();
-  const std::span<const stencil::KernelVariant> vars =
-      (variants.empty() || cpu)
-          ? std::span<const stencil::KernelVariant>(&kDefault, 1)
-          : variants;
-  const std::vector<hhc::ThreadConfig> threads =
-      device_thread_configs(ctx_.dev, ctx_.problem.dim);
+  const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
+  // Results land in visit-order slots, so the fold's tie-breaking is
+  // the serial variant-major loop's.
+  std::vector<std::optional<EvaluatedPoint>> slot(vars.size() *
+                                                  threads_.size());
+  measure_tile(ts, vars, threads_, inc, slot);
   EvaluatedPoint best;
-
-  // Pass 1 walks the sweep variant-major, serving cache hits and
-  // bounding misses exactly like measure_bounded; pass 2 prices each
-  // variant's surviving misses in one batch call. Results land in
-  // visit-order slots so the final fold's tie-breaking is the serial
-  // variant-major loop's.
-  const bool bounded = inc != nullptr && opt_.prune;
-  // The CPU bound never reads the strand count, so it is evaluated
-  // once per tile, on the first miss that needs it. Every measured
-  // texec of this tile is >= that bound, so at one worker a tile's
-  // misses are either all pruned or none are, exactly as in a
-  // point-by-point walk.
-  std::optional<double> cpu_tile_bound;
-  std::shared_ptr<const gpusim::TileCostProfile> prof;  // GPU bounds
-  const std::size_t nthr = threads.size();
-  std::vector<EvaluatedPoint> slot(vars.size() * nthr);
-  std::vector<char> have(vars.size() * nthr, 0);
-  std::vector<std::vector<std::size_t>> miss(vars.size());
-  for (std::size_t vi = 0; vi < vars.size(); ++vi) {
-    const stencil::KernelVariant& var = vars[vi];
-    for (std::size_t ti = 0; ti < nthr; ++ti) {
-      const hhc::ThreadConfig& thr = threads[ti];
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        const auto it = cache_.find(point_key(ts, thr, var));
-        if (it != cache_.end()) {
-          ++stats_.machine_points;
-          ++stats_.cache_hits;
-          if (bounded && it->second.feasible) inc->offer(it->second.texec);
-          slot[vi * nthr + ti] = it->second;
-          have[vi * nthr + ti] = 1;
-          continue;
-        }
-      }
-      if (bounded) {
-        // Same bound gate (and determinism invariant) as
-        // measure_bounded: prune only on lower_bound > incumbent
-        // strictly, incumbent being a measured texec of this scope.
-        const double cut = inc->load();
-        if (cut < std::numeric_limits<double>::infinity()) {
-          if (!cpu && !prof) prof = profile_for(ts);
-          const auto tb = Clock::now();
-          double bound = std::numeric_limits<double>::infinity();
-          if (cpu) {
-            if (!cpu_tile_bound) {
-              cpu_tile_bound = cpusim::lower_bound(ctx_.dev.cpu(), ctx_.def,
-                                                   ctx_.problem, ts)
-                                   .seconds;
-            }
-            if (cpusim::strands_in_range(thr)) bound = *cpu_tile_bound;
-          } else {
-            bound = gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def,
-                                        ctx_.problem, ts, thr, *prof, var)
-                        .seconds;
-          }
-          const double elapsed = seconds_since(tb);
-          std::lock_guard<std::mutex> lk(mu_);
-          stats_.bound_seconds += elapsed;
-          if (bound > cut) {
-            ++stats_.points_pruned;
-            continue;
-          }
-        }
-      }
-      miss[vi].push_back(ti);
-    }
-  }
-
-  // Talg depends only on the tile, not on threads or variant: price
-  // it once for the whole sweep.
-  std::optional<double> talg;
-  std::vector<hhc::ThreadConfig> batch_thrs;
-  for (std::size_t vi = 0; vi < vars.size(); ++vi) {
-    if (miss[vi].empty()) continue;
-    if (!talg) talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
-    batch_thrs.clear();
-    for (const std::size_t ti : miss[vi]) batch_thrs.push_back(threads[ti]);
-    std::vector<EvaluatedPoint> priced_pts(batch_thrs.size());
-    const double priced =
-        price_batch(ts, vars[vi], batch_thrs, *talg, priced_pts);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.machine_points += priced_pts.size();
-      stats_.pricing_seconds += priced;
-      for (const EvaluatedPoint& ep : priced_pts) {
-        cache_.emplace(point_key(ts, ep.dp.thr, vars[vi]), ep);
-      }
-    }
-    for (std::size_t k = 0; k < priced_pts.size(); ++k) {
-      const EvaluatedPoint& ep = priced_pts[k];
-      if (bounded && ep.feasible) inc->offer(ep.texec);
-      slot[vi * nthr + miss[vi][k]] = ep;
-      have[vi * nthr + miss[vi][k]] = 1;
-    }
-  }
-  for (std::size_t i = 0; i < slot.size(); ++i) {
-    if (have[i]) fold_best(best, slot[i]);
+  for (const std::optional<EvaluatedPoint>& ep : slot) {
+    if (ep) fold_best(best, *ep);
   }
   return best;
 }
@@ -556,13 +515,7 @@ EvaluatedPoint Session::best_tile(
   // point could beat the space's argmin and prune it away. The space
   // membership test mirrors sweep_tile exactly: the variant axis
   // collapses to the default on an empty span or a CPU device.
-  static constexpr stencil::KernelVariant kDefaultVar{};
-  const std::span<const stencil::KernelVariant> vars =
-      (variants.empty() || ctx_.dev.is_cpu())
-          ? std::span<const stencil::KernelVariant>(&kDefaultVar, 1)
-          : variants;
-  const std::vector<hhc::ThreadConfig> threads =
-      device_thread_configs(ctx_.dev, ctx_.problem.dim);
+  const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
   {
     std::lock_guard<std::mutex> lk(mu_);
     stats_.seeds_offered += seeds.size();
@@ -572,12 +525,13 @@ EvaluatedPoint Session::best_tile(
   for (const WarmSeed& ws : seeds) {
     const bool in_space =
         std::find(tiles.begin(), tiles.end(), ws.ts) != tiles.end() &&
-        std::find(threads.begin(), threads.end(), ws.thr) != threads.end() &&
+        std::find(threads_.begin(), threads_.end(), ws.thr) !=
+            threads_.end() &&
         std::find(vars.begin(), vars.end(), ws.var) != vars.end();
     if (!in_space) continue;
     // Re-price the neighbor's point under this session's problem. The
-    // sweep below revisits the point (it is in space), so the memo
-    // cache serves it back and it participates in the final
+    // sweep below revisits the point (it is in space), so the tile's
+    // record serves it back and it participates in the final
     // reduction — which is exactly what makes seeding it admissible.
     const EvaluatedPoint ep = measure(DataPoint{ws.ts, ws.thr, ws.var});
     {

@@ -16,12 +16,16 @@
 // deterministic chunked reduction, so results are bitwise-identical
 // for any worker count.
 //
-// Memoization: the cache is keyed by (tile sizes, thread config); the
-// problem, stencil and device are fixed by the session's context, so
-// the full key of a measurement is (tiles, threads, problem, device).
-// compare_strategies profits directly: every point the exhaustive
-// pass shares with the baseline or within-10% sets is served from the
-// cache instead of being re-simulated.
+// Memoization: the session keeps one record per tile size, holding
+// the tile's GPU geometry profile, its model Talg and every
+// (thread config, kernel variant) point measured on it; the problem,
+// stencil and device are fixed by the session's context, so the full
+// key of a measurement is (tiles, threads, variant, problem, device).
+// A thread sweep reads its tile's record under the session lock once
+// and commits its new points and counters once, not once per thread
+// config. compare_strategies profits directly: every point the
+// exhaustive pass shares with the baseline or within-10% sets is
+// served from the record instead of being re-simulated.
 //
 // Bound-and-prune (SessionOptions::prune, default on): every
 // reduction-shaped method (best_over_threads, best_over_threads_many,
@@ -58,10 +62,13 @@
 // call per (tile, variant) — a single point is a batch of one. Talg
 // is computed once per tile and the surviving thread configs of a
 // sweep are priced together:
-//   * GPU: gpusim::measure_best_of_batch against the tile's cached
-//     SoA profile (stage one runs once per tile, or as an incremental
-//     build_step from a profile sharing (tT, tS1)); the per-class unit
-//     fold runs over the contiguous slab.
+//   * GPU: stage one runs once per tile and in two layers
+//     (gpusim/cost_profile.hpp). The first bound on a tile builds a
+//     bounds-only profile (row classes and bound aggregates, or an
+//     incremental build_step from a profile sharing (tT, tS1)); the
+//     band histograms and SoA slab are derived only when the tile is
+//     first priced, so the tiles pruning discards never pay for them.
+//     gpusim::measure_best_of_batch then folds the contiguous slab.
 //   * CPU: cpusim analyzes the tile and hashes its jitter-key prefix
 //     once, then pays only the per-strand step per config, and the
 //     strand-invariant lower bound is evaluated once per tile.
@@ -149,18 +156,24 @@ struct SweepStats {
 
   // Two-stage pipeline split (GPU): a tile size's geometry profile is
   // built once (stage one: row classes in O(classes), then per-class
-  // band geometry) and every later batch or bound on that tile reuses
-  // it (stage two, closed-form pricing). A "step" is an incremental
-  // rebuild (TileCostProfile::build_step) from a cached profile
-  // sharing (tT, tS1) — the row classes carry over and only the
-  // per-class geometry is recomputed. CPU tiles
-  // build no profile: cpusim's per-tile stage runs inside each batch
-  // call, so its time counts in pricing_seconds and the profile
-  // counters stay 0.
+  // bound aggregates) and every later batch or bound on that tile
+  // reuses it (stage two, closed-form pricing). A "step" is an
+  // incremental rebuild (TileCostProfile::build_step) from a cached
+  // profile sharing (tT, tS1) — the row classes carry over and only
+  // the per-class aggregates are recomputed. A "hit" is a tile visit
+  // (a thread sweep or a single point) that needed the profile and
+  // found it in the tile's record. The band histograms pricing needs
+  // are derived once per tile, the first time it is priced
+  // (histogram_builds); a tile that is only ever bounded never pays
+  // for them. CPU tiles build no profile: cpusim's per-tile stage
+  // runs inside each batch call, so its time counts in
+  // pricing_seconds and the profile counters stay 0.
   std::size_t profile_builds = 0;   // geometry profiles built from scratch
   std::size_t profile_steps = 0;    // ... rebuilt incrementally instead
-  std::size_t profile_hits = 0;     // served from the profile cache
+  std::size_t profile_hits = 0;     // served from the tile's record
+  std::size_t histogram_builds = 0; // profiles given band histograms
   double geometry_seconds = 0.0;    // wall time building GPU profiles
+                                    // and their histograms
   double pricing_seconds = 0.0;     // wall time in simulator pricing calls
 
   // Bound-and-prune: points skipped because their admissible lower
@@ -189,6 +202,7 @@ struct SweepStats {
     f("profile_builds", &SweepStats::profile_builds);
     f("profile_steps", &SweepStats::profile_steps);
     f("profile_hits", &SweepStats::profile_hits);
+    f("histogram_builds", &SweepStats::histogram_builds);
     f("geometry_seconds", &SweepStats::geometry_seconds);
     f("pricing_seconds", &SweepStats::pricing_seconds);
     f("points_pruned", &SweepStats::points_pruned);
@@ -336,21 +350,12 @@ class Session {
 
   SweepStats stats() const;
   void reset_stats();
+  // Measured points held across all tile records.
   std::size_t cache_size() const;
+  // Drops every tile record (points, profiles, Talg).
   void clear_cache();
 
  private:
-  struct PointKey {
-    std::int64_t tT, tS1, tS2, tS3;
-    int n1, n2, n3;
-    // Kernel variant (stencil/variant.hpp), flattened so the key
-    // stays a plain aggregate. Default variant: {1, 0}.
-    int unroll, staging;
-    friend bool operator==(const PointKey&, const PointKey&) = default;
-  };
-  struct PointKeyHash {
-    std::size_t operator()(const PointKey& k) const noexcept;
-  };
   struct TileKey {
     std::int64_t tT, tS1, tS2, tS3;
     friend bool operator==(const TileKey&, const TileKey&) = default;
@@ -358,14 +363,6 @@ class Session {
   struct TileKeyHash {
     std::size_t operator()(const TileKey& k) const noexcept;
   };
-
-  // Stage one, memoized: the thread-invariant geometry profile of one
-  // tile size. Orthogonal to the (tiles, threads) measurement memo —
-  // every variant batch, bound and single point on a tile after the
-  // first is a profile hit even when every measurement is new.
-  std::shared_ptr<const gpusim::TileCostProfile> profile_for(
-      const hhc::TileSizes& ts);
-
   struct StepKey {
     std::int64_t tT, tS1;
     friend bool operator==(const StepKey&, const StepKey&) = default;
@@ -374,39 +371,59 @@ class Session {
     std::size_t operator()(const StepKey& k) const noexcept;
   };
 
-  static PointKey point_key(const hhc::TileSizes& ts,
-                            const hhc::ThreadConfig& thr,
-                            const stencil::KernelVariant& var) noexcept;
+  // Everything the session knows about one tile size.
+  struct TileRecord {
+    // GPU stage one: bounds-only until the tile is first priced, then
+    // with histograms. Orthogonal to the measured points — every
+    // variant batch, bound and single point on a tile after the first
+    // reuses it even when every measurement is new.
+    std::shared_ptr<const gpusim::TileCostProfile> profile;
+    std::optional<double> talg;  // set once the tile is priced
+    // Measured (thread config, variant) points, in measurement order.
+    std::vector<EvaluatedPoint> points;
+  };
+
+  // The variants a sweep visits: `variants`, or the default variant
+  // alone when the span is empty or the device is a CPU (no variant
+  // codegen there).
+  std::span<const stencil::KernelVariant> variant_axis(
+      std::span<const stencil::KernelVariant> variants) const noexcept;
 
   // The one pricing call of the session: out[j] = the measured point
   // (ts, thrs[j], var) with model price `talg`, priced in a single
-  // backend batch call (GPU: against profile_for(ts)). Uncached and
-  // uncounted; returns the pricing wall time for the caller to book.
+  // backend batch call (GPU: against `prof`, which has histograms).
+  // Returns the pricing wall time for the caller to book.
   double price_batch(const hhc::TileSizes& ts,
                      const stencil::KernelVariant& var,
                      std::span<const hhc::ThreadConfig> thrs, double talg,
+                     const gpusim::TileCostProfile* prof,
                      std::span<EvaluatedPoint> out);
 
-  // Cache-aware single measurement (a batch of one); also bumps the
-  // point counters.
+  // The one per-tile path behind every measurement: the points
+  // vars x thrs of tile `ts`, variant-major (out[vi * thrs.size() +
+  // ti]). Points the tile's record holds are served from it (cache
+  // hits); with `inc` and pruning on, each miss whose admissible
+  // lower bound exceeds the incumbent strictly is skipped (nullopt,
+  // counted in points_pruned), and hits and fresh measurements offer
+  // their texec to it in visit order; the surviving misses are
+  // priced in one batch call per variant. Takes the session lock
+  // once to read the record and once to commit. Not timed — callers
+  // own the phase.
+  void measure_tile(const hhc::TileSizes& ts,
+                    std::span<const stencil::KernelVariant> vars,
+                    std::span<const hhc::ThreadConfig> thrs, Incumbent* inc,
+                    std::span<std::optional<EvaluatedPoint>> out);
+
+  // One point through measure_tile, unbounded.
   EvaluatedPoint measure(const DataPoint& dp);
-  // Like measure(), but consults `inc` first: cache hits and fresh
-  // measurements offer their texec to the incumbent; a cache miss
-  // whose lower bound exceeds the incumbent is skipped (nullopt,
-  // counted in points_pruned). inc == nullptr or prune off degrades
-  // to plain measure().
-  std::optional<EvaluatedPoint> measure_bounded(const DataPoint& dp,
-                                                Incumbent* inc);
   // Fold `candidate` into `best` with the serial loops' tie-breaking
   // (first strictly-better point wins).
   static void fold_best(EvaluatedPoint& best, const EvaluatedPoint& candidate);
   // The unit of work of every thread sweep: the best measured
-  // (thread, variant) point of one tile, folded variant-major in span
-  // order (empty span = default variant; CPU devices always collapse
-  // to it). The surviving misses are priced in one batch call per
-  // variant. `inc` participates exactly like measure_bounded's:
-  // nullptr (or prune off) measures every point. Not timed — callers
-  // own the phase.
+  // (thread, variant) point of one tile over the device's thread
+  // configs, folded variant-major in variant_axis order. `inc`
+  // participates as in measure_tile: nullptr (or prune off) measures
+  // every point. Not timed — callers own the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
                             std::span<const stencil::KernelVariant> variants,
                             Incumbent* inc);
@@ -432,21 +449,23 @@ class Session {
   TuningContext ctx_;
   SessionOptions opt_;
   ThreadPool pool_;
+  // The device's thread configs (device_thread_configs), fixed for
+  // the session's lifetime.
+  std::vector<hhc::ThreadConfig> threads_;
 
-  mutable std::mutex mu_;  // guards cache_, profiles_, steps_, stats_
-  std::unordered_map<PointKey, EvaluatedPoint, PointKeyHash> cache_;
-  std::unordered_map<TileKey, std::shared_ptr<const gpusim::TileCostProfile>,
-                     TileKeyHash>
-      profiles_;
+  mutable std::mutex mu_;  // guards tiles_, steps_, points_held_, stats_
+  std::unordered_map<TileKey, TileRecord, TileKeyHash> tiles_;
   // Latest cached profile per (tT, tS1): HexSchedule depends only on
-  // those two tile dimensions, so a miss whose (tT, tS1) matches a
-  // cached profile rebuilds incrementally via build_step (the rows
-  // are not classified again) instead of from scratch. Bit-identical
-  // to a scratch build, so which base a racing worker sees can never
-  // change a result, only the profile_builds/profile_steps split.
+  // those two tile dimensions, so a tile whose (tT, tS1) matches a
+  // cached profile builds its own incrementally via build_step (the
+  // rows are not classified again) instead of from scratch.
+  // Bit-identical to a scratch build, so which base a racing worker
+  // sees can never change a result, only the
+  // profile_builds/profile_steps split.
   std::unordered_map<StepKey, std::shared_ptr<const gpusim::TileCostProfile>,
                      StepKeyHash>
       steps_;
+  std::size_t points_held_ = 0;  // sum of points.size() over tiles_
   SweepStats stats_;
 };
 

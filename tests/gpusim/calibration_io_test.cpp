@@ -2,15 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "gpusim/microbench.hpp"
 
 namespace repro::gpusim {
 namespace {
 
-std::string temp_path() { return "/tmp/repro_calibration_test.txt"; }
+// ctest runs each case as its own process, concurrently under -j, so
+// the file name carries the process id: no two live cases share it.
+std::string temp_path() {
+  return (std::filesystem::temp_directory_path() /
+          ("repro_calibration_test_" + std::to_string(::getpid()) + ".txt"))
+      .string();
+}
 
 TEST(CalibrationIo, RoundTripsExactly) {
   const model::ModelInputs in = calibrate_model(

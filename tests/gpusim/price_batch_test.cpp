@@ -225,8 +225,8 @@ TEST(PriceBatch, LowerBoundAdmissiblePerVariant) {
 }
 
 // Incremental rebuild: for a tile differing from the base only in the
-// inner extents, build_step must equal a scratch build exactly —
-// class structure, SoA slab and the priced SimResult.
+// inner extents, build_step plus its histograms must equal a scratch
+// build exactly — class structure, SoA slab and the priced SimResult.
 TEST(PriceBatch, BuildStepMatchesScratchBuild) {
   const DeviceParams dev = gtx980();
   struct StepCase {
@@ -255,7 +255,11 @@ TEST(PriceBatch, BuildStepMatchesScratchBuild) {
     const TileCostProfile base =
         TileCostProfile::build(c.p, c.base, def.radius);
     ASSERT_TRUE(base.valid());
-    const TileCostProfile stepped = base.build_step(c.stepped);
+    // A step is bounds-only; the histograms are derived on top of it,
+    // as the tuner does when it first prices the tile.
+    const TileCostProfile step = base.build_step(c.stepped);
+    EXPECT_FALSE(step.has_histograms());
+    const TileCostProfile stepped = step.with_histograms();
     const TileCostProfile fresh =
         TileCostProfile::build(c.p, c.stepped, def.radius);
     ASSERT_TRUE(stepped.valid());
@@ -289,7 +293,7 @@ TEST(PriceBatch, BuildStepFallsBackWhenOuterShapeChanges) {
       p, {.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1}, def.radius);
   ASSERT_TRUE(base.valid());
   const hhc::TileSizes other{.tT = 4, .tS1 = 16, .tS2 = 64, .tS3 = 1};
-  const TileCostProfile stepped = base.build_step(other);
+  const TileCostProfile stepped = base.build_step(other).with_histograms();
   const TileCostProfile fresh = TileCostProfile::build(p, other, def.radius);
   ASSERT_TRUE(stepped.valid());
   ASSERT_EQ(stepped.classes().size(), fresh.classes().size());

@@ -5,22 +5,29 @@
 // configuration bitwise-identically, across dimensions,
 // boundary-clipped tiles, spill and low-occupancy configs, radius-2
 // stencils and a seeded sweep of generated problems. This is what
-// makes the O(classes) path safe to use everywhere.
+// makes the O(classes) path safe to use everywhere. The histogram-free
+// profile (build_bounds) must equal build() in everything but the
+// bins, bound bitwise-identically, and gain histograms equal to a
+// scratch build().
 #include "gpusim/cost_profile.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "gpusim/lower_bound.hpp"
 #include "gpusim/timing.hpp"
 #include "hhc/hex_schedule.hpp"
 #include "stencil/stencil.hpp"
+#include "stencil/variant.hpp"
 #include "support/event_sim.hpp"
 #include "support/profile_oracle.hpp"
+#include "tuner/space.hpp"
 
 namespace repro::gpusim {
 namespace {
@@ -352,6 +359,146 @@ TEST(ProfileParity, SeededSweepMatchesRowWalk) {
   EXPECT_GT(invalid, kCases / 20);
   EXPECT_GT(shorter_than_tile, kCases / 50);
   EXPECT_GT(enumerated, kCases / 50);
+}
+
+// Every bound field, no tolerance.
+void expect_bound_equal(const LowerBound& a, const LowerBound& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.feasible, b.feasible) << what;
+  EXPECT_EQ(a.seconds, b.seconds) << what;
+  EXPECT_EQ(a.compute_floor, b.compute_floor) << what;
+  EXPECT_EQ(a.memory_floor, b.memory_floor) << what;
+  EXPECT_EQ(a.overhead_floor, b.overhead_floor) << what;
+}
+
+// A bounds-only profile against build()'s for the same tile: equal
+// class for class in everything but the bins, which it leaves empty;
+// build()'s point totals are the exact sums over its bins.
+void expect_bounds_only_equal(const TileCostProfile& bounds,
+                              const TileCostProfile& full,
+                              const std::string& what) {
+  ASSERT_EQ(bounds.valid(), full.valid()) << what;
+  EXPECT_EQ(bounds.error(), full.error()) << what;
+  if (!full.valid()) return;
+  EXPECT_FALSE(bounds.has_histograms()) << what;
+  EXPECT_TRUE(bounds.soa().empty()) << what;
+  ASSERT_EQ(bounds.classes().size(), full.classes().size()) << what;
+  ASSERT_EQ(bounds.rep_shapes().size(), full.rep_shapes().size()) << what;
+  for (std::size_t c = 0; c < full.classes().size(); ++c) {
+    const RowClass& a = bounds.classes()[c];
+    const RowClass& b = full.classes()[c];
+    const std::string at = what + " class " + std::to_string(c);
+    EXPECT_EQ(a.mult, b.mult) << at;
+    EXPECT_EQ(a.blocks, b.blocks) << at;
+    EXPECT_TRUE(a.geom.bins.empty()) << at;
+    EXPECT_EQ(a.geom.total_points, b.geom.total_points) << at;
+    EXPECT_EQ(a.geom.level_syncs, b.geom.level_syncs) << at;
+    EXPECT_EQ(a.geom.busy_pieces, b.geom.busy_pieces) << at;
+    EXPECT_EQ(a.geom.io_words, b.geom.io_words) << at;
+    std::int64_t binned = 0;
+    for (const PointBin& bin : b.geom.bins) binned += bin.points * bin.weight;
+    EXPECT_EQ(b.geom.total_points, binned) << at;
+    EXPECT_EQ(bounds.rep_shapes()[c].first_level,
+              full.rep_shapes()[c].first_level)
+        << at;
+    EXPECT_EQ(bounds.rep_shapes()[c].level_cols,
+              full.rep_shapes()[c].level_cols)
+        << at;
+  }
+  EXPECT_EQ(bounds.empty_rows(), full.empty_rows()) << what;
+  EXPECT_EQ(bounds.total_rows(), full.total_rows()) << what;
+  EXPECT_EQ(bounds.total_blocks(), full.total_blocks()) << what;
+}
+
+// The three checks on one tile: bounds-only vs build(); lower_bound
+// bitwise on both profiles (and through the convenience overload) for
+// every default thread config and every catalogue variant; and the
+// histograms added later vs a scratch build() and the row walk.
+void check_histogram_free(const StencilDef& def, const ProblemSize& p,
+                          const hhc::TileSizes& ts, std::int64_t radius,
+                          bool enumerate_bands, const std::string& what) {
+  const TileCostProfile bounds = TileCostProfile::build_bounds(p, ts, radius);
+  const TileCostProfile full = TileCostProfile::build(p, ts, radius);
+  expect_bounds_only_equal(bounds, full, what);
+  if (!full.valid()) return;
+  if (radius == def.radius) {
+    for (const hhc::ThreadConfig& thr : tuner::default_thread_configs(p.dim)) {
+      for (const stencil::KernelVariant& var :
+           stencil::all_kernel_variants()) {
+        const std::string at = what + " thr=" + std::to_string(thr.total()) +
+                               " var=" + var.to_string();
+        const LowerBound lb = lower_bound(gtx980(), def, p, ts, thr, full, var);
+        expect_bound_equal(
+            lower_bound(gtx980(), def, p, ts, thr, bounds, var), lb, at);
+        expect_bound_equal(lower_bound(gtx980(), def, p, ts, thr, var), lb,
+                           at + " (convenience)");
+      }
+    }
+  }
+  const TileCostProfile later = bounds.with_histograms();
+  EXPECT_TRUE(later.has_histograms()) << what;
+  expect_profile_equal(later, full, what + " (vs build)");
+  const test::ReferenceProfile ref =
+      test::build_reference(p, ts, radius, enumerate_bands);
+  ASSERT_TRUE(ref.valid) << what;
+  expect_profile_equal(later, ref.profile, what + " (vs row walk)");
+  // A step along tS2 from either profile is bounds-only too and
+  // equals build_bounds of the stepped tile.
+  hhc::TileSizes wider = ts;
+  wider.tS2 += p.dim >= 2 ? 8 : 0;
+  expect_bounds_only_equal(full.build_step(wider),
+                           TileCostProfile::build(p, wider, radius),
+                           what + " (step)");
+}
+
+TEST(ProfileParity, HistogramFreeProfileMatchesBuildOnParityCases) {
+  for (const ParityCase& c : parity_cases()) {
+    const StencilDef& def = get_stencil(c.kind);
+    check_histogram_free(def, c.p, c.ts, def.radius, /*enumerate_bands=*/true,
+                         c.name);
+    if (HasFailure()) return;
+    // Stage two refuses a bounds-only profile instead of pricing its
+    // empty histograms as zero work (an infeasible configuration
+    // returns before pricing).
+    if (!simulate_time(gtx980(), def, c.p, c.ts, c.thr).feasible) continue;
+    const TileCostProfile bounds =
+        TileCostProfile::build_bounds(c.p, c.ts, def.radius);
+    std::vector<SimResult> out(1);
+    EXPECT_THROW(simulate_time(gtx980(), def, c.p, c.ts, c.thr, bounds),
+                 std::logic_error)
+        << c.name;
+    EXPECT_THROW(measure_best_of_batch(gtx980(), def, c.p, c.ts, {&c.thr, 1},
+                                       bounds, out),
+                 std::logic_error)
+        << c.name;
+    EXPECT_THROW(
+        simulate_compute_only(gtx980(), def, c.p, c.ts, c.thr, bounds),
+        std::logic_error)
+        << c.name;
+  }
+}
+
+// The seeded generator of SeededSweepMatchesRowWalk (1D/2D/3D,
+// radius 1-4, clipped and invalid tiles), on its own seed. Bounds are
+// compared for the radius of the dimension's catalogue stencil; every
+// case compares the profiles.
+TEST(ProfileParity, SeededHistogramFreeProfileMatchesBuild) {
+  constexpr int kCases = 600;
+  Rng rng(0xB5AD4ECEDA1CE2A9ULL);
+  int valid = 0;
+  int bounded = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const SweepCase c = draw_case(rng);
+    const StencilDef& def = stencil_of_dim(c.p.dim);
+    check_histogram_free(def, c.p, c.ts, c.radius, /*enumerate_bands=*/false,
+                         describe(c));
+    if (HasFailure()) return;
+    const bool ok = TileCostProfile::build_bounds(c.p, c.ts, c.radius).valid();
+    valid += ok ? 1 : 0;
+    bounded += ok && c.radius == def.radius ? 1 : 0;
+  }
+  EXPECT_GT(valid, kCases / 2);
+  EXPECT_GT(bounded, kCases / 8);
 }
 
 }  // namespace

@@ -50,6 +50,7 @@ BlockGeometry reference_block_geometry(const stencil::ProblemSize& p,
         if (pts == 0) continue;
         any = true;
         ++hist[pts];
+        g.total_points += pts;
         ++g.level_syncs;
       }
       if (any) ++g.busy_pieces;

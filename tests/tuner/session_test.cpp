@@ -247,9 +247,9 @@ TEST(Session, MemoCacheServesRepeatedMeasurements) {
 }
 
 TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
-  // Pruning off: the bound evaluation also consults the profile
-  // cache, which would add hits beyond the pipeline's one-build
-  // baseline this test pins.
+  // Pruning off: the bound evaluation also reads the tile's profile,
+  // which would add hits beyond the pipeline's one-build baseline
+  // this test pins.
   const auto& def = get_stencil(StencilKind::kHeat2D);
   Session session(gpusim::gtx980(), def, kSmall2D,
                   SessionOptions{}.with_jobs(1).with_prune(false));
@@ -261,6 +261,7 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
   SweepStats st = session.stats();
   EXPECT_EQ(st.profile_builds, 1u);
   EXPECT_EQ(st.profile_hits, 0u);
+  EXPECT_EQ(st.histogram_builds, 1u);  // priced, so built with histograms
 
   // New measurements on the same tile (another variant) reuse it.
   const stencil::KernelVariant u2{.unroll = 2};
@@ -268,14 +269,17 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
   st = session.stats();
   EXPECT_EQ(st.profile_builds, 1u);
   EXPECT_EQ(st.profile_hits, 1u);
+  EXPECT_EQ(st.histogram_builds, 1u);
 
   // A different tile size is a new profile; repeating it is not.
   const hhc::TileSizes other{.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 1};
   session.best_over_threads(other);
   EXPECT_EQ(session.stats().profile_builds, 2u);
+  EXPECT_EQ(session.stats().histogram_builds, 2u);
   session.clear_cache();  // drops profiles too
   session.best_over_threads(ts);
   EXPECT_EQ(session.stats().profile_builds, 3u);
+  EXPECT_EQ(session.stats().histogram_builds, 3u);
 }
 
 TEST(Session, CompareStrategiesReusesSharedPoints) {
@@ -396,6 +400,7 @@ TEST(SweepStats, PlusEqualsSumsEveryField) {
   a.profile_builds = 6;
   a.profile_steps = 7;
   a.profile_hits = 8;
+  a.histogram_builds = 15;
   a.geometry_seconds = 9.0;
   a.pricing_seconds = 10.0;
   a.points_pruned = 11;
@@ -412,6 +417,7 @@ TEST(SweepStats, PlusEqualsSumsEveryField) {
   EXPECT_EQ(sum.profile_builds, 12u);
   EXPECT_EQ(sum.profile_steps, 14u);
   EXPECT_EQ(sum.profile_hits, 16u);
+  EXPECT_EQ(sum.histogram_builds, 30u);
   EXPECT_EQ(sum.geometry_seconds, 18.0);
   EXPECT_EQ(sum.pricing_seconds, 20.0);
   EXPECT_EQ(sum.points_pruned, 22u);
@@ -445,6 +451,7 @@ TEST(SweepStats, PlusEqualsSumsEveryField) {
       {"profile_builds", 6},
       {"profile_steps", 7},
       {"profile_hits", 8},
+      {"histogram_builds", 15},
       {"geometry_seconds", 9},
       {"pricing_seconds", 10},
       {"points_pruned", 11},

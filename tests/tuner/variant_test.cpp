@@ -170,9 +170,10 @@ TEST(Variant, MemoCacheKeysOnVariant) {
 }
 
 // The batch path keeps the session's counter pins: one profile build
-// per tile (stage one) serving the whole thread sweep in one batch,
-// repeats served from the memo cache, and an inner-extent neighbour
-// tile rebuilt incrementally (profile_steps) instead of from scratch.
+// per tile (stage one, with histograms once the tile is priced)
+// serving the whole thread sweep in one batch, repeats served from the
+// tile's record, and an inner-extent neighbour tile rebuilt
+// incrementally (profile_steps) instead of from scratch.
 TEST(Variant, BatchPathKeepsCounterPins) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
@@ -189,24 +190,29 @@ TEST(Variant, BatchPathKeepsCounterPins) {
   EXPECT_EQ(st.profile_builds, 1u);
   EXPECT_EQ(st.profile_steps, 0u);
   EXPECT_EQ(st.profile_hits, 0u);
+  EXPECT_EQ(st.histogram_builds, 1u);
 
   s.best_over_threads(ts);  // all memo hits, no new profile work
   st = s.stats();
   EXPECT_EQ(st.machine_points, 2 * nthr);
   EXPECT_EQ(st.cache_hits, nthr);
   EXPECT_EQ(st.profile_builds, 1u);
+  EXPECT_EQ(st.profile_hits, 0u);
+  EXPECT_EQ(st.histogram_builds, 1u);
 
   // Same (tT, tS1), larger tS2: incremental rebuild, not a walk.
   s.best_over_threads({.tT = 8, .tS1 = 16, .tS2 = 96, .tS3 = 1});
   st = s.stats();
   EXPECT_EQ(st.profile_builds, 1u);
   EXPECT_EQ(st.profile_steps, 1u);
+  EXPECT_EQ(st.histogram_builds, 2u);  // the step is priced too
 
   // Different tT: the schedule changes, so a full build is required.
   s.best_over_threads({.tT = 4, .tS1 = 16, .tS2 = 64, .tS3 = 1});
   st = s.stats();
   EXPECT_EQ(st.profile_builds, 2u);
   EXPECT_EQ(st.profile_steps, 1u);
+  EXPECT_EQ(st.histogram_builds, 3u);
 }
 
 // SL314 (error): check_tiling rejects an unroll factor the code
