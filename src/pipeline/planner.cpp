@@ -164,16 +164,10 @@ PipelinePlan Planner::plan(const Pipeline& p) {
 std::vector<std::size_t> seed_order(std::span<const Winner> pool,
                                     const stencil::ProblemSize& problem,
                                     const stencil::KernelVariant& want) {
-  std::vector<std::size_t> idx(pool.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    const bool am = pool[a].best.dp.var == want;
-    const bool bm = pool[b].best.dp.var == want;
-    if (am != bm) return am;
-    return stencil::log_distance(problem, pool[a].problem) <
-           stencil::log_distance(problem, pool[b].problem);
-  });
-  return idx;
+  std::vector<tuner::SeedCandidate> candidates;
+  candidates.reserve(pool.size());
+  for (const Winner& w : pool) candidates.push_back({w.problem, w.best.dp.var});
+  return tuner::rank_warm_seeds(candidates, problem, want);
 }
 
 json::Value plan_to_json(const PipelinePlan& plan) {

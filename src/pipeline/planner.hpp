@@ -113,9 +113,10 @@ struct Winner {
 };
 
 // The order the level descent offers `pool` (winners in discovery
-// order) to a stage tuning `problem` with variant `want`: same-variant
-// winners first, then nearest by stencil::log_distance, discovery
-// order breaking ties. Returns indices into `pool`.
+// order) to a stage tuning `problem` with variant `want`: the
+// tuner::rank_warm_seeds rule (same-variant winners first, then
+// nearest by stencil::log_distance), discovery order breaking ties.
+// Returns indices into `pool`.
 std::vector<std::size_t> seed_order(std::span<const Winner> pool,
                                     const stencil::ProblemSize& problem,
                                     const stencil::KernelVariant& want);

@@ -1,5 +1,6 @@
 #include "service/core.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -389,9 +390,7 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
 
     tuner::Session* session = nullptr;
     std::unique_lock<std::mutex> session_lock;
-    if (req.kind != RequestKind::kLint && req.kind != RequestKind::kDevices &&
-        req.kind != RequestKind::kStats &&
-        req.kind != RequestKind::kPipeline) {
+    if (needs_session(req)) {
       SessionEntry& entry = session_entry(req);
       session_lock = std::unique_lock<std::mutex>(entry.mu);
       if (!entry.session) {
@@ -425,10 +424,9 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
   if (ok && store_ && req.kind != RequestKind::kDevices) {
     std::lock_guard<std::mutex> lk(store_mu_);
     if (store_->save(key, payload) && index_) {
-      // Keep the similarity index in step with the store. A payload
-      // that carries no usable point (lint, infeasible best) simply
-      // yields no entry; append failures are tolerated — the index is
-      // a rebuildable cache, never the source of truth.
+      // Keep the in-memory similarity index in step with the store. A
+      // payload that carries no usable point (lint, infeasible best)
+      // simply yields no entry.
       if (const std::optional<IndexEntry> e =
               SimilarityIndex::entry_from(key, payload)) {
         index_->append(*e);
@@ -453,6 +451,16 @@ std::string ServiceCore::handle(const std::string& line) {
     ++stats_.errors;
     return render_error(id, diags.diagnostics());
   }
+  // Every parsed request's response passes through here once, adding
+  // its wall time to the latency counters.
+  const auto answered = [&](std::string out, bool failed = false) {
+    std::lock_guard<std::mutex> lk(stats_mu_);
+    if (failed) ++stats_.errors;
+    const double elapsed = seconds_since(t0);
+    stats_.latency_seconds += elapsed;
+    stats_.latency_max = std::max(stats_.latency_max, elapsed);
+    return out;
+  };
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     switch (req->kind) {
@@ -470,13 +478,7 @@ std::string ServiceCore::handle(const std::string& line) {
   // coalesced, never queued (it must stay responsive when the compute
   // queue is saturated — that is exactly when you ask for stats).
   if (req->kind == RequestKind::kStats) {
-    const std::string out =
-        render_result(req->id, req->kind, stats().to_json());
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    const double elapsed = seconds_since(t0);
-    stats_.latency_seconds += elapsed;
-    if (elapsed > stats_.latency_max) stats_.latency_max = elapsed;
-    return out;
+    return answered(render_result(req->id, req->kind, stats().to_json()));
   }
 
   const std::string key = req->canonical_key();
@@ -487,14 +489,7 @@ std::string ServiceCore::handle(const std::string& line) {
       std::lock_guard<std::mutex> lk(store_mu_);
       hit = store_->load(key);
     }
-    if (hit) {
-      const std::string out = render_result(req->id, req->kind, *hit);
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      const double elapsed = seconds_since(t0);
-      stats_.latency_seconds += elapsed;
-      if (elapsed > stats_.latency_max) stats_.latency_max = elapsed;
-      return out;
-    }
+    if (hit) return answered(render_result(req->id, req->kind, *hit));
   }
 
   std::shared_ptr<Flight> flight;
@@ -537,17 +532,10 @@ std::string ServiceCore::handle(const std::string& line) {
     flight->cv.wait(lk, [&] { return flight->done; });
   }
 
-  std::string out = flight->ok
-                        ? render_result(req->id, req->kind, flight->payload)
-                        : render_error(req->id, flight->diags);
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    if (!flight->ok) ++stats_.errors;
-    const double elapsed = seconds_since(t0);
-    stats_.latency_seconds += elapsed;
-    if (elapsed > stats_.latency_max) stats_.latency_max = elapsed;
+  if (!flight->ok) {
+    return answered(render_error(req->id, flight->diags), /*failed=*/true);
   }
-  return out;
+  return answered(render_result(req->id, req->kind, flight->payload));
 }
 
 }  // namespace repro::service

@@ -205,7 +205,8 @@ class ServiceCore {
 
   ServiceOptions opt_;
   std::optional<ResultStore> store_;
-  // The warm-start similarity index over store_ (same directory).
+  // The in-memory warm-start similarity index derived from store_: it
+  // scans the directory on the first lookup and follows every save.
   // Guarded by store_mu_ alongside the store it mirrors.
   std::optional<SimilarityIndex> index_;
   mutable std::mutex store_mu_;

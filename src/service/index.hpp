@@ -1,38 +1,32 @@
-// The warm-start similarity index: a per-store sidecar mapping each
-// stored result's canonical key to the *seedable facts* inside its
-// payload — the problem it was tuned for and the best (tile, thread,
-// variant, texec) point it found. The service consults it on a store
-// MISS: entries for the same (device, stencil) ranked by problem
-// distance become warm-start candidates (tuner::WarmSeed) for the
-// fresh computation, which tighten the sweep's prune incumbent
-// without ever changing its answer (see tuner::Session::best_tile).
+// The warm-start similarity index: an in-memory view of a result
+// store that maps each stored result's canonical key to the
+// *seedable facts* inside its payload — the problem it was tuned for
+// and the best (tile, thread, variant, texec) point it found. The
+// service consults it on a store MISS: entries for the same (device,
+// stencil) ranked by problem distance become warm-start candidates
+// (tuner::WarmSeed) for the fresh computation, which tighten the
+// sweep's prune incumbent without ever changing its answer (see
+// tuner::Session::best_tile).
 //
-// Format: <store-dir>/index.jsonl, one self-contained JSON object per
-// line:
-//
-//   {"index_version":1,"key":"<canonical key>","kind":"best_tile",
-//    "device":"GTX 980","stencil":"Heat2D",
-//    "problem":{"S":[512,512],"T":64},
-//    "tile":{"tT":6,...},"threads":{"n1":32,...},
-//    "variant":{"unroll":1,"staging":"shared"},"texec":1.2e-3}
-//
-// Invariants, mirroring the ResultStore it shadows:
-//   * Append-only, one line per completed computation; a crash can
-//     only lose or truncate the tail line.
-//   * Loads are corruption-tolerant: a truncated, unparsable or
-//     wrong-version line is skipped (counted), never a crash. A later
-//     line for the same key supersedes an earlier one.
-//   * The index is a pure cache of the store: an entry whose backing
-//     store file is gone is stale and dropped on load (a seed must
-//     describe a result that still exists), and rebuild() recreates
-//     the whole file from the store directory alone (atomic-rename,
-//     like ResultStore::save).
-//   * Seeding is advisory by construction, so a lost, stale or
-//     corrupt index can never change a served byte — only how much
-//     pruning a cold computation gets.
+// Invariants:
+//   * The index owns no file. It is derived from the store alone: the
+//     first lookup scans the directory through ResultStore::scan (the
+//     same envelope check load() applies), and append() adds each
+//     result the owner saves. A fresh index over the same directory
+//     therefore holds the same entries as the one that appended them.
+//   * One entry per key, the latest append winning; neighbors() and
+//     entries() iterate in ascending key order.
+//   * The view is per process. A store file deleted while the index is
+//     live stays indexed, and a result another process saves into the
+//     same directory is not seen, until the next scan (a restart or
+//     rebuild()).
+//   * Seeding is advisory by construction, so a missing or outdated
+//     entry can never change a served byte — only how much pruning a
+//     cold computation gets.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,18 +54,17 @@ struct IndexEntry {
 
 class SimilarityIndex {
  public:
-  inline static constexpr int kIndexVersion = 1;
-
   struct Counters {
     std::uint64_t appends = 0;
-    std::uint64_t skipped = 0;  // corrupt / wrong-version lines
-    std::uint64_t stale = 0;    // entries whose store file is gone
   };
 
-  // `store_dir` is the ResultStore directory the index shadows.
+  // `store_dir` is the ResultStore directory the index is derived
+  // from. Construction does no I/O; the first lookup scans.
   explicit SimilarityIndex(std::string store_dir);
 
-  // Full path of the index file (exposed for tests).
+  // `<store_dir>/index.jsonl`, the sidecar file older versions kept.
+  // Nothing writes it any more; it exists only for perfbench's traced
+  // line count.
   std::string path() const;
 
   // Extracts the seedable entry of one stored (key, payload) pair:
@@ -81,18 +74,18 @@ class SimilarityIndex {
   static std::optional<IndexEntry> entry_from(const std::string& key,
                                               const std::string& payload);
 
-  // Appends one entry (single-line write; best-effort, never throws).
+  // Inserts `e`, replacing any entry under the same key; returns
+  // whether the key was new to the index. Call it after the result
+  // behind `e` was saved to the store. It does not trigger the first
+  // scan, which keeps appended entries over the store's copies.
   bool append(const IndexEntry& e);
 
-  // All live entries: corrupt lines skipped, later lines superseding
-  // earlier ones per key, entries without a backing store file
-  // dropped. Order is deterministic (ascending key).
-  std::vector<IndexEntry> load();
+  // Every entry, in ascending key order.
+  std::vector<IndexEntry> entries();
 
-  // Rebuilds the index file from the store directory alone (scan
-  // every entry file, re-extract, write-temp + rename). Returns the
-  // number of entries written, nullopt when the directory could not
-  // be scanned or the file not replaced.
+  // Replaces the index with a fresh scan of the store directory.
+  // Returns the number of entries, nullopt when the directory could
+  // not be scanned.
   std::optional<std::size_t> rebuild();
 
   struct Neighbor {
@@ -102,15 +95,13 @@ class SimilarityIndex {
 
   // Stored results usable as warm-start candidates for (device,
   // stencil identity, problem, variant): same device, same stencil,
-  // same dimensionality, ranked same-variant-first (a seed whose
-  // variant lies outside the sweep's span is rejected in-space and
-  // wastes its slot — see Session::best_tile), then by
-  // stencil::log_distance(problem, entry problem) with ascending-key
-  // tie-breaks, at most `max_results`. Other-variant
-  // entries still rank (the fallback when same-variant neighbors run
-  // out); an entry for the *identical* problem is a legitimate
-  // distance-0 neighbor (a different request kind or option set can
-  // share the problem).
+  // same dimensionality, in tuner::rank_warm_seeds order (same
+  // variant first, then stencil::log_distance(problem, entry
+  // problem)) with ascending-key tie-breaks, at most `max_results`.
+  // Other-variant entries still rank (the fallback when same-variant
+  // neighbors run out); an entry for the *identical* problem is a
+  // legitimate distance-0 neighbor (a different request kind or
+  // option set can share the problem).
   std::vector<Neighbor> neighbors(const std::string& device,
                                   const std::string& stencil_name,
                                   const std::string& stencil_text,
@@ -121,7 +112,15 @@ class SimilarityIndex {
   Counters counters() const noexcept { return counters_; }
 
  private:
+  // Scans the store on the first lookup.
+  void load_once();
+  // Adds every seedable store entry not yet indexed; false when the
+  // directory could not be scanned.
+  bool scan();
+
   std::string dir_;
+  bool loaded_ = false;
+  std::map<std::string, IndexEntry> entries_;
   Counters counters_;
 };
 

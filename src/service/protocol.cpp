@@ -86,6 +86,12 @@ std::optional<RequestKind> parse_kind(std::string_view s) noexcept {
   return std::nullopt;
 }
 
+bool needs_session(const Request& req) noexcept {
+  return req.kind == RequestKind::kPredict ||
+         req.kind == RequestKind::kBestTile ||
+         req.kind == RequestKind::kCompareStrategies;
+}
+
 std::string Request::canonical_key() const {
   json::Value o = json::Value::object();
   o.set("v", version);

@@ -126,6 +126,14 @@ struct Request {
   std::string canonical_key() const;
 };
 
+// Whether computing `req` needs a per-problem tuner::Session: predict,
+// best_tile and compare_strategies do; lint, devices and stats need
+// no tuner state, and the pipeline planner owns its sessions. It
+// takes the Request, not its RequestKind, so that argument-dependent
+// lookup never makes it ambiguous with a caller's own helper of that
+// name over a kind.
+bool needs_session(const Request& req) noexcept;
+
 // Parses and validates one request line. Every problem lands in
 // `diags` as an SL40x (or, for inline DSL programs, SL1xx/SL2xx)
 // diagnostic; returns nullopt when any error was emitted. When the

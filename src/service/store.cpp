@@ -28,6 +28,36 @@ std::string fnv1a_hex(std::string_view s) {
   return out;
 }
 
+namespace {
+
+struct Entry {
+  std::string key;
+  std::string payload;
+};
+
+// The one envelope check, shared by load() and scan(): the file must
+// read fully and hold {"store_version":<current>,"key":"...",
+// "payload":"..."}, and its name stem must be the key's hash.
+std::optional<Entry> decode_entry(std::istream& in, std::string_view stem) {
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (!in.good() && !in.eof()) return std::nullopt;
+  const std::optional<json::Value> doc = json::parse(buf.str());
+  if (!doc || !doc->is_object()) return std::nullopt;
+  const json::Value* version = doc->find("store_version");
+  const json::Value* key = doc->find("key");
+  const json::Value* payload = doc->find("payload");
+  if (version == nullptr || !version->is_int() ||
+      version->as_int() != ResultStore::kStoreVersion || key == nullptr ||
+      !key->is_string() || payload == nullptr || !payload->is_string() ||
+      fnv1a_hex(key->as_string()) != stem) {
+    return std::nullopt;
+  }
+  return Entry{key->as_string(), payload->as_string()};
+}
+
+}  // namespace
+
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -70,40 +100,34 @@ std::optional<std::string> ResultStore::load(const std::string& key) {
     ++counters_.misses;
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    ++counters_.misses;
-    ++counters_.errors;
-    return std::nullopt;
-  }
-
-  const std::optional<json::Value> doc = json::parse(buf.str());
-  if (!doc || !doc->is_object()) {
-    ++counters_.misses;
-    ++counters_.errors;
-    return std::nullopt;
-  }
-  const json::Value* version = doc->find("store_version");
-  const json::Value* stored_key = doc->find("key");
-  const json::Value* payload = doc->find("payload");
-  if (version == nullptr || !version->is_int() ||
-      version->as_int() != kStoreVersion || stored_key == nullptr ||
-      !stored_key->is_string() || payload == nullptr ||
-      !payload->is_string()) {
-    ++counters_.misses;
-    ++counters_.errors;
-    return std::nullopt;
-  }
+  std::optional<Entry> e = decode_entry(in, fnv1a_hex(key));
   // Hash collisions and hand-edited entries alike: the full key must
   // match, or the entry is somebody else's answer.
-  if (stored_key->as_string() != key) {
+  if (!e || e->key != key) {
     ++counters_.misses;
     ++counters_.errors;
     return std::nullopt;
   }
   ++counters_.hits;
-  return payload->as_string();
+  return std::move(e->payload);
+}
+
+bool ResultStore::scan(
+    const std::function<void(const std::string& key,
+                             const std::string& payload)>& visit) const {
+  std::error_code ec;
+  for (fs::directory_iterator it(dir_, ec);
+       !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    const fs::path& p = it->path();
+    std::error_code file_ec;
+    if (p.extension() != ".json" || !it->is_regular_file(file_ec)) continue;
+    std::ifstream in(p, std::ios::binary);
+    if (!in) continue;
+    if (const std::optional<Entry> e = decode_entry(in, p.stem().string())) {
+      visit(e->key, e->payload);
+    }
+  }
+  return !ec;
 }
 
 bool ResultStore::save(const std::string& key, const std::string& payload) {

@@ -17,12 +17,17 @@
 //     `errors`), never a crash and never a wrong answer — the stored
 //     key is compared against the requested one before the payload is
 //     served.
+//   * This class is the only code that knows the directory's format.
+//     Everything derived from the store (the warm-start similarity
+//     index) reads it through scan(), which applies load()'s envelope
+//     check to every file.
 //   * The payload is stored verbatim (the serialized JSON string the
 //     service computed), so a warm-store response is byte-identical
 //     to the cold computation that produced it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,13 +66,22 @@ class ResultStore {
   // Full path of the entry file for `key` (exposed for tests).
   std::string path_for(const std::string& key) const;
 
-  // A directory scan over the store's entry files (*.json — the
-  // warm-start index sidecar is not an entry): how many results are
-  // persisted, their total size, and the age of the oldest/newest
-  // entry in seconds (0 when empty). Groundwork for eviction; also
-  // surfaced in the daemon's shutdown stats line and the `stats`
-  // request kind. Never throws; an unscannable directory reads as
-  // empty.
+  // Calls `visit(key, payload)` for every entry file load() would
+  // serve, in directory order: the envelope must parse, carry the
+  // current store_version, a string key and a string payload, and sit
+  // in the file named for its key. Other files are skipped silently.
+  // Returns false when the directory cannot be scanned. Never throws
+  // (unless `visit` does).
+  bool scan(
+      const std::function<void(const std::string& key,
+                               const std::string& payload)>& visit) const;
+
+  // A directory scan over the store's entry files (*.json): how many
+  // results are persisted, their total size, and the age of the
+  // oldest/newest entry in seconds (0 when empty). Groundwork for
+  // eviction; also surfaced in the daemon's shutdown stats line and
+  // the `stats` request kind. Never throws; an unscannable directory
+  // reads as empty.
   struct DirStats {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;

@@ -233,6 +233,22 @@ struct WarmSeed {
   stencil::KernelVariant var{};
 };
 
+// The warm-seed ranking rule, shared by the service's similarity
+// index and the pipeline planner: the order in which to offer earlier
+// results of the same stencil as seeds to a sweep of `problem` at
+// variant `want`. Candidates of variant `want` come first (another
+// variant's point lies outside the sweep's span, so best_tile rejects
+// it and the seed slot is wasted), then the nearest by
+// stencil::log_distance. The sort is stable: equal ranks keep their
+// input order. Returns indices into `candidates`.
+struct SeedCandidate {
+  stencil::ProblemSize problem;
+  stencil::KernelVariant variant;
+};
+std::vector<std::size_t> rank_warm_seeds(
+    std::span<const SeedCandidate> candidates,
+    const stencil::ProblemSize& problem, const stencil::KernelVariant& want);
+
 struct SessionOptions {
   // <= 0: default_jobs() (REPRO_JOBS env var, else all hardware
   // threads). The bench binaries wire --jobs into this.

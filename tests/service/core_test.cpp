@@ -465,6 +465,39 @@ TEST_F(CoreTest, NearMissTraceWarmStartPricesFewerPointsIdentically) {
   EXPECT_LT(warm.session_machine_points, cold.session_machine_points);
 }
 
+// The near-miss trace served by one core, and by two cores in turn
+// over one store: the second core's index starts from a scan of what
+// the first saved, so it seeds exactly as the uninterrupted core did.
+TEST_F(CoreTest, RestartedCoreSeedsLikeAnUninterruptedOne) {
+  const std::vector<std::string> trace = near_miss_trace();
+  const std::size_t half = trace.size() / 2;
+  ServiceCore whole(
+      replay_options().with_store_dir((store_dir_ / "whole").string()));
+  std::vector<std::string> expected;
+  for (const std::string& line : trace) expected.push_back(whole.handle(line));
+
+  const std::string dir = (store_dir_ / "restart").string();
+  std::vector<std::string> served;
+  ServiceStats first_stats;
+  {
+    ServiceCore first(replay_options().with_store_dir(dir));
+    for (std::size_t i = 0; i < half; ++i) {
+      served.push_back(first.handle(trace[i]));
+    }
+    first_stats = first.stats();
+  }
+  ServiceCore second(replay_options().with_store_dir(dir));
+  for (std::size_t i = half; i < trace.size(); ++i) {
+    served.push_back(second.handle(trace[i]));
+  }
+  EXPECT_EQ(served, expected);
+  const ServiceStats w = whole.stats();
+  const ServiceStats s = second.stats();
+  EXPECT_EQ(first_stats.warm_lookups + s.warm_lookups, w.warm_lookups);
+  EXPECT_EQ(first_stats.warm_seeds + s.warm_seeds, w.warm_seeds);
+  EXPECT_GE(s.warm_seeds, 1u);  // seeds drawn from the first core's saves
+}
+
 TEST_F(CoreTest, InternalFailuresBecomeSL407) {
   ServiceCore core{ServiceOptions{}};
   core.set_compute_hook([] { throw std::runtime_error("injected failure"); });

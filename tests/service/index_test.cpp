@@ -1,12 +1,13 @@
 // The warm-start similarity index: entry extraction from stored
-// payloads, append/load round-trips, corruption tolerance (truncated
-// and wrong-version lines skipped, entries without a backing store
-// file dropped), rebuild from the store directory alone, and the
-// log-distance neighbor ranking the service seeds sweeps from.
+// payloads, appends visible without a rescan, the store scan it is
+// derived from (which skips exactly the entry files the store would
+// not serve), and the log-distance neighbor ranking the service seeds
+// sweeps from.
 #include "service/index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -121,111 +122,181 @@ TEST_F(IndexTest, UnseedablePayloadsYieldNoEntry) {
 TEST_F(IndexTest, AppendLoadRoundTrip) {
   const std::string key = best_tile_key(512);
   const std::string payload = best_tile_payload();
-  back(key, payload);
-
   SimilarityIndex index(dir_.string());
+  EXPECT_TRUE(index.entries().empty());
+
+  back(key, payload);
   const std::optional<IndexEntry> e = SimilarityIndex::entry_from(key, payload);
   ASSERT_TRUE(e.has_value());
   ASSERT_TRUE(index.append(*e));
 
-  const std::vector<IndexEntry> live = index.load();
+  const std::vector<IndexEntry> live = index.entries();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].key, key);
+  EXPECT_EQ(live[0].problem, e->problem);
   EXPECT_EQ(live[0].tile, e->tile);
   EXPECT_EQ(live[0].threads, e->threads);
   EXPECT_EQ(live[0].variant, e->variant);
   EXPECT_DOUBLE_EQ(live[0].texec, e->texec);
   EXPECT_EQ(index.counters().appends, 1u);
-  EXPECT_EQ(index.counters().skipped, 0u);
-  EXPECT_EQ(index.counters().stale, 0u);
 }
 
 TEST_F(IndexTest, LaterLineSupersedesEarlierForSameKey) {
   const std::string key = best_tile_key(512);
-  back(key, best_tile_payload());
   SimilarityIndex index(dir_.string());
-  std::optional<IndexEntry> e =
-      SimilarityIndex::entry_from(key, best_tile_payload(1.0e-4));
-  ASSERT_TRUE(index.append(*e));
-  e = SimilarityIndex::entry_from(key, best_tile_payload(9.0e-5));
-  ASSERT_TRUE(index.append(*e));
+  back(key, best_tile_payload(1.0e-4));
+  EXPECT_TRUE(index.append(
+      *SimilarityIndex::entry_from(key, best_tile_payload(1.0e-4))));
+  back(key, best_tile_payload(9.0e-5));
+  EXPECT_FALSE(index.append(
+      *SimilarityIndex::entry_from(key, best_tile_payload(9.0e-5))));
 
-  const std::vector<IndexEntry> live = index.load();
+  const std::vector<IndexEntry> live = index.entries();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_DOUBLE_EQ(live[0].texec, 9.0e-5);
+  const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
+  const std::vector<SimilarityIndex::Neighbor> near = index.neighbors(
+      "GTX 980", "Heat2D", "", q, stencil::KernelVariant{}, 8);
+  ASSERT_EQ(near.size(), 1u);
+  EXPECT_DOUBLE_EQ(near[0].entry.texec, 9.0e-5);
 }
 
-TEST_F(IndexTest, StaleEntryWithoutStoreFileIsDropped) {
-  // Appended, but the backing store file never existed.
+// After the first lookup has scanned the store, a saved-then-appended
+// result is served from memory: it stays visible even once its store
+// file is gone, which only a fresh scan notices.
+TEST_F(IndexTest, AppendIsVisibleToNeighborsWithoutRescan) {
   SimilarityIndex index(dir_.string());
-  const std::optional<IndexEntry> e =
-      SimilarityIndex::entry_from(best_tile_key(512), best_tile_payload());
-  ASSERT_TRUE(index.append(*e));
-  EXPECT_TRUE(index.load().empty());
-  EXPECT_EQ(index.counters().stale, 1u);
-}
+  const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
+  EXPECT_TRUE(index
+                  .neighbors("GTX 980", "Heat2D", "", q,
+                             stencil::KernelVariant{}, 8)
+                  .empty());
 
-TEST_F(IndexTest, CorruptAndWrongVersionLinesAreSkipped) {
   const std::string key = best_tile_key(512);
-  back(key, best_tile_payload());
-  SimilarityIndex index(dir_.string());
-  const std::optional<IndexEntry> e =
-      SimilarityIndex::entry_from(key, best_tile_payload());
-  ASSERT_TRUE(index.append(*e));
+  ResultStore store(dir_.string());
+  ASSERT_TRUE(store.save(key, best_tile_payload()));
+  ASSERT_TRUE(
+      index.append(*SimilarityIndex::entry_from(key, best_tile_payload())));
+  ASSERT_TRUE(fs::remove(store.path_for(key)));
 
-  std::string line;
-  {
-    std::ifstream in(index.path(), std::ios::binary);
-    ASSERT_TRUE(std::getline(in, line));
-  }
-  {
-    // Simulated tail corruption and a future-version line.
-    std::ofstream out(index.path(), std::ios::binary | std::ios::app);
-    out << "{\"index_version\":99,\"key\":\"k\"}\n"
-        << "not json at all\n";
-    // Well-formed lines whose fragments do not decode (the fragments
-    // follow the key, so rfind edits them, not the key's copy).
-    const auto corrupt = [&](const std::string& from, const std::string& to) {
-      std::string bad = line;
-      bad.replace(bad.rfind(from), from.size(), to);
-      out << bad << "\n";
-    };
-    corrupt("\"tT\":8", "\"tT\":0");
-    corrupt("\"n1\":32", "\"n1\":4096");
-    corrupt("\"T\":64", "\"T\":64,\"R\":1");
-    corrupt("\"unroll\":1", "\"unroll\":3");
-    out << "{\"index_version\":1,\"key\":\"trunc";  // no newline: torn write
-  }
-
-  const std::vector<IndexEntry> live = index.load();
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live[0].key, key);
-  EXPECT_EQ(index.counters().skipped, 7u);
+  const std::vector<SimilarityIndex::Neighbor> near = index.neighbors(
+      "GTX 980", "Heat2D", "", q, stencil::KernelVariant{}, 8);
+  ASSERT_EQ(near.size(), 1u);
+  EXPECT_EQ(near[0].entry.key, key);
+  EXPECT_TRUE(SimilarityIndex(dir_.string()).entries().empty());
+  EXPECT_EQ(index.rebuild(), std::optional<std::size_t>(0));
 }
 
-TEST_F(IndexTest, MissingIndexLoadsEmptyAndRebuildRecreatesIt) {
-  // Two seedable results plus one unseedable, written only via the
-  // store — the index file does not exist yet.
+// The scan indexes every seedable entry the store would serve, and
+// skips exactly the entry files load() misses: corrupt, wrong-version
+// and misnamed ones.
+TEST_F(IndexTest, ScanIndexesEverySeedableStoreEntry) {
   ResultStore store(dir_.string());
-  ASSERT_TRUE(store.save(best_tile_key(512), best_tile_payload(1.0e-4)));
-  ASSERT_TRUE(store.save(best_tile_key(480), best_tile_payload(2.0e-4)));
   const std::string lint_key =
       "{\"audit\":false,\"device\":\"GTX 980\",\"kind\":\"lint\","
       "\"problem\":{\"S\":[512,512],\"T\":64},\"stencil\":\"Heat2D\",\"v\":1}";
   ASSERT_TRUE(store.save(lint_key, "{\"ok\":true,\"diagnostics\":[]}"));
+  std::vector<std::string> keys;
+  for (const int s : {256, 416, 448, 480, 512, 544, 576}) {
+    keys.push_back(best_tile_key(s));
+    ASSERT_TRUE(store.save(keys.back(), best_tile_payload()));
+  }
+  const auto rewrite = [&](const std::string& key, const std::string& from,
+                           const std::string& to) {
+    std::string text;
+    {
+      std::ifstream in(store.path_for(key), std::ios::binary);
+      std::getline(in, text);
+    }
+    ASSERT_NE(text.find(from), std::string::npos);
+    text.replace(text.find(from), from.size(), to);
+    std::ofstream out(store.path_for(key), std::ios::binary | std::ios::trunc);
+    out << text << "\n";
+  };
+  rewrite(keys[0], "{\"store_version\":1", "{\"store_version\":2");
+  rewrite(keys[1], "\"payload\":", "\"payload\":7,\"x\":");
+  {
+    std::ofstream out(store.path_for(keys[2]), std::ios::trunc);
+    out << "{\"store_version\":1,\"key\":";  // torn write
+  }
+  // keys[3]'s envelope moved under keys[4]'s file name: keys[3] has no
+  // file, and keys[4]'s file holds another key.
+  fs::rename(store.path_for(keys[3]), store.path_for(keys[4]));
+  // A write's temp file and a non-entry file are not entries.
+  fs::copy_file(store.path_for(keys[5]), store.path_for(keys[5]) + ".tmp");
+  {
+    std::ofstream out(dir_ / "index.jsonl");
+    out << "{}\n";
+  }
 
   SimilarityIndex index(dir_.string());
-  EXPECT_TRUE(index.load().empty());
+  std::vector<std::string> indexed;
+  for (const IndexEntry& e : index.entries()) indexed.push_back(e.key);
+  std::vector<std::string> served;
+  for (const std::string& key : keys) {
+    if (store.load(key)) served.push_back(key);
+  }
+  EXPECT_TRUE(store.load(lint_key).has_value());
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(indexed, served);
+  EXPECT_EQ(indexed, (std::vector<std::string>{keys[5], keys[6]}));
+  EXPECT_EQ(index.rebuild(), std::optional<std::size_t>(2));
+}
 
-  const std::optional<std::size_t> n = index.rebuild();
-  ASSERT_TRUE(n.has_value());
-  EXPECT_EQ(*n, 2u);
-  const std::vector<IndexEntry> live = index.load();
-  ASSERT_EQ(live.size(), 2u);
-  // And a second rebuild round-trips to the same file.
-  SimilarityIndex again(dir_.string());
-  ASSERT_TRUE(again.rebuild().has_value());
-  EXPECT_EQ(again.load().size(), 2u);
+// A fresh index over a store another index followed, append by
+// append, holds the same entries and ranks the same neighbors.
+TEST_F(IndexTest, FreshIndexMatchesAppendingIndex) {
+  SimilarityIndex appended(dir_.string());
+  ResultStore store(dir_.string());
+  const auto save = [&](const std::string& key, const std::string& payload) {
+    ASSERT_TRUE(store.save(key, payload));
+    if (const std::optional<IndexEntry> e =
+            SimilarityIndex::entry_from(key, payload)) {
+      appended.append(*e);
+    }
+  };
+  for (const int s : {1024, 256, 512, 480, 544}) {
+    save(best_tile_key(s), best_tile_payload(1e-4 * s));
+  }
+  save(best_tile_key(512), best_tile_payload(5e-5));  // re-tuned result
+  save(best_tile_key(300, 32), best_tile_payload());
+  save("{\"device\":\"GTX 980\",\"kind\":\"predict\",\"problem\":"
+       "{\"S\":[500,500],\"T\":64},\"stencil\":\"Heat2D\","
+       "\"tile\":{\"tT\":6,\"tS1\":8,\"tS2\":160},"
+       "\"variant\":{\"unroll\":2,\"staging\":\"register\"},\"v\":1}",
+       "{\"tile\":{\"tT\":6,\"tS1\":8,\"tS2\":160,\"tS3\":1},"
+       "\"threads\":{\"n1\":32,\"n2\":4,\"n3\":1},"
+       "\"variant\":{\"unroll\":2,\"staging\":\"register\"},"
+       "\"feasible\":true,\"talg\":1e-4,\"texec\":2e-4,\"gflops\":300.0}");
+
+  SimilarityIndex fresh(dir_.string());
+  const std::vector<IndexEntry> a = appended.entries();
+  const std::vector<IndexEntry> b = fresh.entries();
+  ASSERT_EQ(a.size(), 7u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(b[i].key, a[i].key);
+    EXPECT_EQ(b[i].problem, a[i].problem);
+    EXPECT_EQ(b[i].tile, a[i].tile);
+    EXPECT_EQ(b[i].threads, a[i].threads);
+    EXPECT_EQ(b[i].variant, a[i].variant);
+    EXPECT_EQ(b[i].texec, a[i].texec);
+  }
+  const stencil::KernelVariant reg{2, stencil::Staging::kRegister};
+  for (const stencil::ProblemSize& q :
+       {stencil::ProblemSize{.dim = 2, .S = {500, 500, 0}, .T = 64},
+        stencil::ProblemSize{.dim = 2, .S = {700, 300, 0}, .T = 48}}) {
+    for (const stencil::KernelVariant& v : {stencil::KernelVariant{}, reg}) {
+      const auto near_a = appended.neighbors("GTX 980", "Heat2D", "", q, v, 4);
+      const auto near_b = fresh.neighbors("GTX 980", "Heat2D", "", q, v, 4);
+      ASSERT_EQ(near_a.size(), 4u);
+      ASSERT_EQ(near_b.size(), near_a.size());
+      for (std::size_t i = 0; i < near_a.size(); ++i) {
+        EXPECT_EQ(near_b[i].entry.key, near_a[i].entry.key);
+        EXPECT_EQ(near_b[i].distance, near_a[i].distance);
+      }
+    }
+  }
 }
 
 TEST_F(IndexTest, NeighborsRankByLogDistanceAndFilterIdentity) {

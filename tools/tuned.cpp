@@ -33,12 +33,10 @@
 //     summary); --json dumps the full registry JSON, which re-imports
 //     byte-identically via --devices.
 //
-//   tuned index --store=DIR [--rebuild] [--json]
-//     Inspects (or, with --rebuild, regenerates from the store entry
-//     files) the warm-start similarity index sidecar of a result
-//     store directory (service/index.hpp). The human listing prints
-//     one line per live entry; --json dumps entries plus the
-//     load/rebuild counters.
+//   tuned index --store=DIR [--json]
+//     Lists the warm-start similarity index a daemon derives from a
+//     result store directory (service/index.hpp): one line per
+//     seedable stored result, or with --json the count and entries.
 //
 // Every mode accepts --devices=FILE to import additional descriptors
 // ({"devices":[...]}, the exact format `tuned devices --json` emits)
@@ -93,7 +91,7 @@ int usage(const char* argv0) {
             << "  pipeline --file=FILE [--device=NAME] [--delta=X]\n"
             << "           [--enum='<json>'] [--id=ID]\n"
             << "  devices  [--json]\n"
-            << "  index    --store=DIR [--rebuild] [--json]\n"
+            << "  index    --store=DIR [--json]\n"
             << "every mode also accepts --devices=FILE (registry import)\n";
   return 2;
 }
@@ -342,10 +340,7 @@ int run_request_line(const std::string& line) {
   }
   try {
     std::unique_ptr<tuner::Session> session;
-    if (req->kind != service::RequestKind::kLint &&
-        req->kind != service::RequestKind::kDevices &&
-        req->kind != service::RequestKind::kStats &&
-        req->kind != service::RequestKind::kPipeline) {
+    if (service::needs_session(*req)) {
       session = std::make_unique<tuner::Session>(
           *device::registry().find(req->device), req->def, *req->problem,
           tuner::SessionOptions{}.with_jobs(1));
@@ -424,31 +419,23 @@ int cmd_pipeline(const CliArgs& args) {
 }
 
 int cmd_index(const CliArgs& args) {
-  if (!check_options(args, {"store", "rebuild", "json", "devices"})) return 2;
+  if (!check_options(args, {"store", "json", "devices"})) return 2;
   const std::optional<std::string> dir = args.get("store");
   if (!dir) {
     std::cerr << "error: index requires --store=DIR\n";
     return 2;
   }
   service::SimilarityIndex index(*dir);
-  if (args.has_flag("rebuild")) {
-    const std::optional<std::size_t> n = index.rebuild();
-    if (!n) {
-      std::cerr << "error: cannot rebuild " << index.path() << "\n";
-      return 1;
-    }
-    std::cerr << "rebuilt " << index.path() << ": " << *n << " entries\n";
+  if (!index.rebuild()) {
+    std::cerr << "error: cannot scan store directory " << *dir << "\n";
+    return 1;
   }
-  const std::vector<service::IndexEntry> entries = index.load();
-  const service::SimilarityIndex::Counters c = index.counters();
+  const std::vector<service::IndexEntry> entries = index.entries();
 
   if (args.has_flag("json")) {
     json::Value o = json::Value::object();
-    o.set("path", index.path());
-    o.set("index_version", service::SimilarityIndex::kIndexVersion);
+    o.set("store", *dir);
     o.set("count", entries.size());
-    o.set("skipped", c.skipped);
-    o.set("stale", c.stale);
     json::Value arr = json::Value::array();
     for (const service::IndexEntry& e : entries) {
       json::Value v = json::Value::object();
@@ -472,8 +459,7 @@ int cmd_index(const CliArgs& args) {
     return 0;
   }
 
-  std::cout << index.path() << ": " << entries.size() << " entries ("
-            << c.skipped << " skipped, " << c.stale << " stale)\n";
+  std::cout << *dir << ": " << entries.size() << " entries\n";
   for (const service::IndexEntry& e : entries) {
     std::cout << "  " << e.device << "  "
               << (!e.stencil_name.empty() ? e.stencil_name : "<inline dsl>")
@@ -495,7 +481,7 @@ int cmd_index(const CliArgs& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string mode = argv[1];
-  const CliArgs args(argc - 1, argv + 1, {"json", "rebuild", "no-warm-start"});
+  const CliArgs args(argc - 1, argv + 1, {"json", "no-warm-start"});
   if (!import_devices(args)) return 2;
   if (mode == "serve") return cmd_serve(args);
   if (mode == "client") return cmd_client(args);
