@@ -1,5 +1,6 @@
 // Micro-benchmarks of the library's own hot paths: model evaluation,
-// feasible-space sweeps, schedule construction, simulator pricing
+// feasible-space enumeration and sweeps, one whole pipeline plan,
+// schedule construction, simulator pricing
 // (whole, and per layer: profile build, bounds-only build, histograms,
 // step, lower bound, batched thread sweep, cold session sweep of one
 // tile) and tiled functional execution. These guard the
@@ -11,12 +12,18 @@
 // take a few milliseconds, and the table reports the min, median and
 // MAD of the per-call time over the samples.
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "device/registry.hpp"
 #include "gpusim/cost_profile.hpp"
 #include "gpusim/lower_bound.hpp"
 #include "gpusim/microbench.hpp"
@@ -24,6 +31,7 @@
 #include "hhc/hex_schedule.hpp"
 #include "hhc/tiled_executor.hpp"
 #include "model/talg.hpp"
+#include "pipeline/planner.hpp"
 #include "stencil/reference.hpp"
 #include "tuner/session.hpp"
 #include "tuner/space.hpp"
@@ -34,6 +42,22 @@ namespace {
 
 const stencil::StencilDef& heat2d() {
   return stencil::get_stencil(stencil::StencilKind::kHeat2D);
+}
+
+// The shipped 3-level V-cycle (examples/pipelines/vcycle3.json).
+pipeline::Pipeline vcycle3() {
+  std::ifstream in(std::filesystem::path(REPRO_SOURCE_DIR) / "examples" /
+                   "pipelines" / "vcycle3.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  analysis::DiagnosticEngine diags;
+  std::optional<pipeline::Pipeline> p =
+      pipeline::parse_pipeline_text(text.str(), diags);
+  if (!p) {
+    throw std::runtime_error("cannot read examples/pipelines/vcycle3.json: " +
+                             analysis::render_human(diags.diagnostics()));
+  }
+  return *p;
 }
 
 // Per-call time in a readable unit.
@@ -61,6 +85,9 @@ int main() {
   std::int64_t r = 3;
   const hhc::ThreadConfig thr{.n1 = 32, .n2 = 8, .n3 = 1};
   const hhc::TileSizes exec_ts{.tT = 8, .tS1 = 8, .tS2 = 16, .tS3 = 1};
+  const pipeline::Pipeline vcycle = vcycle3();
+  pipeline::PlanOptions plan_opt;
+  plan_opt.session = tuner::SessionOptions{}.with_jobs(1);
   const auto init = stencil::make_initial_grid(small, 1);
 
   std::vector<bench::Arm> arms = {
@@ -69,6 +96,20 @@ int main() {
        10000},
       {"model_sweep_space",
        [&] { bench::keep(session.sweep_model(space, 0.10).talg_min); }, 10},
+      // The default 2D lattice: ~4.9k feasible tiles.
+      {"enumerate_feasible_2d",
+       [&] { bench::keep(tuner::enumerate_feasible(2, in.hw).size()); }, 50},
+      // One whole plan (calibration, enumeration, model sweeps and
+      // machine pricing of every distinct task), as the service's
+      // pipeline kind runs it.
+      {"plan_vcycle3",
+       [&] {
+         bench::keep(pipeline::Planner(*device::registry().find("GTX 980"),
+                                       plan_opt)
+                         .plan(vcycle)
+                         .talg);
+       },
+       2},
       {"hex_schedule_construction",
        [] {
          const hhc::HexSchedule s(8192, 8192, 16, 16);

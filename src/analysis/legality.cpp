@@ -26,14 +26,6 @@ bool slope_ok(const hhc::TileSizes& ts, std::int64_t radius) noexcept {
   return ts.tS1 >= std::max<std::int64_t>(radius, 1);
 }
 
-bool capacity_ok(int dim, const hhc::TileSizes& ts,
-                 const model::HardwareParams& hw,
-                 std::int64_t radius) noexcept {
-  const std::int64_t m_tile = hhc::shared_words_per_tile(dim, ts, radius);
-  return m_tile <= hw.max_shared_words_per_block &&
-         m_tile <= hw.shared_words_per_sm;
-}
-
 std::string kib(std::int64_t words) {
   const std::int64_t bytes = words * hhc::kWordBytes;
   return std::to_string(bytes / 1024) + "." +
@@ -42,12 +34,21 @@ std::string kib(std::int64_t words) {
 
 }  // namespace
 
+bool eqn31_capacity_ok(int dim, const hhc::TileSizes& ts,
+                       const model::HardwareParams& hw,
+                       std::int64_t radius) noexcept {
+  const std::int64_t m_tile = hhc::shared_words_per_tile(
+      dim, ts, std::max<std::int64_t>(radius, 1));
+  return m_tile <= hw.max_shared_words_per_block &&
+         m_tile <= hw.shared_words_per_sm;
+}
+
 bool eqn31_feasible(int dim, const hhc::TileSizes& ts,
                     const model::HardwareParams& hw,
                     std::int64_t radius) noexcept {
   const std::int64_t r = std::max<std::int64_t>(radius, 1);
   return time_tile_ok(ts) && extents_ok(dim, ts) && slope_ok(ts, r) &&
-         capacity_ok(dim, ts, hw, r);
+         eqn31_capacity_ok(dim, ts, hw, r);
 }
 
 std::int64_t hyperthreading_bound(int dim, const hhc::TileSizes& ts,

@@ -36,6 +36,16 @@ bool eqn31_feasible(int dim, const hhc::TileSizes& ts,
                     const model::HardwareParams& hw,
                     std::int64_t radius = 1) noexcept;
 
+// The capacity half of eqn31_feasible alone: M_tile fits both the
+// per-block limit and M_SM. M_tile is monotone non-decreasing in every
+// tile coordinate, so once a point fails this check every point that
+// is at least as large in each coordinate fails it too; the
+// enumerator stops its loops there. (Shape and slope failures carry
+// no such implication.)
+bool eqn31_capacity_ok(int dim, const hhc::TileSizes& ts,
+                       const model::HardwareParams& hw,
+                       std::int64_t radius = 1) noexcept;
+
 // Shared-memory-derived hyper-threading bound (Eqn 11 without the
 // register term): how many tiles of this size fit one SM at once.
 // Returns 0 when the tile does not fit at all.

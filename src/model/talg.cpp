@@ -18,6 +18,17 @@ using repro::ceil_div;
 // ceil(x * inner / n_v), doubled by the caller (each width occurs on
 // the grow and shrink halves of the hexagon). The step is 2r because
 // a radius-r hexagon widens by r on each side per level.
+//
+// The printed sum adds one integer-valued double per term. Summing the
+// integers exactly (sum_ceil_div, a floor-sum) and converting once
+// gives the same double bit for bit whenever the total is below 2^53:
+// the terms are non-negative, so every partial sum of the term-wise
+// loop is then an integer below 2^53 and each of its additions is
+// exact. Every tile that reaches Talg through talg_auto_k or a sweep
+// satisfies Eqn 31's capacity bound M_tile <= M_block, and each term
+// is at most (tS1 + r tT) * inner <= M_tile / 2 with at most M_tile
+// terms, so the total stays below M_tile^2 / 2 -- under 2^40 even for
+// a 1 MiW (4 MiB) block limit.
 double row_sum(std::int64_t t_s1, std::int64_t w_tile, std::int64_t inner,
                int n_v, std::int64_t radius, RowSumMode mode) {
   const std::int64_t step = 2 * radius;
@@ -26,37 +37,30 @@ double row_sum(std::int64_t t_s1, std::int64_t w_tile, std::int64_t inner,
     return sum_div_closed_form(t_s1 * inner, w_tile * inner, step * inner,
                                n_v);
   }
-  double acc = 0.0;
-  for (std::int64_t x = t_s1; x <= w_tile; x += step) {
-    acc += static_cast<double>(ceil_div(x * inner, static_cast<std::int64_t>(n_v)));
-  }
-  return acc;
+  return static_cast<double>(sum_ceil_div(t_s1 * inner, w_tile * inner,
+                                          step * inner, n_v));
 }
 
-}  // namespace
+// The k-independent terms of Talg for one (problem, tile): the
+// breakdown's nw, w, w_tile, m_prime, c and n_subtiles, plus the
+// integer wavefront width the waves are counted from. talg() is
+// talg_terms() then finish_talg(); talg_auto_k computes the terms
+// once and finishes them for every k.
+struct TalgTerms {
+  TalgBreakdown out;  // k, t_tile and talg left at their defaults
+  std::int64_t w = 0;
+  int dim = 1;
+};
 
-std::int64_t k_max(int dim, const hhc::TileSizes& ts,
-                   const HardwareParams& hw, std::int64_t radius) {
-  const std::int64_t m_tile = hhc::shared_words_per_tile(dim, ts, radius);
-  if (m_tile > hw.max_shared_words_per_block) return 0;  // infeasible
-  const std::int64_t by_shared = hw.shared_words_per_sm / m_tile;
-  return std::min<std::int64_t>(hw.max_tb_per_sm, by_shared);
-}
-
-bool tile_fits(int dim, const hhc::TileSizes& ts, const HardwareParams& hw,
-               std::int64_t radius) {
-  return k_max(dim, ts, hw, radius) >= 1;
-}
-
-TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
-                   const hhc::TileSizes& ts, std::int64_t k) {
-  assert(k >= 1);
+TalgTerms talg_terms(const ModelInputs& in, const stencil::ProblemSize& p,
+                     const hhc::TileSizes& ts) {
   hhc::validate(ts, p.dim);
   const HardwareParams& hw = in.hw;
   const MeasuredParams& mb = in.mb;
 
-  TalgBreakdown out;
-  out.k = k;
+  TalgTerms terms;
+  terms.dim = p.dim;
+  TalgBreakdown& out = terms.out;
 
   const std::int64_t T = p.T;
   const std::int64_t S1 = p.S[0];
@@ -68,8 +72,8 @@ TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
   const std::int64_t w_tile = ts.tS1 + r * (ts.tT - 2);
   out.w_tile = static_cast<double>(w_tile);
   // Eqn 5 / 22: w ~ ceil(S1 / (2 tS1 + r tT)).
-  const std::int64_t w = ceil_div(S1, hhc::tile_pitch(ts, r));
-  out.w = static_cast<double>(w);
+  terms.w = ceil_div(S1, hhc::tile_pitch(ts, r));
+  out.w = static_cast<double>(terms.w);
 
   // Inner-dimension factor of the transfer/compute volumes.
   std::int64_t inner = 1;
@@ -108,30 +112,59 @@ TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
         static_cast<double>(ts.tS3)));
   }
   out.n_subtiles = n_sub;
+  return terms;
+}
+
+// The per-k finish: T_tile, the waves per wavefront and the total.
+TalgBreakdown finish_talg(const TalgTerms& terms, const ModelInputs& in,
+                          std::int64_t k) {
+  TalgBreakdown out = terms.out;
+  out.k = k;
+  const double n_sub = static_cast<double>(out.n_subtiles);
 
   // Per-tile / per-prism / per-slab time.
-  if (p.dim == 1) {
+  if (terms.dim == 1) {
     // Eqns 10 and 12 (Eqn 12 reduces to Eqn 10 at k = 1).
     out.t_tile = out.m_prime + out.c +
                  static_cast<double>(k - 1) * std::max(out.m_prime, out.c);
   } else {
     // Eqn 16 / 28-29.
     if (k == 1) {
-      out.t_tile = (out.m_prime + out.c) * static_cast<double>(n_sub);
+      out.t_tile = (out.m_prime + out.c) * n_sub;
     } else {
       out.t_tile = out.m_prime + static_cast<double>(k) *
-                                     std::max(out.m_prime, out.c) *
-                                     static_cast<double>(n_sub);
+                                     std::max(out.m_prime, out.c) * n_sub;
     }
   }
 
   // Eqn 6 / 17 / 30: Talg = Nw * Tsync
   //                        + Nw * Ttile * ceil(ceil(w/k) / n_sm).
-  const std::int64_t waves_per_row =
-      ceil_div(ceil_div(w, k), static_cast<std::int64_t>(hw.n_sm));
-  out.talg = out.nw * mb.T_sync +
+  const std::int64_t waves_per_row = ceil_div(
+      ceil_div(terms.w, k), static_cast<std::int64_t>(in.hw.n_sm));
+  out.talg = out.nw * in.mb.T_sync +
              out.nw * out.t_tile * static_cast<double>(waves_per_row);
   return out;
+}
+
+}  // namespace
+
+std::int64_t k_max(int dim, const hhc::TileSizes& ts,
+                   const HardwareParams& hw, std::int64_t radius) {
+  const std::int64_t m_tile = hhc::shared_words_per_tile(dim, ts, radius);
+  if (m_tile > hw.max_shared_words_per_block) return 0;  // infeasible
+  const std::int64_t by_shared = hw.shared_words_per_sm / m_tile;
+  return std::min<std::int64_t>(hw.max_tb_per_sm, by_shared);
+}
+
+bool tile_fits(int dim, const hhc::TileSizes& ts, const HardwareParams& hw,
+               std::int64_t radius) {
+  return k_max(dim, ts, hw, radius) >= 1;
+}
+
+TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
+                   const hhc::TileSizes& ts, std::int64_t k) {
+  assert(k >= 1);
+  return finish_talg(talg_terms(in, p, ts), in, k);
 }
 
 TalgBreakdown talg_auto_k(const ModelInputs& in, const stencil::ProblemSize& p,
@@ -141,9 +174,10 @@ TalgBreakdown talg_auto_k(const ModelInputs& in, const stencil::ProblemSize& p,
     throw std::invalid_argument(
         "talg_auto_k: tile does not fit in shared memory");
   }
-  TalgBreakdown best = talg(in, p, ts, 1);
+  const TalgTerms terms = talg_terms(in, p, ts);
+  TalgBreakdown best = finish_talg(terms, in, 1);
   for (std::int64_t k = 2; k <= k_hi; ++k) {
-    const TalgBreakdown cur = talg(in, p, ts, k);
+    const TalgBreakdown cur = finish_talg(terms, in, k);
     if (cur.talg < best.talg) best = cur;
   }
   return best;

@@ -77,7 +77,10 @@ TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
 // Same, choosing the k in [1, k_max] that minimizes the prediction.
 // Eqn 11 only *bounds* k; the residency the scheduler actually
 // achieves is whatever serves the workload best, so the optimistic
-// model takes the minimum over the feasible range.
+// model takes the minimum over the feasible range. The k-independent
+// terms are computed once; only T_tile and the waves are redone per
+// k. The result equals the first strictly best talg(in, p, ts, k)
+// bit for bit.
 TalgBreakdown talg_auto_k(const ModelInputs& in, const stencil::ProblemSize& p,
                           const hhc::TileSizes& ts);
 

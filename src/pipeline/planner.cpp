@@ -62,6 +62,10 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   // Calibration depends only on (device, stencil): computed once per
   // stencil identity, shared across every problem size in the DAG.
   std::map<std::string, model::ModelInputs> calibrations;
+  // The tile space depends only on (dim, radius) once the device and
+  // the enumeration options are fixed, as they are within a plan:
+  // enumerated once per pair, shared by every stage that needs it.
+  std::map<std::pair<int, int>, std::vector<hhc::TileSizes>> spaces;
   // The shared Session pool: one memoized session per (stencil,
   // problem).
   std::map<std::string, std::unique_ptr<tuner::Session>> sessions;
@@ -111,8 +115,18 @@ PipelinePlan Planner::plan(const Pipeline& p) {
         }
       }
 
-      const std::vector<hhc::TileSizes> space = tuner::enumerate_feasible(
-          st.problem.dim, sess->inputs().hw, opt_.enumeration, st.def.radius);
+      const std::pair<int, int> space_key{st.problem.dim, st.def.radius};
+      auto sit = spaces.find(space_key);
+      if (sit == spaces.end()) {
+        sit = spaces
+                  .emplace(space_key,
+                           tuner::enumerate_feasible(
+                               st.problem.dim, sess->inputs().hw,
+                               opt_.enumeration, st.def.radius))
+                  .first;
+        ++plan.spaces_enumerated;
+      }
+      const std::vector<hhc::TileSizes>& space = sit->second;
       const tuner::ModelSweep sweep = sess->sweep_model(space, opt_.delta);
       r.space_size = sweep.space_size;
       r.candidates_tried = sweep.candidates.size();

@@ -3,10 +3,11 @@
 // and aggregates per-stage best times into an end-to-end pipeline
 // Talg with a per-stage breakdown.
 //
-// Three reuse mechanisms stack, each strictly work-saving (none can
+// Four reuse mechanisms stack, each strictly work-saving (none can
 // change a result — the dedup copies a finished answer, the shared
-// memo replays cached measurements, and warm seeds only reorder and
-// prune Session::best_tile's sweep):
+// memo replays cached measurements, warm seeds only reorder and
+// prune Session::best_tile's sweep, and a shared tile space is the
+// one each stage would have enumerated):
 //   1. Stage dedup: stages agreeing on (stencil identity, problem,
 //      effective variant) are tuned once; later copies reuse the
 //      earlier StageResult (reused == true, zero additional work).
@@ -21,6 +22,10 @@
 //      level l+1's), ranked same-variant-first then by log-space
 //      problem distance — the WarmSeed path re-prices every seed, so
 //      seeded results stay byte-identical to cold.
+//   4. One tile space per (dim, radius): the device and the
+//      enumeration options are fixed within a plan, so every stage
+//      of one dim and radius sweeps the same enumerate_feasible
+//      result, computed once.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +86,8 @@ struct PipelinePlan {
   std::size_t total_stages = 0;
   std::int64_t stage_executions = 0;  // Σ repeat
   std::size_t distinct_tasks = 0;     // tasks actually tuned
+  std::size_t spaces_enumerated = 0;  // tile spaces built, one per
+                                      // (dim, radius) the plan tunes
   bool feasible = false;              // every stage found a feasible best
   double talg = 0.0;   // end-to-end: Σ repeat × best.talg
   double texec = 0.0;  // end-to-end: Σ repeat × best.texec

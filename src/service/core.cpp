@@ -207,36 +207,25 @@ std::string compute_devices() {
 
 std::string ServiceStats::to_json() const {
   json::Value o = json::Value::object();
-  o.set("requests", requests);
-  o.set("errors", errors);
-  o.set("overloaded", overloaded);
-  o.set("computed", computed);
-  o.set("coalesced", coalesced);
-  o.set("store_hits", store_hits);
-  o.set("store_misses", store_misses);
-  o.set("store_writes", store_writes);
-  o.set("store_errors", store_errors);
-  json::Value kinds = json::Value::object();
-  kinds.set("predict", predict);
-  kinds.set("best_tile", best_tile);
-  kinds.set("compare_strategies", compare);
-  kinds.set("lint", lint);
-  kinds.set("devices", devices);
-  kinds.set("stats", stats_kind);
-  kinds.set("pipeline", pipeline);
-  o.set("kinds", std::move(kinds));
-  o.set("warm_lookups", warm_lookups);
-  o.set("warm_seeds", warm_seeds);
-  o.set("session_machine_points", session_machine_points);
-  o.set("session_cache_hits", session_cache_hits);
-  o.set("session_points_pruned", session_points_pruned);
-  o.set("store_entries", store_entries);
-  o.set("store_bytes", store_bytes);
-  o.set("store_oldest_age_s", store_oldest_age_s);
-  o.set("store_newest_age_s", store_newest_age_s);
-  o.set("compute_seconds", compute_seconds);
-  o.set("latency_seconds", latency_seconds);
-  o.set("latency_max", latency_max);
+  json::Value group = json::Value::object();
+  std::string group_name;
+  // A group is written, in place, once its last field is set.
+  const auto close_group = [&] {
+    if (group_name.empty()) return;
+    o.set(group_name, std::move(group));
+    group = json::Value::object();
+    group_name.clear();
+  };
+  for_each_field([&](std::string_view g, std::string_view name, auto member) {
+    if (g != group_name) close_group();
+    if (g.empty()) {
+      o.set(std::string(name), this->*member);
+    } else {
+      group_name = g;
+      group.set(std::string(name), this->*member);
+    }
+  });
+  close_group();
   return o.dump();
 }
 

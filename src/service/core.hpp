@@ -33,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -132,6 +133,42 @@ struct ServiceStats {
   double compute_seconds = 0.0;  // wall time inside compute_payload
   double latency_seconds = 0.0;  // summed handle() wall time
   double latency_max = 0.0;
+
+  // Every field once, as f(group, name, member pointer) in the order
+  // to_json writes them. `group` is empty for a top-level key and
+  // names the nested object ("kinds") otherwise; a group's fields are
+  // contiguous, and the group sits where its first field does.
+  template <class F>
+  static void for_each_field(F&& f) {
+    f("", "requests", &ServiceStats::requests);
+    f("", "errors", &ServiceStats::errors);
+    f("", "overloaded", &ServiceStats::overloaded);
+    f("", "computed", &ServiceStats::computed);
+    f("", "coalesced", &ServiceStats::coalesced);
+    f("", "store_hits", &ServiceStats::store_hits);
+    f("", "store_misses", &ServiceStats::store_misses);
+    f("", "store_writes", &ServiceStats::store_writes);
+    f("", "store_errors", &ServiceStats::store_errors);
+    f("kinds", "predict", &ServiceStats::predict);
+    f("kinds", "best_tile", &ServiceStats::best_tile);
+    f("kinds", "compare_strategies", &ServiceStats::compare);
+    f("kinds", "lint", &ServiceStats::lint);
+    f("kinds", "devices", &ServiceStats::devices);
+    f("kinds", "stats", &ServiceStats::stats_kind);
+    f("kinds", "pipeline", &ServiceStats::pipeline);
+    f("", "warm_lookups", &ServiceStats::warm_lookups);
+    f("", "warm_seeds", &ServiceStats::warm_seeds);
+    f("", "session_machine_points", &ServiceStats::session_machine_points);
+    f("", "session_cache_hits", &ServiceStats::session_cache_hits);
+    f("", "session_points_pruned", &ServiceStats::session_points_pruned);
+    f("", "store_entries", &ServiceStats::store_entries);
+    f("", "store_bytes", &ServiceStats::store_bytes);
+    f("", "store_oldest_age_s", &ServiceStats::store_oldest_age_s);
+    f("", "store_newest_age_s", &ServiceStats::store_newest_age_s);
+    f("", "compute_seconds", &ServiceStats::compute_seconds);
+    f("", "latency_seconds", &ServiceStats::latency_seconds);
+    f("", "latency_max", &ServiceStats::latency_max);
+  }
 
   std::string to_json() const;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <tuple>
 
@@ -87,31 +89,69 @@ std::vector<hhc::TileSizes> enumerate_feasible(int dim,
   const auto feasible = [&](const hhc::TileSizes& ts) {
     return analysis::eqn31_feasible(dim, ts, hw, radius);
   };
-  std::vector<hhc::TileSizes> out;
-  for (std::int64_t tT = 2; tT <= opt.tT_max; tT += opt.tT_step) {
-    if (tT % 2 != 0) continue;
-    for (std::int64_t tS1 = radius; tS1 <= opt.tS1_max;
-         tS1 += opt.tS1_step) {
-      if (dim == 1) {
-        hhc::TileSizes ts{.tT = tT, .tS1 = tS1, .tS2 = 1, .tS3 = 1};
-        if (feasible(ts)) out.push_back(ts);
-        continue;
-      }
-      for (std::int64_t tS2 = opt.tS2_step; tS2 <= opt.tS2_max;
-           tS2 += opt.tS2_step) {
-        if (dim == 2) {
-          hhc::TileSizes ts{.tT = tT, .tS1 = tS1, .tS2 = tS2, .tS3 = 1};
-          if (feasible(ts)) out.push_back(ts);
-          continue;
-        }
-        for (std::int64_t tS3 = opt.tS3_step; tS3 <= opt.tS3_max;
-             tS3 += opt.tS3_step) {
-          hhc::TileSizes ts{.tT = tT, .tS1 = tS1, .tS2 = tS2, .tS3 = tS3};
-          if (feasible(ts)) out.push_back(ts);
-        }
-      }
-    }
+  // The lattice axes in loop order, outermost first: tT from 2 (even
+  // values only), tS1 from the raw radius, tS2/tS3 from one step. A
+  // dim-D lattice walks the first D + 1 of them; the others stay 1.
+  struct Axis {
+    std::int64_t hhc::TileSizes::*field;
+    std::int64_t lo, step, hi;
+  };
+  const Axis axes[] = {{&hhc::TileSizes::tT, 2, opt.tT_step, opt.tT_max},
+                       {&hhc::TileSizes::tS1, radius, opt.tS1_step,
+                        opt.tS1_max},
+                       {&hhc::TileSizes::tS2, opt.tS2_step, opt.tS2_step,
+                        opt.tS2_max},
+                       {&hhc::TileSizes::tS3, opt.tS3_step, opt.tS3_step,
+                        opt.tS3_max}};
+  // The lattice size bounds the result. Reserving it up front (capped
+  // at 2^16 points) and handing the excess back at the end costs two
+  // allocations; growing by doubling instead reallocates and copies
+  // past the allocator's mmap threshold, which takes longer than the
+  // walk itself.
+  constexpr std::size_t kReserveCap = std::size_t{1} << 16;
+  std::size_t bound = 1;
+  for (int level = 0; level <= dim; ++level) {
+    const Axis& ax = axes[level];
+    const std::size_t n =
+        ax.hi < ax.lo
+            ? 0
+            : static_cast<std::size_t>((ax.hi - ax.lo) / ax.step) + 1;
+    bound = std::min(kReserveCap, bound * std::min(kReserveCap, n));
   }
+  std::vector<hhc::TileSizes> out;
+  out.reserve(bound);
+  // Walks the sub-lattice below `ts` from axis `level` inward and
+  // appends its feasible points in loop order. Returns true when the
+  // sub-lattice's smallest point fails the capacity check: M_tile is
+  // monotone in every extent (DESIGN.md, "Certificate semantics"), so
+  // then every point of it fails, and so does every point of each
+  // later sibling in the enclosing loop, which therefore stops. Only
+  // capacity stops a loop; a shape or slope failure (tS1 = radius = 0)
+  // does not. The points kept, and their order, are the full lattice
+  // walk's.
+  const auto walk = [&](const auto& self, hhc::TileSizes ts,
+                        int level) -> bool {
+    // (The size test is implied by dim <= 3; it lets the compiler see
+    // that axes[level] below stays in bounds.)
+    if (level > dim || level == static_cast<int>(std::size(axes))) {
+      if (feasible(ts)) {
+        out.push_back(ts);
+        return false;
+      }
+      return !analysis::eqn31_capacity_ok(dim, ts, hw, radius);
+    }
+    const Axis& ax = axes[level];
+    bool first = true;
+    for (std::int64_t v = ax.lo; v <= ax.hi; v += ax.step) {
+      if (level == 0 && v % 2 != 0) continue;
+      ts.*ax.field = v;
+      if (self(self, ts, level + 1)) return first;
+      first = false;
+    }
+    return false;
+  };
+  walk(walk, hhc::TileSizes{.tT = 2, .tS1 = radius, .tS2 = 1, .tS3 = 1}, 0);
+  out.shrink_to_fit();
   return out;
 }
 

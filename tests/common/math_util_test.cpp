@@ -37,6 +37,22 @@ TEST(MathUtil, SumCeilDivMatchesBruteForce) {
   }
 }
 
+TEST(MathUtil, FloorSumMatchesBruteForce) {
+  for (std::int64_t n : {0, 1, 2, 7, 40}) {
+    for (std::int64_t m : {1, 2, 3, 32, 127}) {
+      for (std::int64_t a : {0, 1, 5, 32, 97, 1000}) {
+        for (std::int64_t b : {0, 1, 31, 64, 999}) {
+          std::int64_t expect = 0;
+          for (std::int64_t i = 0; i < n; ++i) expect += (a * i + b) / m;
+          EXPECT_EQ(floor_sum(n, m, a, b), expect)
+              << "n=" << n << " m=" << m << " a=" << a << " b=" << b;
+        }
+      }
+    }
+  }
+  static_assert(floor_sum(4, 3, 2, 1) == 0 + 1 + 1 + 2);
+}
+
 TEST(MathUtil, ClosedFormIsOptimisticLowerBound) {
   // Relaxing ceilings can only decrease the sum.
   for (std::int64_t lo : {2, 5}) {

@@ -31,6 +31,14 @@ Pipeline parse(const std::string& text) {
   return *p;
 }
 
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 const device::Descriptor& gtx980() {
   const device::Descriptor* d = device::registry().find("GTX 980");
   EXPECT_NE(d, nullptr);
@@ -157,12 +165,8 @@ TEST(Planner, WarmSeededDescentPrunesStrictlyMoreThanCold) {
 // test was written the fresh pricings were 299 (no dedup), 299 (no
 // warm seeding) and 287 (all on).
 TEST(Planner, VcycleReuseStackSavesPricingsIdentically) {
-  std::ifstream in(std::filesystem::path(REPRO_SOURCE_DIR) / "examples" /
-                   "pipelines" / "vcycle3.json");
-  ASSERT_TRUE(in.is_open());
-  std::stringstream text;
-  text << in.rdbuf();
-  const Pipeline p = parse(text.str());
+  const Pipeline p = parse(read_file(std::filesystem::path(REPRO_SOURCE_DIR) /
+                                     "examples" / "pipelines" / "vcycle3.json"));
 
   const PipelinePlan no_dedup =
       Planner(gtx980(), test_options().with_dedup(false).with_warm_seed(false))
@@ -216,6 +220,92 @@ TEST(Planner, PinnedVariantIsHonored) {
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.stages[0].best.dp.var.unroll, 2);
   EXPECT_EQ(plan.stages[0].best.dp.var.staging, stencil::Staging::kRegister);
+}
+
+// One tile space per (dim, radius): the V-cycle's 11 stages (8 tuned
+// tasks, three stencils) are all 2D radius-1, so the plan enumerates
+// once; a radius-2 stage adds one more, a 1D stage another.
+TEST(Planner, EnumeratesOncePerDimAndRadius) {
+  const Pipeline vcycle = parse(read_file(
+      std::filesystem::path(REPRO_SOURCE_DIR) / "examples" / "pipelines" /
+      "vcycle3.json"));
+  const PipelinePlan plan = Planner(gtx980(), test_options()).plan(vcycle);
+  EXPECT_EQ(plan.distinct_tasks, 8u);
+  EXPECT_EQ(plan.spaces_enumerated, 1u);
+  for (const StageResult& r : plan.stages) {
+    EXPECT_EQ(r.space_size, plan.stages.front().space_size) << r.id;
+  }
+
+  const Pipeline mixed = parse(
+      R"({"pipeline_version":1,"name":"mixed","stages":[
+           {"id":"a","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4}},
+           {"id":"b","stencil":"WideStar2D","problem":{"S":[256,256],"T":4},
+            "after":["a"]},
+           {"id":"c","stencil":"Heat2D","problem":{"S":[128,128],"T":4},
+            "after":["b"]},
+           {"id":"d","stencil":"Jacobi1D","problem":{"S":[4096],"T":8},
+            "after":["c"]},
+           {"id":"e","stencil":"Gauss1D","problem":{"S":[4096],"T":8},
+            "after":["d"]},
+           {"id":"f","stencil":"WideStar2D","problem":{"S":[512,512],"T":4},
+            "after":["e"]}]})");
+  const PipelinePlan m = Planner(gtx980(), test_options()).plan(mixed);
+  EXPECT_EQ(m.distinct_tasks, 6u);
+  EXPECT_EQ(m.spaces_enumerated, 4u);
+  // Sharing a space changes nothing a stage reports: each stage's
+  // space is the one its own (dim, radius) enumerates.
+  for (std::size_t i = 0; i < mixed.stages.size(); ++i) {
+    const Stage& st = mixed.stages[i];
+    EXPECT_EQ(m.stages[i].space_size,
+              tuner::enumerate_feasible(st.problem.dim,
+                                        gtx980().to_model_hardware(),
+                                        test_options().enumeration,
+                                        st.def.radius)
+                  .size())
+        << st.id;
+  }
+}
+
+// The shipped example pipelines plan to the committed payload bytes
+// (tests/golden/payloads/, computed before the tile space was shared
+// across stages) on both GPUs, with the service's plan options.
+TEST(Planner, ExamplePipelinesMatchGoldenPayloads) {
+  const std::filesystem::path root(REPRO_SOURCE_DIR);
+  std::ifstream golden(root / "tests" / "golden" / "payloads" /
+                       "pipeline_responses.jsonl");
+  ASSERT_TRUE(golden.is_open());
+  std::vector<std::string> responses;
+  for (std::string line; std::getline(golden, line);) {
+    responses.push_back(line);
+  }
+  std::size_t checked = 0;
+  for (const char* name : {"vcycle3", "substep2"}) {
+    const Pipeline p = parse(read_file(root / "examples" / "pipelines" /
+                                       (std::string(name) + ".json")));
+    for (const char* dev : {"GTX 980", "Titan X"}) {
+      const std::string id =
+          std::string(name) + (dev[0] == 'G' ? "-gtx980" : "-titanx");
+      const std::string prefix = "{\"v\":1,\"id\":\"" + id + "\",";
+      PlanOptions opt;
+      opt.session = tuner::SessionOptions{}.with_jobs(1);
+      const PipelinePlan plan =
+          Planner(*device::registry().find(dev), opt).plan(p);
+      const std::string want = prefix +
+                               "\"ok\":true,\"kind\":\"pipeline\","
+                               "\"result\":" +
+                               plan_to_json(plan).dump() + "}";
+      bool found = false;
+      for (const std::string& line : responses) {
+        if (line.rfind(prefix, 0) != 0) continue;
+        found = true;
+        EXPECT_EQ(line, want) << id;
+        ++checked;
+      }
+      EXPECT_TRUE(found) << id;
+      EXPECT_EQ(plan.spaces_enumerated, 1u) << id;
+    }
+  }
+  EXPECT_EQ(checked, 4u);
 }
 
 TEST(Planner, CyclicPipelineThrows) {

@@ -373,6 +373,53 @@ TEST_F(CoreTest, StatsJsonIsValidAndComplete) {
   EXPECT_TRUE(doc->find("latency_seconds")->is_number());
 }
 
+// ServiceStats::to_json walks ServiceStats::for_each_field. The
+// expected line is what the hand-written field list it replaced
+// printed for these values: same keys, same order, same bytes.
+TEST(ServiceStatsJson, FieldVisitorKeepsKeyOrderAndBytes) {
+  ServiceStats s;
+  s.requests = 1;
+  s.errors = 2;
+  s.overloaded = 3;
+  s.computed = 4;
+  s.coalesced = 5;
+  s.store_hits = 6;
+  s.store_misses = 7;
+  s.store_writes = 8;
+  s.store_errors = 9;
+  s.predict = 10;
+  s.best_tile = 11;
+  s.compare = 12;
+  s.lint = 13;
+  s.devices = 14;
+  s.stats_kind = 15;
+  s.pipeline = 16;
+  s.warm_lookups = 17;
+  s.warm_seeds = 18;
+  s.session_machine_points = 19;
+  s.session_cache_hits = 20;
+  s.session_points_pruned = 21;
+  s.store_entries = 22;
+  s.store_bytes = 23;
+  s.store_oldest_age_s = 24.5;
+  s.store_newest_age_s = 0.25;
+  s.compute_seconds = 1.0 / 3.0;
+  s.latency_seconds = 1e-7;
+  s.latency_max = 12345.678;
+  std::string want =
+      R"({"requests":1,"errors":2,"overloaded":3,"computed":4,"coalesced":5,
+"store_hits":6,"store_misses":7,"store_writes":8,"store_errors":9,
+"kinds":{"predict":10,"best_tile":11,"compare_strategies":12,"lint":13,
+"devices":14,"stats":15,"pipeline":16},"warm_lookups":17,"warm_seeds":18,
+"session_machine_points":19,"session_cache_hits":20,
+"session_points_pruned":21,"store_entries":22,"store_bytes":23,
+"store_oldest_age_s":24.5,"store_newest_age_s":0.25,
+"compute_seconds":0.3333333333333333,"latency_seconds":1e-07,
+"latency_max":12345.678})";
+  std::erase(want, '\n');
+  EXPECT_EQ(s.to_json(), want);
+}
+
 TEST_F(CoreTest, StatsKindReportsLiveCountersAndBypassesStore) {
   ServiceCore core(ServiceOptions{}.with_store_dir(store_dir_.string()));
   core.handle(kPredict);
