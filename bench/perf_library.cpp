@@ -2,8 +2,9 @@
 // feasible-space enumeration and sweeps, one whole pipeline plan,
 // schedule construction, simulator pricing
 // (whole, and per layer: profile build, bounds-only build, histograms,
-// step, lower bound, batched thread sweep, cold session sweep of one
-// tile) and tiled functional execution. These guard the
+// step, lower bound, the SoA and scalar pricing folds, cold session
+// sweep of one tile), whole cold best_tile and compare requests, and
+// tiled functional execution. These guard the
 // performance envelope that makes the full-scale Fig. 3/6 sweeps
 // tractable on one core.
 //
@@ -183,13 +184,26 @@ int main() {
                                     .seconds);
                   },
                   20000});
+  // The two GPU pricing folds on one prebuilt profile over the ten
+  // default thread configs: the batched SoA fold, and the per-point
+  // scalar fold a loop of measure_best_of runs.
   const std::vector<hhc::ThreadConfig> sweep = tuner::default_thread_configs(2);
   std::vector<gpusim::SimResult> swept(sweep.size());
-  arms.push_back({"measure_best_of_batch",
+  arms.push_back({"fold_soa/10thr",
                   [&] {
                     gpusim::measure_best_of_batch(gpusim::gtx980(), heat2d(),
                                                   heat, prof_ts, sweep, prof,
                                                   swept);
+                    bench::keep(swept.front().seconds);
+                  },
+                  500});
+  arms.push_back({"fold_scalar/10thr",
+                  [&] {
+                    for (std::size_t j = 0; j < sweep.size(); ++j) {
+                      swept[j] = gpusim::measure_best_of(
+                          gpusim::gtx980(), heat2d(), heat, prof_ts, sweep[j],
+                          prof);
+                    }
                     bench::keep(swept.front().seconds);
                   },
                   500});
@@ -209,6 +223,39 @@ int main() {
                             .feasible);
                   },
                   2000});
+  // Whole cold requests on Heat2D 4096^2 x 1024 at one job, as the
+  // service runs them: best_tile over a model sweep's candidates on
+  // the GPU and on the Xeon descriptor, and a CPU strategy comparison
+  // (enumeration and model sweep included). clear_cache() drops every
+  // tile record, so each call bounds and prices from scratch.
+  const device::Descriptor& xeon = *device::registry().find("Xeon E5-2690 v4");
+  tuner::Session gpu_req(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), heat, in),
+      tuner::SessionOptions{}.with_jobs(1));
+  tuner::Session cpu_req(tuner::TuningContext::calibrate(xeon, heat2d(), heat),
+                         tuner::SessionOptions{}.with_jobs(1));
+  const tuner::ModelSweep gpu_sweep =
+      gpu_req.sweep_model(tuner::enumerate_feasible(2, in.hw), 0.10);
+  const tuner::ModelSweep cpu_sweep = cpu_req.sweep_model(
+      tuner::enumerate_feasible(2, cpu_req.inputs().hw), 0.10);
+  arms.push_back({"best_tile_gpu_2d",
+                  [&] {
+                    gpu_req.clear_cache();
+                    bench::keep(gpu_req.best_tile(gpu_sweep).texec);
+                  },
+                  5});
+  arms.push_back({"best_tile_cpu_2d",
+                  [&] {
+                    cpu_req.clear_cache();
+                    bench::keep(cpu_req.best_tile(cpu_sweep).texec);
+                  },
+                  5});
+  arms.push_back({"compare_cpu_2d",
+                  [&] {
+                    cpu_req.clear_cache();
+                    bench::keep(cpu_req.compare_strategies().exhaustive.texec);
+                  },
+                  2});
   // Numeric execution throughput of the tiled and reference executors.
   arms.push_back({"tiled_functional_execution", [&] {
                     bench::keep(hhc::run_tiled(heat2d(), small, exec_ts, init));
@@ -226,9 +273,7 @@ int main() {
   // Items per second for the arms whose work is a point count.
   const auto items = [&](const std::string& name) -> double {
     if (name == "model_sweep_space") return static_cast<double>(space.size());
-    if (name == "measure_best_of_batch") {
-      return static_cast<double>(sweep.size());
-    }
+    if (name.starts_with("fold_")) return static_cast<double>(sweep.size());
     if (name == "tiled_functional_execution" || name == "reference_execution") {
       return static_cast<double>(small.total_points());
     }

@@ -1,30 +1,35 @@
-// Admissible lower bound on the CPU simulator's execution time.
+// Exact lower bounds on the CPU simulator's measured time.
 //
-// Mirrors gpusim/lower_bound.hpp for the second backend. The floor is
-// built from the same TileGeometry the simulator prices, relaxing
-// every term the simulator can only inflate:
+// The simulator prices a point in two steps (cpusim/timing.hpp): a
+// jitter-free base simulation (simulate_jitter_free), then a final
+// multiplicative jitter factor, the smallest of `runs` draws for
+// measure_best_of and one draw for simulate_time. Every draw is
+// hash_jitter(key, a) = 1 + a * u with u in [0, 1), so it is >= 1
+// whenever jitter_amplitude a >= 0 — which the CPU device audit
+// enforces for every shipped and registered descriptor. Multiplying
+// by a factor >= 1 never lowers an IEEE double, so the base itself is
+// a floor, and the tightest one that holds for every run id:
 //
-//   * compute floor: total iteration points over the SIMD width with
-//     no strand-chunking or remainder ceilings (groups >= volume/n_v
-//     per tile) and no stall / over-subscription penalties (both
-//     factors are >= 1 by construction) — so the floor never reads
-//     the strand count and one value serves a whole thread sweep;
-//   * memory floor: the one-directional DRAM traffic with line waste
-//     relaxed to 1 and without the write-allocate doubling, over the
-//     same per-core bandwidth share, plus the exact per-tile DRAM
-//     latency; the per-step service term is dropped entirely (it is
-//     >= 0);
-//   * overhead floor: the exact per-step fence and per-row
-//     parallel-launch totals (the simulator charges both verbatim).
+//   point bound = simulate_jitter_free(...).seconds
+//               <= simulate_time(run_id) for every run_id
+//               <= measure_best_of(runs)  (bit for bit, not just in
+//                                          exact arithmetic)
 //
-// The simulator's t_tile is the plain sum fill + service + compute +
-// fence, each term >= its floor counterpart, and the jitter factor of
-// measure_best_of never drops below 1, so
-//   lower_bound <= simulate_time <= measure_best_of
-// for every run_id. The cpusim-tier property tests assert this over
-// the parity grid; tuner::Session prunes on it exactly as it does
-// with the GPU bound.
+// The point bound reads the strand count like the price does. A
+// tile's floor over a strand axis is the minimum of its point
+// bounds, so no point of the axis can beat it. The strand count
+// reaches a price only through the compute time per sub-tile, and
+// the price is non-decreasing in it, so the floor costs one O(log)
+// strand step per strand count (the closed-form family_groups) and a
+// single pricing body (min_jitter_free). tuner::Session analyzes a
+// CPU tile once per visit (TileFloors), evaluates its floor over the
+// visit's strand axis on the first miss that needs a bound, prunes
+// every miss while the floor exceeds the incumbent, and bounds each
+// miss by its own point bound otherwise: the pruned set is the one
+// the point bounds alone would prune.
 #pragma once
+
+#include <span>
 
 #include "cpusim/device.hpp"
 #include "cpusim/timing.hpp"
@@ -36,22 +41,30 @@ namespace repro::cpusim {
 
 struct LowerBound {
   bool feasible = false;
-  // The admissible floor; +infinity for an infeasible configuration.
+  // The floor; +infinity for an infeasible configuration (it can
+  // never become the incumbent, so any incumbent prunes it).
   double seconds = 0.0;
-
-  // Diagnostic decomposition (these sum to `seconds`).
-  double compute_floor = 0.0;
-  double memory_floor = 0.0;
-  double overhead_floor = 0.0;  // fences + parallel-region launches
 };
 
-// The bound of every in-range strand count on tile `ts`.
-LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
-                       const stencil::ProblemSize& p,
-                       const hhc::TileSizes& ts);
+// The bounds of one tile, analyzed once.
+class TileFloors {
+ public:
+  TileFloors(const CpuParams& dev, const stencil::StencilDef& def,
+             const stencil::ProblemSize& p, const hhc::TileSizes& ts);
 
-// One point: the tile's bound, or infeasible (+infinity) when
-// thr.total() is outside the simulator's strand range.
+  // The point bound of strand config `thr`.
+  LowerBound point(const hhc::ThreadConfig& thr) const;
+  // The tile floor over `thrs`: the minimum of their point bounds
+  // (infeasible, +infinity, when none is feasible).
+  LowerBound over(std::span<const hhc::ThreadConfig> thrs) const;
+
+ private:
+  const CpuParams* dev_;
+  hhc::TileSizes ts_;
+  TileGeometry tile_;
+};
+
+// One point: TileFloors(dev, def, p, ts).point(thr).
 LowerBound lower_bound(const CpuParams& dev, const stencil::StencilDef& def,
                        const stencil::ProblemSize& p,
                        const hhc::TileSizes& ts,

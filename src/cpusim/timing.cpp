@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -12,6 +13,9 @@ namespace repro::cpusim {
 namespace {
 
 using repro::ceil_div;
+
+constexpr const char* kStrandsOutOfRange =
+    "strand count out of range [1, 1024]";
 
 // Deterministic key for jitter: mixes every input that identifies a
 // configuration, so repeated runs differ only through run_id. The
@@ -58,27 +62,6 @@ double group_cycles(const CpuParams& dev, const stencil::StencilDef& def) {
   return c.issue_base + mix.shared_loads * c.load + mix.fma_ops * c.fma +
          mix.add_ops * c.add + mix.special_ops * c.special +
          mix.addr_ops * c.addr;
-}
-
-// SIMD groups one core issues for one sub-tile of the family with base
-// width `base`: per hexagon time step, the row of x*inner points
-// splits into `strands` chunks, each padded to a whole number of
-// vector groups (both ceilings are remainder waste the optimistic
-// model relaxes away — its Eqn 9/15/27 row sum only keeps the
-// ceil(x*inner/n_v) floor each row term here dominates).
-std::int64_t family_groups(std::int64_t base, std::int64_t tT,
-                           std::int64_t inner, std::int64_t radius,
-                           int strands, int n_v) {
-  const std::int64_t s = std::max(strands, 1);
-  std::int64_t groups = 0;
-  for (std::int64_t j = 0; j < tT / 2; ++j) {
-    const std::int64_t points = (base + 2 * radius * j) * inner;
-    const std::int64_t busy = std::min<std::int64_t>(s, points);
-    const std::int64_t chunk = ceil_div(points, busy);
-    // Each width occurs on the grow and the shrink half of the hexagon.
-    groups += 2 * busy * ceil_div(chunk, static_cast<std::int64_t>(n_v));
-  }
-  return groups;
 }
 
 }  // namespace
@@ -180,26 +163,48 @@ TileGeometry analyze_tile(const CpuParams& dev, const stencil::StencilDef& def,
   return g;
 }
 
-SweepGeometry analyze_strands(const TileGeometry& tile, const CpuParams& dev,
-                              const hhc::TileSizes& ts,
-                              const hhc::ThreadConfig& thr) {
-  SweepGeometry g;
-  static_cast<TileGeometry&>(g) = tile;
-  if (!g.feasible) return g;
-  g.strands = thr.total();
-  if (!strands_in_range(thr)) {
-    g.feasible = false;
-    g.infeasible_reason = "strand count out of range [1, 1024]";
-    return g;
-  }
-  const std::int64_t r = g.radius;
-  g.groups_avg =
-      0.5 * (static_cast<double>(family_groups(ts.tS1, ts.tT, g.inner, r,
-                                               g.strands, dev.vector_words)) +
-             static_cast<double>(family_groups(ts.tS1 + 2 * r, ts.tT, g.inner,
-                                               r, g.strands,
+std::int64_t family_groups(std::int64_t base, std::int64_t tT,
+                           std::int64_t inner, std::int64_t radius,
+                           int strands, int n_v) {
+  const std::int64_t s = std::max(strands, 1);
+  const std::int64_t rows = tT / 2;
+  // Row j holds (base + 2rj) * inner points, increasing in j, so the
+  // rows with fewer points than strands are a prefix: j < j0, where
+  // j0 is the first row with base + 2rj >= ceil(s / inner).
+  const std::int64_t width_min = ceil_div(s, inner);
+  const std::int64_t j0 =
+      width_min <= base
+          ? 0
+          : std::min(rows, ceil_div(width_min - base, 2 * radius));
+  // Short rows: every point is its own strand, one group each.
+  const std::int64_t short_groups =
+      2 * inner * (j0 * base + radius * j0 * (j0 - 1));
+  if (j0 == rows) return short_groups;
+  // Saturated rows: s chunks of ceil(points / s) points, each
+  // ceil(chunk / n_v) groups, and ceil(ceil(x / s) / n_v) equals
+  // ceil(x / (s * n_v)).
+  const std::int64_t step = 2 * radius * inner;
+  const std::int64_t lo = (base + 2 * radius * j0) * inner;
+  const std::int64_t hi = (base + 2 * radius * (rows - 1)) * inner;
+  return short_groups +
+         2 * s * sum_ceil_div(lo, hi, step, s * static_cast<std::int64_t>(n_v));
+}
+
+StrandStep analyze_strands(const TileGeometry& tile, const CpuParams& dev,
+                           const hhc::TileSizes& ts,
+                           const hhc::ThreadConfig& thr) {
+  StrandStep st;
+  st.strands = thr.total();
+  if (!tile.feasible || !strands_in_range(thr)) return st;
+  const std::int64_t r = tile.radius;
+  st.feasible = true;
+  st.groups_avg =
+      0.5 * (static_cast<double>(family_groups(ts.tS1, ts.tT, tile.inner, r,
+                                               st.strands, dev.vector_words)) +
+             static_cast<double>(family_groups(ts.tS1 + 2 * r, ts.tT,
+                                               tile.inner, r, st.strands,
                                                dev.vector_words)));
-  return g;
+  return st;
 }
 
 SweepGeometry analyze_sweep(const CpuParams& dev,
@@ -207,44 +212,47 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
                             const stencil::ProblemSize& p,
                             const hhc::TileSizes& ts,
                             const hhc::ThreadConfig& thr) {
-  return analyze_strands(analyze_tile(dev, def, p, ts), dev, ts, thr);
+  SweepGeometry g;
+  static_cast<TileGeometry&>(g) = analyze_tile(dev, def, p, ts);
+  const StrandStep st = analyze_strands(g, dev, ts, thr);
+  g.strands = st.strands;
+  g.groups_avg = st.groups_avg;
+  if (g.feasible && !st.feasible) {
+    g.feasible = false;
+    g.infeasible_reason = kStrandsOutOfRange;
+  }
+  return g;
 }
 
 namespace {
 
-// The one CPU pricing body, shared by simulate_time, measure_best_of
-// and measure_best_of_batch: prices strand config `thr` on an analyzed
-// tile and applies the smallest jitter over the run ids
-// [first_run, first_run + runs) (at least one draw). The jitter is a
-// final multiplicative factor, so one base simulation plus `runs`
-// draws is exactly min over `runs` full simulations.
-SimResult price(const CpuParams& dev, const TileGeometry& tile,
-                const hhc::TileSizes& ts, std::uint64_t key_prefix,
-                double flops, const hhc::ThreadConfig& thr,
-                std::uint64_t first_run, int runs) {
-  SimResult res;
-  const SweepGeometry g = analyze_strands(tile, dev, ts, thr);
-  if (!g.feasible) {
-    res.infeasible_reason = g.infeasible_reason;
-    return res;
-  }
-
+// The one term of a price the strand count reaches: compute seconds
+// per sub-tile of a feasible strand step.
+double compute_per_sub(const CpuParams& dev, const TileGeometry& g,
+                       const StrandStep& st) {
   // Compute: family-averaged SIMD groups with chunk/remainder
   // ceilings, inflated when the core is under-threaded (issue stalls)
   // or over-subscribed (context-switch overhead).
   const double stall =
-      g.strands < dev.smt
+      st.strands < dev.smt
           ? 1.0 + dev.stall_factor *
-                      static_cast<double>(dev.smt - g.strands) /
+                      static_cast<double>(dev.smt - st.strands) /
                       static_cast<double>(dev.smt)
           : 1.0;
   const double oversub =
-      g.strands > dev.smt
-          ? 1.0 + dev.oversub_penalty * static_cast<double>(g.strands - dev.smt)
-          : 1.0;
-  const double compute_sub =
-      g.groups_avg * g.cyc_group / dev.clock_hz * stall * oversub;
+      st.strands > dev.smt ? 1.0 + dev.oversub_penalty *
+                                       static_cast<double>(st.strands - dev.smt)
+                           : 1.0;
+  return st.groups_avg * g.cyc_group / dev.clock_hz * stall * oversub;
+}
 
+// The jitter-free pricing body around a precomputed compute_sub. The
+// result is non-decreasing in compute_sub: it enters only through a
+// sum, a max and products with non-negative factors, all monotone
+// under IEEE rounding.
+SimResult price_sub(const CpuParams& dev, const TileGeometry& g,
+                    const hhc::TileSizes& ts, double compute_sub) {
+  SimResult res;
   // DRAM fill + writeback per sub-tile. The cold read and write
   // streams at aggregate burst bandwidth are the un-hidable HEAD (this
   // is exactly the model's m' transfer, Eqn 8/14/25, before the
@@ -307,6 +315,55 @@ SimResult price(const CpuParams& dev, const TileGeometry& tile,
   res.tiles_per_row = g.tasks_row;
   res.seconds = rows * (dev.parallel_launch_s + rounds * t_tile);
 
+  return res;
+}
+
+}  // namespace
+
+SimResult simulate_jitter_free(const CpuParams& dev, const TileGeometry& g,
+                               const hhc::TileSizes& ts,
+                               const hhc::ThreadConfig& thr) {
+  const StrandStep st = analyze_strands(g, dev, ts, thr);
+  if (!st.feasible) {
+    SimResult res;
+    res.infeasible_reason = g.feasible ? kStrandsOutOfRange
+                                       : g.infeasible_reason;
+    return res;
+  }
+  return price_sub(dev, g, ts, compute_per_sub(dev, g, st));
+}
+
+double min_jitter_free(const CpuParams& dev, const TileGeometry& g,
+                       const hhc::TileSizes& ts,
+                       std::span<const hhc::ThreadConfig> thrs) {
+  // The price is non-decreasing in compute_sub, so the cheapest
+  // strand count is the one with the smallest compute term, and one
+  // pricing body at that term is the minimum over the axis.
+  double compute_min = std::numeric_limits<double>::infinity();
+  for (const hhc::ThreadConfig& thr : thrs) {
+    const StrandStep st = analyze_strands(g, dev, ts, thr);
+    if (st.feasible) {
+      compute_min = std::min(compute_min, compute_per_sub(dev, g, st));
+    }
+  }
+  if (compute_min == std::numeric_limits<double>::infinity()) {
+    return compute_min;
+  }
+  return price_sub(dev, g, ts, compute_min).seconds;
+}
+
+namespace {
+
+// The best-of-runs protocol on a jitter-free base: the jitter is a
+// final multiplicative factor, so the base times the smallest draw
+// over the run ids [first_run, first_run + runs) (at least one) is
+// exactly the min over `runs` full simulations. simulate_time,
+// measure_best_of and measure_best_of_batch all end here.
+SimResult best_of_runs(const CpuParams& dev, SimResult res,
+                       std::uint64_t key_prefix, double flops,
+                       const hhc::ThreadConfig& thr, std::uint64_t first_run,
+                       int runs) {
+  if (!res.feasible) return res;
   double min_jitter =
       hash_jitter(config_key(key_prefix, thr, first_run), dev.jitter_amplitude);
   for (int run = 1; run < runs; ++run) {
@@ -327,8 +384,9 @@ SimResult simulate_time(const CpuParams& dev, const stencil::StencilDef& def,
                         const stencil::ProblemSize& p,
                         const hhc::TileSizes& ts,
                         const hhc::ThreadConfig& thr, std::uint64_t run_id) {
-  return price(dev, analyze_tile(dev, def, p, ts), ts, tile_key(dev, def, p, ts),
-               stencil::total_flops(def, p), thr, run_id, 1);
+  return best_of_runs(
+      dev, simulate_jitter_free(dev, analyze_tile(dev, def, p, ts), ts, thr),
+      tile_key(dev, def, p, ts), stencil::total_flops(def, p), thr, run_id, 1);
 }
 
 SimResult measure_best_of(const CpuParams& dev, const stencil::StencilDef& def,
@@ -350,7 +408,8 @@ void measure_best_of_batch(const CpuParams& dev,
   const std::uint64_t key = tile_key(dev, def, p, ts);
   const double flops = stencil::total_flops(def, p);
   for (std::size_t j = 0; j < thrs.size(); ++j) {
-    out[j] = price(dev, tile, ts, key, flops, thrs[j], 0, runs);
+    out[j] = best_of_runs(dev, simulate_jitter_free(dev, tile, ts, thrs[j]),
+                          key, flops, thrs[j], 0, runs);
   }
 }
 

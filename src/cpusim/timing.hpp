@@ -64,19 +64,18 @@ struct SimResult {
   std::int64_t tiles_per_row = 0;
 };
 
-// The tile/schedule accounting shared by the simulator and the
-// admissible lower bound (cpusim/lower_bound.hpp). Every ceiling and
-// penalty the simulator charges is derived from these quantities, so
-// the bound can relax them term by term. *_avg fields are the mean of
-// the two interlocked hexagon families; the plain fields describe the
-// narrow (base-width tS1) family, whose quantities never exceed the
-// mean.
+// The tile/schedule accounting behind every price and every lower
+// bound (cpusim/lower_bound.hpp): each ceiling and penalty the
+// simulator charges is derived from these quantities. *_avg fields
+// are the mean of the two interlocked hexagon families; the plain
+// fields describe the narrow (base-width tS1) family, whose
+// quantities never exceed the mean.
 //
 // Pricing is two-stage, like gpusim's: TileGeometry is everything the
 // strand count does not touch, computed once per tile by analyze_tile;
-// SweepGeometry adds the per-strand step (the [1, 1024] range check
-// and the chunked SIMD group count), so a thread sweep over one tile
-// repeats only that step.
+// StrandStep is the per-strand step (the [1, 1024] range check and
+// the chunked SIMD group count), so a thread sweep over one tile
+// repeats only that step and never copies the tile.
 struct TileGeometry {
   bool feasible = false;
   std::string infeasible_reason;
@@ -98,9 +97,17 @@ struct TileGeometry {
   double cyc_group = 0.0;     // cycles per SIMD group of n_v points
 };
 
-struct SweepGeometry : TileGeometry {
+// What one strand count adds to an analyzed tile.
+struct StrandStep {
+  bool feasible = false;      // the tile is, and strands in [1, 1024]
   int strands = 0;            // thr.total()
   double groups_avg = 0.0;    // family-averaged SIMD groups per sub-tile
+};
+
+// Both stages of one point, flattened (diagnostics and tests).
+struct SweepGeometry : TileGeometry {
+  int strands = 0;
+  double groups_avg = 0.0;
 };
 
 // Stage one: the strand-invariant accounting of one tile.
@@ -111,11 +118,26 @@ TileGeometry analyze_tile(const CpuParams& dev, const stencil::StencilDef& def,
 // Whether thr.total() lies in the simulator's strand range [1, 1024].
 bool strands_in_range(const hhc::ThreadConfig& thr) noexcept;
 
+// SIMD groups one core issues for one sub-tile of the hexagon family
+// with base width `base` (tS1, or tS1 + 2r for the wide family): per
+// hexagon time step j < tT/2, the row of (base + 2rj) * inner points
+// splits into min(strands, points) chunks, each padded to whole
+// vector groups of n_v, and each width occurs on the grow and the
+// shrink half. Both ceilings are remainder waste the optimistic model
+// relaxes away: its Eqn 9/15/27 row sum keeps only the
+// ceil(x * inner / n_v) floor each row term here dominates. Closed
+// form, O(log): rows with fewer points than strands cost 2 * points
+// (an arithmetic sum), every other row 2s * ceil(points / (s * n_v))
+// (one sum_ceil_div). radius, inner, strands and n_v are >= 1.
+std::int64_t family_groups(std::int64_t base, std::int64_t tT,
+                           std::int64_t inner, std::int64_t radius,
+                           int strands, int n_v);
+
 // Stage two: one strand count on an analyzed tile. Infeasible when the
 // tile is or when the strand count is out of range.
-SweepGeometry analyze_strands(const TileGeometry& tile, const CpuParams& dev,
-                              const hhc::TileSizes& ts,
-                              const hhc::ThreadConfig& thr);
+StrandStep analyze_strands(const TileGeometry& tile, const CpuParams& dev,
+                           const hhc::TileSizes& ts,
+                           const hhc::ThreadConfig& thr);
 
 // Both stages for one point.
 SweepGeometry analyze_sweep(const CpuParams& dev,
@@ -123,6 +145,25 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
                             const stencil::ProblemSize& p,
                             const hhc::TileSizes& ts,
                             const hhc::ThreadConfig& thr);
+
+// The jitter-free simulation of strand config `thr` on an analyzed
+// tile: every component and `seconds` before the run-to-run jitter
+// factor (gflops stays 0). simulate_time, measure_best_of and the
+// batch multiply its `seconds` by their smallest jitter draw, which is
+// >= 1 whenever jitter_amplitude >= 0, so this is the exact floor
+// cpusim/lower_bound.hpp prunes on.
+SimResult simulate_jitter_free(const CpuParams& dev, const TileGeometry& tile,
+                               const hhc::TileSizes& ts,
+                               const hhc::ThreadConfig& thr);
+
+// The smallest simulate_jitter_free(...).seconds over `thrs`, bit for
+// bit; +infinity when none is feasible. The strand count reaches a
+// price only through the per-sub-tile compute time, and the price is
+// non-decreasing in it, so this runs the strand step per config but
+// the pricing body once.
+double min_jitter_free(const CpuParams& dev, const TileGeometry& tile,
+                       const hhc::TileSizes& ts,
+                       std::span<const hhc::ThreadConfig> thrs);
 
 SimResult simulate_time(const CpuParams& dev, const stencil::StencilDef& def,
                         const stencil::ProblemSize& p,

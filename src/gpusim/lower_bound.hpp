@@ -31,6 +31,8 @@
 // randomized feasible grid; the tuner prunes on it (session.hpp).
 #pragma once
 
+#include <span>
+
 #include "gpusim/device.hpp"
 #include "gpusim/timing.hpp"
 #include "hhc/tile_sizes.hpp"
@@ -79,5 +81,26 @@ LowerBound lower_bound(const DeviceParams& dev,
                        const hhc::TileSizes& ts,
                        const hhc::ThreadConfig& thr,
                        const stencil::KernelVariant& var = {});
+
+// One floor for a whole tile, over its (thread, variant) axes:
+// <= lower_bound(dev, def, p, ts, thr, profile, var) bit for bit for
+// every thr in `thrs` and var in `vars` (an empty `vars` means the
+// default variant). It resolves each pair once, keeps the smallest
+// cyc_iter, the largest issue denominator min(threads_r, n_v), the
+// largest residency k and the largest coalesce_eff over the pairs
+// that resolve, then walks the classes once: per class, the larger
+// of the compute floor at that cycle cost and denominator and the
+// memory floor at that k and coalescing, plus the exact launch and
+// dispatch terms. Each of those extremes can only lower the per-point
+// expression it replaces, and every operation of that expression is
+// monotone under IEEE rounding, so the floor is admissible as
+// computed, not only in exact arithmetic. Infeasible (+infinity) when
+// no pair resolves or the profile is invalid. A bounds-only profile
+// serves.
+LowerBound tile_floor(const DeviceParams& dev, const stencil::StencilDef& def,
+                      const stencil::ProblemSize& p, const hhc::TileSizes& ts,
+                      std::span<const hhc::ThreadConfig> thrs,
+                      std::span<const stencil::KernelVariant> vars,
+                      const TileCostProfile& profile);
 
 }  // namespace repro::gpusim

@@ -149,7 +149,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
                              pool[i].best.dp.var});
           }
         }
-        r.best = sess->best_tile(sweep.candidates, vars, seeds);
+        r.best = sess->best_tile(sweep, vars, seeds);
       }
       if (r.best.feasible) winners[ident].push_back({st.problem, r.best});
       done.emplace(task, si);

@@ -81,8 +81,7 @@ std::string compute_best_tile(const Request& req, tuner::Session& session,
   // first-strictly-better rule in candidate index order (best_tile's
   // reduction — deterministic for any job count, any pruning setting,
   // and any seed list; seeds only tighten the prune cutoff).
-  const tuner::EvaluatedPoint best = session.best_tile(sweep.candidates,
-                                                       {}, seeds);
+  const tuner::EvaluatedPoint best = session.best_tile(sweep, {}, seeds);
   o.set("best", best.feasible ? point_to_json(best) : json::Value());
   return o.dump();
 }

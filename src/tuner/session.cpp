@@ -4,6 +4,8 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
+#include <tuple>
+#include <unordered_set>
 #include <utility>
 
 #include "analysis/audit.hpp"
@@ -79,6 +81,10 @@ std::size_t Session::TileKeyHash::operator()(const TileKey& k) const noexcept {
   h = mix64(h ^ static_cast<std::uint64_t>(k.tS2));
   h = mix64(h ^ static_cast<std::uint64_t>(k.tS3));
   return static_cast<std::size_t>(h);
+}
+
+Session::TileKey Session::tile_key(const hhc::TileSizes& ts) noexcept {
+  return {ts.tT, ts.tS1, ts.tS2, ts.tS3};
 }
 
 std::size_t Session::StepKeyHash::operator()(const StepKey& k) const noexcept {
@@ -190,27 +196,27 @@ void Session::measure_tile(const hhc::TileSizes& ts,
                            std::span<const stencil::KernelVariant> vars,
                            std::span<const hhc::ThreadConfig> thrs,
                            Incumbent* inc,
-                           std::span<std::optional<EvaluatedPoint>> out) {
+                           std::span<std::optional<EvaluatedPoint>> out,
+                           std::optional<double> talg) {
   const bool cpu = ctx_.dev.is_cpu();
   const bool bounded = inc != nullptr && opt_.prune;
-  const TileKey key{ts.tT, ts.tS1, ts.tS2, ts.tS3};
+  const TileKey key = tile_key(ts);
   const std::size_t nthr = thrs.size();
   std::fill(out.begin(), out.end(), std::nullopt);
 
-  // Read the tile's record once: its profile, its Talg and every
-  // requested point it already holds (those slots are the hits). A
-  // tile without a profile may step from a cached one sharing
-  // (tT, tS1).
+  // Read the tile's record once: its profile, its Talg (unless the
+  // caller knows it) and every requested point it already holds
+  // (those slots are the hits). A tile without a profile may step
+  // from a cached one sharing (tT, tS1).
   std::shared_ptr<const gpusim::TileCostProfile> prof;
   std::shared_ptr<const gpusim::TileCostProfile> base;
-  std::optional<double> talg;
   {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = tiles_.find(key);
     if (it != tiles_.end()) {
       const TileRecord& rec = it->second;
       prof = rec.profile;
-      talg = rec.talg;
+      if (!talg) talg = rec.talg;
       for (std::size_t i = 0; !rec.points.empty() && i < out.size(); ++i) {
         const EvaluatedPoint* ep =
             find_point(rec.points, thrs[i % nthr], vars[i / nthr]);
@@ -265,12 +271,15 @@ void Session::measure_tile(const hhc::TileSizes& ts,
   // misses; pass 2 prices each variant's surviving misses in one
   // batch call.
   //
-  // The CPU bound never reads the strand count, so it is evaluated
-  // once per tile, on the first miss that needs it. Every measured
-  // texec of this tile is >= that bound, so at one worker a tile's
-  // misses are either all pruned or none are, exactly as in a
-  // point-by-point walk.
-  std::optional<double> cpu_tile_bound;
+  // The tile's floor over its (thread, variant) axes is evaluated
+  // once, on the first miss that needs a bound (a CPU tile is also
+  // analyzed there, once). While the floor exceeds the incumbent,
+  // which only tightens, every miss is pruned on it without a point
+  // bound; otherwise each miss is bounded on its own. The floor is
+  // <= every point bound, so the pruned set is the one the point
+  // bounds alone would prune.
+  std::optional<double> floor_s;
+  std::optional<cpusim::TileFloors> cpu_floors;
   std::vector<std::size_t> miss;  // ascending, so grouped by variant
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i]) {
@@ -281,25 +290,30 @@ void Session::measure_tile(const hhc::TileSizes& ts,
     }
     if (bounded) {
       // Bound gate: only worth evaluating once an incumbent exists. A
-      // prune requires lower_bound > incumbent strictly — see the
-      // header comment's determinism invariant.
+      // prune requires bound > incumbent strictly — see the header
+      // comment's determinism invariant.
       const double cut = inc->load();
       if (cut < std::numeric_limits<double>::infinity()) {
         if (!cpu) stage_one(/*priced=*/false);
         const hhc::ThreadConfig& thr = thrs[i % nthr];
         const auto tb = Clock::now();
-        double bound = std::numeric_limits<double>::infinity();
-        if (cpu) {
-          if (!cpu_tile_bound) {
-            cpu_tile_bound = cpusim::lower_bound(ctx_.dev.cpu(), ctx_.def,
-                                                 ctx_.problem, ts)
-                                 .seconds;
+        if (!floor_s) {
+          if (cpu) {
+            cpu_floors.emplace(ctx_.dev.cpu(), ctx_.def, ctx_.problem, ts);
+            floor_s = cpu_floors->over(thrs).seconds;
+          } else {
+            floor_s = gpusim::tile_floor(ctx_.dev.gpu(), ctx_.def,
+                                         ctx_.problem, ts, thrs, vars, *prof)
+                          .seconds;
           }
-          if (cpusim::strands_in_range(thr)) bound = *cpu_tile_bound;
-        } else {
-          bound = gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
-                                      ts, thr, *prof, vars[i / nthr])
-                      .seconds;
+        }
+        double bound = *floor_s;
+        if (bound <= cut) {
+          bound = cpu ? cpu_floors->point(thr).seconds
+                      : gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def,
+                                            ctx_.problem, ts, thr, *prof,
+                                            vars[i / nthr])
+                            .seconds;
         }
         local.bound_seconds += seconds_since(tb);
         if (bound > cut) {
@@ -380,10 +394,11 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
   // Model pricing is pure; evaluate the whole space on the pool, then
   // select argmin and candidates serially in index order (identical
   // tie-breaking to the serial loop for any worker count).
-  const std::vector<double> values = parallel_map<double>(
+  sweep.talg = parallel_map<double>(
       pool_, space.size(), /*grain=*/64, [&](std::size_t i) {
         return model_talg_or_inf(ctx_.inputs, ctx_.problem, space[i]);
       });
+  const std::vector<double>& values = sweep.talg;
   for (std::size_t i = 0; i < space.size(); ++i) {
     if (values[i] < sweep.talg_min) {
       sweep.talg_min = values[i];
@@ -392,7 +407,10 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
   }
   const double cutoff = sweep.talg_min * (1.0 + delta);
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (values[i] <= cutoff) sweep.candidates.push_back(space[i]);
+    if (values[i] <= cutoff) {
+      sweep.candidates.push_back(space[i]);
+      sweep.candidate_talg.push_back(values[i]);
+    }
   }
   add_model_time(seconds_since(t0), space.size());
   return sweep;
@@ -444,7 +462,7 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
     const std::size_t i = order[j];
     const DataPoint& dp = dps[i];
     std::optional<EvaluatedPoint> ep;
-    measure_tile(dp.ts, {&dp.var, 1}, {&dp.thr, 1}, &inc, {&ep, 1});
+    measure_tile(dp.ts, {&dp.var, 1}, {&dp.thr, 1}, &inc, {&ep, 1}, talg[i]);
     if (ep) {
       out[i] = *ep;
     } else {
@@ -457,13 +475,14 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
 
 EvaluatedPoint Session::sweep_tile(
     const hhc::TileSizes& ts,
-    std::span<const stencil::KernelVariant> variants, Incumbent* inc) {
+    std::span<const stencil::KernelVariant> variants, Incumbent* inc,
+    std::optional<double> talg) {
   const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
   // Results land in visit-order slots, so the fold's tie-breaking is
   // the serial variant-major loop's.
   std::vector<std::optional<EvaluatedPoint>> slot(vars.size() *
                                                   threads_.size());
-  measure_tile(ts, vars, threads_, inc, slot);
+  measure_tile(ts, vars, threads_, inc, slot, talg);
   EvaluatedPoint best;
   for (const std::optional<EvaluatedPoint>& ep : slot) {
     if (ep) fold_best(best, *ep);
@@ -508,6 +527,20 @@ EvaluatedPoint Session::best_tile(
     std::span<const hhc::TileSizes> tiles,
     std::span<const stencil::KernelVariant> variants,
     std::span<const WarmSeed> seeds, double incumbent_seed) {
+  return seeded_best(tiles, {}, variants, seeds, incumbent_seed);
+}
+
+EvaluatedPoint Session::best_tile(
+    const ModelSweep& sweep, std::span<const stencil::KernelVariant> variants,
+    std::span<const WarmSeed> seeds, double incumbent_seed) {
+  return seeded_best(sweep.candidates, sweep.candidate_talg, variants, seeds,
+                     incumbent_seed);
+}
+
+EvaluatedPoint Session::seeded_best(
+    std::span<const hhc::TileSizes> tiles, std::span<const double> talg,
+    std::span<const stencil::KernelVariant> variants,
+    std::span<const WarmSeed> seeds, double incumbent_seed) {
   validate_incumbent_seed(incumbent_seed);
   const auto t0 = Clock::now();
   // Admissibility filter: a seed may only enter the incumbent when
@@ -544,20 +577,24 @@ EvaluatedPoint Session::best_tile(
       priority.push_back(ws.ts);
     }
   }
-  const EvaluatedPoint best = best_of_tiles(tiles, variants, seed, priority);
+  const EvaluatedPoint best =
+      best_of_tiles(tiles, talg, variants, seed, priority);
   add_machine_time(seconds_since(t0));
   return best;
 }
 
 EvaluatedPoint Session::best_of_tiles(
-    std::span<const hhc::TileSizes> tiles,
+    std::span<const hhc::TileSizes> tiles, std::span<const double> talg,
     std::span<const stencil::KernelVariant> variants, double incumbent_seed,
     std::span<const hhc::TileSizes> priority) {
+  const auto known = [&](std::size_t i) {
+    return talg.empty() ? std::nullopt : std::optional<double>(talg[i]);
+  };
   if (!opt_.prune) {
     return parallel_reduce<EvaluatedPoint>(
         pool_, tiles.size(), /*grain=*/4, EvaluatedPoint{},
         [&](EvaluatedPoint& acc, std::size_t i) {
-          fold_best(acc, sweep_tile(tiles[i], variants, nullptr));
+          fold_best(acc, sweep_tile(tiles[i], variants, nullptr, known(i)));
         },
         [](EvaluatedPoint a, EvaluatedPoint b) {
           fold_best(a, b);
@@ -569,25 +606,28 @@ EvaluatedPoint Session::best_of_tiles(
   // visited candidate-first (warm-seeded tiles, when any), then in
   // ascending model-Talg order so it tightens early, and the per-tile
   // bests are folded serially in the original index order afterwards
-  // — identical tie-breaking to the unpruned reduction above.
+  // — identical tie-breaking to the unpruned reduction above. The
+  // order keys are the caller's Talg values when it has them.
   const auto tb = Clock::now();
-  const std::vector<double> talg = parallel_map<double>(
-      pool_, tiles.size(), /*grain=*/64, [&](std::size_t i) {
-        return model_talg_or_inf(ctx_.inputs, ctx_.problem, tiles[i]);
-      });
-  std::vector<char> seeded(tiles.size(), 0);
-  for (const hhc::TileSizes& ts : priority) {
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-      if (tiles[i] == ts) seeded[i] = 1;
-    }
+  std::vector<double> computed;
+  if (talg.empty()) {
+    computed = parallel_map<double>(
+        pool_, tiles.size(), /*grain=*/64, [&](std::size_t i) {
+          return model_talg_or_inf(ctx_.inputs, ctx_.problem, tiles[i]);
+        });
+    talg = computed;
   }
-  std::vector<std::size_t> order(tiles.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (seeded[a] != seeded[b]) return seeded[a] > seeded[b];
-                     return talg[a] < talg[b];
-                   });
+  // Visit keys (rank, Talg, index), rank 0 for a warm-seeded tile:
+  // sorting them is a stable sort of the indices by (rank, Talg),
+  // without the indirection.
+  std::unordered_set<TileKey, TileKeyHash> first;
+  for (const hhc::TileSizes& ts : priority) first.insert(tile_key(ts));
+  std::vector<std::tuple<bool, double, std::size_t>> visit(tiles.size());
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    visit[i] = {first.empty() || !first.contains(tile_key(tiles[i])), talg[i],
+                i};
+  }
+  std::sort(visit.begin(), visit.end());
   {
     std::lock_guard<std::mutex> lk(mu_);
     stats_.bound_seconds += seconds_since(tb);
@@ -596,8 +636,8 @@ EvaluatedPoint Session::best_of_tiles(
   inc.offer(incumbent_seed);
   std::vector<EvaluatedPoint> slot(tiles.size());
   pool_.for_each_index(tiles.size(), /*grain=*/1, [&](std::size_t j) {
-    const std::size_t i = order[j];
-    slot[i] = sweep_tile(tiles[i], variants, &inc);
+    const std::size_t i = std::get<2>(visit[j]);
+    slot[i] = sweep_tile(tiles[i], variants, &inc, talg[i]);
   });
   EvaluatedPoint out;
   for (const EvaluatedPoint& ep : slot) fold_best(out, ep);
@@ -637,17 +677,18 @@ StrategyComparison Session::compare_strategies(const CompareOptions& opt) {
   cmp.space_size = sweep.space_size;
 
   const auto t_machine = Clock::now();
-  cmp.talg_min = best_of_tiles({&sweep.argmin, 1}, vars);
+  cmp.talg_min = best_of_tiles({&sweep.argmin, 1}, {&sweep.talg_min, 1}, vars);
 
-  // 3. Best of the paper's baseline experiment set.
+  // 3. Best of the paper's baseline experiment set, drawn from the
+  // space enumerated above.
   const std::vector<hhc::TileSizes> baseline = baseline_tile_set(
-      dim, ctx_.inputs.hw, opt.baseline_count, opt.enumeration,
-      ctx_.def.radius);
-  cmp.baseline_best = best_of_tiles(baseline, vars);
+      dim, space, ctx_.inputs.hw, opt.baseline_count, ctx_.def.radius);
+  cmp.baseline_best = best_of_tiles(baseline, {}, vars);
 
   // 4. Best of the within-10 %-of-Talg_min candidates.
   cmp.candidates_tried = sweep.candidates.size();
-  cmp.within10_best = best_of_tiles(sweep.candidates, vars);
+  cmp.within10_best =
+      best_of_tiles(sweep.candidates, sweep.candidate_talg, vars);
 
   // 5. Exhaustive search over the feasible space (deterministically
   // subsampled when capped): the reference the paper could not run at
@@ -658,9 +699,12 @@ StrategyComparison Session::compare_strategies(const CompareOptions& opt) {
     stride = (space.size() + opt.exhaustive_cap - 1) / opt.exhaustive_cap;
   }
   std::vector<hhc::TileSizes> visited;
+  std::vector<double> visited_talg;
   visited.reserve(space.size() / stride + 1);
+  visited_talg.reserve(space.size() / stride + 1);
   for (std::size_t i = 0; i < space.size(); i += stride) {
     visited.push_back(space[i]);
+    visited_talg.push_back(sweep.talg[i]);
   }
   // Every baseline and within-10% point that reappears here is a
   // memo-cache hit rather than a fresh simulation. Seeding the
@@ -672,7 +716,7 @@ StrategyComparison Session::compare_strategies(const CompareOptions& opt) {
        {&cmp.talg_min, &cmp.within10_best, &cmp.baseline_best}) {
     if (ep->feasible && ep->texec < seed) seed = ep->texec;
   }
-  cmp.exhaustive = best_of_tiles(visited, vars, seed);
+  cmp.exhaustive = best_of_tiles(visited, visited_talg, vars, seed);
 
   // The exhaustive pass subsumes every specific strategy point it
   // visited; make sure it is at least as good as the others.

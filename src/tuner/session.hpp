@@ -32,9 +32,14 @@
 // the strategy-comparison passes) keeps an atomic incumbent — the
 // best measured texec inside its own reduction scope — and skips the
 // simulator for any point whose admissible lower bound
-// (gpusim/lower_bound.hpp) exceeds it. Candidate points are visited
-// in ascending model-Talg order so the incumbent tightens early;
-// visit order never affects the reduction order.
+// (gpusim/lower_bound.hpp, cpusim/lower_bound.hpp) exceeds it. A tile
+// visit evaluates one floor for its whole (thread, variant) axis
+// first and prunes every miss on it while it exceeds the incumbent;
+// the floor is <= every point bound, so this prunes exactly the
+// points the point bounds would. Candidate points are visited in
+// ascending model-Talg order (a model sweep's own values when the
+// caller passes the sweep) so the incumbent tightens early; visit
+// order never affects the reduction order.
 //
 // Determinism invariant (why pruned results are bitwise-identical to
 // unpruned, for any job count):
@@ -70,11 +75,13 @@
 //     first priced, so the tiles pruning discards never pay for them.
 //     gpusim::measure_best_of_batch then folds the contiguous slab.
 //   * CPU: cpusim analyzes the tile and hashes its jitter-key prefix
-//     once, then pays only the per-strand step per config, and the
-//     strand-invariant lower bound is evaluated once per tile.
+//     once, then pays only the per-strand step per config. Bounds
+//     analyze the tile once per visit (cpusim::TileFloors); the point
+//     bound is the exact jitter-free time.
 // Both batch calls are bit-identical to the public scalar
-// measure_best_of; the tuner-tier tests pin Session results against
-// a serial scalar fold (tests/support/scalar_oracle.hpp).
+// measure_best_of; the tests pin Session results against serial
+// scalar folds (tests/support/scalar_oracle.hpp for the GPU,
+// tests/support/cpu_scalar_oracle.hpp for the CPU).
 #pragma once
 
 #include <atomic>
@@ -178,8 +185,8 @@ struct SweepStats {
 
   // Bound-and-prune: points skipped because their admissible lower
   // bound exceeded the incumbent (these count in neither
-  // machine_points nor cache_hits), and the wall time spent inside
-  // gpusim::lower_bound / cpusim::lower_bound / Talg visit ordering.
+  // machine_points nor cache_hits), and the wall time spent in tile
+  // floors, point bounds and Talg visit ordering.
   std::size_t points_pruned = 0;
   double bound_seconds = 0.0;
 
@@ -343,6 +350,16 @@ class Session {
       std::span<const WarmSeed> seeds = {},
       double incumbent_seed = std::numeric_limits<double>::infinity());
 
+  // best_tile over a model sweep's within-delta candidates, visited in
+  // the order of the Talg values the sweep already computed (the span
+  // form prices each tile by the model again for its visit order).
+  // The same result as best_tile(sweep.candidates, ...).
+  EvaluatedPoint best_tile(
+      const ModelSweep& sweep,
+      std::span<const stencil::KernelVariant> variants = {},
+      std::span<const WarmSeed> seeds = {},
+      double incumbent_seed = std::numeric_limits<double>::infinity());
+
   // The Fig 5/6 strategy comparison. All four machine-evaluation
   // passes run on the pool; the baseline/within-10% points revisited
   // by the exhaustive pass are cache hits.
@@ -379,6 +396,7 @@ class Session {
   struct TileKeyHash {
     std::size_t operator()(const TileKey& k) const noexcept;
   };
+  static TileKey tile_key(const hhc::TileSizes& ts) noexcept;
   struct StepKey {
     std::int64_t tT, tS1;
     friend bool operator==(const StepKey&, const StepKey&) = default;
@@ -422,13 +440,15 @@ class Session {
   // lower bound exceeds the incumbent strictly is skipped (nullopt,
   // counted in points_pruned), and hits and fresh measurements offer
   // their texec to it in visit order; the surviving misses are
-  // priced in one batch call per variant. Takes the session lock
-  // once to read the record and once to commit. Not timed — callers
-  // own the phase.
+  // priced in one batch call per variant. `talg`, when the caller
+  // has it, is the tile's model Talg, so the tile is not priced by
+  // the model again. Takes the session lock once to read the record
+  // and once to commit. Not timed — callers own the phase.
   void measure_tile(const hhc::TileSizes& ts,
                     std::span<const stencil::KernelVariant> vars,
                     std::span<const hhc::ThreadConfig> thrs, Incumbent* inc,
-                    std::span<std::optional<EvaluatedPoint>> out);
+                    std::span<std::optional<EvaluatedPoint>> out,
+                    std::optional<double> talg = std::nullopt);
 
   // One point through measure_tile, unbounded.
   EvaluatedPoint measure(const DataPoint& dp);
@@ -442,7 +462,8 @@ class Session {
   // every point. Not timed — callers own the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
                             std::span<const stencil::KernelVariant> variants,
-                            Incumbent* inc);
+                            Incumbent* inc,
+                            std::optional<double> talg = std::nullopt);
 
   // Best-over-threads reduction across a tile list, parallel with
   // deterministic chunk order. Not timed — callers own the phase.
@@ -453,12 +474,20 @@ class Session {
   // the earlier passes — all of which it folds into the result).
   // `priority` tiles are visited before the Talg-ordered rest
   // (best_tile puts admitted warm-seed tiles there); order cannot
-  // affect the fold, only how early the incumbent tightens.
+  // affect the fold, only how early the incumbent tightens. `talg`
+  // holds each tile's model Talg when the caller has it (a model
+  // sweep's values); empty computes them here.
   EvaluatedPoint best_of_tiles(
-      std::span<const hhc::TileSizes> tiles,
+      std::span<const hhc::TileSizes> tiles, std::span<const double> talg,
       std::span<const stencil::KernelVariant> variants = {},
       double incumbent_seed = std::numeric_limits<double>::infinity(),
       std::span<const hhc::TileSizes> priority = {});
+  // Both best_tile forms: warm-seed admission, then best_of_tiles.
+  EvaluatedPoint seeded_best(std::span<const hhc::TileSizes> tiles,
+                             std::span<const double> talg,
+                             std::span<const stencil::KernelVariant> variants,
+                             std::span<const WarmSeed> seeds,
+                             double incumbent_seed);
   void add_model_time(double seconds, std::size_t points);
   void add_machine_time(double seconds);
 

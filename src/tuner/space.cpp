@@ -160,8 +160,14 @@ std::vector<hhc::TileSizes> baseline_tile_set(int dim,
                                               std::size_t max_count,
                                               const EnumOptions& opt,
                                               std::int64_t radius) {
-  const std::vector<hhc::TileSizes> space =
-      enumerate_feasible(dim, hw, opt, radius);
+  return baseline_tile_set(dim, enumerate_feasible(dim, hw, opt, radius), hw,
+                           max_count, radius);
+}
+
+std::vector<hhc::TileSizes> baseline_tile_set(
+    int dim, std::span<const hhc::TileSizes> space,
+    const model::HardwareParams& hw, std::size_t max_count,
+    std::int64_t radius) {
 
   // For each hyperthreading target k, keep the tile sizes whose
   // footprint is as close as possible to M_SM / k from below

@@ -91,6 +91,13 @@ std::vector<hhc::TileSizes> baseline_tile_set(
     int dim, const model::HardwareParams& hw, std::size_t max_count = 85,
     const EnumOptions& opt = {}, std::int64_t radius = 1);
 
+// The same set drawn from an already enumerated space: equal to the
+// form above when `space` is enumerate_feasible(dim, hw, opt, radius).
+std::vector<hhc::TileSizes> baseline_tile_set(
+    int dim, std::span<const hhc::TileSizes> space,
+    const model::HardwareParams& hw, std::size_t max_count = 85,
+    std::int64_t radius = 1);
+
 // Untuned defaults comparable to what PPCG/HHC picks without tuning.
 hhc::TileSizes hhc_default_tiles(int dim);
 

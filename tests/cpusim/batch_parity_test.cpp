@@ -3,13 +3,14 @@
 // config) must reproduce measure_best_of bit for bit, element by
 // element, over both CPU descriptors, every catalogue stencil, every
 // strand count the tuner sweeps, out-of-range strand counts and
-// infeasible tiles. The strand-invariant lower bound is pinned against
-// a per-strand reference built the way the bound was before the split
-// (from analyze_sweep at each strand count) and checked to stay a
-// floor of the measured time. A few prices are pinned to their values
-// before the split.
+// infeasible tiles. The closed-form strand sum is pinned to the row
+// walk it replaced (tests/support/strand_oracle.hpp), the point bound
+// to the jitter-free simulation and the tile floor to the minimum of
+// the point bounds, both checked to stay floors of the measured time.
+// A few prices are pinned to their values before the split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,11 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "cpusim/device.hpp"
 #include "cpusim/lower_bound.hpp"
 #include "cpusim/timing.hpp"
-#include "hhc/footprint.hpp"
 #include "stencil/stencil.hpp"
+#include "support/strand_oracle.hpp"
 #include "tuner/space.hpp"
 
 namespace repro::cpusim {
@@ -95,34 +97,11 @@ void expect_bitwise_equal(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.tiles_per_row, b.tiles_per_row) << tag;
 }
 
-// The lower bound as it was computed before the tile/strand split:
-// from the per-strand SweepGeometry of each point.
-LowerBound per_strand_bound(const CpuParams& dev, const StencilDef& def,
-                            const ProblemSize& p, const hhc::TileSizes& ts,
-                            const hhc::ThreadConfig& thr) {
-  LowerBound lb;
-  const SweepGeometry g = analyze_sweep(dev, def, p, ts, thr);
-  if (!g.feasible) {
-    lb.seconds = std::numeric_limits<double>::infinity();
-    return lb;
-  }
-  lb.feasible = true;
-  const double rows = static_cast<double>(g.wavefronts);
-  const double subs =
-      static_cast<double>(g.rounds) * static_cast<double>(g.n_sub);
-  const double word_bytes = static_cast<double>(hhc::kWordBytes);
-  const double groups_floor =
-      static_cast<double>(g.volume) / static_cast<double>(dev.vector_words);
-  lb.compute_floor = rows * subs * groups_floor * g.cyc_group / dev.clock_hz;
-  const double head_bytes =
-      2.0 * static_cast<double>(g.io_words) * word_bytes;
-  lb.memory_floor =
-      rows * subs * (dev.mem_latency_s + head_bytes / dev.mem_bandwidth_bps);
-  lb.overhead_floor =
-      rows * (dev.parallel_launch_s +
-              subs * static_cast<double>(ts.tT + 2) * dev.step_fence_s);
-  lb.seconds = lb.compute_floor + lb.memory_floor + lb.overhead_floor;
-  return lb;
+// The descriptor without run-to-run jitter: every draw is exactly 1.
+CpuParams jitter_free(const CpuParams& dev) {
+  CpuParams flat = dev;
+  flat.jitter_amplitude = 0.0;
+  return flat;
 }
 
 TEST(CpuBatchParity, BatchEqualsPerPointMeasureBitwise) {
@@ -176,40 +155,99 @@ TEST(CpuBatchParity, SingleDrawBatchEqualsSimulateTime) {
 
 TEST(CpuBatchParity, TileBoundMatchesPerStrandReferenceAndStaysAFloor) {
   for (const CpuParams* dev : cpu_devices()) {
+    const CpuParams flat = jitter_free(*dev);
     for (const StencilDef& def : stencil::all_stencils()) {
       const ProblemSize p = problem_for(def.dim);
+      const std::vector<hhc::ThreadConfig> thrs =
+          strand_configs(*dev, def.dim);
       for (const hhc::TileSizes& ts : tiles_for(def.dim)) {
-        const LowerBound tile = lower_bound(*dev, def, p, ts);
-        for (const hhc::ThreadConfig& thr : strand_configs(*dev, def.dim)) {
-          const std::string tag = dev->name + " " + def.name + " tile " +
-                                  std::to_string(ts.tT) + "x" +
-                                  std::to_string(ts.tS1) + " strands " +
-                                  std::to_string(thr.total());
-          const LowerBound ref = per_strand_bound(*dev, def, p, ts, thr);
+        const std::string tile_tag = dev->name + " " + def.name + " tile " +
+                                     std::to_string(ts.tT) + "x" +
+                                     std::to_string(ts.tS1);
+        double min_point = std::numeric_limits<double>::infinity();
+        for (const hhc::ThreadConfig& thr : thrs) {
+          const std::string tag =
+              tile_tag + " strands " + std::to_string(thr.total());
           const LowerBound point = lower_bound(*dev, def, p, ts, thr);
-          EXPECT_EQ(point.feasible, ref.feasible) << tag;
-          EXPECT_EQ(bits(point.seconds), bits(ref.seconds)) << tag;
-          EXPECT_EQ(bits(point.compute_floor), bits(ref.compute_floor)) << tag;
-          EXPECT_EQ(bits(point.memory_floor), bits(ref.memory_floor)) << tag;
-          EXPECT_EQ(bits(point.overhead_floor), bits(ref.overhead_floor))
-              << tag;
+          const SimResult ref = simulate_time(flat, def, p, ts, thr, 0);
           const SimResult sim = measure_best_of(*dev, def, p, ts, thr);
+          EXPECT_EQ(point.feasible, ref.feasible) << tag;
           EXPECT_EQ(point.feasible, sim.feasible) << tag;
-          if (!ref.feasible) continue;
-          // In range, the tile bound is the point bound.
-          EXPECT_EQ(bits(tile.seconds), bits(ref.seconds)) << tag;
+          if (!point.feasible) {
+            EXPECT_TRUE(std::isinf(point.seconds)) << tag;
+            continue;
+          }
+          EXPECT_EQ(bits(point.seconds), bits(ref.seconds)) << tag;
           EXPECT_LE(point.seconds, sim.seconds) << tag;
+          min_point = std::min(min_point, point.seconds);
+        }
+        // The tile floor is the minimum of the point bounds, over the
+        // whole axis and over each strand count alone.
+        const TileFloors floors(*dev, def, p, ts);
+        const LowerBound tile = floors.over(thrs);
+        EXPECT_EQ(tile.feasible, std::isfinite(min_point)) << tile_tag;
+        EXPECT_EQ(bits(tile.seconds), bits(min_point)) << tile_tag;
+        for (const hhc::ThreadConfig& thr : thrs) {
+          EXPECT_EQ(bits(floors.over({&thr, 1}).seconds),
+                    bits(floors.point(thr).seconds))
+              << tile_tag << " strands " << thr.total();
         }
       }
     }
   }
 }
 
+TEST(CpuStrandSum, ClosedFormMatchesTheRowWalk) {
+  // Hand-picked corners: strands above, at and below the widest row's
+  // point count, and a single row.
+  const struct {
+    std::int64_t base, tT, inner, radius;
+    int strands, n_v;
+  } corners[] = {
+      {1, 2, 1, 1, 1, 1},      {1, 2, 1, 1, 1024, 16},
+      {4, 64, 1, 4, 1024, 8},  {2, 8, 1, 1, 9, 1},
+      {2, 8, 1, 1, 8, 8},      {3, 16, 7, 2, 22, 16},
+      {96, 64, 9216, 4, 1024, 16},
+  };
+  for (const auto& c : corners) {
+    EXPECT_EQ(family_groups(c.base, c.tT, c.inner, c.radius, c.strands, c.n_v),
+              test::family_groups_rows(c.base, c.tT, c.inner, c.radius,
+                                       c.strands, c.n_v))
+        << c.base << " " << c.tT << " " << c.inner << " " << c.radius << " "
+        << c.strands << " " << c.n_v;
+  }
+  // A seeded grid over what analyze_strands can pass: tT 2..64 even,
+  // radius 1..4, base from the radius up, inner 1 (1D), a tS2 (2D) or
+  // tS2 * tS3 (3D), strands 1..1024 (often above a row's points), and
+  // n_v of 1, 8 and 16.
+  Rng rng(2121);
+  const int vector_words[] = {1, 8, 16};
+  for (int draw = 0; draw < 6000; ++draw) {
+    const std::int64_t radius = rng.uniform_int(1, 4);
+    const std::int64_t tT = 2 * rng.uniform_int(1, 32);
+    const std::int64_t base = radius + rng.uniform_int(0, 96);
+    std::int64_t inner = 1;
+    const std::int64_t shape = rng.uniform_int(1, 3);
+    if (shape >= 2) inner *= rng.uniform_int(1, 512);
+    if (shape == 3) inner *= rng.uniform_int(1, 96);
+    const int strands = static_cast<int>(
+        rng.uniform_int(0, 1) == 0 ? rng.uniform_int(1, 1024)
+                                   : rng.uniform_int(1, 48));
+    const int n_v = vector_words[rng.uniform_int(0, 2)];
+    ASSERT_EQ(family_groups(base, tT, inner, radius, strands, n_v),
+              test::family_groups_rows(base, tT, inner, radius, strands, n_v))
+        << "draw " << draw << ": base " << base << " tT " << tT << " inner "
+        << inner << " radius " << radius << " strands " << strands
+        << " n_v " << n_v;
+  }
+}
+
 TEST(CpuBatchParity, PricesPinnedToTheUnsplitSimulator) {
   // Bit patterns the simulator produced before pricing was split into
-  // tile and strand stages: best-of-5 seconds, simulate_time at run 3,
-  // and the lower bound. Any drift in the geometry, the jitter-key
-  // chain or the pricing body shows up here.
+  // tile and strand stages: best-of-5 seconds and simulate_time at
+  // run 3, and the lower bound (the jitter-free simulation). Any
+  // drift in the geometry, the jitter-key chain or the pricing body
+  // shows up here.
   struct Pin {
     const CpuParams* dev;
     stencil::StencilKind kind;
@@ -221,22 +259,22 @@ TEST(CpuBatchParity, PricesPinnedToTheUnsplitSimulator) {
   const Pin pins[] = {
       {&xeon_e5_2690v4(), StencilKind::kJacobi1D,
        {.tT = 8, .tS1 = 512, .tS2 = 1, .tS3 = 1}, 2,
-       0x3f4e96093bfc337bull, 0x3f4ea033e117b42bull, 0x3f4c71ac80479f32ull},
+       0x3f4e96093bfc337bull, 0x3f4ea033e117b42bull, 0x3f4e88f81f7e9672ull},
       {&ryzen_3700x(), StencilKind::kGauss1D,
        {.tT = 4, .tS1 = 37, .tS2 = 1, .tS3 = 1}, 1,
-       0x3f7a001dc9fc0e92ull, 0x3f7a001dc9fc0e92ull, 0x3f7663cbc90863c3ull},
+       0x3f7a001dc9fc0e92ull, 0x3f7a001dc9fc0e92ull, 0x3f79f8405fb33593ull},
       {&xeon_e5_2690v4(), StencilKind::kHeat2D,
        {.tT = 12, .tS1 = 24, .tS2 = 56, .tS3 = 1}, 6,
-       0x3f7cbf5b6af8c7ebull, 0x3f7cbf5b6af8c7ebull, 0x3f78fd68c7e68501ull},
+       0x3f7cbf5b6af8c7ebull, 0x3f7cbf5b6af8c7ebull, 0x3f7cb1feecdcd0beull},
       {&ryzen_3700x(), StencilKind::kWideStar2D,
        {.tT = 16, .tS1 = 64, .tS2 = 4096, .tS3 = 1}, 48,
-       0x3fc20e15f38cf439ull, 0x3fc20e15f38cf439ull, 0x3f9f14611f12d3d6ull},
+       0x3fc20e15f38cf439ull, 0x3fc20e15f38cf439ull, 0x3fc20c921386ded2ull},
       {&xeon_e5_2690v4(), StencilKind::kHeat3D,
        {.tT = 4, .tS1 = 8, .tS2 = 32, .tS3 = 32}, 16,
-       0x3f87375b3fb15f46ull, 0x3f87474bde213c27ull, 0x3f7b34aef1d78cb9ull},
+       0x3f87375b3fb15f46ull, 0x3f87474bde213c27ull, 0x3f8732b46b862b7bull},
       {&ryzen_3700x(), StencilKind::kJacobi3D,
        {.tT = 4, .tS1 = 12, .tS2 = 24, .tS3 = 24}, 24,
-       0x3f877b9185329165ull, 0x3f87932875ff921aull, 0x3f792a3fe6ed2be0ull},
+       0x3f877b9185329165ull, 0x3f87932875ff921aull, 0x3f87755d4805897cull},
   };
   for (const Pin& pin : pins) {
     const StencilDef& def = stencil::get_stencil(pin.kind);

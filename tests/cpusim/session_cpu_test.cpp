@@ -1,16 +1,21 @@
 // tuner::Session driven by a CPU descriptor end-to-end: calibration
 // routes through cpusim's microbenchmarks, measurement through the
-// cache-hierarchy simulator, pruning through the cpusim admissible
-// bound — all behind the same Session API the GPU backend uses.
+// cache-hierarchy simulator, pruning through the cpusim exact bound —
+// all behind the same Session API the GPU backend uses. The winners
+// are pinned to a serial scalar fold (tests/support/cpu_scalar_oracle.hpp)
+// on both CPU descriptors, with pruning on and off, at one and four
+// jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cpusim/device.hpp"
 #include "device/registry.hpp"
+#include "support/cpu_scalar_oracle.hpp"
 #include "tuner/session.hpp"
 #include "tuner/space.hpp"
 
@@ -140,6 +145,82 @@ TEST(SessionCpu, CompareStrategiesPrunedEqualsUnpruned) {
   EXPECT_LE(a.exhaustive.texec, a.within10_best.texec + 1e-12);
   EXPECT_GE(a.candidates_tried, 1u);
   EXPECT_EQ(a.device, "Xeon E5-2690 v4");
+}
+
+// Every Session winner on a CPU descriptor, best_tile and each
+// compare_strategies pass, equals the serial scalar fold over the same
+// tiles bit for bit, whatever the pruning and job settings.
+TEST(SessionCpu, WinnersEqualTheScalarOracle) {
+  const stencil::StencilDef& def = stencil::get_stencil_by_name("Heat2D");
+  CompareOptions copt;
+  copt.enumeration = EnumOptions{}
+                         .with_tT_max(12)
+                         .with_tS1_max(32)
+                         .with_tS1_step(6)
+                         .with_tS2_max(160);
+  copt.exhaustive_cap = 60;
+  copt.baseline_count = 16;
+  for (const char* name : {"Xeon E5-2690 v4", "Ryzen 7 3700X"}) {
+    const device::Descriptor* d = device::registry().find(name);
+    ASSERT_NE(d, nullptr) << name;
+    const TuningContext ctx = TuningContext::calibrate(*d, def, small_2d());
+    const std::vector<hhc::TileSizes> space =
+        enumerate_feasible(2, ctx.inputs.hw, copt.enumeration, def.radius);
+    ASSERT_GT(space.size(), copt.exhaustive_cap) << name;
+
+    // The tiles of each comparison pass, as compare_strategies forms
+    // them.
+    Session model(ctx, SessionOptions{}.with_jobs(1));
+    const ModelSweep sweep = model.sweep_model(space, copt.delta);
+    const std::vector<hhc::TileSizes> baseline = baseline_tile_set(
+        2, space, ctx.inputs.hw, copt.baseline_count, def.radius);
+    const std::size_t stride =
+        (space.size() + copt.exhaustive_cap - 1) / copt.exhaustive_cap;
+    std::vector<hhc::TileSizes> visited;
+    for (std::size_t i = 0; i < space.size(); i += stride) {
+      visited.push_back(space[i]);
+    }
+    StrategyComparison want;
+    want.hhc_default = test::cpu_scalar_point(
+        ctx, {hhc_default_tiles(2), hhc::ThreadConfig{32, 2, 1}});
+    want.talg_min = test::cpu_scalar_best(ctx, {&sweep.argmin, 1});
+    want.baseline_best = test::cpu_scalar_best(ctx, baseline);
+    want.within10_best = test::cpu_scalar_best(ctx, sweep.candidates);
+    want.exhaustive = test::cpu_scalar_best(ctx, visited);
+    for (const EvaluatedPoint* ep :
+         {&want.talg_min, &want.within10_best, &want.baseline_best}) {
+      if (ep->feasible && (!want.exhaustive.feasible ||
+                           ep->texec < want.exhaustive.texec)) {
+        want.exhaustive = *ep;
+      }
+    }
+    const EvaluatedPoint want_best = test::cpu_scalar_best(ctx, space);
+    ASSERT_TRUE(want_best.feasible) << name;
+    ASSERT_TRUE(want.within10_best.feasible) << name;
+
+    for (const bool prune : {true, false}) {
+      for (const int jobs : {1, 4}) {
+        const std::string what = std::string(name) + " prune " +
+                                 (prune ? "on" : "off") + " jobs " +
+                                 std::to_string(jobs);
+        const SessionOptions opt =
+            SessionOptions{}.with_jobs(jobs).with_prune(prune);
+        Session s(ctx, opt);
+        EXPECT_EQ(s.best_tile(space), want_best) << what;
+        EXPECT_EQ(s.best_tile(sweep), want.within10_best) << what;
+        // The bounded path really ran: the oracle pins pruned sweeps.
+        EXPECT_EQ(s.stats().points_pruned > 0, prune) << what;
+        Session c(ctx, opt);
+        const StrategyComparison got = c.compare_strategies(copt);
+        EXPECT_EQ(got.hhc_default, want.hhc_default) << what;
+        EXPECT_EQ(got.talg_min, want.talg_min) << what;
+        EXPECT_EQ(got.baseline_best, want.baseline_best) << what;
+        EXPECT_EQ(got.within10_best, want.within10_best) << what;
+        EXPECT_EQ(got.exhaustive, want.exhaustive) << what;
+        EXPECT_EQ(got.candidates_tried, sweep.candidates.size()) << what;
+      }
+    }
+  }
 }
 
 TEST(SessionCpu, AuditAcceptsShippedCpuDescriptors) {

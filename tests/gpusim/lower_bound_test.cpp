@@ -3,13 +3,15 @@
 // best-of-5 wrapper, across dimensions, clipped/spill/low-occupancy
 // configurations, and a seeded random sample of the feasible space.
 // The tuner's pruning correctness (tuner/session.hpp) rests entirely
-// on this inequality.
+// on this inequality, and on tile_floor staying at or below every
+// point bound of the axes it covers.
 #include "gpusim/lower_bound.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "gpusim/cost_profile.hpp"
 #include "gpusim/timing.hpp"
 #include "stencil/stencil.hpp"
+#include "stencil/variant.hpp"
+#include "tuner/space.hpp"
 
 namespace repro::gpusim {
 namespace {
@@ -186,6 +190,118 @@ TEST(LowerBound, AdmissibleOnSeededRandomFeasibleSample) {
     }
   }
   EXPECT_GE(feasible_seen, 20);
+}
+
+// tile_floor must sit at or below the point bound of every (thread,
+// variant) pair on the axes it was given, bit for bit, and be +inf
+// exactly when no pair resolves. Checked with the bounds-only profile
+// the Session bounds against.
+void expect_tile_floor_admissible(const StencilDef& def, const ProblemSize& p,
+                                  const hhc::TileSizes& ts,
+                                  std::span<const hhc::ThreadConfig> thrs,
+                                  const std::string& what) {
+  const std::span<const stencil::KernelVariant> vars =
+      stencil::all_kernel_variants();
+  const TileCostProfile prof = TileCostProfile::build_bounds(p, ts, def.radius);
+  const LowerBound floor = tile_floor(gtx980(), def, p, ts, thrs, vars, prof);
+  bool any_feasible = false;
+  for (const stencil::KernelVariant& var : vars) {
+    for (const hhc::ThreadConfig& thr : thrs) {
+      const LowerBound lb = lower_bound(gtx980(), def, p, ts, thr, prof, var);
+      any_feasible = any_feasible || lb.feasible;
+      EXPECT_LE(floor.seconds, lb.seconds)
+          << what << " threads " << thr.total() << " unroll " << var.unroll;
+    }
+  }
+  EXPECT_EQ(floor.feasible, any_feasible) << what;
+  EXPECT_EQ(std::isinf(floor.seconds), !any_feasible) << what;
+  // The default-variant axis alone (an empty span) is a narrower axis,
+  // so its floor can only be as high or higher.
+  const LowerBound narrow = tile_floor(gtx980(), def, p, ts, thrs, {}, prof);
+  EXPECT_LE(floor.seconds, narrow.seconds) << what;
+  for (const hhc::ThreadConfig& thr : thrs) {
+    EXPECT_LE(narrow.seconds,
+              lower_bound(gtx980(), def, p, ts, thr, prof).seconds)
+        << what << " default variant, threads " << thr.total();
+  }
+}
+
+TEST(TileFloor, BelowEveryPointBoundOnTheParitySuite) {
+  for (const BoundCase& c : bound_cases()) {
+    const StencilDef& def = get_stencil(c.kind);
+    std::vector<hhc::ThreadConfig> thrs =
+        tuner::default_thread_configs(c.p.dim);
+    thrs.push_back(c.thr);
+    expect_tile_floor_admissible(def, c.p, c.ts, thrs, c.name);
+    // One thread config: the floor is that point's bound when only
+    // the default variant is on the axis.
+    const TileCostProfile prof =
+        TileCostProfile::build_bounds(c.p, c.ts, def.radius);
+    const LowerBound one =
+        tile_floor(gtx980(), def, c.p, c.ts, {&c.thr, 1}, {}, prof);
+    EXPECT_EQ(one.seconds,
+              lower_bound(gtx980(), def, c.p, c.ts, c.thr, prof).seconds)
+        << c.name;
+  }
+}
+
+TEST(TileFloor, BelowEveryPointBoundOnSeededGrid) {
+  const struct {
+    StencilKind kind;
+    ProblemSize p;
+  } spaces[] = {
+      {StencilKind::kJacobi1D, {.dim = 1, .S = {4096, 0, 0}, .T = 128}},
+      {StencilKind::kGauss1D, {.dim = 1, .S = {3000, 0, 0}, .T = 77}},
+      {StencilKind::kHeat2D, {.dim = 2, .S = {512, 512, 0}, .T = 64}},
+      {StencilKind::kWideStar2D, {.dim = 2, .S = {700, 300, 0}, .T = 40}},
+      {StencilKind::kHeat3D, {.dim = 3, .S = {96, 96, 96}, .T = 16}},
+  };
+  Rng rng(2027);
+  for (const auto& sp : spaces) {
+    const StencilDef& def = get_stencil(sp.kind);
+    const std::vector<hhc::ThreadConfig> thrs =
+        tuner::default_thread_configs(sp.p.dim);
+    for (int draw = 0; draw < 24; ++draw) {
+      hhc::TileSizes ts;
+      ts.tT = 2 * rng.uniform_int(1, 12);
+      ts.tS1 = rng.uniform_int(2, 64);
+      ts.tS2 = sp.p.dim >= 2 ? 8 * rng.uniform_int(1, 32) : 1;
+      ts.tS3 = sp.p.dim >= 3 ? 8 * rng.uniform_int(1, 8) : 1;
+      expect_tile_floor_admissible(
+          def, sp.p, ts, thrs,
+          std::to_string(sp.p.dim) + "D draw " + std::to_string(draw));
+    }
+  }
+}
+
+TEST(TileFloor, InfiniteWhenNoPairResolves) {
+  const StencilDef& def = get_stencil(StencilKind::kHeat2D);
+  const ProblemSize p{.dim = 2, .S = {1024, 1024, 0}, .T = 256};
+  const hhc::TileSizes ts{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  const TileCostProfile prof = TileCostProfile::build_bounds(p, ts, def.radius);
+  // Every thread block too large: no pair resolves.
+  const hhc::ThreadConfig too_big[] = {{.n1 = 1024, .n2 = 4, .n3 = 1},
+                                       {.n1 = 2048, .n2 = 1, .n3 = 1}};
+  const LowerBound none = tile_floor(gtx980(), def, p, ts, too_big,
+                                     stencil::all_kernel_variants(), prof);
+  EXPECT_FALSE(none.feasible);
+  EXPECT_TRUE(std::isinf(none.seconds));
+  // An empty thread axis resolves nothing either.
+  EXPECT_TRUE(
+      std::isinf(tile_floor(gtx980(), def, p, ts, {}, {}, prof).seconds));
+  // Invalid geometry: the profile itself is invalid.
+  const hhc::TileSizes odd{.tT = 7, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  const TileCostProfile bad = TileCostProfile::build_bounds(p, odd, def.radius);
+  const std::vector<hhc::ThreadConfig> thrs = tuner::default_thread_configs(2);
+  const LowerBound invalid = tile_floor(gtx980(), def, p, odd, thrs, {}, bad);
+  EXPECT_FALSE(invalid.feasible);
+  EXPECT_TRUE(std::isinf(invalid.seconds));
+  // A resolvable pair among unresolvable ones is enough.
+  const hhc::ThreadConfig mixed[] = {too_big[0], {.n1 = 32, .n2 = 8, .n3 = 1}};
+  const LowerBound some = tile_floor(gtx980(), def, p, ts, mixed, {}, prof);
+  EXPECT_TRUE(some.feasible);
+  EXPECT_EQ(some.seconds,
+            lower_bound(gtx980(), def, p, ts, mixed[1], prof).seconds);
 }
 
 }  // namespace

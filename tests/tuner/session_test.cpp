@@ -80,6 +80,14 @@ TEST(Session, MatchesFreeFunctions) {
   EXPECT_EQ(s_sweep.argmin, argmin);
   EXPECT_EQ(s_sweep.candidates, candidates);
   EXPECT_EQ(s_sweep.space_size, space.size());
+  // The sweep carries its Talg values: every tile's, and each
+  // candidate's, bit for bit.
+  EXPECT_EQ(s_sweep.talg, talg);
+  ASSERT_EQ(s_sweep.candidate_talg.size(), candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(s_sweep.candidate_talg[i],
+              model_talg_or_inf(in, kSmall2D, candidates[i]));
+  }
 
   const DataPoint dp{{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1},
                      {.n1 = 32, .n2 = 8, .n3 = 1}};
@@ -89,6 +97,10 @@ TEST(Session, MatchesFreeFunctions) {
   EXPECT_EQ(session.best_over_threads(ts), test::scalar_best(ctx, {&ts, 1}));
   EXPECT_EQ(session.best_tile(candidates),
             test::scalar_best(ctx, candidates));
+  // The sweep form visits in the sweep's own Talg order; a fresh
+  // session (no record to serve from) returns the same point.
+  Session fresh(ctx, SessionOptions{}.with_jobs(2));
+  EXPECT_EQ(fresh.best_tile(s_sweep), test::scalar_best(ctx, candidates));
 }
 
 // A single GPU point is a batch of one: Session::evaluate_point must

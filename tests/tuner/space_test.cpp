@@ -91,6 +91,25 @@ TEST(Space, BaselineSetMaximizesFootprintPerK) {
   }
 }
 
+// The baseline set drawn from an enumerated space is the set the
+// enumerating form returns, point for point and in order, for every
+// dimension, radius and cap.
+TEST(Space, BaselineSetFromASpaceMatchesTheEnumeratingForm) {
+  const EnumOptions opt = EnumOptions{}.with_tS1_step(3).with_tT_max(32);
+  for (const int dim : {1, 2, 3}) {
+    for (const std::int64_t radius : {1, 2}) {
+      const std::vector<hhc::TileSizes> space =
+          enumerate_feasible(dim, hw(), opt, radius);
+      for (const std::size_t cap : {std::size_t{1}, std::size_t{24},
+                                    std::size_t{85}}) {
+        EXPECT_EQ(baseline_tile_set(dim, space, hw(), cap, radius),
+                  baseline_tile_set(dim, hw(), cap, opt, radius))
+            << dim << "D radius " << radius << " cap " << cap;
+      }
+    }
+  }
+}
+
 TEST(Space, RejectsNonPositiveSteps) {
   // Zero/negative steps would never advance the loops — previously an
   // infinite-loop hazard, now a structured invalid_argument (SL310).
