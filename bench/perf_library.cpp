@@ -2,8 +2,8 @@
 // feasible-space enumeration and sweeps, one whole pipeline plan,
 // schedule construction, simulator pricing
 // (whole, and per layer: profile build, bounds-only build, histograms,
-// step, lower bound, the SoA and scalar pricing folds, cold session
-// sweep of one tile), whole cold best_tile and compare requests, and
+// step, lower bound, the pricing fold, cold session sweep of one
+// tile), whole cold best_tile and compare requests, and
 // tiled functional execution. These guard the
 // performance envelope that makes the full-scale Fig. 3/6 sweeps
 // tractable on one core.
@@ -142,7 +142,7 @@ int main() {
   // build at three T (O(classes), so flat in T) — whole, bounds-only,
   // and the histograms added to a bounds-only profile — its
   // incremental (bounds-only) rebuild along tS2, the admissible lower
-  // bound, one batched stage-two pricing of the default thread sweep,
+  // bound, one stage-two pricing of the default thread sweep,
   // and one cold bounded thread sweep through a Session.
   const stencil::ProblemSize heat{.dim = 2, .S = {4096, 4096, 0}, .T = 1024};
   const hhc::TileSizes prof_ts{.tT = 16, .tS1 = 16, .tS2 = 64, .tS3 = 1};
@@ -166,7 +166,7 @@ int main() {
     arms.push_back(
         {"profile_add_histograms/T=" + std::to_string(T),
          [bounds = gpusim::TileCostProfile::build_bounds(pt, prof_ts, 1)] {
-           bench::keep(bounds.with_histograms().soa().nbins);
+           bench::keep(bounds.with_histograms().classes().size());
          },
          2000});
   }
@@ -184,20 +184,12 @@ int main() {
                                     .seconds);
                   },
                   20000});
-  // The two GPU pricing folds on one prebuilt profile over the ten
-  // default thread configs: the batched SoA fold, and the per-point
-  // scalar fold a loop of measure_best_of runs.
+  // The GPU pricing fold on one prebuilt profile over the ten default
+  // thread configs: one measure_best_of per point, as the Session
+  // prices.
   const std::vector<hhc::ThreadConfig> sweep = tuner::default_thread_configs(2);
   std::vector<gpusim::SimResult> swept(sweep.size());
-  arms.push_back({"fold_soa/10thr",
-                  [&] {
-                    gpusim::measure_best_of_batch(gpusim::gtx980(), heat2d(),
-                                                  heat, prof_ts, sweep, prof,
-                                                  swept);
-                    bench::keep(swept.front().seconds);
-                  },
-                  500});
-  arms.push_back({"fold_scalar/10thr",
+  arms.push_back({"fold/10thr",
                   [&] {
                     for (std::size_t j = 0; j < sweep.size(); ++j) {
                       swept[j] = gpusim::measure_best_of(
@@ -273,7 +265,7 @@ int main() {
   // Items per second for the arms whose work is a point count.
   const auto items = [&](const std::string& name) -> double {
     if (name == "model_sweep_space") return static_cast<double>(space.size());
-    if (name.starts_with("fold_")) return static_cast<double>(sweep.size());
+    if (name.starts_with("fold/")) return static_cast<double>(sweep.size());
     if (name == "tiled_functional_execution" || name == "reference_execution") {
       return static_cast<double>(small.total_points());
     }

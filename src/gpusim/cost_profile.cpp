@@ -128,15 +128,14 @@ int pow2_shift(std::int64_t v) noexcept {
              : -1;
 }
 
-// The per-row unit fold shared by every pricing path — the scalar
-// geometry_iter_units (and through it the event simulator's per-tile
-// pricing) and the batched SoA pass. HHC assigns the iterations of
-// each (barrier-separated) tile row statically to the block's
-// threads, so a row of `points` costs ceil(points / threads) serial
-// iterations per thread, issued in ceil(active / n_v) lane waves with
-// warp-rounded active threads. This is the thread-count effect the
-// analytical model deliberately ignores (Section 7) and the empirical
-// thread-count step tunes.
+// The per-row unit fold of stage two, behind geometry_iter_units
+// (and through it price_block and the event simulator's per-tile
+// pricing). HHC assigns the iterations of each (barrier-separated)
+// tile row statically to the block's threads, so a row of `points`
+// costs ceil(points / threads) serial iterations per thread, issued
+// in ceil(active / n_v) lane waves with warp-rounded active threads.
+// This is the thread-count effect the analytical model deliberately
+// ignores (Section 7) and the empirical thread-count step tunes.
 //
 // When the rounded thread count and n_v are powers of two (every 2D
 // thread config of the default sweep, and gtx980's n_v = 128) the
@@ -155,28 +154,25 @@ struct UnitFold {
         tr_shift(pow2_shift(threads_r)),
         nv_shift(pow2_shift(n_v)) {}
 
-  std::int64_t fold(const std::int64_t* points, const std::int64_t* weights,
-                    std::size_t n) const noexcept {
+  std::int64_t fold(const std::vector<PointBin>& bins) const noexcept {
     std::int64_t units = 0;
     if (tr_shift >= 0 && nv_shift >= 0) {
       const std::int64_t tr_m1 = threads_r - 1;
       const std::int64_t nv_m1 = n_v - 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::int64_t p = points[i];
-        const std::int64_t per_thread = (p + tr_m1) >> tr_shift;
+      for (const PointBin& b : bins) {
+        const std::int64_t per_thread = (b.points + tr_m1) >> tr_shift;
         const std::int64_t active =
-            (std::min(p, threads_r) + 31) & ~std::int64_t{31};
+            (std::min(b.points, threads_r) + 31) & ~std::int64_t{31};
         const std::int64_t waves = (active + nv_m1) >> nv_shift;
-        units += weights[i] * (per_thread * waves);
+        units += b.weight * (per_thread * waves);
       }
     } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::int64_t p = points[i];
-        const std::int64_t per_thread = ceil_div(p, threads_r);
+      for (const PointBin& b : bins) {
+        const std::int64_t per_thread = ceil_div(b.points, threads_r);
         const std::int64_t active =
-            repro::round_up<std::int64_t>(std::min(p, threads_r), 32);
+            repro::round_up<std::int64_t>(std::min(b.points, threads_r), 32);
         const std::int64_t waves = ceil_div(active, n_v);
-        units += weights[i] * (per_thread * waves);
+        units += b.weight * (per_thread * waves);
       }
     }
     return units;
@@ -187,65 +183,18 @@ struct UnitFold {
 
 std::int64_t geometry_iter_units(const BlockGeometry& g, int threads,
                                  int n_v) {
-  const UnitFold fold(threads, n_v);
-  std::int64_t units = 0;
-  for (const PointBin& b : g.bins) {
-    units += fold.fold(&b.points, &b.weight, 1);
-  }
-  return units;
-}
-
-BlockWork block_work_from_units(const DeviceParams& dev, std::int64_t units,
-                                std::int64_t syncs, double io_words,
-                                double cyc_iter) {
-  BlockWork bw;
-  bw.compute_s = (static_cast<double>(units) * cyc_iter +
-                  static_cast<double>(syncs) * dev.sync_cycles) /
-                 dev.clock_hz;
-  bw.io_bytes = io_words * 4.0;
-  return bw;
+  return UnitFold(threads, n_v).fold(g.bins);
 }
 
 BlockWork price_block(const DeviceParams& dev, const BlockGeometry& g,
                       int threads, double cyc_iter) {
   const std::int64_t units = geometry_iter_units(g, threads, dev.n_v);
-  return block_work_from_units(dev, units, g.sync_count(), g.io_words,
-                               cyc_iter);
-}
-
-void TileCostProfile::soa_iter_units(int threads, int n_v,
-                                     std::int64_t* units_out) const {
-  const UnitFold fold(threads, n_v);
-  const std::int64_t* pts = soa_.points();
-  const std::int64_t* wts = soa_.weights();
-  for (std::size_t c = 0; c + 1 < soa_.off.size(); ++c) {
-    const std::size_t lo = soa_.off[c];
-    const std::size_t hi = soa_.off[c + 1];
-    units_out[c] = fold.fold(pts + lo, wts + lo, hi - lo);
-  }
-}
-
-void TileCostProfile::finalize_soa() {
-  soa_ = ProfileSoA{};
-  if (!valid_ || !histograms_) return;
-  std::size_t nbins = 0;
-  for (const RowClass& c : classes_) nbins += c.geom.bins.size();
-  soa_.nbins = nbins;
-  // One arena slab: points | weights.
-  soa_.slab.assign(2 * nbins, 0);
-  soa_.off.resize(classes_.size() + 1);
-  std::int64_t* pts = soa_.slab.data();
-  std::int64_t* wts = soa_.slab.data() + nbins;
-  std::size_t at = 0;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    soa_.off[c] = static_cast<std::uint32_t>(at);
-    for (const PointBin& b : classes_[c].geom.bins) {
-      pts[at] = b.points;
-      wts[at] = b.weight;
-      ++at;
-    }
-  }
-  soa_.off[classes_.size()] = static_cast<std::uint32_t>(at);
+  BlockWork bw;
+  bw.compute_s = (static_cast<double>(units) * cyc_iter +
+                  static_cast<double>(g.sync_count()) * dev.sync_cycles) /
+                 dev.clock_hz;
+  bw.io_bytes = g.io_words * 4.0;
+  return bw;
 }
 
 TileCostProfile TileCostProfile::from_classes(
@@ -262,7 +211,6 @@ TileCostProfile TileCostProfile::from_classes(
   prof.radius_ = radius;
   prof.rep_shapes_ =
       std::make_shared<const std::vector<TileShape>>(std::move(rep_shapes));
-  prof.finalize_soa();
   return prof;
 }
 
@@ -314,7 +262,6 @@ TileCostProfile TileCostProfile::with_histograms() const {
     prof.classes_[i].geom = block_geometry(p_, ts_, (*rep_shapes_)[i]);
   }
   prof.histograms_ = true;
-  prof.finalize_soa();
   return prof;
 }
 
@@ -394,7 +341,6 @@ TileCostProfile TileCostProfile::classify(const stencil::ProblemSize& p,
     prof.radius_ = radius;
     prof.rep_shapes_ =
         std::make_shared<const std::vector<TileShape>>(std::move(rep_shapes));
-    prof.finalize_soa();
     return prof;
   } catch (const std::invalid_argument& e) {
     return invalid(p, ts, radius, e.what());

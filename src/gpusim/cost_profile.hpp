@@ -19,12 +19,12 @@
 //     the admissible lower bound reads (total points, barrier count,
 //     traffic words). One allocation-free pass per class.
 //   * with_histograms: per class, the integer histogram of
-//     per-barrier-row point counts and its SoA slab, re-derived from
-//     the stored representative shapes. Only pricing needs them.
+//     per-barrier-row point counts, re-derived from the stored
+//     representative shapes. Only pricing needs it.
 // build() is both layers at once. Pricing any ThreadConfig is then an
 // O(classes x bins) fold with no schedule walk, no SkewedBands
-// reconstruction and no ordered-map lookups (stage two, in
-// gpusim/timing.cpp).
+// reconstruction and no ordered-map lookups (stage two, price_block
+// below and gpusim/timing.cpp).
 //
 // Exactness: iteration units and barrier counts are aggregated in
 // std::int64_t and converted to double once per class, so collapsing
@@ -37,7 +37,6 @@
 // equal build()'s in everything but the bins.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,34 +83,6 @@ struct BlockGeometry {
   friend bool operator==(const BlockGeometry&, const BlockGeometry&) = default;
 };
 
-// Structure-of-arrays mirror of every class's bins, packed into one
-// arena-allocated slab of int64 so the batched pricing fold
-// (measure_best_of_batch) streams `points[]` and
-// `weight[]` as two contiguous arrays instead of chasing AoS
-// PointBins. Layout of `slab`:
-//
-//   [ points[0..nbins) | weight[0..nbins) ]
-//
-// with `off[c] .. off[c+1]` delimiting class c's bins. The fold over
-// this layout accumulates the exact integers geometry_iter_units
-// accumulates (int64 addition is associative, and the power-of-two
-// shift fast path computes the same quotients), so batched and scalar
-// pricing are bit-identical by construction.
-struct ProfileSoA {
-  std::vector<std::int64_t> slab;
-  std::vector<std::uint32_t> off;  // nc + 1 entries
-  std::size_t nbins = 0;
-
-  bool empty() const noexcept { return off.empty(); }
-  std::size_t num_classes() const noexcept {
-    return off.empty() ? 0 : off.size() - 1;
-  }
-  const std::int64_t* points() const noexcept { return slab.data(); }
-  const std::int64_t* weights() const noexcept {
-    return slab.data() + nbins;
-  }
-};
-
 // One congruence class of wavefront rows: `mult` kernel rows of
 // `blocks` tiles each, every tile priced like the class
 // representative (a column-interior tile — boundary tiles in s1 are a
@@ -136,8 +107,8 @@ class TileCostProfile {
                                const hhc::TileSizes& ts, std::int64_t radius);
 
   // The same classification with bound aggregates only: equal to
-  // build() in everything but the bins (and the SoA slab), enough
-  // for gpusim::lower_bound, not for pricing.
+  // build() in everything but the bins, enough for
+  // gpusim::lower_bound, not for pricing.
   static TileCostProfile build_bounds(const stencil::ProblemSize& p,
                                       const hhc::TileSizes& ts,
                                       std::int64_t radius);
@@ -165,9 +136,9 @@ class TileCostProfile {
   // this profile holds.
   TileCostProfile build_step(const hhc::TileSizes& ts) const;
 
-  // This profile with histograms and the SoA slab derived from the
-  // stored representative shapes: bit-identical to build() for the
-  // same tile. A copy of this profile when it already has them.
+  // This profile with histograms derived from the stored
+  // representative shapes: bit-identical to build() for the same
+  // tile. A copy of this profile when it already has them.
   TileCostProfile with_histograms() const;
 
   bool valid() const noexcept { return valid_; }
@@ -175,16 +146,6 @@ class TileCostProfile {
   // False only for a valid bounds-only profile, which stage two
   // refuses to price.
   bool has_histograms() const noexcept { return histograms_ || !valid_; }
-
-  // The SoA mirror of classes() (empty for invalid and bounds-only
-  // profiles).
-  const ProfileSoA& soa() const noexcept { return soa_; }
-
-  // Batched stage-two fold: units_out[c] = geometry_iter_units(
-  // classes()[c].geom, threads, n_v) for every class, computed over
-  // the SoA slab in one pass.
-  void soa_iter_units(int threads, int n_v,
-                      std::int64_t* units_out) const;
 
   const std::vector<RowClass>& classes() const noexcept { return classes_; }
   // The representative tile shape of each class, in classes() order.
@@ -204,7 +165,6 @@ class TileCostProfile {
   static TileCostProfile invalid(const stencil::ProblemSize& p,
                                  const hhc::TileSizes& ts,
                                  std::int64_t radius, std::string error);
-  void finalize_soa();
 
   bool valid_ = false;
   bool histograms_ = false;
@@ -220,8 +180,6 @@ class TileCostProfile {
   hhc::TileSizes ts_{};
   std::int64_t radius_ = 1;
   Shapes rep_shapes_;
-
-  ProfileSoA soa_;
 };
 
 // Stage-one primitive (also the per-tile cost of the event-level
@@ -249,14 +207,5 @@ std::int64_t geometry_iter_units(const BlockGeometry& g, int threads,
 // global traffic of one block at `threads`, from profiled geometry.
 BlockWork price_block(const DeviceParams& dev, const BlockGeometry& g,
                       int threads, double cyc_iter);
-
-// The shared pricing tail: fold precomputed iteration units, the
-// barrier count and the traffic words into a BlockWork. price_block
-// and the batched path call this one out-of-line function, so the
-// floating-point expression is compiled exactly once and scalar vs
-// batched pricing cannot diverge by contraction.
-BlockWork block_work_from_units(const DeviceParams& dev, std::int64_t units,
-                                std::int64_t syncs, double io_words,
-                                double cyc_iter);
 
 }  // namespace repro::gpusim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -58,11 +57,9 @@ void require_histograms(const TileCostProfile& profile) {
   }
 }
 
-// The shared pricing body of simulate_time: price every class at one
-// resolved configuration, with `units` either precomputed by the
-// batched SoA fold or (nullptr) derived per class on the fly. Both
-// the scalar and the batched entry points run this one compiled
-// function, so their floating-point folds cannot diverge.
+// The pricing body of simulate_time: price every class of the
+// profile at one resolved configuration (price_block per class, then
+// the wavefront fold), and apply run `run_id`'s jitter.
 SimResult price_profile(const DeviceParams& dev,
                         const stencil::StencilDef& def,
                         const stencil::ProblemSize& p,
@@ -71,7 +68,7 @@ SimResult price_profile(const DeviceParams& dev,
                         const TileCostProfile& profile,
                         const ResolvedConfig& rc,
                         const stencil::KernelVariant& var,
-                        std::uint64_t run_id, const std::int64_t* units) {
+                        std::uint64_t run_id) {
   require_histograms(profile);
   SimResult res;
   res.regs_per_thread = rc.regs_per_thread;
@@ -85,13 +82,8 @@ SimResult price_profile(const DeviceParams& dev,
   double total = static_cast<double>(profile.empty_rows()) * launch;
   res.launch_seconds = total;
   res.kernel_calls = profile.empty_rows();
-  const std::vector<RowClass>& classes = profile.classes();
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const RowClass& c = classes[i];
-    const std::int64_t u =
-        units ? units[i] : geometry_iter_units(c.geom, threads, dev.n_v);
-    BlockWork bc = block_work_from_units(dev, u, c.geom.sync_count(),
-                                         c.geom.io_words, rc.cyc_iter);
+  for (const RowClass& c : profile.classes()) {
+    BlockWork bc = price_block(dev, c.geom, threads, rc.cyc_iter);
     bc.io_bytes /= rc.coalesce_eff;
     const WavefrontCost acc = price_wavefront(dev, bc, c.blocks, rc.k);
     const double m = static_cast<double>(c.mult);
@@ -116,7 +108,7 @@ SimResult price_profile(const DeviceParams& dev,
 // run-0 simulation: the per-run jitter is a final multiplicative
 // factor, so one base simulation plus `runs` jitter draws is exactly
 // equivalent to simulating each run — and 5x cheaper for the big
-// sweeps. Shared by measure_best_of and measure_best_of_batch.
+// sweeps.
 void apply_best_of(const DeviceParams& dev, const stencil::StencilDef& def,
                    const stencil::ProblemSize& p, const hhc::TileSizes& ts,
                    const hhc::ThreadConfig& thr,
@@ -283,8 +275,7 @@ SimResult simulate_time(const DeviceParams& dev,
     res.infeasible_reason = profile.error();
     return res;
   }
-  return price_profile(dev, def, p, ts, thr, profile, rc, var, run_id,
-                       /*units=*/nullptr);
+  return price_profile(dev, def, p, ts, thr, profile, rc, var, run_id);
 }
 
 SimResult simulate_time(const DeviceParams& dev,
@@ -336,33 +327,6 @@ SimResult measure_best_of(const DeviceParams& dev,
   const TileCostProfile profile =
       TileCostProfile::build(p, ts, def.radius);
   return measure_best_of(dev, def, p, ts, thr, profile, runs, var);
-}
-
-void measure_best_of_batch(const DeviceParams& dev,
-                           const stencil::StencilDef& def,
-                           const stencil::ProblemSize& p,
-                           const hhc::TileSizes& ts,
-                           std::span<const hhc::ThreadConfig> thrs,
-                           const TileCostProfile& profile,
-                           std::span<SimResult> out, int runs,
-                           const stencil::KernelVariant& var) {
-  std::vector<std::int64_t> units(profile.classes().size());
-  for (std::size_t j = 0; j < thrs.size(); ++j) {
-    SimResult res;
-    const ResolvedConfig rc =
-        resolve_config(dev, def, p.dim, ts, thrs[j].total(), var);
-    if (!rc.feasible) {
-      res.infeasible_reason = rc.infeasible_reason;
-    } else if (!profile.valid()) {
-      res.infeasible_reason = profile.error();
-    } else {
-      profile.soa_iter_units(thrs[j].total(), dev.n_v, units.data());
-      res = price_profile(dev, def, p, ts, thrs[j], profile, rc, var, 0,
-                          units.data());
-      apply_best_of(dev, def, p, ts, thrs[j], var, runs, res);
-    }
-    out[j] = std::move(res);
-  }
 }
 
 double simulate_compute_only(const DeviceParams& dev,

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "gpusim/device.hpp"
@@ -101,23 +100,6 @@ SimResult measure_best_of(const DeviceParams& dev,
                           const hhc::ThreadConfig& thr,
                           const TileCostProfile& profile, int runs = 5,
                           const stencil::KernelVariant& var = {});
-
-// Batched measurement: price every thread config in `thrs` against
-// one prebuilt profile (and one variant) through the SoA unit fold.
-// out[j] is bit-identical to measure_best_of(dev, def, p, ts,
-// thrs[j], profile, runs, var) — the unit totals are the same
-// integers by associativity, and the floating-point tails (the
-// per-class pricing, the wavefront fold, the jitter protocol) are the
-// very functions the scalar path calls. `out` must hold thrs.size()
-// entries.
-void measure_best_of_batch(const DeviceParams& dev,
-                           const stencil::StencilDef& def,
-                           const stencil::ProblemSize& p,
-                           const hhc::TileSizes& ts,
-                           std::span<const hhc::ThreadConfig> thrs,
-                           const TileCostProfile& profile,
-                           std::span<SimResult> out, int runs = 5,
-                           const stencil::KernelVariant& var = {});
 
 // Compute-only variant used by the C_iter micro-benchmark: transfers,
 // launches and scheduling costs removed, jitter off.

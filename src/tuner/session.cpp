@@ -161,35 +161,41 @@ std::span<const stencil::KernelVariant> Session::variant_axis(
              : variants;
 }
 
-double Session::price_batch(const hhc::TileSizes& ts,
-                            const stencil::KernelVariant& var,
-                            std::span<const hhc::ThreadConfig> thrs,
-                            double talg, const gpusim::TileCostProfile* prof,
-                            std::span<EvaluatedPoint> out) {
-  const auto fill = [&](const auto& results) {
-    for (std::size_t j = 0; j < thrs.size(); ++j) {
-      out[j].dp = DataPoint{ts, thrs[j], var};
-      out[j].talg = talg;
-      take_result(out[j], results[j]);
-    }
+double Session::price_misses(const hhc::TileSizes& ts,
+                             std::span<const stencil::KernelVariant> vars,
+                             std::span<const hhc::ThreadConfig> thrs,
+                             std::span<const std::size_t> miss, double talg,
+                             const gpusim::TileCostProfile* prof,
+                             std::span<std::optional<EvaluatedPoint>> out) {
+  const std::size_t nthr = thrs.size();
+  const auto fill = [&](std::size_t i, const auto& res) {
+    EvaluatedPoint& ep = out[i].emplace();
+    ep.dp = DataPoint{ts, thrs[i % nthr], vars[i / nthr]};
+    ep.talg = talg;
+    take_result(ep, res);
   };
   if (ctx_.dev.is_cpu()) {
-    std::vector<cpusim::SimResult> res(thrs.size());
+    // cpusim prices no variants, so every miss is one strand count of
+    // a single batch call.
+    std::vector<hhc::ThreadConfig> batch;
+    batch.reserve(miss.size());
+    for (const std::size_t i : miss) batch.push_back(thrs[i % nthr]);
+    std::vector<cpusim::SimResult> res(miss.size());
     const auto t0 = Clock::now();
     cpusim::measure_best_of_batch(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
-                                  ts, thrs, res);
+                                  ts, batch, res);
     const double priced = seconds_since(t0);
-    fill(res);
+    for (std::size_t k = 0; k < miss.size(); ++k) fill(miss[k], res[k]);
     return priced;
   }
-  // Stage two: the SoA fold over every thread config.
-  std::vector<gpusim::SimResult> res(thrs.size());
+  // Stage two: each point against the tile's profile.
   const auto t0 = Clock::now();
-  gpusim::measure_best_of_batch(ctx_.dev.gpu(), ctx_.def, ctx_.problem, ts,
-                                thrs, *prof, res, /*runs=*/5, var);
-  const double priced = seconds_since(t0);
-  fill(res);
-  return priced;
+  for (const std::size_t i : miss) {
+    fill(i, gpusim::measure_best_of(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                                    ts, thrs[i % nthr], *prof, /*runs=*/5,
+                                    vars[i / nthr]));
+  }
+  return seconds_since(t0);
 }
 
 void Session::measure_tile(const hhc::TileSizes& ts,
@@ -268,8 +274,7 @@ void Session::measure_tile(const hhc::TileSizes& ts,
   };
 
   // Pass 1 walks the points variant-major, serving hits and bounding
-  // misses; pass 2 prices each variant's surviving misses in one
-  // batch call.
+  // misses; pass 2 prices the surviving misses.
   //
   // The tile's floor over its (thread, variant) axes is evaluated
   // once, on the first miss that needs a bound (a CPU tile is also
@@ -280,7 +285,7 @@ void Session::measure_tile(const hhc::TileSizes& ts,
   // bounds alone would prune.
   std::optional<double> floor_s;
   std::optional<cpusim::TileFloors> cpu_floors;
-  std::vector<std::size_t> miss;  // ascending, so grouped by variant
+  std::vector<std::size_t> miss;  // ascending: the visit order
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i]) {
       ++local.machine_points;
@@ -329,24 +334,13 @@ void Session::measure_tile(const hhc::TileSizes& ts,
     // Talg depends only on the tile, not on threads or variant.
     if (!talg) talg = model_talg_or_inf(ctx_.inputs, ctx_.problem, ts);
     if (!cpu) stage_one(/*priced=*/true);
-    std::vector<hhc::ThreadConfig> batch;
-    std::vector<EvaluatedPoint> priced;
-    for (std::size_t lo = 0; lo < miss.size();) {
-      const std::size_t vi = miss[lo] / nthr;
-      std::size_t hi = lo;
-      batch.clear();
-      for (; hi < miss.size() && miss[hi] / nthr == vi; ++hi) {
-        batch.push_back(thrs[miss[hi] % nthr]);
+    local.pricing_seconds +=
+        price_misses(ts, vars, thrs, miss, *talg, prof.get(), out);
+    local.machine_points += miss.size();
+    if (bounded) {
+      for (const std::size_t i : miss) {
+        if (out[i]->feasible) inc->offer(out[i]->texec);
       }
-      priced.assign(batch.size(), EvaluatedPoint{});
-      local.pricing_seconds +=
-          price_batch(ts, vars[vi], batch, *talg, prof.get(), priced);
-      local.machine_points += batch.size();
-      for (std::size_t k = 0; k < priced.size(); ++k) {
-        if (bounded && priced[k].feasible) inc->offer(priced[k].texec);
-        out[miss[lo + k]] = priced[k];
-      }
-      lo = hi;
     }
   }
 

@@ -63,24 +63,25 @@
 // on vs off across job counts; SweepStats reports the pruning volume
 // (points_pruned) and the bound-evaluation wall time (bound_seconds).
 //
-// Batched pricing: every point is priced through one backend batch
-// call per (tile, variant) — a single point is a batch of one. Talg
-// is computed once per tile and the surviving thread configs of a
-// sweep are priced together:
+// Pricing: Talg is computed once per tile, and a sweep's surviving
+// points are priced after its bound pass:
 //   * GPU: stage one runs once per tile and in two layers
 //     (gpusim/cost_profile.hpp). The first bound on a tile builds a
 //     bounds-only profile (row classes and bound aggregates, or an
 //     incremental build_step from a profile sharing (tT, tS1)); the
-//     band histograms and SoA slab are derived only when the tile is
-//     first priced, so the tiles pruning discards never pay for them.
-//     gpusim::measure_best_of_batch then folds the contiguous slab.
+//     band histograms are derived only when the tile is first
+//     priced, so the tiles pruning discards never pay for them. Each
+//     surviving point is then one gpusim::measure_best_of against
+//     the tile's profile.
 //   * CPU: cpusim analyzes the tile and hashes its jitter-key prefix
-//     once, then pays only the per-strand step per config. Bounds
-//     analyze the tile once per visit (cpusim::TileFloors); the point
-//     bound is the exact jitter-free time.
-// Both batch calls are bit-identical to the public scalar
-// measure_best_of; the tests pin Session results against serial
-// scalar folds (tests/support/scalar_oracle.hpp for the GPU,
+//     once, then pays only the per-strand step per config, for all
+//     surviving strand counts in one cpusim::measure_best_of_batch
+//     call. Bounds analyze the tile once per visit
+//     (cpusim::TileFloors); the point bound is the exact jitter-free
+//     time.
+// Both are bit-identical to the public scalar measure_best_of; the
+// tests pin Session results against serial scalar folds
+// (tests/support/scalar_oracle.hpp for the GPU,
 // tests/support/cpu_scalar_oracle.hpp for the CPU).
 #pragma once
 
@@ -163,7 +164,7 @@ struct SweepStats {
 
   // Two-stage pipeline split (GPU): a tile size's geometry profile is
   // built once (stage one: row classes in O(classes), then per-class
-  // bound aggregates) and every later batch or bound on that tile
+  // bound aggregates) and every later pricing or bound on that tile
   // reuses it (stage two, closed-form pricing). A "step" is an
   // incremental rebuild (TileCostProfile::build_step) from a cached
   // profile sharing (tT, tS1) — the row classes carry over and only
@@ -409,7 +410,7 @@ class Session {
   struct TileRecord {
     // GPU stage one: bounds-only until the tile is first priced, then
     // with histograms. Orthogonal to the measured points — every
-    // variant batch, bound and single point on a tile after the first
+    // variant, bound and single point on a tile after the first
     // reuses it even when every measurement is new.
     std::shared_ptr<const gpusim::TileCostProfile> profile;
     std::optional<double> talg;  // set once the tile is priced
@@ -423,15 +424,17 @@ class Session {
   std::span<const stencil::KernelVariant> variant_axis(
       std::span<const stencil::KernelVariant> variants) const noexcept;
 
-  // The one pricing call of the session: out[j] = the measured point
-  // (ts, thrs[j], var) with model price `talg`, priced in a single
-  // backend batch call (GPU: against `prof`, which has histograms).
-  // Returns the pricing wall time for the caller to book.
-  double price_batch(const hhc::TileSizes& ts,
-                     const stencil::KernelVariant& var,
-                     std::span<const hhc::ThreadConfig> thrs, double talg,
-                     const gpusim::TileCostProfile* prof,
-                     std::span<EvaluatedPoint> out);
+  // The one pricing call of the session: out[i] = the measured
+  // point i of the variant-major axis vars x thrs of tile `ts`, for
+  // every i in `miss`, with model price `talg` (GPU: against `prof`,
+  // which has histograms). Returns the pricing wall time for the
+  // caller to book.
+  double price_misses(const hhc::TileSizes& ts,
+                      std::span<const stencil::KernelVariant> vars,
+                      std::span<const hhc::ThreadConfig> thrs,
+                      std::span<const std::size_t> miss, double talg,
+                      const gpusim::TileCostProfile* prof,
+                      std::span<std::optional<EvaluatedPoint>> out);
 
   // The one per-tile path behind every measurement: the points
   // vars x thrs of tile `ts`, variant-major (out[vi * thrs.size() +
@@ -439,8 +442,8 @@ class Session {
   // hits); with `inc` and pruning on, each miss whose admissible
   // lower bound exceeds the incumbent strictly is skipped (nullopt,
   // counted in points_pruned), and hits and fresh measurements offer
-  // their texec to it in visit order; the surviving misses are
-  // priced in one batch call per variant. `talg`, when the caller
+  // their texec to it; the surviving misses are priced by
+  // price_misses. `talg`, when the caller
   // has it, is the tile's model Talg, so the tile is not priced by
   // the model again. Takes the session lock once to read the record
   // and once to commit. Not timed — callers own the phase.

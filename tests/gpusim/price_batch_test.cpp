@@ -1,16 +1,17 @@
-// Batched-pricing parity: the SoA fold (soa_iter_units,
-// measure_best_of_batch) must reproduce the scalar per-point pipeline
-// bit for bit — same integers by associativity, same floating-point
-// tails because every FP expression lives in one out-of-line function
-// — across dimensions, clipped tiles, spill/low-occupancy configs,
-// radius-2 stencils and every kernel variant. Also pins the
-// incremental profile rebuild (build_step) against a scratch build
-// and the per-variant admissibility of the pruning lower bound.
+// Stage-two pricing checks: the unit fold against plain integer
+// division (its power-of-two shift path included), the default
+// kernel variant as the identity transform, unrolled cycle costs,
+// the per-variant admissibility of the pruning lower bound, and the
+// incremental profile rebuild (build_step) against a scratch build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
+#include "common/rng.hpp"
 #include "gpusim/cost_profile.hpp"
 #include "gpusim/lower_bound.hpp"
 #include "gpusim/timing.hpp"
@@ -94,73 +95,54 @@ std::vector<BatchCase> batch_cases() {
   };
 }
 
-// A thread sweep per dimension — including a deliberately non-warp-
-// shaped config (33x3) so the underutilization rounding is exercised.
-std::vector<hhc::ThreadConfig> sweep_threads(int dim) {
-  if (dim == 1) {
-    return {{.n1 = 32, .n2 = 1, .n3 = 1},
-            {.n1 = 64, .n2 = 1, .n3 = 1},
-            {.n1 = 128, .n2 = 1, .n3 = 1},
-            {.n1 = 256, .n2 = 1, .n3 = 1},
-            {.n1 = 33, .n2 = 3, .n3 = 1}};
+// The unit count of one block written out with plain divisions:
+// per bin, ceil(points / threads_r) iterations per thread times
+// ceil(active / n_v) lane waves, with threads_r and active rounded up
+// to the warp.
+std::int64_t plain_iter_units(const BlockGeometry& g, int threads, int n_v) {
+  const std::int64_t threads_r = round_up<std::int64_t>(threads, 32);
+  std::int64_t units = 0;
+  for (const PointBin& b : g.bins) {
+    const std::int64_t active =
+        round_up<std::int64_t>(std::min(b.points, threads_r), 32);
+    units += b.weight * ceil_div(b.points, threads_r) *
+             ceil_div<std::int64_t>(active, n_v);
   }
-  if (dim == 2) {
-    return {{.n1 = 32, .n2 = 1, .n3 = 1},
-            {.n1 = 32, .n2 = 4, .n3 = 1},
-            {.n1 = 32, .n2 = 8, .n3 = 1},
-            {.n1 = 16, .n2 = 16, .n3 = 1},
-            {.n1 = 33, .n2 = 3, .n3 = 1}};
-  }
-  return {{.n1 = 32, .n2 = 2, .n3 = 2},
-          {.n1 = 16, .n2 = 4, .n3 = 4},
-          {.n1 = 32, .n2 = 4, .n3 = 1},
-          {.n1 = 8, .n2 = 8, .n3 = 8},
-          {.n1 = 33, .n2 = 3, .n3 = 1}};
+  return units;
 }
 
-// The SoA unit fold alone: units_out[c] must be the exact integer the
-// AoS geometry fold produces (shift fast path included — n_v = 1 and
-// the warp-wave counts are powers of two here).
-TEST(PriceBatch, SoaIterUnitsMatchesGeometryIterUnits) {
-  for (const BatchCase& c : batch_cases()) {
-    const StencilDef& def = get_stencil(c.kind);
-    const TileCostProfile prof =
-        TileCostProfile::build(c.p, c.ts, def.radius);
-    ASSERT_TRUE(prof.valid()) << c.name;
-    for (const int threads : {32, 96, 99, 256, 1024}) {
-      std::vector<std::int64_t> units(prof.classes().size());
-      prof.soa_iter_units(threads, /*n_v=*/1, units.data());
-      for (std::size_t cl = 0; cl < prof.classes().size(); ++cl) {
-        EXPECT_EQ(units[cl],
-                  geometry_iter_units(prof.classes()[cl].geom, threads, 1))
-            << c.name << " class " << cl << " threads " << threads;
-      }
+// geometry_iter_units against the plain divisions, on seeded bins from
+// below the warp size to 2^40 points and on every edge around the
+// thread counts. 32, 99 (rounds to 128) and 1024 take the shift path
+// with n_v 1, 32 and 128; 96, 160 and n_v 48 take the division path.
+TEST(PriceBatch, GeometryIterUnitsMatchesPlainDivision) {
+  std::vector<BlockGeometry> geoms;
+  BlockGeometry edges;
+  for (const std::int64_t t : {32, 96, 128, 160, 1024}) {
+    for (const std::int64_t d : {-1, 0, 1}) edges.bins.push_back({t + d, 3});
+  }
+  edges.bins.push_back({1, 1});
+  edges.bins.push_back({std::int64_t{1} << 40, 1});
+  geoms.push_back(edges);
+  // Point ranges: below the warp, below threads_r, a few rows of
+  // threads, and far beyond them, up to 2^40.
+  constexpr std::int64_t hi[] = {31, 1023, 1 << 20, std::int64_t{1} << 40};
+  Rng rng(0x5EEDF01DB1A5ULL);
+  for (int i = 0; i < 200; ++i) {
+    BlockGeometry g;
+    const std::int64_t n = rng.uniform_int(1, 64);
+    for (std::int64_t b = 0; b < n; ++b) {
+      g.bins.push_back({rng.uniform_int(1, hi[rng.next_below(4)]),
+                        rng.uniform_int(1, 1024)});
     }
+    geoms.push_back(std::move(g));
   }
-}
-
-// Property (satellite 3): measure_best_of_batch element-wise equals N
-// scalar measure_best_of calls, for every case and every kernel
-// variant, including the jitter protocol (runs = 5).
-TEST(PriceBatch, MeasureBestOfBatchMatchesScalar) {
-  const DeviceParams dev = gtx980();
-  for (const BatchCase& c : batch_cases()) {
-    const StencilDef& def = get_stencil(c.kind);
-    const TileCostProfile prof =
-        TileCostProfile::build(c.p, c.ts, def.radius);
-    ASSERT_TRUE(prof.valid()) << c.name;
-    const std::vector<hhc::ThreadConfig> thrs = sweep_threads(c.p.dim);
-
-    for (const KernelVariant& var : stencil::all_kernel_variants()) {
-      std::vector<SimResult> out(thrs.size());
-      measure_best_of_batch(dev, def, c.p, c.ts, thrs, prof, out,
-                            /*runs=*/5, var);
-      for (std::size_t j = 0; j < thrs.size(); ++j) {
-        const SimResult scalar = measure_best_of(dev, def, c.p, c.ts,
-                                                 thrs[j], prof, 5, var);
-        expect_sim_equal(out[j], scalar,
-                         c.name + " " + var.to_string() + " thr " +
-                             std::to_string(j));
+  for (const int threads : {32, 96, 99, 160, 1024}) {
+    for (const int n_v : {1, 32, 48, 128}) {
+      for (std::size_t i = 0; i < geoms.size(); ++i) {
+        ASSERT_EQ(geometry_iter_units(geoms[i], threads, n_v),
+                  plain_iter_units(geoms[i], threads, n_v))
+            << "geometry " << i << " threads " << threads << " n_v " << n_v;
       }
     }
   }
@@ -226,7 +208,7 @@ TEST(PriceBatch, LowerBoundAdmissiblePerVariant) {
 
 // Incremental rebuild: for a tile differing from the base only in the
 // inner extents, build_step plus its histograms must equal a scratch
-// build exactly — class structure, SoA slab and the priced SimResult.
+// build exactly — class structure and the priced SimResult.
 TEST(PriceBatch, BuildStepMatchesScratchBuild) {
   const DeviceParams dev = gtx980();
   struct StepCase {
@@ -273,9 +255,6 @@ TEST(PriceBatch, BuildStepMatchesScratchBuild) {
           << "class " << cl;
     }
     EXPECT_EQ(stepped.empty_rows(), fresh.empty_rows());
-    EXPECT_EQ(stepped.soa().slab, fresh.soa().slab);
-    EXPECT_EQ(stepped.soa().off, fresh.soa().off);
-    EXPECT_EQ(stepped.soa().nbins, fresh.soa().nbins);
 
     expect_sim_equal(
         measure_best_of(dev, def, c.p, c.stepped, c.thr, stepped),
@@ -300,7 +279,6 @@ TEST(PriceBatch, BuildStepFallsBackWhenOuterShapeChanges) {
   for (std::size_t cl = 0; cl < fresh.classes().size(); ++cl) {
     EXPECT_EQ(stepped.classes()[cl].geom, fresh.classes()[cl].geom);
   }
-  EXPECT_EQ(stepped.soa().slab, fresh.soa().slab);
 }
 
 }  // namespace

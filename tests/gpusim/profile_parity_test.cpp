@@ -221,8 +221,8 @@ TEST(ProfileParity, InvalidGeometryIsReportedNotThrown) {
 }
 
 // Every field build() fixes, against the row walk: class order,
-// multiplicities, block counts, geometry, representative shapes,
-// empty rows and the SoA slab.
+// multiplicities, block counts, geometry, representative shapes and
+// empty rows.
 void expect_profile_equal(const TileCostProfile& fast,
                           const TileCostProfile& ref,
                           const std::string& what) {
@@ -243,8 +243,6 @@ void expect_profile_equal(const TileCostProfile& fast,
     EXPECT_EQ(a.level_cols, b.level_cols) << what << " " << c;
   }
   EXPECT_EQ(fast.empty_rows(), ref.empty_rows()) << what;
-  EXPECT_EQ(fast.soa().slab, ref.soa().slab) << what;
-  EXPECT_EQ(fast.soa().off, ref.soa().off) << what;
 }
 
 // One generated case of the seeded sweep.
@@ -381,7 +379,6 @@ void expect_bounds_only_equal(const TileCostProfile& bounds,
   EXPECT_EQ(bounds.error(), full.error()) << what;
   if (!full.valid()) return;
   EXPECT_FALSE(bounds.has_histograms()) << what;
-  EXPECT_TRUE(bounds.soa().empty()) << what;
   ASSERT_EQ(bounds.classes().size(), full.classes().size()) << what;
   ASSERT_EQ(bounds.rep_shapes().size(), full.rep_shapes().size()) << what;
   for (std::size_t c = 0; c < full.classes().size(); ++c) {
@@ -463,12 +460,7 @@ TEST(ProfileParity, HistogramFreeProfileMatchesBuildOnParityCases) {
     if (!simulate_time(gtx980(), def, c.p, c.ts, c.thr).feasible) continue;
     const TileCostProfile bounds =
         TileCostProfile::build_bounds(c.p, c.ts, def.radius);
-    std::vector<SimResult> out(1);
     EXPECT_THROW(simulate_time(gtx980(), def, c.p, c.ts, c.thr, bounds),
-                 std::logic_error)
-        << c.name;
-    EXPECT_THROW(measure_best_of_batch(gtx980(), def, c.p, c.ts, {&c.thr, 1},
-                                       bounds, out),
                  std::logic_error)
         << c.name;
     EXPECT_THROW(

@@ -4,9 +4,11 @@
 // gpusim::measure_best_of, folded the way the Session's reductions
 // fold: tiles outermost, then variants (span order; empty = default
 // variant), then thread configs in device_thread_configs order, and
-// the first strictly better feasible point wins. It shares no code
-// with the Session's batch path, so equality against it pins that
-// path to the scalar simulator.
+// the first strictly better feasible point wins. It builds every
+// profile from scratch and keeps no record, step, bound or
+// incumbent, so equality against it pins the Session's caching,
+// incremental profiles, histogram layer and pruning to the scalar
+// simulator.
 #pragma once
 
 #include <span>

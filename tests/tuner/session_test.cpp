@@ -103,7 +103,7 @@ TEST(Session, MatchesFreeFunctions) {
   EXPECT_EQ(fresh.best_tile(s_sweep), test::scalar_best(ctx, candidates));
 }
 
-// A single GPU point is a batch of one: Session::evaluate_point must
+// A single GPU point: Session::evaluate_point must
 // equal the scalar oracle field for field — including the jitter key
 // (texec depends on it bit for bit) and Talg — on 1D, 2D and 3D
 // stencils, every kernel variant and thread configs the machine
@@ -268,7 +268,7 @@ TEST(Session, ProfileCacheSharesGeometryAcrossThreadConfigs) {
   const hhc::TileSizes ts{.tT = 8, .tS1 = 8, .tS2 = 64, .tS3 = 1};
 
   // One thread sweep: the schedule is walked once and every thread
-  // config is priced against that profile in one batch.
+  // config is priced against that profile.
   session.best_over_threads(ts);
   SweepStats st = session.stats();
   EXPECT_EQ(st.profile_builds, 1u);

@@ -1,10 +1,10 @@
-// The kernel-variant search axis and the batched SoA pricing path:
+// The kernel-variant search axis through the Session's pricing path:
 // sweeping the variant-extended space must equal the serial scalar
 // fold and be byte-identical across pruning on vs off and any job
 // count (mirroring prune_test.cpp's invariant), best_over_variants
-// must reproduce the serial variant-major fold, the batch path must
-// keep the session's counter pins (one profile build per tile,
-// incremental steps for inner-extent neighbours), and the SL312/SL314
+// must reproduce the serial variant-major fold, the Session must
+// keep its counter pins (one profile build per tile, incremental
+// steps for inner-extent neighbours), and the SL312/SL314
 // diagnostics must fire on invalid or register-hungry variants.
 #include <gtest/gtest.h>
 
@@ -169,9 +169,9 @@ TEST(Variant, MemoCacheKeysOnVariant) {
   EXPECT_EQ(st.cache_hits, 1u);
 }
 
-// The batch path keeps the session's counter pins: one profile build
-// per tile (stage one, with histograms once the tile is priced)
-// serving the whole thread sweep in one batch, repeats served from the
+// The pricing path keeps the session's counter pins: one profile
+// build per tile (stage one, with histograms once the tile is priced)
+// serving the whole thread sweep, repeats served from the
 // tile's record, and an inner-extent neighbour tile rebuilt
 // incrementally (profile_steps) instead of from scratch.
 TEST(Variant, BatchPathKeepsCounterPins) {
