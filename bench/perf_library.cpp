@@ -217,9 +217,10 @@ int main() {
                   2000});
   // Whole cold requests on Heat2D 4096^2 x 1024 at one job, as the
   // service runs them: best_tile over a model sweep's candidates on
-  // the GPU and on the Xeon descriptor, and a CPU strategy comparison
-  // (enumeration and model sweep included). clear_cache() drops every
-  // tile record, so each call bounds and prices from scratch.
+  // the GPU and on the Xeon descriptor, and a GPU and a CPU strategy
+  // comparison (enumeration and model sweep included). clear_cache()
+  // drops every tile record, so each call bounds and prices from
+  // scratch.
   const device::Descriptor& xeon = *device::registry().find("Xeon E5-2690 v4");
   tuner::Session gpu_req(
       tuner::TuningContext::with_inputs(gpusim::gtx980(), heat2d(), heat, in),
@@ -242,6 +243,12 @@ int main() {
                     bench::keep(cpu_req.best_tile(cpu_sweep).texec);
                   },
                   5});
+  arms.push_back({"compare_gpu_2d",
+                  [&] {
+                    gpu_req.clear_cache();
+                    bench::keep(gpu_req.compare_strategies().exhaustive.texec);
+                  },
+                  2});
   arms.push_back({"compare_cpu_2d",
                   [&] {
                     cpu_req.clear_cache();

@@ -1,6 +1,7 @@
 #include "tuner/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <numeric>
@@ -146,6 +147,11 @@ std::size_t Session::cache_size() const {
   return points_held_;
 }
 
+std::size_t Session::tiles_held() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return tiles_.size();
+}
+
 void Session::clear_cache() {
   std::lock_guard<std::mutex> lk(mu_);
   tiles_.clear();
@@ -203,7 +209,8 @@ void Session::measure_tile(const hhc::TileSizes& ts,
                            std::span<const hhc::ThreadConfig> thrs,
                            Incumbent* inc,
                            std::span<std::optional<EvaluatedPoint>> out,
-                           std::optional<double> talg) {
+                           std::optional<double> talg,
+                           std::optional<double> floor_s) {
   const bool cpu = ctx_.dev.is_cpu();
   const bool bounded = inc != nullptr && opt_.prune;
   const TileKey key = tile_key(ts);
@@ -276,15 +283,21 @@ void Session::measure_tile(const hhc::TileSizes& ts,
   // Pass 1 walks the points variant-major, serving hits and bounding
   // misses; pass 2 prices the surviving misses.
   //
-  // The tile's floor over its (thread, variant) axes is evaluated
-  // once, on the first miss that needs a bound (a CPU tile is also
-  // analyzed there, once). While the floor exceeds the incumbent,
-  // which only tightens, every miss is pruned on it without a point
-  // bound; otherwise each miss is bounded on its own. The floor is
-  // <= every point bound, so the pruned set is the one the point
-  // bounds alone would prune.
-  std::optional<double> floor_s;
+  // The tile's floor over its (thread, variant) axes is the caller's
+  // when it has one, else evaluated once, on the first miss that
+  // needs a bound. While the floor exceeds the incumbent, which only
+  // tightens, every miss is pruned on it without a profile or a point
+  // bound; otherwise each miss is bounded on its own (a CPU tile is
+  // analyzed once, on the first such miss). The floor is <= every
+  // point bound, so the pruned set is the one the point bounds alone
+  // would prune.
   std::optional<cpusim::TileFloors> cpu_floors;
+  const auto analyze_cpu = [&]() -> const cpusim::TileFloors& {
+    if (!cpu_floors) {
+      cpu_floors.emplace(ctx_.dev.cpu(), ctx_.def, ctx_.problem, ts);
+    }
+    return *cpu_floors;
+  };
   std::vector<std::size_t> miss;  // ascending: the visit order
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i]) {
@@ -299,27 +312,28 @@ void Session::measure_tile(const hhc::TileSizes& ts,
       // comment's determinism invariant.
       const double cut = inc->load();
       if (cut < std::numeric_limits<double>::infinity()) {
+        if (!floor_s) {
+          if (!cpu) stage_one(/*priced=*/false);
+          const auto tb = Clock::now();
+          floor_s = cpu ? analyze_cpu().over(thrs).seconds
+                        : gpusim::tile_floor(ctx_.dev.gpu(), ctx_.def,
+                                             ctx_.problem, ts, thrs, vars,
+                                             *prof)
+                              .seconds;
+          local.bound_seconds += seconds_since(tb);
+        }
+        if (*floor_s > cut) {
+          ++local.points_pruned;
+          continue;
+        }
         if (!cpu) stage_one(/*priced=*/false);
         const hhc::ThreadConfig& thr = thrs[i % nthr];
         const auto tb = Clock::now();
-        if (!floor_s) {
-          if (cpu) {
-            cpu_floors.emplace(ctx_.dev.cpu(), ctx_.def, ctx_.problem, ts);
-            floor_s = cpu_floors->over(thrs).seconds;
-          } else {
-            floor_s = gpusim::tile_floor(ctx_.dev.gpu(), ctx_.def,
-                                         ctx_.problem, ts, thrs, vars, *prof)
-                          .seconds;
-          }
-        }
-        double bound = *floor_s;
-        if (bound <= cut) {
-          bound = cpu ? cpu_floors->point(thr).seconds
-                      : gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def,
-                                            ctx_.problem, ts, thr, *prof,
-                                            vars[i / nthr])
-                            .seconds;
-        }
+        const double bound =
+            cpu ? analyze_cpu().point(thr).seconds
+                : gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                                      ts, thr, *prof, vars[i / nthr])
+                      .seconds;
         local.bound_seconds += seconds_since(tb);
         if (bound > cut) {
           ++local.points_pruned;
@@ -470,13 +484,13 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
 EvaluatedPoint Session::sweep_tile(
     const hhc::TileSizes& ts,
     std::span<const stencil::KernelVariant> variants, Incumbent* inc,
-    std::optional<double> talg) {
+    std::optional<double> talg, std::optional<double> floor_s) {
   const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
   // Results land in visit-order slots, so the fold's tie-breaking is
   // the serial variant-major loop's.
   std::vector<std::optional<EvaluatedPoint>> slot(vars.size() *
                                                   threads_.size());
-  measure_tile(ts, vars, threads_, inc, slot, talg);
+  measure_tile(ts, vars, threads_, inc, slot, talg, floor_s);
   EvaluatedPoint best;
   for (const std::optional<EvaluatedPoint>& ep : slot) {
     if (ep) fold_best(best, *ep);
@@ -596,12 +610,17 @@ EvaluatedPoint Session::best_of_tiles(
         });
   }
   // Pruned path: one incumbent spans the whole reduction (a single
-  // best is returned, so cross-tile pruning is safe), tiles are
+  // best is returned, so cross-tile pruning is safe). Every tile's
+  // floor is computed first, in one lock-free pass; tiles are then
   // visited candidate-first (warm-seeded tiles, when any), then in
-  // ascending model-Talg order so it tightens early, and the per-tile
-  // bests are folded serially in the original index order afterwards
-  // — identical tie-breaking to the unpruned reduction above. The
-  // order keys are the caller's Talg values when it has them.
+  // ascending floor and model-Talg order so the incumbent tightens
+  // early. A tile whose floor exceeds the incumbent is not visited at
+  // all: every point of it, cached ones included, is strictly worse
+  // than the final minimum. The per-tile bests are folded serially in
+  // the original index order afterwards — identical tie-breaking to
+  // the unpruned reduction above. The Talg keys are the caller's
+  // values when it has them.
+  const std::vector<double> floors = tile_floors(tiles, variants);
   const auto tb = Clock::now();
   std::vector<double> computed;
   if (talg.empty()) {
@@ -611,31 +630,96 @@ EvaluatedPoint Session::best_of_tiles(
         });
     talg = computed;
   }
-  // Visit keys (rank, Talg, index), rank 0 for a warm-seeded tile:
-  // sorting them is a stable sort of the indices by (rank, Talg),
-  // without the indirection.
+  // Visit keys (rank, floor, Talg, index), rank 0 for a warm-seeded
+  // tile: sorting them is a stable sort of the indices by (rank,
+  // floor, Talg), without the indirection.
   std::unordered_set<TileKey, TileKeyHash> first;
   for (const hhc::TileSizes& ts : priority) first.insert(tile_key(ts));
-  std::vector<std::tuple<bool, double, std::size_t>> visit(tiles.size());
+  std::vector<std::tuple<bool, double, double, std::size_t>> visit(
+      tiles.size());
   for (std::size_t i = 0; i < tiles.size(); ++i) {
-    visit[i] = {first.empty() || !first.contains(tile_key(tiles[i])), talg[i],
-                i};
+    visit[i] = {first.empty() || !first.contains(tile_key(tiles[i])),
+                floors[i], talg[i], i};
   }
   std::sort(visit.begin(), visit.end());
   {
     std::lock_guard<std::mutex> lk(mu_);
     stats_.bound_seconds += seconds_since(tb);
   }
+  const std::size_t axis = variant_axis(variants).size() * threads_.size();
+  std::atomic<std::size_t> skipped{0};
   Incumbent inc;
   inc.offer(incumbent_seed);
   std::vector<EvaluatedPoint> slot(tiles.size());
   pool_.for_each_index(tiles.size(), /*grain=*/1, [&](std::size_t j) {
-    const std::size_t i = std::get<2>(visit[j]);
-    slot[i] = sweep_tile(tiles[i], variants, &inc, talg[i]);
+    const std::size_t i = std::get<3>(visit[j]);
+    if (floors[i] > inc.load()) {
+      skipped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    slot[i] = sweep_tile(tiles[i], variants, &inc, talg[i], floors[i]);
   });
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stats_.points_pruned += skipped.load() * axis;
+  }
   EvaluatedPoint out;
   for (const EvaluatedPoint& ep : slot) fold_best(out, ep);
   return out;
+}
+
+std::vector<double> Session::tile_floors(
+    std::span<const hhc::TileSizes> tiles,
+    std::span<const stencil::KernelVariant> variants) {
+  const auto t0 = Clock::now();
+  const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
+  const bool cpu = ctx_.dev.is_cpu();
+  std::vector<double> floors(tiles.size());
+  std::atomic<std::size_t> builds{0};
+  std::atomic<std::size_t> steps{0};
+  // Fixed chunks, each with its own step chain: a tile sharing
+  // (tT, tS1) with the previous tile of its chunk steps from that
+  // tile's bounds-only profile, any other builds one. build_step is
+  // bit-identical to build_bounds, so the floors depend on neither
+  // the chunking nor the job count; the counters depend only on the
+  // chunking.
+  const std::size_t chunks = (tiles.size() + kFloorChunk - 1) / kFloorChunk;
+  pool_.for_each_index(chunks, /*grain=*/1, [&](std::size_t c) {
+    const std::size_t lo = c * kFloorChunk;
+    const std::size_t hi = std::min(lo + kFloorChunk, tiles.size());
+    std::size_t chunk_builds = 0;
+    std::size_t chunk_steps = 0;
+    std::optional<gpusim::TileCostProfile> prof;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const hhc::TileSizes& ts = tiles[i];
+      if (cpu) {
+        floors[i] = cpusim::TileFloors(ctx_.dev.cpu(), ctx_.def, ctx_.problem,
+                                       ts)
+                        .over(threads_)
+                        .seconds;
+        continue;
+      }
+      if (prof && prof->valid() && tiles[i - 1].tT == ts.tT &&
+          tiles[i - 1].tS1 == ts.tS1) {
+        prof = prof->build_step(ts);
+        ++chunk_steps;
+      } else {
+        prof = gpusim::TileCostProfile::build_bounds(ctx_.problem, ts,
+                                                     ctx_.def.radius);
+        ++chunk_builds;
+      }
+      floors[i] = gpusim::tile_floor(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
+                                     ts, threads_, vars, *prof)
+                      .seconds;
+    }
+    builds.fetch_add(chunk_builds, std::memory_order_relaxed);
+    steps.fetch_add(chunk_steps, std::memory_order_relaxed);
+  });
+  std::lock_guard<std::mutex> lk(mu_);
+  stats_.profile_builds += builds.load();
+  stats_.profile_steps += steps.load();
+  stats_.bound_seconds += seconds_since(t0);
+  return floors;
 }
 
 StrategyComparison Session::compare_strategies(const CompareOptions& opt) {

@@ -32,14 +32,20 @@
 // the strategy-comparison passes) keeps an atomic incumbent — the
 // best measured texec inside its own reduction scope — and skips the
 // simulator for any point whose admissible lower bound
-// (gpusim/lower_bound.hpp, cpusim/lower_bound.hpp) exceeds it. A tile
-// visit evaluates one floor for its whole (thread, variant) axis
-// first and prunes every miss on it while it exceeds the incumbent;
+// (gpusim/lower_bound.hpp, cpusim/lower_bound.hpp) exceeds it. Every
+// tile has one floor over its whole (thread, variant) axis; a tile
+// visit prunes every miss on it while it exceeds the incumbent, and
 // the floor is <= every point bound, so this prunes exactly the
-// points the point bounds would. Candidate points are visited in
-// ascending model-Talg order (a model sweep's own values when the
-// caller passes the sweep) so the incumbent tightens early; visit
-// order never affects the reduction order.
+// points the point bounds would. A pruned tile list computes every
+// tile's floor first, in one lock-free pass (tile_floors), visits
+// tiles in ascending (floor, model Talg) order (a model sweep's own
+// Talg values when the caller passes the sweep) so the incumbent
+// tightens early, and never visits a tile whose floor exceeds the
+// incumbent: it takes no lock, builds no profile and leaves no
+// record. The bounded single-point and per-tile paths (evaluate_points,
+// best_over_threads{,_many}) visit in ascending model-Talg order and
+// evaluate the floor inside the visit. Visit order never affects the
+// reduction order.
 //
 // Determinism invariant (why pruned results are bitwise-identical to
 // unpruned, for any job count):
@@ -65,20 +71,22 @@
 //
 // Pricing: Talg is computed once per tile, and a sweep's surviving
 // points are priced after its bound pass:
-//   * GPU: stage one runs once per tile and in two layers
-//     (gpusim/cost_profile.hpp). The first bound on a tile builds a
-//     bounds-only profile (row classes and bound aggregates, or an
-//     incremental build_step from a profile sharing (tT, tS1)); the
-//     band histograms are derived only when the tile is first
-//     priced, so the tiles pruning discards never pay for them. Each
-//     surviving point is then one gpusim::measure_best_of against
-//     the tile's profile.
+//   * GPU: stage one comes in two layers (gpusim/cost_profile.hpp).
+//     The floor pass builds a bounds-only profile per tile (row
+//     classes and bound aggregates, or an incremental build_step from
+//     the previous tile of its chunk when it shares (tT, tS1)), reads
+//     its floor and drops it. A visited tile that needs a point bound
+//     or a price builds its own profile once and keeps it in its
+//     record; the band histograms are derived only when the tile is
+//     first priced, so the tiles pruning discards never pay for
+//     them. Each surviving point is then one gpusim::measure_best_of
+//     against the tile's profile.
 //   * CPU: cpusim analyzes the tile and hashes its jitter-key prefix
 //     once, then pays only the per-strand step per config, for all
 //     surviving strand counts in one cpusim::measure_best_of_batch
-//     call. Bounds analyze the tile once per visit
-//     (cpusim::TileFloors); the point bound is the exact jitter-free
-//     time.
+//     call. Bounds analyze the tile once in the floor pass and once
+//     more in a visit that needs point bounds (cpusim::TileFloors);
+//     the point bound is the exact jitter-free time.
 // Both are bit-identical to the public scalar measure_best_of; the
 // tests pin Session results against serial scalar folds
 // (tests/support/scalar_oracle.hpp for the GPU,
@@ -173,21 +181,30 @@ struct SweepStats {
   // found it in the tile's record. The band histograms pricing needs
   // are derived once per tile, the first time it is priced
   // (histogram_builds); a tile that is only ever bounded never pays
-  // for them. CPU tiles build no profile: cpusim's per-tile stage
-  // runs inside each batch call, so its time counts in
-  // pricing_seconds and the profile counters stay 0.
+  // for them. The floor pass of a pruned tile list (tile_floors)
+  // builds or steps one bounds-only profile per GPU tile and keeps
+  // none; those count in profile_builds / profile_steps too, so a
+  // visited tile's profile is counted twice. CPU tiles build no
+  // profile: cpusim's per-tile stage runs inside each batch call, so
+  // its time counts in pricing_seconds and the profile counters stay
+  // 0.
   std::size_t profile_builds = 0;   // geometry profiles built from scratch
   std::size_t profile_steps = 0;    // ... rebuilt incrementally instead
   std::size_t profile_hits = 0;     // served from the tile's record
   std::size_t histogram_builds = 0; // profiles given band histograms
   double geometry_seconds = 0.0;    // wall time building GPU profiles
-                                    // and their histograms
+                                    // and their histograms in tile
+                                    // visits (the floor pass books its
+                                    // builds in bound_seconds)
   double pricing_seconds = 0.0;     // wall time in simulator pricing calls
 
   // Bound-and-prune: points skipped because their admissible lower
   // bound exceeded the incumbent (these count in neither
-  // machine_points nor cache_hits), and the wall time spent in tile
-  // floors, point bounds and Talg visit ordering.
+  // machine_points nor cache_hits; a tile skipped on its floor before
+  // any visit adds its whole variant x thread axis, cached points
+  // included), and the wall time spent in the floor pass (its
+  // profile builds included), tile floors, point bounds and visit
+  // ordering.
   std::size_t points_pruned = 0;
   double bound_seconds = 0.0;
 
@@ -382,10 +399,30 @@ class Session {
       std::optional<hhc::TileSizes> ts = std::nullopt,
       std::optional<hhc::ThreadConfig> thr = std::nullopt) const;
 
+  // The admissible floor of each tile over this session's thread
+  // configs and variant_axis(variants): floors[i] <= the texec of
+  // every (thread, variant) point of tiles[i], +infinity when none
+  // is feasible (GPU: gpusim::tile_floor on a bounds-only profile;
+  // CPU: cpusim::TileFloors::over). The pruned best-of-tiles path
+  // runs it once per tile list, before visiting any tile. It runs on
+  // the pool in chunks of kFloorChunk tiles; within a chunk, a GPU
+  // tile sharing (tT, tS1) with the previous tile steps from its
+  // profile (build_step), any other builds one (build_bounds). The
+  // floors are bit-identical to a fresh build_bounds profile's for
+  // any job count. Reads and writes no tile record; books its builds
+  // and steps in profile_builds / profile_steps and its wall time in
+  // bound_seconds, under one lock at the end.
+  std::vector<double> tile_floors(
+      std::span<const hhc::TileSizes> tiles,
+      std::span<const stencil::KernelVariant> variants = {});
+  static constexpr std::size_t kFloorChunk = 64;
+
   SweepStats stats() const;
   void reset_stats();
   // Measured points held across all tile records.
   std::size_t cache_size() const;
+  // Tile records held: a tile with a measured point or a GPU profile.
+  std::size_t tiles_held() const;
   // Drops every tile record (points, profiles, Talg).
   void clear_cache();
 
@@ -406,12 +443,14 @@ class Session {
     std::size_t operator()(const StepKey& k) const noexcept;
   };
 
-  // Everything the session knows about one tile size.
+  // Everything the session knows about one visited tile size. A tile
+  // skipped on its floor before any visit has no record.
   struct TileRecord {
-    // GPU stage one: bounds-only until the tile is first priced, then
-    // with histograms. Orthogonal to the measured points — every
-    // variant, bound and single point on a tile after the first
-    // reuses it even when every measurement is new.
+    // GPU stage one: with histograms once the tile is priced;
+    // bounds-only only for a visited tile whose points were all
+    // pruned. Orthogonal to the measured points
+    // — every variant, bound and single point on a tile after the
+    // first reuses it even when every measurement is new.
     std::shared_ptr<const gpusim::TileCostProfile> profile;
     std::optional<double> talg;  // set once the tile is priced
     // Measured (thread config, variant) points, in measurement order.
@@ -445,13 +484,16 @@ class Session {
   // their texec to it; the surviving misses are priced by
   // price_misses. `talg`, when the caller
   // has it, is the tile's model Talg, so the tile is not priced by
-  // the model again. Takes the session lock once to read the record
-  // and once to commit. Not timed — callers own the phase.
+  // the model again; `floor_s`, when the caller has it, is the tile's
+  // floor over vars x thrs (tile_floors), so it is not evaluated
+  // again. Takes the session lock once to read the record and once
+  // to commit. Not timed — callers own the phase.
   void measure_tile(const hhc::TileSizes& ts,
                     std::span<const stencil::KernelVariant> vars,
                     std::span<const hhc::ThreadConfig> thrs, Incumbent* inc,
                     std::span<std::optional<EvaluatedPoint>> out,
-                    std::optional<double> talg = std::nullopt);
+                    std::optional<double> talg = std::nullopt,
+                    std::optional<double> floor_s = std::nullopt);
 
   // One point through measure_tile, unbounded.
   EvaluatedPoint measure(const DataPoint& dp);
@@ -462,20 +504,26 @@ class Session {
   // (thread, variant) point of one tile over the device's thread
   // configs, folded variant-major in variant_axis order. `inc`
   // participates as in measure_tile: nullptr (or prune off) measures
-  // every point. Not timed — callers own the phase.
+  // every point; so do `talg` and `floor_s`. Not timed — callers own
+  // the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
                             std::span<const stencil::KernelVariant> variants,
                             Incumbent* inc,
-                            std::optional<double> talg = std::nullopt);
+                            std::optional<double> talg = std::nullopt,
+                            std::optional<double> floor_s = std::nullopt);
 
   // Best-over-threads reduction across a tile list, parallel with
   // deterministic chunk order. Not timed — callers own the phase.
-  // With pruning on, tiles are visited in ascending model-Talg order
-  // against a shared incumbent, optionally seeded with a measured
+  // With pruning on, every tile's floor is computed first
+  // (tile_floors), then tiles are visited in ascending (floor,
+  // model Talg) order against a shared incumbent, and a tile whose
+  // floor exceeds the incumbent is skipped without a visit: no lock,
+  // no profile, no record, its whole (variant, thread) axis counted
+  // in points_pruned. The incumbent is optionally seeded with a measured
   // texec that participates in the caller's final reduction
   // (compare_strategies seeds the exhaustive pass with the best of
   // the earlier passes — all of which it folds into the result).
-  // `priority` tiles are visited before the Talg-ordered rest
+  // `priority` tiles are visited before the floor-ordered rest
   // (best_tile puts admitted warm-seed tiles there); order cannot
   // affect the fold, only how early the incumbent tightens. `talg`
   // holds each tile's model Talg when the caller has it (a model

@@ -70,12 +70,12 @@ void expect_profile_meaning(const Session& s, const std::string& what) {
   EXPECT_EQ(s.cache_size(), st.machine_points - st.cache_hits) << what;
 }
 
-// Pinned at one job. The GTX 980 rows are the counts of the per-point
-// memo these records replaced (same points measured, served and
-// pruned, in the same order); neither the records nor the per-tile
-// GPU floor changed them. The Xeon rows are those of the exact CPU
-// bound (the jitter-free time per point), which prunes all but the
-// first tile's ten strand counts in best_tile.
+// Pinned at one job. The GTX 980 rows are those of the ascending-floor
+// visit order: a pruned tile list computes every tile's floor first,
+// visits tiles by (floor, Talg) and skips a tile whose floor exceeds
+// the incumbent, counting its whole axis as pruned. The Xeon rows are
+// those of the exact CPU bound (the jitter-free time per point), which
+// prunes all but the first tile's ten strand counts in best_tile.
 TEST(TileRecord, CountersMatchThePointMemoAtOneJob) {
   const stencil::StencilDef& def = stencil::get_stencil_by_name("Heat2D");
   const struct {
@@ -83,9 +83,9 @@ TEST(TileRecord, CountersMatchThePointMemoAtOneJob) {
     Counters best_tile, warm_variants, compare;
   } cases[] = {
       {"GTX 980",
-       {569, 0, 1351, 0, 0, 569},
-       {1412, 570, 6269, 1, 1, 842},
-       {711, 286, 4610, 0, 0, 425}},
+       {565, 0, 1355, 0, 0, 565},
+       {1115, 277, 6566, 1, 1, 838},
+       {717, 279, 4604, 0, 0, 438}},
       {"Xeon E5-2690 v4",
        {10, 0, 1910, 0, 0, 10},
        {21, 11, 3820, 1, 1, 10},
@@ -136,13 +136,17 @@ TEST(TileRecord, CountersMatchThePointMemoAtOneJob) {
   }
 }
 
-// A tile that is only ever bounded holds a bounds-only profile; its
-// histograms are derived when it is first priced, and a later visit
-// finds the profile in its record.
+// A tile whose floor exceeds the incumbent is skipped before any
+// visit: the floor pass builds its bounds-only profile and drops it,
+// and the tile keeps no record. A visited tile whose points are all
+// pruned keeps a bounds-only profile; its histograms are derived when
+// it is first priced, and a later visit finds the profile in its
+// record.
 TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   const stencil::StencilDef& def = stencil::get_stencil_by_name("Heat2D");
   Session s(gpusim::gtx980(), def, kSmall2D, SessionOptions{}.with_jobs(1));
-  const std::size_t nthr = default_thread_configs(2).size();
+  const std::vector<hhc::ThreadConfig> threads = default_thread_configs(2);
+  const std::size_t nthr = threads.size();
   const hhc::TileSizes good{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
   const hhc::TileSizes poor{.tT = 2, .tS1 = 4, .tS2 = 32, .tS3 = 1};
 
@@ -154,9 +158,11 @@ TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   EXPECT_EQ(st.histogram_builds, 1u);
   EXPECT_EQ(st.profile_hits, 0u);
   EXPECT_EQ(s.cache_size(), nthr);
+  EXPECT_EQ(s.tiles_held(), 1u);
 
   // Seeded with `good`'s measured best (its points are all hits),
-  // `poor` is bounded out whole: a second profile, bounds-only.
+  // `poor` is skipped on its floor: the floor pass builds one
+  // bounds-only profile per tile and keeps neither.
   const hhc::TileSizes both[] = {good, poor};
   const EvaluatedPoint first = s.best_over_threads(good);
   const EvaluatedPoint best = s.best_tile(both, {}, {}, first.texec);
@@ -164,27 +170,44 @@ TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   st = s.stats();
   ASSERT_EQ(st.points_pruned, nthr);
   EXPECT_EQ(st.cache_hits, 2 * nthr);
-  EXPECT_EQ(st.profile_builds, 2u);
+  EXPECT_EQ(st.profile_builds, 3u);
   EXPECT_EQ(st.histogram_builds, 1u);
   EXPECT_EQ(st.profile_hits, 0u);  // `good` was all hits: no profile use
   EXPECT_EQ(s.cache_size(), nthr);
+  EXPECT_EQ(s.tiles_held(), 1u);  // `poor` left no record
 
-  // Pricing one point of `poor` finds its profile in the record and
-  // derives the histograms: no new build.
-  s.evaluate_point({poor, default_thread_configs(2).front()});
+  // A bounded single point of `poor` is a visit: it builds the
+  // bounds-only profile its floor needs, is pruned, and the record
+  // keeps the profile.
+  Incumbent inc;
+  inc.offer(first.texec);
+  const DataPoint p0{poor, threads.front()};
+  const std::vector<EvaluatedPoint> pruned = s.evaluate_points({&p0, 1}, inc);
+  ASSERT_FALSE(pruned.front().feasible);
   st = s.stats();
-  EXPECT_EQ(st.profile_builds, 2u);
+  EXPECT_EQ(st.points_pruned, nthr + 1);
+  EXPECT_EQ(st.profile_builds, 4u);
+  EXPECT_EQ(st.histogram_builds, 1u);
+  EXPECT_EQ(s.cache_size(), nthr);
+  EXPECT_EQ(s.tiles_held(), 2u);
+
+  // Pricing that point finds the profile in the record and derives
+  // the histograms: no new build.
+  s.evaluate_point(p0);
+  st = s.stats();
+  EXPECT_EQ(st.profile_builds, 4u);
   EXPECT_EQ(st.profile_hits, 1u);
   EXPECT_EQ(st.histogram_builds, 2u);
   EXPECT_EQ(s.cache_size(), nthr + 1);
 
-  // Bounding it again reads the profile with histograms: one hit, no
-  // new derivation, and the held point is a cache hit.
-  s.best_tile(both);
+  // Pricing another point reads the profile with histograms: one
+  // hit, no new derivation.
+  s.evaluate_point({poor, threads.back()});
   st = s.stats();
-  EXPECT_EQ(st.profile_builds, 2u);
+  EXPECT_EQ(st.profile_builds, 4u);
   EXPECT_EQ(st.profile_hits, 2u);
   EXPECT_EQ(st.histogram_builds, 2u);
+  EXPECT_EQ(s.cache_size(), nthr + 2);
 }
 
 // Four workers on the same few tiles: each tile appears several times
