@@ -86,6 +86,18 @@ int main() {
   std::int64_t r = 3;
   const hhc::ThreadConfig thr{.n1 = 32, .n2 = 8, .n3 = 1};
   const hhc::TileSizes exec_ts{.tT = 8, .tS1 = 8, .tS2 = 16, .tS3 = 1};
+  // A pipeline-sized sweep: GTX 980 Jacobi2D 256^2 x 8 over the
+  // default space, where the Talg floors rule out most tiles.
+  const stencil::StencilDef& jacobi2d =
+      stencil::get_stencil(stencil::StencilKind::kJacobi2D);
+  const stencil::ProblemSize level{.dim = 2, .S = {256, 256, 0}, .T = 8};
+  const model::ModelInputs jacobi_in =
+      gpusim::calibrate_model(gpusim::gtx980(), jacobi2d);
+  const auto default_space = tuner::enumerate_feasible(2, jacobi_in.hw);
+  tuner::Session level_session(
+      tuner::TuningContext::with_inputs(gpusim::gtx980(), jacobi2d, level,
+                                        jacobi_in),
+      tuner::SessionOptions{}.with_jobs(1));
   const pipeline::Pipeline vcycle = vcycle3();
   pipeline::PlanOptions plan_opt;
   plan_opt.session = tuner::SessionOptions{}.with_jobs(1);
@@ -97,6 +109,11 @@ int main() {
        10000},
       {"model_sweep_space",
        [&] { bench::keep(session.sweep_model(space, 0.10).talg_min); }, 10},
+      {"sweep_model_pipeline",
+       [&] {
+         bench::keep(level_session.sweep_model(default_space, 0.10).talg_min);
+       },
+       20},
       // The default 2D lattice: ~4.9k feasible tiles.
       {"enumerate_feasible_2d",
        [&] { bench::keep(tuner::enumerate_feasible(2, in.hw).size()); }, 50},
@@ -272,6 +289,9 @@ int main() {
   // Items per second for the arms whose work is a point count.
   const auto items = [&](const std::string& name) -> double {
     if (name == "model_sweep_space") return static_cast<double>(space.size());
+    if (name == "sweep_model_pipeline") {
+      return static_cast<double>(default_space.size());
+    }
     if (name.starts_with("fold/")) return static_cast<double>(sweep.size());
     if (name == "tiled_functional_execution" || name == "reference_execution") {
       return static_cast<double>(small.total_points());

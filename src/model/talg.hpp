@@ -84,4 +84,52 @@ TalgBreakdown talg(const ModelInputs& in, const stencil::ProblemSize& p,
 TalgBreakdown talg_auto_k(const ModelInputs& in, const stencil::ProblemSize& p,
                           const hhc::TileSizes& ts);
 
+// An admissible floor on talg_auto_k(in, p, ts).talg for one
+// problem, bit for bit: floor(ts) <= talg on every tile Eqn 31
+// admits, +infinity on a tile it rejects (which a sweep prices at
+// +infinity too), and a coarser floor over_run(ts) on all tiles of
+// one (tT, tS1). A model sweep prices the exact Talg only where the
+// floors do not already exceed its cut (tuner::Session::sweep_model).
+//
+// The floor relaxes each row-sum progression of Eqns 9/15/27 to one
+// ceiling, ceil(inner * sum(x) / n_v) <= sum(ceil(x * inner / n_v)),
+// so c shrinks; every other k-independent term is the exact one. It
+// prices k = 1 through the model's own expressions (the same
+// expression tree on smaller inputs, so <= holds by monotone
+// rounding) and every k >= 2 at once through one closed form
+// (talg.cpp derives it and its guard factor).
+//
+// The floor models RowSumMode::kExactCeil under either geometry, with
+// non-negative finite measured parameters and C_iter. Any other input
+// is not modeled: modeled() is false and every floor is 0. Holds
+// pointers to `in` and `p`, which must outlive it.
+class TalgFloor {
+ public:
+  // The terms that depend on the problem and (tT, tS1) only, kept
+  // across calls on consecutive tiles that share them (a tile space
+  // lists its tiles grouped by (tT, tS1)). One per thread, used with
+  // one TalgFloor.
+  struct Run {
+    std::int64_t tT = -1, tS1 = -1;
+    double nw = 0.0;
+    std::int64_t waves_1 = 0;                // waves(1) = ceil(w / n_sm)
+    std::int64_t x_sum = 0, x_sum_wide = 0;  // the progressions' sum(x)
+  };
+
+  TalgFloor(const ModelInputs& in, const stencil::ProblemSize& p);
+
+  bool modeled() const noexcept { return modeled_; }
+  double operator()(const hhc::TileSizes& ts, Run& run) const;
+  // A floor on the floors of a whole (tT, tS1) run: <= operator()(t),
+  // bit for bit, for every tile t with ts's tT and tS1, whatever its
+  // other extents (they are ignored). One closed form per run, so a
+  // sweep can rule out a run without visiting its tiles.
+  double over_run(const hhc::TileSizes& ts) const;
+
+ private:
+  const ModelInputs* in_;
+  const stencil::ProblemSize* p_;
+  bool modeled_;
+};
+
 }  // namespace repro::model

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,13 +12,6 @@
 namespace repro::pipeline {
 
 namespace {
-
-// The stencil identity a stage names: the catalogue name or the full
-// DSL text, prefixed so the two namespaces cannot collide.
-std::string identity_key(const Stage& st) {
-  if (!st.stencil_text.empty()) return "text:" + st.stencil_text;
-  return "name:" + st.stencil_name;
-}
 
 std::string problem_key(const stencil::ProblemSize& p) {
   std::string k = "S";
@@ -43,8 +37,9 @@ stencil::KernelVariant effective_variant(const Stage& st) {
 
 }  // namespace
 
-Planner::Planner(const device::Descriptor& dev, PlanOptions opt)
-    : dev_(dev), opt_(std::move(opt)) {}
+Planner::Planner(const device::Descriptor& dev, PlanOptions opt,
+                 tuner::CalibrationCache* calibrations)
+    : dev_(dev), opt_(std::move(opt)), calibrations_(calibrations) {}
 
 PipelinePlan Planner::plan(const Pipeline& p) {
   const std::optional<std::vector<std::size_t>> order = topo_order(p);
@@ -60,8 +55,11 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   plan.stages.resize(p.stages.size());
 
   // Calibration depends only on (device, stencil): computed once per
-  // stencil identity, shared across every problem size in the DAG.
-  std::map<std::string, model::ModelInputs> calibrations;
+  // stencil identity, shared across every problem size in the DAG
+  // (and across plans, when the planner was given a cache).
+  std::optional<tuner::CalibrationCache> own;
+  tuner::CalibrationCache& calibrations =
+      calibrations_ != nullptr ? *calibrations_ : own.emplace();
   // The tile space depends only on (dim, radius) once the device and
   // the enumeration options are fixed, as they are within a plan:
   // enumerated once per pair, shared by every stage that needs it.
@@ -84,7 +82,8 @@ PipelinePlan Planner::plan(const Pipeline& p) {
     r.problem = st.problem;
     r.repeat = st.repeat;
 
-    const std::string ident = identity_key(st);
+    const std::string ident =
+        tuner::stencil_identity(st.stencil_name, st.stencil_text);
     const std::string task = ident + "|" + problem_key(st.problem) + "|" +
                              variant_key(effective_variant(st));
     const auto prev = done.find(task);
@@ -100,19 +99,11 @@ PipelinePlan Planner::plan(const Pipeline& p) {
       std::unique_ptr<tuner::Session>& sess =
           sessions[ident + "|" + problem_key(st.problem)];
       if (!sess) {
-        const auto cit = calibrations.find(ident);
-        if (cit == calibrations.end()) {
-          tuner::TuningContext ctx =
-              tuner::TuningContext::calibrate(dev_, st.def, st.problem);
-          calibrations.emplace(ident, ctx.inputs);
-          sess = std::make_unique<tuner::Session>(std::move(ctx),
-                                                  opt_.session);
-        } else {
-          sess = std::make_unique<tuner::Session>(
-              tuner::TuningContext::with_inputs(dev_, st.def, st.problem,
-                                                cit->second),
-              opt_.session);
-        }
+        sess = std::make_unique<tuner::Session>(
+            tuner::TuningContext::with_inputs(
+                dev_, st.def, st.problem,
+                calibrations.inputs(dev_, st.def, ident)),
+            opt_.session);
       }
 
       const std::pair<int, int> space_key{st.problem.dim, st.def.radius};

@@ -13,9 +13,12 @@
 //      earlier StageResult (reused == true, zero additional work).
 //   2. Shared sessions: one Session per (stencil identity, problem)
 //      carries its measurement memo across stages, and the
-//      calibration (device + stencil only) is computed once per
-//      stencil and shared across every problem size via
-//      TuningContext::with_inputs.
+//      calibration (device + stencil only) comes from a
+//      tuner::CalibrationCache, shared across every problem size via
+//      TuningContext::with_inputs. The tuned service hands every
+//      planner its own service-wide cache, so a stencil calibrated by
+//      any earlier request is not calibrated again; a planner built
+//      without one keeps a cache for the plan.
 //   3. Cross-level warm seeding: each stage's sweep is seeded with
 //      the winners already found for the *same stencil* at other
 //      problem sizes (the multigrid descent: level l's smoother seeds
@@ -100,7 +103,9 @@ struct PipelinePlan {
 
 class Planner {
  public:
-  explicit Planner(const device::Descriptor& dev, PlanOptions opt = {});
+  // `calibrations`, when given, must outlive the planner.
+  explicit Planner(const device::Descriptor& dev, PlanOptions opt = {},
+                   tuner::CalibrationCache* calibrations = nullptr);
 
   // Tunes every stage (in topological order — seeds flow along the
   // level descent) and aggregates. The pipeline must have passed
@@ -110,6 +115,7 @@ class Planner {
  private:
   device::Descriptor dev_;
   PlanOptions opt_;
+  tuner::CalibrationCache* calibrations_;
 };
 
 // A feasible winner found earlier in the walk, available as a warm

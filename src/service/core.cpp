@@ -172,7 +172,8 @@ std::string compute_lint(const Request& req) {
   return o.dump();
 }
 
-std::string compute_pipeline(const Request& req) {
+std::string compute_pipeline(const Request& req,
+                             tuner::CalibrationCache* calibrations) {
   // The planner runs its own shared Session pool (dedup + memo +
   // warm seeding, all strictly work-saving), so the payload is
   // jobs-invariant and byte-deterministic: cold == warm == coalesced
@@ -181,7 +182,8 @@ std::string compute_pipeline(const Request& req) {
   popt.delta = req.delta;
   popt.enumeration = req.enumeration;
   popt.session = tuner::SessionOptions{}.with_jobs(1);
-  pipeline::Planner planner(*device::registry().find(req.device), popt);
+  pipeline::Planner planner(*device::registry().find(req.device), popt,
+                            calibrations);
   return pipeline::plan_to_json(planner.plan(*req.pipe)).dump();
 }
 
@@ -229,7 +231,8 @@ std::string ServiceStats::to_json() const {
 }
 
 std::string compute_payload(const Request& req, tuner::Session* session,
-                            std::span<const tuner::WarmSeed> seeds) {
+                            std::span<const tuner::WarmSeed> seeds,
+                            tuner::CalibrationCache* calibrations) {
   switch (req.kind) {
     case RequestKind::kPredict:
       return compute_predict(req, *session);
@@ -246,7 +249,7 @@ std::string compute_payload(const Request& req, tuner::Session* session,
       // every counter is legitimately zero.
       return ServiceStats{}.to_json();
     case RequestKind::kPipeline:
-      return compute_pipeline(req);
+      return compute_pipeline(req, calibrations);
   }
   throw std::logic_error("compute_payload: unhandled request kind");
 }
@@ -294,6 +297,11 @@ ServiceStats ServiceCore::stats() const {
       s.session_points_pruned += ss.points_pruned;
     }
   }
+  const tuner::CalibrationCache::Counters cal = calibrations_.counters();
+  s.calibration_entries = cal.entries;
+  s.calibration_hits = cal.hits;
+  s.calibration_misses = cal.misses;
+  s.calibration_evictions = cal.evictions;
   return s;
 }
 
@@ -383,14 +391,20 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
       session_lock = std::unique_lock<std::mutex>(entry.mu);
       if (!entry.session) {
         // parse_request already resolved the name, so find() cannot
-        // miss here.
+        // miss here. The calibration comes from the service-wide
+        // cache: it depends on the device and the stencil only.
+        const device::Descriptor& dev = *device::registry().find(req.device);
+        const std::string stencil =
+            tuner::stencil_identity(req.stencil_name, req.stencil_text);
+        const model::ModelInputs in =
+            calibrations_.inputs(dev, req.def, stencil);
         entry.session = std::make_unique<tuner::Session>(
-            *device::registry().find(req.device), req.def, *req.problem,
+            tuner::TuningContext::with_inputs(dev, req.def, *req.problem, in),
             tuner::SessionOptions{}.with_jobs(opt_.session_jobs));
       }
       session = entry.session.get();
     }
-    payload = compute_payload(req, session, seeds);
+    payload = compute_payload(req, session, seeds, &calibrations_);
     ok = true;
   } catch (const std::exception& e) {
     diags.error(analysis::Code::kSvcInternal,

@@ -124,6 +124,13 @@ struct ServiceStats {
   std::uint64_t session_machine_points = 0;
   std::uint64_t session_cache_hits = 0;
   std::uint64_t session_points_pruned = 0;
+  // The service-wide calibration cache (tuner::CalibrationCache):
+  // entries held (at most its capacity), lookups it served, lookups
+  // that calibrated, and entries evicted at the cap.
+  std::uint64_t calibration_entries = 0;
+  std::uint64_t calibration_hits = 0;
+  std::uint64_t calibration_misses = 0;
+  std::uint64_t calibration_evictions = 0;
   // Result-store directory scan (ResultStore::dir_stats; zeros
   // without a store).
   std::uint64_t store_entries = 0;
@@ -161,6 +168,10 @@ struct ServiceStats {
     f("", "session_machine_points", &ServiceStats::session_machine_points);
     f("", "session_cache_hits", &ServiceStats::session_cache_hits);
     f("", "session_points_pruned", &ServiceStats::session_points_pruned);
+    f("", "calibration_entries", &ServiceStats::calibration_entries);
+    f("", "calibration_hits", &ServiceStats::calibration_hits);
+    f("", "calibration_misses", &ServiceStats::calibration_misses);
+    f("", "calibration_evictions", &ServiceStats::calibration_evictions);
     f("", "store_entries", &ServiceStats::store_entries);
     f("", "store_bytes", &ServiceStats::store_bytes);
     f("", "store_oldest_age_s", &ServiceStats::store_oldest_age_s);
@@ -183,10 +194,14 @@ struct ServiceStats {
 // candidates for kBestTile, ignored by every other kind; because a
 // seed is strictly advisory (Session::best_tile re-prices it and only
 // admits in-space points), the payload is byte-identical for any
-// seed list, including none. Throws on internal failure (the core
-// converts that to SL407).
+// seed list, including none. `calibrations`, when given, is the
+// calibration cache a kPipeline plan draws from (the service passes
+// its own); without one the plan keeps its own, and the payload is the
+// same either way. Throws on internal failure (the core converts that
+// to SL407).
 std::string compute_payload(const Request& req, tuner::Session* session,
-                            std::span<const tuner::WarmSeed> seeds = {});
+                            std::span<const tuner::WarmSeed> seeds = {},
+                            tuner::CalibrationCache* calibrations = nullptr);
 
 class ServiceCore {
  public:
@@ -253,6 +268,10 @@ class ServiceCore {
 
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<SessionEntry>> sessions_;
+
+  // Calibrated model inputs by (device, stencil), shared by every
+  // session and pipeline plan this service builds. Thread-safe.
+  tuner::CalibrationCache calibrations_;
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;

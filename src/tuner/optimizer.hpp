@@ -88,12 +88,12 @@ struct ModelSweep {
   // Every feasible tile size with talg within `delta` of talg_min.
   std::vector<hhc::TileSizes> candidates;
   std::size_t space_size = 0;
-  // Talg of every tile of the swept space, in space order (+inf for
-  // an infeasible tile), and of each candidate, in candidates order.
-  // The Session visits tiles in Talg order and records each tile's
-  // Talg with its measurements; these values spare it a second model
-  // evaluation per tile.
-  std::vector<double> talg;
+  // Talg of each candidate, in candidates order. The Session visits
+  // candidates in Talg order and records each tile's Talg with its
+  // measurements; these values spare it a second model evaluation.
+  // The sweep prices only the tiles its Talg floors cannot rule out
+  // (model::TalgFloor, Session::sweep_model), so it holds no Talg for
+  // the rest of the space.
   std::vector<double> candidate_talg;
 };
 

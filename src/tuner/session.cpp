@@ -12,11 +12,9 @@
 #include "analysis/audit.hpp"
 #include "common/rng.hpp"
 #include "cpusim/lower_bound.hpp"
-#include "cpusim/microbench.hpp"
 #include "cpusim/timing.hpp"
 #include "gpusim/cost_profile.hpp"
 #include "gpusim/lower_bound.hpp"
-#include "gpusim/microbench.hpp"
 #include "gpusim/timing.hpp"
 
 namespace repro::tuner {
@@ -57,9 +55,7 @@ const EvaluatedPoint* find_point(const std::vector<EvaluatedPoint>& points,
 TuningContext TuningContext::calibrate(const device::Descriptor& dev,
                                        const stencil::StencilDef& def,
                                        const stencil::ProblemSize& p) {
-  return with_inputs(dev, def, p,
-                     dev.is_gpu() ? gpusim::calibrate_model(dev.gpu(), def)
-                                  : cpusim::calibrate_model(dev.cpu(), def));
+  return with_inputs(dev, def, p, calibrate_model(dev, def));
 }
 
 TuningContext TuningContext::with_inputs(const device::Descriptor& dev,
@@ -395,32 +391,126 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
                                 double delta) {
   validate_sweep_delta(delta);
   const auto t0 = Clock::now();
+  const model::ModelInputs& in = ctx_.inputs;
+  const stencil::ProblemSize& p = ctx_.problem;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   ModelSweep sweep;
   sweep.space_size = space.size();
-  sweep.talg_min = std::numeric_limits<double>::infinity();
+  sweep.talg_min = kInf;
 
-  // Model pricing is pure; evaluate the whole space on the pool, then
-  // select argmin and candidates serially in index order (identical
-  // tie-breaking to the serial loop for any worker count).
-  sweep.talg = parallel_map<double>(
-      pool_, space.size(), /*grain=*/64, [&](std::size_t i) {
-        return model_talg_or_inf(ctx_.inputs, ctx_.problem, space[i]);
+  // Bounded sweep (model::TalgFloor). The tile with the smallest floor
+  // (first index among equals) is priced exactly, and its Talg B fixes
+  // the cut B (1 + delta). A tile is priced exactly only if its floor
+  // does not exceed the cut: every other tile has Talg > B >=
+  // talg_min, and talg_min (1 + delta) <= the cut, so it is neither
+  // the argmin nor a candidate. The space is walked in runs of one
+  // (tT, tS1), and a run whose run floor (TalgFloor::over_run, <=
+  // each of its tile floors) exceeds a bound is skipped without
+  // computing its tile floors: while the argmin is sought, a run above
+  // the smallest tile floor so far; when pricing, a run above the cut.
+  // B depends only on the space, so the priced set does not depend on
+  // the job count. Unmodeled inputs (floors of 0) and an infinite cut
+  // (no feasible tile) price every tile.
+  const model::TalgFloor floor(in, p);
+  std::vector<std::optional<double>> talg(space.size());
+  std::size_t b = space.size();  // the floor-argmin tile, once priced
+  double talg_b = kInf;
+  double cut = kInf;
+  if (floor.modeled() && !space.empty()) {
+    // Run k is [start[k], start[k + 1]).
+    std::vector<std::size_t> start{0};
+    for (std::size_t i = 1; i < space.size(); ++i) {
+      if (space[i].tT != space[i - 1].tT || space[i].tS1 != space[i - 1].tS1) {
+        start.push_back(i);
+      }
+    }
+    start.push_back(space.size());
+    const std::size_t runs = start.size() - 1;
+    const std::vector<double> run_floor = parallel_map<double>(
+        pool_, runs, /*grain=*/64,
+        [&](std::size_t k) { return floor.over_run(space[start[k]]); });
+    // Tile floors, filled run by run; `known` marks the runs filled.
+    std::vector<double> floors(space.size(), kInf);
+    std::vector<char> known(runs, 0);
+    const auto fill = [&](std::size_t k, model::TalgFloor::Run& run) {
+      for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
+        floors[i] = floor(space[i], run);
+      }
+      known[k] = 1;
+    };
+    // The floor argmin: the run with the smallest run floor first, then
+    // every run whose run floor does not exceed the best tile floor so
+    // far (a run above it holds no tile at or below the final minimum).
+    model::TalgFloor::Run seek_run;
+    double best = kInf;
+    const auto seek = [&](std::size_t k) {
+      fill(k, seek_run);
+      for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
+        if (floors[i] < best || (floors[i] == best && i < b)) {
+          best = floors[i];
+          b = i;
+        }
+      }
+    };
+    seek(static_cast<std::size_t>(
+        std::min_element(run_floor.begin(), run_floor.end()) -
+        run_floor.begin()));
+    for (std::size_t k = 0; k < runs; ++k) {
+      if (!known[k] && run_floor[k] <= best) seek(k);
+    }
+    talg_b = model_talg_or_inf(in, p, space[b]);
+    talg[b] = talg_b;
+    cut = talg_b * (1.0 + delta);
+    if (cut < kInf) {
+      // The runs the cut keeps, priced in fixed chunks of kept runs,
+      // each chunk with its own TalgFloor::Run: the tile floors of a
+      // kept run the argmin search did not visit, then the exact Talg
+      // of each tile whose floor does not exceed the cut.
+      std::vector<std::size_t> kept;
+      for (std::size_t k = 0; k < runs; ++k) {
+        if (run_floor[k] <= cut) kept.push_back(k);
+      }
+      constexpr std::size_t kRunChunk = 16;
+      const std::size_t chunks = (kept.size() + kRunChunk - 1) / kRunChunk;
+      pool_.for_each_index(chunks, /*grain=*/1, [&](std::size_t c) {
+        model::TalgFloor::Run run;
+        const std::size_t hi = std::min((c + 1) * kRunChunk, kept.size());
+        for (std::size_t j = c * kRunChunk; j < hi; ++j) {
+          const std::size_t k = kept[j];
+          if (!known[k]) fill(k, run);
+          for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
+            if (i != b && floors[i] <= cut) {
+              talg[i] = model_talg_or_inf(in, p, space[i]);
+            }
+          }
+        }
       });
-  const std::vector<double>& values = sweep.talg;
+    }
+  }
+  if (!(cut < kInf)) {
+    // Unbounded: price every tile (the floor-argmin tile, when it was
+    // priced above, keeps its Talg).
+    pool_.for_each_index(space.size(), /*grain=*/64, [&](std::size_t i) {
+      if (i != b) talg[i] = model_talg_or_inf(in, p, space[i]);
+    });
+  }
+  std::size_t priced = 0;
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (values[i] < sweep.talg_min) {
-      sweep.talg_min = values[i];
+    if (!talg[i]) continue;
+    ++priced;
+    if (*talg[i] < sweep.talg_min) {
+      sweep.talg_min = *talg[i];
       sweep.argmin = space[i];
     }
   }
   const double cutoff = sweep.talg_min * (1.0 + delta);
   for (std::size_t i = 0; i < space.size(); ++i) {
-    if (values[i] <= cutoff) {
+    if (talg[i] && *talg[i] <= cutoff) {
       sweep.candidates.push_back(space[i]);
-      sweep.candidate_talg.push_back(values[i]);
+      sweep.candidate_talg.push_back(*talg[i]);
     }
   }
-  add_model_time(seconds_since(t0), space.size());
+  add_model_time(seconds_since(t0), priced);
   return sweep;
 }
 
@@ -777,12 +867,9 @@ StrategyComparison Session::compare_strategies(const CompareOptions& opt) {
     stride = (space.size() + opt.exhaustive_cap - 1) / opt.exhaustive_cap;
   }
   std::vector<hhc::TileSizes> visited;
-  std::vector<double> visited_talg;
   visited.reserve(space.size() / stride + 1);
-  visited_talg.reserve(space.size() / stride + 1);
   for (std::size_t i = 0; i < space.size(); i += stride) {
     visited.push_back(space[i]);
-    visited_talg.push_back(sweep.talg[i]);
   }
   // Every baseline and within-10% point that reappears here is a
   // memo-cache hit rather than a fresh simulation. Seeding the
@@ -794,7 +881,7 @@ StrategyComparison Session::compare_strategies(const CompareOptions& opt) {
        {&cmp.talg_min, &cmp.within10_best, &cmp.baseline_best}) {
     if (ep->feasible && ep->texec < seed) seed = ep->texec;
   }
-  cmp.exhaustive = best_of_tiles(visited, visited_talg, vars, seed);
+  cmp.exhaustive = best_of_tiles(visited, {}, vars, seed);
 
   // The exhaustive pass subsumes every specific strategy point it
   // visited; make sure it is at least as good as the others.

@@ -106,6 +106,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "tuner/calibration_cache.hpp"
 #include "tuner/optimizer.hpp"
 
 namespace repro::gpusim {
@@ -154,7 +155,8 @@ struct TuningContext {
                                  const stencil::ProblemSize& p);
 
   // Reuse an existing calibration (it depends only on device and
-  // stencil, so it can be shared across problem sizes).
+  // stencil, so it can be shared across problem sizes; a
+  // CalibrationCache holds them).
   static TuningContext with_inputs(const device::Descriptor& dev,
                                    const stencil::StencilDef& def,
                                    const stencil::ProblemSize& p,
@@ -164,7 +166,8 @@ struct TuningContext {
 // Simple counters a bench can print after a sweep. Snapshot type —
 // Session::stats() returns a consistent copy.
 struct SweepStats {
-  std::size_t model_points = 0;    // Talg evaluations (model sweeps)
+  std::size_t model_points = 0;    // exact Talg evaluations (model
+                                   // sweeps; a floor is not one)
   std::size_t machine_points = 0;  // simulator measurements requested
   std::size_t cache_hits = 0;      // ... of which served from the cache
   double model_seconds = 0.0;      // wall time inside model sweeps
@@ -306,7 +309,12 @@ class Session {
   // --- The optimizer entry points, as methods -----------------------
 
   // Model sweep over `space` (Section 6): parallel over the pool,
-  // argmin and candidate selection in index order.
+  // argmin and candidate selection in index order. Talg is priced
+  // exactly only on tiles whose model::TalgFloor does not exceed the
+  // cut B (1 + delta), B the Talg of the floor-argmin tile, and a
+  // (tT, tS1) run whose run floor exceeds a bound is ruled out whole;
+  // the result is the full loop's bit for bit, and
+  // SweepStats::model_points counts the exact evaluations.
   ModelSweep sweep_model(std::span<const hhc::TileSizes> space, double delta);
 
   // One machine measurement (memoized).

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "device/registry.hpp"
 #include "service/core.hpp"
 #include "service/protocol.hpp"
 #include "support/temp_dir.hpp"
+#include "tuner/session.hpp"
 
 namespace repro::service {
 namespace {
@@ -189,6 +192,60 @@ TEST_F(ServicePipelineTest, ExamplePipelinesServeFeasiblePlans) {
     EXPECT_EQ(r->find("distinct_tasks")->as_int(),
               static_cast<std::int64_t>(c.distinct));
   }
+}
+
+// The `tuned once` answer to one request line: a fresh, calibrating
+// Session and a pipeline planner with its own calibrations.
+std::string once(const std::string& line) {
+  analysis::DiagnosticEngine diags;
+  const auto req = parse_request(line, diags);
+  EXPECT_TRUE(req) << analysis::render_human(diags.diagnostics());
+  std::unique_ptr<tuner::Session> session;
+  if (needs_session(*req)) {
+    session = std::make_unique<tuner::Session>(
+        *device::registry().find(req->device), req->def, *req->problem,
+        tuner::SessionOptions{}.with_jobs(1));
+  }
+  return render_result(req->id, req->kind,
+                       compute_payload(*req, session.get()));
+}
+
+// best_tile, compare_strategies and pipeline requests on one (device,
+// stencil) share one calibration per ServiceCore; a DSL program named
+// like the catalogue stencil gets its own. Every answer is the one
+// `tuned once` gives.
+TEST(ServiceCalibration, OnePerDeviceAndStencilAcrossRequestKinds) {
+  const std::string best_tile =
+      R"({"v":1,"id":"b","kind":"best_tile","stencil":"Jacobi2D",)"
+      R"("problem":{"S":[384,384],"T":4},)"
+      R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})";
+  const std::string compare =
+      R"({"v":1,"id":"c","kind":"compare_strategies","stencil":"Jacobi2D",)"
+      R"("problem":{"S":[320,320],"T":8},)"
+      R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192},)"
+      R"("exhaustive_cap":40,"baseline_count":10})";
+  const std::string dsl =
+      R"({"v":1,"id":"d","kind":"best_tile","text":)"
+      R"("stencil Jacobi2D {\n dim 2\n tap (0,0) 0.2\n tap (1,0) 0.2\n)"
+      R"( tap (-1,0) 0.2\n tap (0,1) 0.2\n tap (0,-1) 0.2\n}\n",)"
+      R"("problem":{"S":[384,384],"T":4},)"
+      R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})";
+
+  ServiceCore core(ServiceOptions{}.with_workers(1));
+  for (const std::string& line : {best_tile, compare,
+                                  std::string(kPipelineReq), dsl}) {
+    const std::string served = core.handle(line);
+    EXPECT_NE(served.find(R"("ok":true)"), std::string::npos) << served;
+    EXPECT_EQ(served, once(line)) << line;
+  }
+  const ServiceStats s = core.stats();
+  EXPECT_EQ(s.computed, 4u);
+  // Jacobi2D by name once, the DSL program once; the compare session
+  // and the pipeline's two problem sizes reuse the first calibration.
+  EXPECT_EQ(s.calibration_misses, 2u);
+  EXPECT_EQ(s.calibration_entries, 2u);
+  EXPECT_EQ(s.calibration_hits, 3u);
+  EXPECT_EQ(s.calibration_evictions, 0u);
 }
 
 }  // namespace

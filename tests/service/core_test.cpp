@@ -399,6 +399,10 @@ TEST(ServiceStatsJson, FieldVisitorKeepsKeyOrderAndBytes) {
   s.session_machine_points = 19;
   s.session_cache_hits = 20;
   s.session_points_pruned = 21;
+  s.calibration_entries = 26;
+  s.calibration_hits = 27;
+  s.calibration_misses = 28;
+  s.calibration_evictions = 29;
   s.store_entries = 22;
   s.store_bytes = 23;
   s.store_oldest_age_s = 24.5;
@@ -412,7 +416,9 @@ TEST(ServiceStatsJson, FieldVisitorKeepsKeyOrderAndBytes) {
 "kinds":{"predict":10,"best_tile":11,"compare_strategies":12,"lint":13,
 "devices":14,"stats":15,"pipeline":16},"warm_lookups":17,"warm_seeds":18,
 "session_machine_points":19,"session_cache_hits":20,
-"session_points_pruned":21,"store_entries":22,"store_bytes":23,
+"session_points_pruned":21,"calibration_entries":26,"calibration_hits":27,
+"calibration_misses":28,"calibration_evictions":29,"store_entries":22,
+"store_bytes":23,
 "store_oldest_age_s":24.5,"store_newest_age_s":0.25,
 "compute_seconds":0.3333333333333333,"latency_seconds":1e-07,
 "latency_max":12345.678})";

@@ -80,9 +80,7 @@ TEST(Session, MatchesFreeFunctions) {
   EXPECT_EQ(s_sweep.argmin, argmin);
   EXPECT_EQ(s_sweep.candidates, candidates);
   EXPECT_EQ(s_sweep.space_size, space.size());
-  // The sweep carries its Talg values: every tile's, and each
-  // candidate's, bit for bit.
-  EXPECT_EQ(s_sweep.talg, talg);
+  // The sweep carries each candidate's Talg value, bit for bit.
   ASSERT_EQ(s_sweep.candidate_talg.size(), candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(s_sweep.candidate_talg[i],

@@ -1,0 +1,202 @@
+// Session::sweep_model prices Talg only where the Talg floor
+// (model::TalgFloor) cannot rule a tile out. These tests pin its
+// talg_min, argmin, candidates, candidate_talg and space_size to the
+// plain full-space loop (tests/support/sweep_oracle.hpp), bit for
+// bit, at one and four jobs, for delta in {0, 0.05, 0.1, 0.5}: on the
+// default spaces of every registered device, on empty spans, on spans
+// with Eqn-31-infeasible tiles, on all-infeasible spans and under
+// inputs the floor does not model.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "device/registry.hpp"
+#include "support/sweep_oracle.hpp"
+#include "tuner/session.hpp"
+#include "tuner/space.hpp"
+
+namespace repro::tuner {
+namespace {
+
+constexpr double kDeltas[] = {0.0, 0.05, 0.10, 0.50};
+constexpr int kJobs[] = {1, 4};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same(const ModelSweep& got, const ModelSweep& want,
+                 const std::string& where) {
+  EXPECT_EQ(bits(got.talg_min), bits(want.talg_min)) << where;
+  EXPECT_EQ(got.argmin, want.argmin) << where;
+  EXPECT_EQ(got.candidates, want.candidates) << where;
+  ASSERT_EQ(got.candidate_talg.size(), want.candidate_talg.size()) << where;
+  for (std::size_t i = 0; i < got.candidate_talg.size(); ++i) {
+    EXPECT_EQ(bits(got.candidate_talg[i]), bits(want.candidate_talg[i]))
+        << where << " candidate " << i;
+  }
+  EXPECT_EQ(got.space_size, want.space_size) << where;
+}
+
+// Every delta at every job count against the oracle; returns the
+// Talg evaluations the sweeps booked, which must not depend on jobs.
+std::size_t check_span(const TuningContext& ctx,
+                       std::span<const hhc::TileSizes> span,
+                       const std::string& where) {
+  std::size_t priced = 0;
+  for (const double delta : kDeltas) {
+    const ModelSweep want =
+        test::reference_sweep(ctx.inputs, ctx.problem, span, delta);
+    std::size_t priced_at_one_job = 0;
+    for (const int jobs : kJobs) {
+      Session s(ctx, SessionOptions{}.with_jobs(jobs));
+      expect_same(s.sweep_model(span, delta), want,
+                  where + " delta=" + std::to_string(delta) +
+                      " jobs=" + std::to_string(jobs));
+      const std::size_t n = s.stats().model_points;
+      EXPECT_LE(n, span.size()) << where;
+      if (jobs == 1) priced_at_one_job = n;
+      EXPECT_EQ(n, priced_at_one_job) << where << " jobs=" << jobs;
+    }
+    priced += priced_at_one_job;
+  }
+  return priced;
+}
+
+// Infeasible tiles of every Eqn 31 kind: odd tT, a tS1 below the
+// slope, and a footprint over the per-block limit.
+std::vector<hhc::TileSizes> infeasible_tiles(int dim) {
+  const std::int64_t s2 = dim >= 2 ? 64 : 1;
+  const std::int64_t s3 = dim >= 3 ? 32 : 1;
+  return {{.tT = 3, .tS1 = 8, .tS2 = s2, .tS3 = s3},
+          {.tT = 4, .tS1 = 0, .tS2 = s2, .tS3 = s3},
+          {.tT = 64, .tS1 = 4096, .tS2 = s2, .tS3 = s3}};
+}
+
+TEST(SweepParity, DefaultSpacesOfEveryDeviceMatchTheFullLoop) {
+  Rng rng(24);
+  const stencil::StencilKind kinds[] = {
+      stencil::StencilKind::kJacobi1D, stencil::StencilKind::kJacobi2D,
+      stencil::StencilKind::kWideStar2D, stencil::StencilKind::kHeat3D};
+  for (const device::Descriptor& dev : device::registry().devices()) {
+    for (const stencil::StencilKind kind : kinds) {
+      const stencil::StencilDef& def = stencil::get_stencil(kind);
+      const model::ModelInputs in = calibrate_model(dev, def);
+      const std::vector<hhc::TileSizes> space =
+          enumerate_feasible(def.dim, in.hw, EnumOptions{}, def.radius);
+      stencil::ProblemSize p;
+      p.dim = def.dim;
+      p.T = rng.uniform_int(1, 16);
+      for (int d = 0; d < def.dim; ++d) {
+        p.S[static_cast<std::size_t>(d)] = rng.uniform_int(32, 1024);
+      }
+      check_span(TuningContext::with_inputs(dev, def, p, in), space,
+                 dev.name() + " " + def.name + " " + p.to_string());
+    }
+  }
+}
+
+// The pipeline-sized case the floor was built for: it rules out
+// almost the whole space, so a sweep prices a few per cent of it.
+TEST(SweepParity, FloorsRuleOutMostOfAPipelineSizedSpace) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kJacobi2D);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const stencil::ProblemSize p{.dim = 2, .S = {256, 256, 0}, .T = 8};
+  const std::vector<hhc::TileSizes> space = enumerate_feasible(2, in.hw);
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
+  check_span(ctx, space, "pipeline");
+  Session s(ctx, SessionOptions{}.with_jobs(1));
+  (void)s.sweep_model(space, 0.10);
+  EXPECT_LT(s.stats().model_points * 10, space.size());
+}
+
+// A paper-sized problem: over a quarter of the space lies within 10 %
+// of the minimum (1,420 of 4,881 tiles), and the tile floors of the
+// kept runs still rule out more than half of the space (2,316 tiles
+// are priced).
+TEST(SweepParity, PaperSizedSpacesMatchTheFullLoop) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kHeat2D);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const stencil::ProblemSize p{.dim = 2, .S = {4096, 4096, 0}, .T = 1024};
+  const std::vector<hhc::TileSizes> space = enumerate_feasible(2, in.hw);
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
+  check_span(ctx, space, "paper");
+  Session s(ctx, SessionOptions{}.with_jobs(1));
+  const ModelSweep sweep = s.sweep_model(space, 0.10);
+  const std::size_t priced = s.stats().model_points;
+  EXPECT_GE(priced, sweep.candidates.size());
+  EXPECT_GT(sweep.candidates.size() * 4, space.size());
+  EXPECT_LT(priced * 2, space.size());
+}
+
+TEST(SweepParity, EmptyInfeasibleAndMixedSpans) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kHeat2D);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const stencil::ProblemSize p{.dim = 2, .S = {512, 384, 0}, .T = 12};
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
+
+  check_span(ctx, {}, "empty");
+
+  // No feasible tile: Talg_min stays +inf, so every tile is a
+  // candidate (inf <= inf) and every tile is priced.
+  const std::vector<hhc::TileSizes> none = infeasible_tiles(2);
+  EXPECT_EQ(check_span(ctx, none, "all infeasible"),
+            none.size() * std::size(kDeltas));
+
+  // Infeasible tiles first (the floor argmin must skip them) and
+  // interleaved with a coarse feasible space.
+  std::vector<hhc::TileSizes> mixed = none;
+  for (const hhc::TileSizes& ts : enumerate_feasible(
+           2, in.hw, EnumOptions{}.with_tS1_step(5).with_tT_step(4))) {
+    mixed.push_back(ts);
+    if (mixed.size() % 97 == 0) mixed.push_back(none[mixed.size() % 3]);
+  }
+  check_span(ctx, mixed, "mixed");
+}
+
+// A tile whose floor is its Talg exactly, twice: at delta = 0 the cut
+// is that Talg, the second copy's floor meets it, and the sweep must
+// price it (the cut skips a tile only on floor > cut).
+TEST(SweepParity, ATileWhoseFloorMeetsTheCutIsPriced) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kJacobi2D);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const stencil::ProblemSize p{.dim = 2, .S = {256, 256, 0}, .T = 8};
+  const model::TalgFloor floor(in, p);
+  std::vector<hhc::TileSizes> twice;
+  for (const hhc::TileSizes& ts : enumerate_feasible(2, in.hw)) {
+    model::TalgFloor::Run run;
+    if (floor(ts, run) == model::talg_auto_k(in, p, ts).talg) {
+      twice = {ts, ts};
+      break;
+    }
+  }
+  ASSERT_EQ(twice.size(), 2u);
+  check_span(TuningContext::with_inputs(gpusim::gtx980(), def, p, in), twice,
+             "twice " + twice[0].to_string());
+  Session s(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
+            SessionOptions{}.with_jobs(1));
+  EXPECT_EQ(s.sweep_model(twice, 0.0).candidates.size(), 2u);
+}
+
+// Inputs the floor does not model (the closed-form row sum) price
+// every tile and still match the loop.
+TEST(SweepParity, UnmodeledInputsPriceEveryTile) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kJacobi2D);
+  model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  in.row_sum = model::RowSumMode::kClosedForm;
+  const stencil::ProblemSize p{.dim = 2, .S = {256, 256, 0}, .T = 8};
+  const std::vector<hhc::TileSizes> space = enumerate_feasible(
+      2, in.hw, EnumOptions{}.with_tS1_step(3).with_tT_step(4));
+  EXPECT_EQ(check_span(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
+                       space, "closed form"),
+            space.size() * std::size(kDeltas));
+}
+
+}  // namespace
+}  // namespace repro::tuner
