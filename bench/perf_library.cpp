@@ -246,8 +246,15 @@ int main() {
                          tuner::SessionOptions{}.with_jobs(1));
   const tuner::ModelSweep gpu_sweep =
       gpu_req.sweep_model(tuner::enumerate_feasible(2, in.hw), 0.10);
-  const tuner::ModelSweep cpu_sweep = cpu_req.sweep_model(
-      tuner::enumerate_feasible(2, cpu_req.inputs().hw), 0.10);
+  const auto cpu_space = tuner::enumerate_feasible(2, cpu_req.inputs().hw);
+  const tuner::ModelSweep cpu_sweep = cpu_req.sweep_model(cpu_space, 0.10);
+  // The CPU model sweep of those requests over the default space,
+  // which keeps thousands of tiles within the cut.
+  arms.push_back({"sweep_model_cpu",
+                  [&] {
+                    bench::keep(cpu_req.sweep_model(cpu_space, 0.10).talg_min);
+                  },
+                  2});
   arms.push_back({"best_tile_gpu_2d",
                   [&] {
                     gpu_req.clear_cache();
@@ -292,6 +299,7 @@ int main() {
     if (name == "sweep_model_pipeline") {
       return static_cast<double>(default_space.size());
     }
+    if (name == "sweep_model_cpu") return static_cast<double>(cpu_space.size());
     if (name.starts_with("fold/")) return static_cast<double>(sweep.size());
     if (name == "tiled_functional_execution" || name == "reference_execution") {
       return static_cast<double>(small.total_points());

@@ -42,13 +42,13 @@ double row_sum(std::int64_t t_s1, std::int64_t w_tile, std::int64_t inner,
                                           step * inner, n_v));
 }
 
-// Sum of x = lo, lo + step, ..., hi (an integer; 0 when hi < lo).
-std::int64_t progression_sum(std::int64_t lo, std::int64_t hi,
-                             std::int64_t step) {
-  if (hi < lo) return 0;
-  const std::int64_t n = (hi - lo) / step + 1;
-  // n * (lo + last) is twice the (integer) sum.
-  return n * (lo + lo + (n - 1) * step) / 2;
+// Sum of the row widths x = lo, lo + 2r, ..., lo + r (tT - 2) of one
+// half of a hexagon (the progression of Eqns 9/15/27, tT even >= 2):
+// n = tT / 2 terms, so the sum is n (lo + r (n - 1)), an integer.
+std::int64_t progression_sum(std::int64_t lo, std::int64_t t_t,
+                             std::int64_t r) {
+  const std::int64_t n = t_t / 2;
+  return n * (lo + r * (n - 1));
 }
 
 // The row sum with each progression's ceilings relaxed to one:
@@ -124,6 +124,14 @@ double tile_time(int dim, double m_prime, double c, double n_sub,
 // (nested ceilings of positive integers collapse).
 std::int64_t waves(std::int64_t w, std::int64_t k, int n_sm) {
   return ceil_div(w, k * static_cast<std::int64_t>(n_sm));
+}
+
+// waves(1) of a tile, ceil(ceil(S1 / pitch) / n_sm) with w =
+// ceil(S1 / pitch) (Eqn 5 / 22), as one division.
+std::int64_t first_waves(const stencil::ProblemSize& p,
+                         const hhc::TileSizes& ts, std::int64_t r, int n_sm) {
+  return ceil_div(p.S[0],
+                  hhc::tile_pitch(ts, r) * static_cast<std::int64_t>(n_sm));
 }
 
 // Eqn 6 / 17 / 30: Talg = Nw * Tsync + Nw * Ttile * waves.
@@ -285,10 +293,9 @@ double TalgFloor::operator()(const hhc::TileSizes& ts, Run& run) const {
     run.tT = ts.tT;
     run.tS1 = ts.tS1;
     run.nw = 2.0 * static_cast<double>(ceil_div(p.T, ts.tT));
-    run.waves_1 = waves(ceil_div(p.S[0], hhc::tile_pitch(ts, r)), 1, n_sm);
-    const std::int64_t w_tile = ts.tS1 + r * (ts.tT - 2);
-    run.x_sum = progression_sum(ts.tS1, w_tile, 2 * r);
-    run.x_sum_wide = progression_sum(ts.tS1 + 2 * r, w_tile + 2 * r, 2 * r);
+    run.waves_1 = first_waves(p, ts, r, n_sm);
+    run.x_sum = progression_sum(ts.tS1, ts.tT, r);
+    run.x_sum_wide = progression_sum(ts.tS1 + 2 * r, ts.tT, r);
   }
   // The tile's terms, c from the relaxed row sums.
   const std::int64_t inner = inner_extent(p.dim, ts);
@@ -359,12 +366,10 @@ double TalgFloor::over_run(const hhc::TileSizes& ts) const {
   // more than operator() applies it, covers that with three orders of
   // magnitude to spare.
   const double nw = 2.0 * static_cast<double>(ceil_div(p.T, ts.tT));
-  const std::int64_t w = ceil_div(p.S[0], hhc::tile_pitch(ts, r));
-  const std::int64_t w_tile = ts.tS1 + r * (ts.tT - 2);
-  double x = static_cast<double>(progression_sum(ts.tS1, w_tile, 2 * r));
+  double x = static_cast<double>(progression_sum(ts.tS1, ts.tT, r));
   if (in.geometry == TileGeometryMode::kFamilyAveraged) {
-    x = 0.5 * (x + static_cast<double>(progression_sum(
-                       ts.tS1 + 2 * r, w_tile + 2 * r, 2 * r)));
+    x = 0.5 * (x + static_cast<double>(
+                       progression_sum(ts.tS1 + 2 * r, ts.tT, r)));
   }
   std::int64_t span = 1;
   if (p.dim >= 2) span = p.S[1] + r * ts.tT;
@@ -372,7 +377,7 @@ double TalgFloor::over_run(const hhc::TileSizes& ts) const {
   const double m = transfer_time(in, ts, span);
   const double c = compute_time(
       in, ts, x * static_cast<double>(span) / static_cast<double>(in.hw.n_v));
-  const std::int64_t waves_1 = waves(w, 1, n_sm);
+  const std::int64_t waves_1 = first_waves(p, ts, r, n_sm);
   double bound =
       nw * in.mb.T_sync + nw * (m + c) * static_cast<double>(waves_1);
   if (in.hw.max_tb_per_sm >= 2) {
@@ -381,6 +386,22 @@ double TalgFloor::over_run(const hhc::TileSizes& ts) const {
     bound = std::min(bound, nw * in.mb.T_sync + nw * (std::max(m, c) * q));
   }
   return bound * kReshapeGuard * kReshapeGuard;
+}
+
+std::int64_t TalgFloor::segment_end(const hhc::TileSizes& ts) const {
+  constexpr std::int64_t kColumnEnd = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t r = in_->radius;
+  const std::int64_t slope = std::max<std::int64_t>(r, 1);
+  if (!modeled_ || ts.tT < 2 || ts.tT % 2 != 0) return kColumnEnd;
+  if (ts.tS1 < slope) return slope;
+  // waves(1) = ceil(S1 / (pitch n_SM)) is <= v - 1 exactly when
+  // pitch = 2 tS1 + r tT >= ceil(S1 / ((v - 1) n_SM)). ts's own pitch
+  // is below that, so the difference below is at least 2 tS1 + 1.
+  const std::int64_t v = first_waves(*p_, ts, r, in_->hw.n_sm);
+  if (v <= 1) return kColumnEnd;
+  const std::int64_t pitch = ceil_div(
+      p_->S[0], (v - 1) * static_cast<std::int64_t>(in_->hw.n_sm));
+  return ceil_div(pitch - r * ts.tT, std::int64_t{2});
 }
 
 }  // namespace repro::model

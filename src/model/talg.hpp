@@ -124,7 +124,25 @@ class TalgFloor {
   // bit for bit, for every tile t with ts's tT and tS1, whatever its
   // other extents (they are ignored). One closed form per run, so a
   // sweep can rule out a run without visiting its tiles.
+  //
+  // Segments. The runs of one tT, in ascending tS1, split into
+  // segments: the runs below the slope (tS1 < max(r, 1), run floor
+  // +inf), then maximal stretches of equal waves(1) =
+  // ceil(S1 / ((2 tS1 + r tT) n_SM)), which is non-increasing in tS1.
+  // Within a segment over_run is non-decreasing in tS1, bit for bit:
+  // Nw, the span D and q = max(2, waves(1)) are fixed there;
+  // m = transfer_time(D) is affine in tS1 with non-negative
+  // coefficients; the progressions' sum x has tT / 2 terms, each
+  // increasing in tS1; and on the non-negative finite inputs
+  // modeled() requires every operation rounds monotonically. So a
+  // segment's first run holds its smallest run floor, and a walk up a
+  // segment can stop at its first run above a bound.
   double over_run(const hhc::TileSizes& ts) const;
+  // The smallest tS1 past the segment that holds ts's run: the
+  // closed form of the first tS1 whose waves(1) is below ts's, or
+  // INT64_MAX when the segment ends the tT column (an odd or small
+  // tT, waves(1) <= 1, or inputs not modeled, whose floors are all 0).
+  std::int64_t segment_end(const hhc::TileSizes& ts) const;
 
  private:
   const ModelInputs* in_;

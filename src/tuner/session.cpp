@@ -403,111 +403,191 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
   // the cut B (1 + delta). A tile is priced exactly only if its floor
   // does not exceed the cut: every other tile has Talg > B >=
   // talg_min, and talg_min (1 + delta) <= the cut, so it is neither
-  // the argmin nor a candidate. The space is walked in runs of one
-  // (tT, tS1), and a run whose run floor (TalgFloor::over_run, <=
-  // each of its tile floors) exceeds a bound is skipped without
-  // computing its tile floors: while the argmin is sought, a run above
-  // the smallest tile floor so far; when pricing, a run above the cut.
-  // B depends only on the space, so the priced set does not depend on
-  // the job count. Unmodeled inputs (floors of 0) and an infinite cut
-  // (no feasible tile) price every tile.
+  // the argmin nor a candidate. B depends only on the space, so the
+  // priced set does not depend on the job count.
+  //
+  // The tiles are walked in (tT, tS1) runs, segment by segment
+  // (TalgFloor::segment_end): a segment's run floors (over_run, <=
+  // each tile floor of the run) do not decrease along it, so a walk
+  // up a segment stops at its first run above its bound. The argmin
+  // search walks the segment with the smallest head first, then every
+  // segment under the best tile floor so far; pricing walks every
+  // segment under the cut. Unmodeled inputs (floors of 0) and an
+  // infinite cut (no feasible tile) price every tile.
   const model::TalgFloor floor(in, p);
-  std::vector<std::optional<double>> talg(space.size());
+  // The walk needs the runs in ascending (tT, tS1), the order
+  // enumerate_feasible emits; another span is walked through a sorted
+  // copy, and `index` maps a walk position back to the span.
+  const auto by_run = [](const hhc::TileSizes& a, const hhc::TileSizes& b) {
+    return std::tie(a.tT, a.tS1) < std::tie(b.tT, b.tS1);
+  };
+  std::span<const hhc::TileSizes> tiles = space;
+  std::vector<std::size_t> perm;
+  std::vector<hhc::TileSizes> sorted;
+  if (!std::is_sorted(space.begin(), space.end(), by_run)) {
+    perm.resize(space.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return by_run(space[a], space[b]);
+                     });
+    sorted.reserve(space.size());
+    for (const std::size_t i : perm) sorted.push_back(space[i]);
+    tiles = sorted;
+  }
+  const auto index = [&](std::size_t j) {
+    return perm.empty() ? j : perm[j];
+  };
+  // The end of the stretch of `tiles` from j (below hi) on which
+  // `pred` holds, given that it holds at j and then on a prefix: a
+  // galloping search, logarithmic in the stretch's length, since most
+  // runs and many segments hold a few tiles.
+  const auto stretch_end = [&](std::size_t j, std::size_t hi,
+                               const auto& pred) {
+    std::size_t step = 1;
+    for (; j + step < hi && pred(tiles[j + step]); step *= 2) j += step;
+    return static_cast<std::size_t>(
+        std::partition_point(tiles.begin() + j + 1,
+                             tiles.begin() + std::min(j + step, hi), pred) -
+        tiles.begin());
+  };
+
+  // Segment k is [begin, end) of `tiles`, its first run floor `head`;
+  // the argmin search holds the tile floors of its first `held` tiles
+  // (whole runs), from floors[floors_at].
+  struct Segment {
+    std::size_t begin, end;
+    double head;
+    std::size_t held = 0, floors_at = 0;
+  };
+  std::vector<Segment> segments;
+  for (std::size_t j = 0; j < tiles.size();) {
+    const std::int64_t tT = tiles[j].tT;
+    const std::int64_t stop = floor.segment_end(tiles[j]);
+    const std::size_t end =
+        stretch_end(j, tiles.size(), [&](const hhc::TileSizes& t) {
+          return t.tT == tT && t.tS1 < stop;
+        });
+    segments.push_back(
+        {.begin = j, .end = end, .head = floor.over_run(tiles[j])});
+    j = end;
+  }
+  // Calls visit(begin, end) on each run of `seg`, in ascending tS1,
+  // while its run floor does not exceed `bound` (read before each run,
+  // so a bound that tightens during the walk applies at once).
+  const auto walk = [&](const Segment& seg, const double& bound,
+                        const auto& visit) {
+    double run_floor = seg.head;
+    for (std::size_t j = seg.begin; j < seg.end && run_floor <= bound;) {
+      const std::int64_t tS1 = tiles[j].tS1;
+      const std::size_t end = stretch_end(
+          j, seg.end, [&](const hhc::TileSizes& t) { return t.tS1 == tS1; });
+      visit(j, end);
+      j = end;
+      if (j < seg.end) run_floor = floor.over_run(tiles[j]);
+    }
+  };
+
   std::size_t b = space.size();  // the floor-argmin tile, once priced
   double talg_b = kInf;
   double cut = kInf;
-  if (floor.modeled() && !space.empty()) {
-    // Run k is [start[k], start[k + 1]).
-    std::vector<std::size_t> start{0};
-    for (std::size_t i = 1; i < space.size(); ++i) {
-      if (space[i].tT != space[i - 1].tT || space[i].tS1 != space[i - 1].tS1) {
-        start.push_back(i);
-      }
-    }
-    start.push_back(space.size());
-    const std::size_t runs = start.size() - 1;
-    const std::vector<double> run_floor = parallel_map<double>(
-        pool_, runs, /*grain=*/64,
-        [&](std::size_t k) { return floor.over_run(space[start[k]]); });
-    // Tile floors, filled run by run; `known` marks the runs filled.
-    std::vector<double> floors(space.size(), kInf);
-    std::vector<char> known(runs, 0);
-    const auto fill = [&](std::size_t k, model::TalgFloor::Run& run) {
-      for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
-        floors[i] = floor(space[i], run);
-      }
-      known[k] = 1;
-    };
-    // The floor argmin: the run with the smallest run floor first, then
-    // every run whose run floor does not exceed the best tile floor so
-    // far (a run above it holds no tile at or below the final minimum).
-    model::TalgFloor::Run seek_run;
+  std::vector<double> floors;
+  if (floor.modeled() && !segments.empty()) {
+    model::TalgFloor::Run run;
     double best = kInf;
-    const auto seek = [&](std::size_t k) {
-      fill(k, seek_run);
-      for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
-        if (floors[i] < best || (floors[i] == best && i < b)) {
-          best = floors[i];
-          b = i;
-        }
-      }
-    };
-    seek(static_cast<std::size_t>(
-        std::min_element(run_floor.begin(), run_floor.end()) -
-        run_floor.begin()));
-    for (std::size_t k = 0; k < runs; ++k) {
-      if (!known[k] && run_floor[k] <= best) seek(k);
-    }
-    talg_b = model_talg_or_inf(in, p, space[b]);
-    talg[b] = talg_b;
-    cut = talg_b * (1.0 + delta);
-    if (cut < kInf) {
-      // The runs the cut keeps, priced in fixed chunks of kept runs,
-      // each chunk with its own TalgFloor::Run: the tile floors of a
-      // kept run the argmin search did not visit, then the exact Talg
-      // of each tile whose floor does not exceed the cut.
-      std::vector<std::size_t> kept;
-      for (std::size_t k = 0; k < runs; ++k) {
-        if (run_floor[k] <= cut) kept.push_back(k);
-      }
-      constexpr std::size_t kRunChunk = 16;
-      const std::size_t chunks = (kept.size() + kRunChunk - 1) / kRunChunk;
-      pool_.for_each_index(chunks, /*grain=*/1, [&](std::size_t c) {
-        model::TalgFloor::Run run;
-        const std::size_t hi = std::min((c + 1) * kRunChunk, kept.size());
-        for (std::size_t j = c * kRunChunk; j < hi; ++j) {
-          const std::size_t k = kept[j];
-          if (!known[k]) fill(k, run);
-          for (std::size_t i = start[k]; i < start[k + 1]; ++i) {
-            if (i != b && floors[i] <= cut) {
-              talg[i] = model_talg_or_inf(in, p, space[i]);
-            }
+    const auto seek = [&](Segment& seg) {
+      seg.floors_at = floors.size();
+      walk(seg, best, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t j = lo; j < hi; ++j) {
+          const double f = floors.emplace_back(floor(tiles[j], run));
+          const std::size_t i = index(j);
+          if (f < best || (f == best && i < b)) {
+            best = f;
+            b = i;
           }
         }
       });
+      seg.held = floors.size() - seg.floors_at;
+    };
+    const auto first = std::min_element(
+        segments.begin(), segments.end(),
+        [](const Segment& x, const Segment& y) { return x.head < y.head; });
+    seek(*first);
+    for (auto it = segments.begin(); it != segments.end(); ++it) {
+      if (it != first) seek(*it);
     }
+    talg_b = model_talg_or_inf(in, p, space[b]);
+    cut = talg_b * (1.0 + delta);
   }
-  if (!(cut < kInf)) {
-    // Unbounded: price every tile (the floor-argmin tile, when it was
-    // priced above, keeps its Talg).
-    pool_.for_each_index(space.size(), /*grain=*/64, [&](std::size_t i) {
-      if (i != b) talg[i] = model_talg_or_inf(in, p, space[i]);
+
+  // The runs the cut keeps, priced in fixed chunks of kept runs, each
+  // chunk with its own TalgFloor::Run: the exact Talg of each tile
+  // whose floor (held from the argmin search, else computed) does not
+  // exceed the cut, in one slot per kept tile.
+  constexpr std::size_t kNotHeld = std::numeric_limits<std::size_t>::max();
+  struct KeptRun {
+    std::size_t begin, end, slot, floors_at;
+  };
+  std::vector<KeptRun> kept;
+  std::size_t slots = 0;
+  for (const Segment& seg : segments) {
+    walk(seg, cut, [&](std::size_t lo, std::size_t hi) {
+      const std::size_t off = lo - seg.begin;
+      kept.push_back(
+          {lo, hi, slots, off < seg.held ? seg.floors_at + off : kNotHeld});
+      slots += hi - lo;
     });
   }
+  // (span index, Talg) of each kept tile, the Talg set where priced.
+  std::vector<std::pair<std::size_t, std::optional<double>>> talg(slots);
+  constexpr std::size_t kRunChunk = 16;
+  const std::size_t chunks = (kept.size() + kRunChunk - 1) / kRunChunk;
+  pool_.for_each_index(chunks, /*grain=*/1, [&](std::size_t c) {
+    model::TalgFloor::Run run;
+    const std::size_t hi = std::min((c + 1) * kRunChunk, kept.size());
+    for (std::size_t k = c * kRunChunk; k < hi; ++k) {
+      const KeptRun& kr = kept[k];
+      for (std::size_t j = kr.begin; j < kr.end; ++j) {
+        auto& [i, t] = talg[kr.slot + j - kr.begin];
+        i = index(j);
+        if (i == b) {
+          t = talg_b;
+          continue;
+        }
+        const double f = kr.floors_at == kNotHeld
+                             ? floor(tiles[j], run)
+                             : floors[kr.floors_at + j - kr.begin];
+        if (f <= cut) t = model_talg_or_inf(in, p, tiles[j]);
+      }
+    }
+  });
+  if (!perm.empty()) {
+    std::sort(talg.begin(), talg.end(), [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    });
+  }
+
+  // Selection in span index order, as the full loop makes it.
   std::size_t priced = 0;
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    if (!talg[i]) continue;
+  for (const auto& [i, t] : talg) {
+    if (!t) continue;
     ++priced;
-    if (*talg[i] < sweep.talg_min) {
-      sweep.talg_min = *talg[i];
+    if (*t < sweep.talg_min) {
+      sweep.talg_min = *t;
       sweep.argmin = space[i];
     }
   }
   const double cutoff = sweep.talg_min * (1.0 + delta);
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    if (talg[i] && *talg[i] <= cutoff) {
+  const auto candidates = static_cast<std::size_t>(
+      std::count_if(talg.begin(), talg.end(), [&](const auto& e) {
+        return e.second && *e.second <= cutoff;
+      }));
+  sweep.candidates.reserve(candidates);
+  sweep.candidate_talg.reserve(candidates);
+  for (const auto& [i, t] : talg) {
+    if (t && *t <= cutoff) {
       sweep.candidates.push_back(space[i]);
-      sweep.candidate_talg.push_back(*talg[i]);
+      sweep.candidate_talg.push_back(*t);
     }
   }
   add_model_time(seconds_since(t0), priced);

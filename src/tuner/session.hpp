@@ -188,9 +188,10 @@ struct SweepStats {
   // builds or steps one bounds-only profile per GPU tile and keeps
   // none; those count in profile_builds / profile_steps too, so a
   // visited tile's profile is counted twice. CPU tiles build no
-  // profile: cpusim's per-tile stage runs inside each batch call, so
-  // its time counts in pricing_seconds and the profile counters stay
-  // 0.
+  // profile: cpusim analyzes a tile inside each floor, bound and batch
+  // call, so that time counts in bound_seconds (the floor pass and the
+  // point bounds) or pricing_seconds (batch pricing), and the profile
+  // counters stay 0.
   std::size_t profile_builds = 0;   // geometry profiles built from scratch
   std::size_t profile_steps = 0;    // ... rebuilt incrementally instead
   std::size_t profile_hits = 0;     // served from the tile's record
@@ -308,12 +309,16 @@ class Session {
 
   // --- The optimizer entry points, as methods -----------------------
 
-  // Model sweep over `space` (Section 6): parallel over the pool,
-  // argmin and candidate selection in index order. Talg is priced
-  // exactly only on tiles whose model::TalgFloor does not exceed the
-  // cut B (1 + delta), B the Talg of the floor-argmin tile, and a
-  // (tT, tS1) run whose run floor exceeds a bound is ruled out whole;
-  // the result is the full loop's bit for bit, and
+  // Model sweep over `space` (Section 6): argmin and candidate
+  // selection in index order. Talg is priced exactly, in parallel over
+  // the pool, only on tiles whose model::TalgFloor does not exceed the
+  // cut B (1 + delta), B the Talg of the floor-argmin tile. The tiles
+  // are walked in (tT, tS1) runs, segment by segment
+  // (TalgFloor::segment_end): run floors never decrease along a
+  // segment, so a walk stops at the first run above its bound and the
+  // cost follows the runs kept, not the size of the space. A span not
+  // in ascending (tT, tS1) order is walked through a sorted copy. The
+  // result is the full loop's bit for bit, and
   // SweepStats::model_points counts the exact evaluations.
   ModelSweep sweep_model(std::span<const hhc::TileSizes> space, double delta);
 

@@ -3,10 +3,12 @@
 // tolerance), on every tile of the default space of every registered
 // device and every catalogue stencil, at pipeline and paper problem
 // sizes, under both tile geometries, whether or not consecutive tiles
-// share a TalgFloor::Run. A mode the floor does not model must floor
-// to 0.
+// share a TalgFloor::Run; and the run floor never decreases inside
+// one (tT, waves(1)) segment. A mode the floor does not model must
+// floor to 0.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -97,6 +99,89 @@ TEST_P(TalgFloorOnDevice, StaysBelowTalgOnTheDefaultSpace) {
   // The floor is not vacuous: it meets Talg on some tiles (where no
   // row ceiling rounds up and k = 1 wins).
   EXPECT_GT(exact, 0u);
+}
+
+// waves(1) of a tile's run, ceil(ceil(S1 / (2 tS1 + r tT)) / n_SM),
+// written out here rather than taken from the model.
+std::int64_t run_waves(const ModelInputs& in, const stencil::ProblemSize& p,
+                       std::int64_t tT, std::int64_t tS1) {
+  const std::int64_t pitch = 2 * tS1 + in.radius * tT;
+  const std::int64_t w = (p.S[0] + pitch - 1) / pitch;
+  return (w + in.hw.n_sm - 1) / in.hw.n_sm;
+}
+
+// The segment walk of Session::sweep_model rests on two facts, checked
+// here run by run over the default spaces: segment_end is the first
+// tS1 whose waves(1) is below the head's (the slope for a run below
+// it), and inside a segment over_run never decreases as tS1 grows,
+// bit for bit.
+TEST_P(TalgFloorOnDevice, RunFloorsNeverDecreaseInsideAWavesSegment) {
+  const device::Descriptor& dev = *device::registry().find(GetParam());
+  constexpr std::int64_t kColumnEnd = std::numeric_limits<std::int64_t>::max();
+  Rng rng(20261019);
+  std::size_t inside = 0;      // consecutive runs of one segment
+  std::size_t boundaries = 0;  // segment heads after a column's first
+  for (const stencil::StencilDef& def : stencil::all_stencils()) {
+    const ModelInputs calibrated = tuner::calibrate_model(dev, def);
+    const std::vector<hhc::TileSizes> space = tuner::enumerate_feasible(
+        def.dim, calibrated.hw, tuner::EnumOptions{}, def.radius);
+    const std::int64_t slope = std::max(def.radius, 1);
+    for (const stencil::ProblemSize& p : problems(rng, def.dim)) {
+      for (const TileGeometryMode geo : {TileGeometryMode::kPaperExact,
+                                         TileGeometryMode::kFamilyAveraged}) {
+        ModelInputs in = calibrated;
+        in.geometry = geo;
+        const TalgFloor floor(in, p);
+        std::string where = dev.name();
+        where += " " + def.name + " " + p.to_string() + " geo=";
+        where += std::to_string(static_cast<int>(geo));
+        const hhc::TileSizes* prev = nullptr;
+        double prev_floor = 0.0;
+        std::int64_t end = 0;  // the segment end of the current head
+        std::size_t bad = 0;
+        for (const hhc::TileSizes& ts : space) {
+          if (prev != nullptr && prev->tT == ts.tT && prev->tS1 == ts.tS1) {
+            continue;
+          }
+          const double f = floor.over_run(ts);
+          const bool same_column = prev != nullptr && prev->tT == ts.tT;
+          if (same_column && ts.tS1 < end) {
+            ++inside;
+            if (!(f >= prev_floor) ||
+                run_waves(in, p, ts.tT, ts.tS1) !=
+                    run_waves(in, p, prev->tT, prev->tS1)) {
+              if (++bad <= 3) {
+                ADD_FAILURE() << where << " " << ts.to_string()
+                              << ": run floor " << f << " after "
+                              << prev_floor << " in one segment";
+              }
+            }
+          } else {
+            boundaries += same_column;
+            end = floor.segment_end(ts);
+            const std::int64_t v = run_waves(in, p, ts.tT, ts.tS1);
+            const bool exact =
+                ts.tS1 < slope
+                    ? end == slope
+                    : end == kColumnEnd
+                          ? v <= 1
+                          : end > ts.tS1 &&
+                                run_waves(in, p, ts.tT, end) < v &&
+                                run_waves(in, p, ts.tT, end - 1) == v;
+            if (!exact && ++bad <= 3) {
+              ADD_FAILURE() << where << " " << ts.to_string()
+                            << ": segment end " << end << " for waves(1) "
+                            << v;
+            }
+          }
+          prev = &ts;
+          prev_floor = f;
+        }
+      }
+    }
+  }
+  EXPECT_GT(inside, 50000u);
+  EXPECT_GT(boundaries, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, TalgFloorOnDevice,

@@ -1,6 +1,7 @@
 // Byte identity against committed payloads. tests/golden/payloads/
 // holds request lines and the response lines `tuned once` printed for
-// them: V-cycle and sub-step pipelines on both GPUs, and predict,
+// them: the example V-cycle and sub-step pipelines and 2- to 4-level
+// V-cycles over the default tile space on both GPUs, and predict,
 // best_tile and compare_strategies on GPU and CPU descriptors. Each
 // request is recomputed the way `tuned once` computes it (one job,
 // compute_payload, render_result) and must match its line byte for

@@ -3,9 +3,11 @@
 // talg_min, argmin, candidates, candidate_talg and space_size to the
 // plain full-space loop (tests/support/sweep_oracle.hpp), bit for
 // bit, at one and four jobs, for delta in {0, 0.05, 0.1, 0.5}: on the
-// default spaces of every registered device, on empty spans, on spans
-// with Eqn-31-infeasible tiles, on all-infeasible spans and under
-// inputs the floor does not model.
+// default spaces of every registered device, on a seeded grid of
+// V-cycle level problems, on shuffled spans and on columns with holes,
+// on empty spans, on spans with Eqn-31-infeasible tiles and +inf
+// segment heads, on all-infeasible spans and under inputs the floor
+// does not model.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +27,8 @@ namespace {
 
 constexpr double kDeltas[] = {0.0, 0.05, 0.10, 0.50};
 constexpr int kJobs[] = {1, 4};
+// Exact Talg evaluations of VcycleLevelProblemsMatchTheFullLoop.
+constexpr std::size_t kVcycleLevelPriced = 2515;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -45,9 +49,10 @@ void expect_same(const ModelSweep& got, const ModelSweep& want,
 // Talg evaluations the sweeps booked, which must not depend on jobs.
 std::size_t check_span(const TuningContext& ctx,
                        std::span<const hhc::TileSizes> span,
-                       const std::string& where) {
+                       const std::string& where,
+                       std::span<const double> deltas = kDeltas) {
   std::size_t priced = 0;
-  for (const double delta : kDeltas) {
+  for (const double delta : deltas) {
     const ModelSweep want =
         test::reference_sweep(ctx.inputs, ctx.problem, span, delta);
     std::size_t priced_at_one_job = 0;
@@ -64,6 +69,17 @@ std::size_t check_span(const TuningContext& ctx,
     priced += priced_at_one_job;
   }
   return priced;
+}
+
+// A seeded shuffle of `tiles` (Fisher-Yates).
+std::vector<hhc::TileSizes> shuffled(std::vector<hhc::TileSizes> tiles,
+                                     Rng& rng) {
+  for (std::size_t i = tiles.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(tiles[i - 1], tiles[j]);
+  }
+  return tiles;
 }
 
 // Infeasible tiles of every Eqn 31 kind: odd tT, a tS1 below the
@@ -196,6 +212,107 @@ TEST(SweepParity, UnmodeledInputsPriceEveryTile) {
   EXPECT_EQ(check_span(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
                        space, "closed form"),
             space.size() * std::size(kDeltas));
+}
+
+// The level problems of the planner's V-cycles (smoothers, residual
+// and transfer stencils at S 64-1024, T 2-32, on both GPUs) over the
+// default space: the case the segment walk was built for. The total
+// of exact Talg evaluations is pinned; it is the count the full run
+// walk priced, so the walk prices the same tiles.
+TEST(SweepParity, VcycleLevelProblemsMatchTheFullLoop) {
+  constexpr double kLevelDeltas[] = {0.0, 0.10};
+  constexpr std::int64_t kTs[] = {2, 4, 8, 16, 32};
+  const stencil::StencilKind kinds[] = {
+      stencil::StencilKind::kJacobi2D, stencil::StencilKind::kHeat2D,
+      stencil::StencilKind::kLaplacian2D, stencil::StencilKind::kGradient2D};
+  Rng rng(25);
+  std::size_t priced = 0;
+  for (const char* name : {"GTX 980", "Titan X"}) {
+    const device::Descriptor& dev = *device::registry().find(name);
+    for (const stencil::StencilKind kind : kinds) {
+      const stencil::StencilDef& def = stencil::get_stencil(kind);
+      const model::ModelInputs in = calibrate_model(dev, def);
+      const std::vector<hhc::TileSizes> space =
+          enumerate_feasible(2, in.hw, EnumOptions{}, def.radius);
+      for (int draw = 0; draw < 3; ++draw) {
+        const std::int64_t s = 64 * rng.uniform_int(1, 16);
+        const stencil::ProblemSize p{
+            .dim = 2, .S = {s, s, 0}, .T = kTs[rng.uniform_int(0, 4)]};
+        priced += check_span(TuningContext::with_inputs(dev, def, p, in),
+                             space,
+                             dev.name() + " " + def.name + " " + p.to_string(),
+                             kLevelDeltas);
+      }
+    }
+  }
+  EXPECT_EQ(priced, kVcycleLevelPriced);
+}
+
+// The walk sorts a span that is not in (tT, tS1) order and skips runs
+// that are missing from a column; neither may change a result.
+TEST(SweepParity, ShuffledSpansAndColumnsWithHolesMatchTheFullLoop) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kJacobi2D);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const std::vector<hhc::TileSizes> space = enumerate_feasible(2, in.hw);
+  Rng rng(2025);
+  for (const stencil::ProblemSize& p :
+       {stencil::ProblemSize{.dim = 2, .S = {256, 256, 0}, .T = 8},
+        stencil::ProblemSize{.dim = 2, .S = {4096, 4096, 0}, .T = 1024}}) {
+    const TuningContext ctx =
+        TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
+    const std::string where = p.to_string();
+    check_span(ctx, shuffled(space, rng), where + " shuffled");
+    // Holes: whole runs and single tiles dropped at random, segment
+    // heads among them, the rest left in order.
+    std::vector<hhc::TileSizes> holes;
+    bool drop_run = false;
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      if (i == 0 || space[i].tS1 != space[i - 1].tS1) {
+        drop_run = rng.uniform_int(0, 2) == 0;
+      }
+      if (!drop_run && rng.uniform_int(0, 4) != 0) holes.push_back(space[i]);
+    }
+    check_span(ctx, holes, where + " holes");
+    check_span(ctx, shuffled(holes, rng), where + " shuffled holes");
+  }
+}
+
+// A run below the slope (tS1 < max(r, 1)) floors to +inf, so a column
+// that starts with one has a +inf segment head. A finite cut skips
+// such a segment; an infinite cut (no feasible tile) must walk it and
+// price every tile, +inf heads and all.
+TEST(SweepParity, InfiniteSegmentHeadsArePricedOnlyUnderAnInfiniteCut) {
+  const auto& def = stencil::get_stencil(stencil::StencilKind::kWideStar2D);
+  ASSERT_EQ(def.radius, 2);
+  const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
+  const stencil::ProblemSize p{.dim = 2, .S = {384, 384, 0}, .T = 16};
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
+  // Each column of a coarse space led by tiles at tS1 = 0 and 1.
+  std::vector<hhc::TileSizes> headed;
+  for (const hhc::TileSizes& ts : enumerate_feasible(
+           2, in.hw, EnumOptions{}.with_tS1_step(3).with_tT_step(4),
+           def.radius)) {
+    if (headed.empty() || headed.back().tT != ts.tT) {
+      for (const std::int64_t s1 : {0, 0, 1}) {
+        headed.push_back({.tT = ts.tT, .tS1 = s1, .tS2 = 32 * (s1 + 1),
+                          .tS3 = 1});
+      }
+    }
+    headed.push_back(ts);
+  }
+  const std::size_t priced = check_span(ctx, headed, "headed");
+  EXPECT_LT(priced, headed.size() * std::size(kDeltas));
+  // No feasible tile: columns of slope-rejected and over-capacity runs,
+  // one of odd tT. Every tile is a candidate and every tile is priced.
+  std::vector<hhc::TileSizes> none;
+  for (const std::int64_t tT : {2, 3, 8}) {
+    for (const std::int64_t s1 : {0, 1, 1, 4096}) {
+      none.push_back({.tT = tT, .tS1 = s1, .tS2 = 64, .tS3 = 1});
+    }
+  }
+  EXPECT_EQ(check_span(ctx, none, "no feasible tile"),
+            none.size() * std::size(kDeltas));
 }
 
 }  // namespace
