@@ -3,7 +3,8 @@
 // schedule construction, simulator pricing
 // (whole, and per layer: profile build, bounds-only build, histograms,
 // step, lower bound, the pricing fold, cold session sweep of one
-// tile), whole cold best_tile and compare requests, and
+// tile, the floor pass of a cold request), whole cold best_tile and
+// compare requests, and
 // tiled functional execution. These guard the
 // performance envelope that makes the full-scale Fig. 3/6 sweeps
 // tractable on one core.
@@ -267,6 +268,20 @@ int main() {
                     bench::keep(cpu_req.best_tile(cpu_sweep).texec);
                   },
                   5});
+  // The floor pass of those two requests alone: Session::tile_floors
+  // over each sweep's candidate list (no record is read or kept).
+  arms.push_back({"tile_floors_gpu_2d",
+                  [&] {
+                    bench::keep(
+                        gpu_req.tile_floors(gpu_sweep.candidates).size());
+                  },
+                  10});
+  arms.push_back({"tile_floors_cpu_2d",
+                  [&] {
+                    bench::keep(
+                        cpu_req.tile_floors(cpu_sweep.candidates).size());
+                  },
+                  10});
   arms.push_back({"compare_gpu_2d",
                   [&] {
                     gpu_req.clear_cache();

@@ -19,14 +19,18 @@
 // tile's floor over a strand axis is the minimum of its point
 // bounds, so no point of the axis can beat it. The strand count
 // reaches a price only through the compute time per sub-tile, and
-// the price is non-decreasing in it, so the floor costs one O(log)
-// strand step per strand count (the closed-form family_groups) and a
-// single pricing body (min_jitter_free). tuner::Session analyzes a
-// CPU tile once per visit (TileFloors), evaluates its floor over the
-// visit's strand axis on the first miss that needs a bound, prunes
-// every miss while the floor exceeds the incumbent, and bounds each
-// miss by its own point bound otherwise: the pruned set is the one
-// the point bounds alone would prune.
+// the price is non-decreasing in it, so the floor needs only the
+// smallest compute term and a single pricing body (min_jitter_free).
+// That term is found from a floor of each strand count's compute
+// term, taken at the one-strand SIMD group count (no strand count
+// issues fewer groups): one O(log) strand step per tile computes it,
+// and a strand count is stepped exactly only while its floor is
+// below the smallest exact term so far, usually once per tile.
+// tuner::Session analyzes a CPU tile once per visit (TileFloors),
+// evaluates its floor over the visit's strand axis on the first miss
+// that needs a bound, prunes every miss while the floor exceeds the
+// incumbent, and bounds each miss by its own point bound otherwise:
+// the pruned set is the one the point bounds alone would prune.
 #pragma once
 
 #include <span>

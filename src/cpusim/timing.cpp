@@ -227,23 +227,23 @@ SweepGeometry analyze_sweep(const CpuParams& dev,
 namespace {
 
 // The one term of a price the strand count reaches: compute seconds
-// per sub-tile of a feasible strand step.
+// per sub-tile at `strands` strands issuing `groups_avg` SIMD groups.
 double compute_per_sub(const CpuParams& dev, const TileGeometry& g,
-                       const StrandStep& st) {
+                       int strands, double groups_avg) {
   // Compute: family-averaged SIMD groups with chunk/remainder
   // ceilings, inflated when the core is under-threaded (issue stalls)
   // or over-subscribed (context-switch overhead).
   const double stall =
-      st.strands < dev.smt
+      strands < dev.smt
           ? 1.0 + dev.stall_factor *
-                      static_cast<double>(dev.smt - st.strands) /
+                      static_cast<double>(dev.smt - strands) /
                       static_cast<double>(dev.smt)
           : 1.0;
   const double oversub =
-      st.strands > dev.smt ? 1.0 + dev.oversub_penalty *
-                                       static_cast<double>(st.strands - dev.smt)
-                           : 1.0;
-  return st.groups_avg * g.cyc_group / dev.clock_hz * stall * oversub;
+      strands > dev.smt ? 1.0 + dev.oversub_penalty *
+                                    static_cast<double>(strands - dev.smt)
+                        : 1.0;
+  return groups_avg * g.cyc_group / dev.clock_hz * stall * oversub;
 }
 
 // The jitter-free pricing body around a precomputed compute_sub. The
@@ -330,25 +330,64 @@ SimResult simulate_jitter_free(const CpuParams& dev, const TileGeometry& g,
                                        : g.infeasible_reason;
     return res;
   }
-  return price_sub(dev, g, ts, compute_per_sub(dev, g, st));
+  return price_sub(dev, g, ts,
+                   compute_per_sub(dev, g, st.strands, st.groups_avg));
 }
 
 double min_jitter_free(const CpuParams& dev, const TileGeometry& g,
                        const hhc::TileSizes& ts,
                        std::span<const hhc::ThreadConfig> thrs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!g.feasible) return kInf;
   // The price is non-decreasing in compute_sub, so the cheapest
   // strand count is the one with the smallest compute term, and one
   // pricing body at that term is the minimum over the axis.
-  double compute_min = std::numeric_limits<double>::infinity();
-  for (const hhc::ThreadConfig& thr : thrs) {
-    const StrandStep st = analyze_strands(g, dev, ts, thr);
-    if (st.feasible) {
-      compute_min = std::min(compute_min, compute_per_sub(dev, g, st));
+  //
+  // Most strand steps are ruled out by a floor of that term instead.
+  // family_groups(s) >= family_groups(1) for every strand count s,
+  // row by row: a short row costs 2 * points >= 2 * ceil(points / n_v)
+  // and a saturated one 2s * ceil(x / (s * n_v)) >= 2 * ceil(x / n_v).
+  // compute_per_sub is non-decreasing in groups_avg under IEEE
+  // rounding while its other factors are >= 0 (the cycles per group,
+  // and stall and oversub, both >= 1 when stall_factor and
+  // oversub_penalty are >= 0, as the device audit requires), so
+  // compute_per_sub(s) at the one-strand group count is a floor of
+  // compute_per_sub(s), bit for bit. The strand count with the
+  // smallest floor is evaluated exactly first, and any other only if
+  // its floor is below the running minimum: an exact term at or above
+  // the minimum cannot lower it. Without that monotonicity every floor
+  // is -infinity and every strand count is evaluated.
+  const bool monotone = g.cyc_group >= 0.0 && dev.stall_factor >= 0.0 &&
+                        dev.oversub_penalty >= 0.0;
+  const double groups_one =
+      analyze_strands(g, dev, ts, hhc::ThreadConfig{1, 1, 1}).groups_avg;
+  const auto floor_of = [&](const hhc::ThreadConfig& thr) {
+    return monotone ? compute_per_sub(dev, g, thr.total(), groups_one) : -kInf;
+  };
+  const auto exact_of = [&](const hhc::ThreadConfig& thr) {
+    return compute_per_sub(dev, g, thr.total(),
+                           analyze_strands(g, dev, ts, thr).groups_avg);
+  };
+  std::size_t first = thrs.size();
+  double first_floor = kInf;
+  for (std::size_t j = 0; j < thrs.size(); ++j) {
+    if (!strands_in_range(thrs[j])) continue;
+    const double f = floor_of(thrs[j]);
+    if (first == thrs.size() || f < first_floor) {
+      first = j;
+      first_floor = f;
     }
   }
-  if (compute_min == std::numeric_limits<double>::infinity()) {
-    return compute_min;
+  if (first == thrs.size()) return kInf;
+  // std::min drops a NaN term, as a scan of the whole axis does.
+  double compute_min = std::min(kInf, exact_of(thrs[first]));
+  for (std::size_t j = 0; j < thrs.size(); ++j) {
+    if (j != first && strands_in_range(thrs[j]) &&
+        floor_of(thrs[j]) < compute_min) {
+      compute_min = std::min(compute_min, exact_of(thrs[j]));
+    }
   }
+  if (compute_min == kInf) return compute_min;
   return price_sub(dev, g, ts, compute_min).seconds;
 }
 

@@ -159,8 +159,12 @@ SimResult simulate_jitter_free(const CpuParams& dev, const TileGeometry& tile,
 // The smallest simulate_jitter_free(...).seconds over `thrs`, bit for
 // bit; +infinity when none is feasible. The strand count reaches a
 // price only through the per-sub-tile compute time, and the price is
-// non-decreasing in it, so this runs the strand step per config but
-// the pricing body once.
+// non-decreasing in it, so the pricing body runs once, at the
+// smallest compute term. The compute term at the one-strand group
+// count is a floor of every strand count's (family_groups never falls
+// below its one-strand value, and the other factors are >= 0), so the
+// strand count with the smallest floor is stepped exactly first and
+// any other only while its floor is below the running minimum.
 double min_jitter_free(const CpuParams& dev, const TileGeometry& tile,
                        const hhc::TileSizes& ts,
                        std::span<const hhc::ThreadConfig> thrs);

@@ -38,25 +38,25 @@ void canonicalize(std::vector<PointBin>& bins) {
   bins.resize(out);
 }
 
-// The geometry of one tile shape, with the histogram (kBins) or the
-// bound aggregates alone. Each (tile, band2-class, band3-class) piece
-// is `mult` congruent sub-prisms, each a stack of barrier-separated
-// rows of width * i2 * i3 iterations; both forms visit the same
-// pieces in the same order, so their aggregates are the same
-// integers.
-template <bool kBins>
-BlockGeometry geometry_of(const stencil::ProblemSize& p,
-                          const hhc::TileSizes& ts, const TileShape& shape) {
-  BlockGeometry g;
-  // Global traffic: the per-(t,s1)-line footprint times the inner
-  // area the block sweeps (Eqns 13/24 are this same product for the
-  // unclipped case), in and out.
+// Global traffic: the per-(t,s1)-line footprint times the inner area
+// the block sweeps (Eqns 13/24 are this same product for the
+// unclipped case), in and out.
+double io_words_of(const stencil::ProblemSize& p, const TileShape& shape) {
   double inner_area = 1.0;
   if (p.dim >= 2) inner_area *= static_cast<double>(p.S[1]);
   if (p.dim >= 3) inner_area *= static_cast<double>(p.S[2]);
-  g.io_words = static_cast<double>(shape.input_footprint() +
-                                   shape.output_footprint(p.T)) *
-               inner_area;
+  return static_cast<double>(shape.input_footprint() +
+                             shape.output_footprint(p.T)) *
+         inner_area;
+}
+
+// The histogram of one tile shape, with the aggregates it implies and
+// no traffic (io_words 0). Each (tile, band2-class, band3-class)
+// piece is `mult` congruent sub-prisms, each a stack of
+// barrier-separated rows of width * i2 * i3 iterations.
+BlockGeometry histogram_of(const stencil::ProblemSize& p,
+                           const hhc::TileSizes& ts, const TileShape& shape) {
+  BlockGeometry g;
   if (shape.level_cols.empty()) return g;
 
   const std::int64_t radius = shape.radius;
@@ -78,7 +78,7 @@ BlockGeometry geometry_of(const stencil::ProblemSize& p,
       if (i3 == 0) continue;
       any = true;
       const std::int64_t points = width * i2 * i3;
-      if constexpr (kBins) g.bins.push_back({points, mult});
+      g.bins.push_back({points, mult});
       g.total_points += points * mult;
       g.level_syncs += mult;  // barrier between dependent rows
     }
@@ -101,8 +101,47 @@ BlockGeometry geometry_of(const stencil::ProblemSize& p,
       });
     });
   }
-  if constexpr (kBins) canonicalize(g.bins);
+  canonicalize(g.bins);
   return g;
+}
+
+// level_syncs and busy_pieces of a shape at (tS2, tS3), in O(1) per
+// band class: every level of a representative shape has work, so a
+// piece's barrier rows are the levels of its band's non-empty level
+// interval (SkewedBands::busy_levels; in 3D the intersection of both
+// bands' intervals).
+void add_barriers(BlockGeometry& g, const stencil::ProblemSize& p,
+                  const hhc::TileSizes& ts, const TileShape& shape) {
+  const std::int64_t levels =
+      static_cast<std::int64_t>(shape.level_cols.size());
+  const auto add_piece = [&](hhc::Interval busy, std::int64_t mult) {
+    if (busy.empty()) return;
+    g.level_syncs += mult * busy.size();
+    g.busy_pieces += mult;
+  };
+  if (levels == 0) return;
+  const std::int64_t t_lo = shape.first_level;
+  const std::int64_t t_hi = t_lo + levels;
+  if (p.dim == 1) {
+    add_piece({0, levels}, 1);
+  } else if (p.dim == 2) {
+    const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, shape.radius);
+    bands2.for_each_class([&](const BandClass& c2) {
+      add_piece(bands2.busy_levels(c2.rep_b), c2.mult);
+    });
+  } else {
+    const SkewedBands bands2(p.S[1], ts.tS2, t_lo, t_hi, shape.radius);
+    const SkewedBands bands3(p.S[2], ts.tS3, t_lo, t_hi, shape.radius);
+    bands2.for_each_class([&](const BandClass& c2) {
+      const hhc::Interval busy2 = bands2.busy_levels(c2.rep_b);
+      if (busy2.empty()) return;
+      bands3.for_each_class([&](const BandClass& c3) {
+        const hhc::Interval busy3 = bands3.busy_levels(c3.rep_b);
+        add_piece({std::max(busy2.lo, busy3.lo), std::min(busy2.hi, busy3.hi)},
+                  c2.mult * c3.mult);
+      });
+    });
+  }
 }
 
 }  // namespace
@@ -110,13 +149,24 @@ BlockGeometry geometry_of(const stencil::ProblemSize& p,
 BlockGeometry block_geometry(const stencil::ProblemSize& p,
                              const hhc::TileSizes& ts,
                              const hhc::TileShape& shape) {
-  return geometry_of<true>(p, ts, shape);
+  BlockGeometry g = histogram_of(p, ts, shape);
+  g.io_words = io_words_of(p, shape);
+  return g;
 }
 
 BlockGeometry block_bounds(const stencil::ProblemSize& p,
                            const hhc::TileSizes& ts,
                            const hhc::TileShape& shape) {
-  return geometry_of<false>(p, ts, shape);
+  // The bands partition the inner extents at every level, so the
+  // block's points are its shape's points times the inner area.
+  BlockGeometry g;
+  g.io_words = io_words_of(p, shape);
+  std::int64_t inner_points = 1;
+  if (p.dim >= 2) inner_points *= p.S[1];
+  if (p.dim >= 3) inner_points *= p.S[2];
+  g.total_points = shape.points() * inner_points;
+  add_barriers(g, p, ts, shape);
+  return g;
 }
 
 namespace {
@@ -201,6 +251,15 @@ TileCostProfile TileCostProfile::from_classes(
     const stencil::ProblemSize& p, const hhc::TileSizes& ts,
     std::int64_t radius, std::vector<RowClass> classes,
     std::vector<hhc::TileShape> rep_shapes, std::int64_t empty_rows) {
+  for (const TileShape& shape : rep_shapes) {
+    for (const hhc::Interval& cols : shape.level_cols) {
+      if (cols.empty()) {
+        throw std::invalid_argument(
+            "TileCostProfile::from_classes: a representative shape has an "
+            "empty level");
+      }
+    }
+  }
   TileCostProfile prof;
   prof.valid_ = true;
   prof.histograms_ = true;
@@ -240,9 +299,15 @@ TileCostProfile TileCostProfile::build_step(const hhc::TileSizes& ts) const {
     TileCostProfile prof;
     prof.valid_ = true;
     prof.classes_.reserve(classes_.size());
+    // Points and traffic depend on the shape and the problem alone;
+    // only the barrier counts see the new inner extents.
     for (std::size_t i = 0; i < classes_.size(); ++i) {
+      BlockGeometry g;
+      g.total_points = classes_[i].geom.total_points;
+      g.io_words = classes_[i].geom.io_words;
+      add_barriers(g, p_, ts, (*rep_shapes_)[i]);
       prof.classes_.push_back({classes_[i].mult, classes_[i].blocks,
-                               block_bounds(p_, ts, (*rep_shapes_)[i])});
+                               std::move(g)});
     }
     prof.empty_rows_ = empty_rows_;
     prof.p_ = p_;
@@ -259,7 +324,10 @@ TileCostProfile TileCostProfile::with_histograms() const {
   TileCostProfile prof = *this;
   if (prof.has_histograms()) return prof;
   for (std::size_t i = 0; i < prof.classes_.size(); ++i) {
-    prof.classes_[i].geom = block_geometry(p_, ts_, (*rep_shapes_)[i]);
+    BlockGeometry& g = prof.classes_[i].geom;
+    const double io_words = g.io_words;
+    g = histogram_of(p_, ts_, (*rep_shapes_)[i]);
+    g.io_words = io_words;
   }
   prof.histograms_ = true;
   return prof;

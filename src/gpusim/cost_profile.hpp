@@ -17,7 +17,7 @@
 // tiles than it prices:
 //   * build_bounds: the row classes and, per class, the aggregates
 //     the admissible lower bound reads (total points, barrier count,
-//     traffic words). One allocation-free pass per class.
+//     traffic words), in closed form: no band x level walk.
 //   * with_histograms: per class, the integer histogram of
 //     per-barrier-row point counts, re-derived from the stored
 //     representative shapes. Only pricing needs it.
@@ -116,7 +116,9 @@ class TileCostProfile {
   // A valid profile with histograms from rows already sorted into
   // classes, with rep_shapes[c] the representative tile of
   // classes[c]. The reference row walk under tests/support/ ends
-  // here, so every profile is priced by the same stage two.
+  // here, so every profile is priced by the same stage two. Throws
+  // std::invalid_argument when a shape has an empty level (contract 3
+  // at build_step).
   static TileCostProfile from_classes(const stencil::ProblemSize& p,
                                       const hhc::TileSizes& ts,
                                       std::int64_t radius,
@@ -128,17 +130,46 @@ class TileCostProfile {
   // only in the inner extents (tS2/tS3). The HexSchedule depends only
   // on (T, S1, tT, tS1, radius), so the row classification — class
   // order, multiplicities, block counts, empty rows, representative
-  // shapes (shared, not copied) — carries over verbatim and only each
-  // class's bound aggregates are re-derived: bit-identical to
-  // build_bounds(), without classifying the rows again. Falls back
+  // shapes (shared, not copied) — carries over verbatim, and so do
+  // each class's total_points and io_words (contract 1 below). Only
+  // level_syncs and busy_pieces are re-derived, per band class in
+  // O(1) (contract 2): bit-identical to build_bounds(), without
+  // classifying the rows or computing a footprint again. Falls back
   // to build_bounds when the precondition does not hold (different
   // tT/tS1, or an invalid base). The result is bounds-only whatever
   // this profile holds.
+  //
+  // The closed forms rest on three facts about a representative
+  // shape over its levels [t_lo, t_hi) and its skewed bands, for each
+  // inner dimension of extent S, tile ts and radius r >= 1
+  // (hhc::SkewedBands(S, ts, t_lo, t_hi, r)):
+  //   1. The bands partition [0, S) at every level: band b covers
+  //      [b*ts - r*lev, (b+1)*ts - r*lev) at level t_lo + lev, the
+  //      bands are contiguous, and n = num_bands() satisfies
+  //      n*ts > (S - 1) + r*(t_hi - 1 - t_lo). So a block's points are
+  //      its shape's points times the inner area, whatever (tS2, tS3),
+  //      and io_words, the footprints times that area, do not depend
+  //      on them either.
+  //   2. Band b is non-empty at level t_lo + lev iff
+  //      b*ts - S < r*lev < (b+1)*ts: an interval of levels
+  //      (SkewedBands::busy_levels). A piece's barrier rows are the
+  //      shape's non-empty levels inside that interval, in 3D inside
+  //      the intersection of both bands' intervals.
+  //   3. Every level of a representative shape is non-empty:
+  //      HexSchedule::shape trims the empty levels at both ends, and a
+  //      hexagon's columns [c0 - g, c0 + w + g), with g = r*min(y,
+  //      tT-1-y) unimodal in the level, clipped to [0, S1) are
+  //      non-empty on one interval of levels. So the count in 2 is the
+  //      interval's size, O(1) per band class, and no per-level data
+  //      is kept with the shapes. from_classes rejects shapes with an
+  //      empty level.
   TileCostProfile build_step(const hhc::TileSizes& ts) const;
 
   // This profile with histograms derived from the stored
   // representative shapes: bit-identical to build() for the same
-  // tile. A copy of this profile when it already has them.
+  // tile. The band x level walk runs for the bins; io_words is kept
+  // from this profile, not recomputed. A copy of this profile when it
+  // already has them.
   TileCostProfile with_histograms() const;
 
   bool valid() const noexcept { return valid_; }
@@ -192,7 +223,10 @@ BlockGeometry block_geometry(const stencil::ProblemSize& p,
                              const hhc::TileShape& shape);
 
 // The same geometry without the histogram (empty `bins`): the bound
-// aggregates only, in one pass that allocates nothing.
+// aggregates only, in closed form (the contracts at build_step, so
+// every level of `shape` must be non-empty): the footprints once,
+// total_points as the shape's points times the inner area, and the
+// barrier counts in O(1) per band class.
 BlockGeometry block_bounds(const stencil::ProblemSize& p,
                            const hhc::TileSizes& ts,
                            const hhc::TileShape& shape);

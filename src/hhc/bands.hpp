@@ -50,6 +50,18 @@ class SkewedBands {
     return Interval{lo, lo + ts_}.clipped(0, S_);
   }
 
+  // The levels at which band b is non-empty, relative to t_lo and
+  // clipped to the prism's [0, t_hi - t_lo). range_at(b, t_lo + lev)
+  // is non-empty iff b*ts - S < r*lev < (b+1)*ts, so they form one
+  // interval. Needs radius >= 1.
+  Interval busy_levels(std::int64_t b) const noexcept {
+    if (S_ < 1) return {};
+    const std::int64_t below = b * ts_ - S_;  // r*lev must exceed it
+    return Interval{below < 0 ? 0 : below / r_ + 1,
+                    repro::ceil_div((b + 1) * ts_, r_)}
+        .clipped(0, t_hi_ - t_lo_);
+  }
+
   std::int64_t S() const noexcept { return S_; }
   std::int64_t ts() const noexcept { return ts_; }
   std::int64_t t_lo() const noexcept { return t_lo_; }

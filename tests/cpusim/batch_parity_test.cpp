@@ -18,10 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "cpusim/device.hpp"
 #include "cpusim/lower_bound.hpp"
 #include "cpusim/timing.hpp"
+#include "device/descriptor.hpp"
+#include "device/registry.hpp"
 #include "stencil/stencil.hpp"
 #include "support/strand_oracle.hpp"
 #include "tuner/space.hpp"
@@ -195,6 +198,105 @@ TEST(CpuBatchParity, TileBoundMatchesPerStrandReferenceAndStaysAFloor) {
       }
     }
   }
+}
+
+// Copies of `dev` loaded through a device registry: smt 1, 4 and 8,
+// and one with stall_factor = oversub_penalty = 0, where every strand
+// count's one-strand floor is the same and several floors tie.
+std::vector<CpuParams> registry_copies(const CpuParams& dev) {
+  const json::Value base = device::Descriptor(dev).to_json();
+  json::Value list = json::Value::array();
+  for (const int smt : {1, 4, 8}) {
+    json::Value v = base;
+    v.set("name", dev.name + " smt " + std::to_string(smt));
+    v.set("smt", smt);
+    list.push_back(std::move(v));
+  }
+  json::Value flat = base;
+  flat.set("name", dev.name + " without penalties");
+  flat.set("stall_factor", 0.0);
+  flat.set("oversub_penalty", 0.0);
+  list.push_back(std::move(flat));
+  json::Value doc = json::Value::object();
+  doc.set("devices", std::move(list));
+  device::DeviceRegistry reg;
+  EXPECT_TRUE(reg.load_json(doc)) << dev.name;
+  std::vector<CpuParams> out;
+  for (const device::Descriptor& d : reg.devices()) out.push_back(d.cpu());
+  return out;
+}
+
+// Strand axes the tuner never generates: empty, single, duplicated,
+// unsorted, with the out-of-range strand counts 0 and 1025, and longer
+// than 64 entries.
+std::vector<std::vector<hhc::ThreadConfig>> strand_axes(Rng& rng) {
+  const auto strands = [](int n) { return hhc::ThreadConfig{n, 1, 1}; };
+  std::vector<std::vector<hhc::ThreadConfig>> out = {
+      {},
+      {strands(1)},
+      {strands(8)},
+      {strands(0)},
+      {strands(1025)},
+      {strands(0), strands(1025)},
+      {strands(4), strands(4), strands(4)},
+      {strands(16), strands(2), strands(16), strands(1), strands(2)},
+      {strands(1025), strands(64), strands(0), strands(3), strands(1024)},
+      {{.n1 = 4, .n2 = 2, .n3 = 1}, {.n1 = 2, .n2 = 2, .n3 = 2}, strands(8)},
+  };
+  for (int axis = 0; axis < 4; ++axis) {
+    std::vector<hhc::ThreadConfig> longer;
+    const int n = static_cast<int>(rng.uniform_int(65, 140));
+    for (int j = 0; j < n; ++j) {
+      longer.push_back(strands(static_cast<int>(
+          rng.next_below(8) == 0 ? rng.uniform_int(0, 1100)
+                                 : rng.uniform_int(1, 24))));
+    }
+    out.push_back(std::move(longer));
+  }
+  return out;
+}
+
+// TileFloors::over evaluates few strand steps exactly. It rests on a
+// floor of each strand count's compute term taken at the one-strand
+// group count: family_groups(s) >= family_groups(1) row by row (a
+// short row costs 2 * points >= 2 * ceil(points / n_v), a saturated
+// one 2s * ceil(x / (s * n_v)) >= 2 * ceil(x / n_v)), and the compute
+// term is non-decreasing in the group count because its other factors
+// (cycles per group, the stall and oversubscription factors) are
+// >= 0. A strand count whose floor is not below the running minimum
+// cannot lower it and is skipped. Whatever the axis and the device,
+// the result must be the minimum of the point bounds, bit for bit.
+TEST(CpuBatchParity, TileFloorIsTheMinimumOverGeneratedStrandAxes) {
+  Rng rng(0xF100D5ULL);
+  int axes = 0;
+  for (const CpuParams* base : cpu_devices()) {
+    std::vector<CpuParams> devs = registry_copies(*base);
+    devs.insert(devs.begin(), *base);
+    ASSERT_EQ(devs.size(), 5u) << base->name;
+    for (const CpuParams& dev : devs) {
+      for (const StencilDef& def : stencil::all_stencils()) {
+        const ProblemSize p = problem_for(def.dim);
+        for (const hhc::TileSizes& ts : tiles_for(def.dim)) {
+          const TileFloors floors(dev, def, p, ts);
+          for (const std::vector<hhc::ThreadConfig>& axis : strand_axes(rng)) {
+            double min_point = std::numeric_limits<double>::infinity();
+            for (const hhc::ThreadConfig& thr : axis) {
+              min_point = std::min(min_point, floors.point(thr).seconds);
+            }
+            const LowerBound tile = floors.over(axis);
+            const std::string tag = dev.name + " " + def.name + " tile " +
+                                    std::to_string(ts.tT) + "x" +
+                                    std::to_string(ts.tS1) + " axis of " +
+                                    std::to_string(axis.size());
+            ASSERT_EQ(bits(tile.seconds), bits(min_point)) << tag;
+            ASSERT_EQ(tile.feasible, std::isfinite(min_point)) << tag;
+            ++axes;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(axes, 5000);
 }
 
 TEST(CpuStrandSum, ClosedFormMatchesTheRowWalk) {
