@@ -13,17 +13,6 @@ namespace repro::pipeline {
 
 namespace {
 
-std::string problem_key(const stencil::ProblemSize& p) {
-  std::string k = "S";
-  for (int i = 0; i < p.dim; ++i) {
-    k += ':';
-    k += std::to_string(p.S[static_cast<std::size_t>(i)]);
-  }
-  k += "|T:";
-  k += std::to_string(p.T);
-  return k;
-}
-
 // At most this many same-stencil winners seed one stage's sweep.
 constexpr std::size_t kWarmSeedLimit = 3;
 
@@ -38,8 +27,12 @@ stencil::KernelVariant effective_variant(const Stage& st) {
 }  // namespace
 
 Planner::Planner(const device::Descriptor& dev, PlanOptions opt,
-                 tuner::CalibrationCache* calibrations)
-    : dev_(dev), opt_(std::move(opt)), calibrations_(calibrations) {}
+                 tuner::CalibrationCache* calibrations, StageCache* stages)
+    : dev_(dev),
+      dev_key_(tuner::device_key(dev)),
+      opt_(std::move(opt)),
+      calibrations_(calibrations),
+      stages_(stages) {}
 
 PipelinePlan Planner::plan(const Pipeline& p) {
   const std::optional<std::vector<std::size_t>> order = topo_order(p);
@@ -96,52 +89,69 @@ PipelinePlan Planner::plan(const Pipeline& p) {
       r.candidates_tried = src.candidates_tried;
       r.best = src.best;
     } else {
-      std::unique_ptr<tuner::Session>& sess =
-          sessions[ident + "|" + problem_key(st.problem)];
-      if (!sess) {
-        sess = std::make_unique<tuner::Session>(
-            tuner::TuningContext::with_inputs(
-                dev_, st.def, st.problem,
-                calibrations.inputs(dev_, st.def, ident)),
-            opt_.session);
-      }
-
-      const std::pair<int, int> space_key{st.problem.dim, st.def.radius};
-      auto sit = spaces.find(space_key);
-      if (sit == spaces.end()) {
-        sit = spaces
-                  .emplace(space_key,
-                           tuner::enumerate_feasible(
-                               st.problem.dim, sess->inputs().hw,
-                               opt_.enumeration, st.def.radius))
-                  .first;
-        ++plan.spaces_enumerated;
-      }
-      const std::vector<hhc::TileSizes>& space = sit->second;
-      const tuner::ModelSweep sweep = sess->sweep_model(space, opt_.delta);
-      r.space_size = sweep.space_size;
-      r.candidates_tried = sweep.candidates.size();
-      if (!sweep.candidates.empty()) {
-        std::vector<stencil::KernelVariant> vars;
-        if (st.variant) vars.push_back(*st.variant);
-
-        // Cross-level warm seeding: offer the winners already found
-        // for this stencil at other problem sizes, same-variant
-        // first, then nearest in log problem space, discovery order
-        // breaking ties. best_tile re-prices every seed under this
-        // stage's problem, so the result is byte-identical to cold.
-        std::vector<tuner::WarmSeed> seeds;
-        if (opt_.warm_seed) {
-          const std::vector<Winner>& pool = winners[ident];
-          for (const std::size_t i :
-               seed_order(pool, st.problem, effective_variant(st))) {
-            if (seeds.size() >= kWarmSeedLimit) break;
-            seeds.push_back({pool[i].best.dp.ts, pool[i].best.dp.thr,
-                             pool[i].best.dp.var});
-          }
+      const auto tune = [&] {
+        std::unique_ptr<tuner::Session>& sess =
+            sessions[ident + "|" + problem_key(st.problem)];
+        if (!sess) {
+          sess = std::make_unique<tuner::Session>(
+              tuner::TuningContext::with_inputs(
+                  dev_, st.def, st.problem,
+                  calibrations.inputs(dev_key_, dev_, st.def, ident)),
+              opt_.session);
         }
-        r.best = sess->best_tile(sweep, vars, seeds);
-      }
+
+        const std::pair<int, int> space_key{st.problem.dim, st.def.radius};
+        auto sit = spaces.find(space_key);
+        if (sit == spaces.end()) {
+          sit = spaces
+                    .emplace(space_key,
+                             tuner::enumerate_feasible(
+                                 st.problem.dim, sess->inputs().hw,
+                                 opt_.enumeration, st.def.radius))
+                    .first;
+          ++plan.spaces_enumerated;
+        }
+        const std::vector<hhc::TileSizes>& space = sit->second;
+        const tuner::ModelSweep sweep = sess->sweep_model(space, opt_.delta);
+        StageOutcome out;
+        out.space_size = sweep.space_size;
+        out.candidates_tried = sweep.candidates.size();
+        if (!sweep.candidates.empty()) {
+          std::vector<stencil::KernelVariant> vars;
+          if (st.variant) vars.push_back(*st.variant);
+
+          // Cross-level warm seeding: offer the winners already found
+          // for this stencil at other problem sizes, same-variant
+          // first, then nearest in log problem space, discovery order
+          // breaking ties. best_tile re-prices every seed under this
+          // stage's problem, so the result is byte-identical to cold.
+          std::vector<tuner::WarmSeed> seeds;
+          if (opt_.warm_seed) {
+            const std::vector<Winner>& pool = winners[ident];
+            for (const std::size_t i :
+                 seed_order(pool, st.problem, effective_variant(st))) {
+              if (seeds.size() >= kWarmSeedLimit) break;
+              seeds.push_back({pool[i].best.dp.ts, pool[i].best.dp.thr,
+                               pool[i].best.dp.var});
+            }
+          }
+          out.best = sess->best_tile(sweep, vars, seeds);
+        }
+        return out;
+      };
+      // A stage any earlier plan tuned comes from the shared cache,
+      // byte for byte what tune() would compute here.
+      const StageOutcome out =
+          stages_ != nullptr
+              ? stages_->get_or_make(
+                    stage_key(dev_key_, ident, st.problem,
+                              effective_variant(st), opt_.delta,
+                              opt_.enumeration),
+                    tune)
+              : tune();
+      r.space_size = out.space_size;
+      r.candidates_tried = out.candidates_tried;
+      r.best = out.best;
       if (r.best.feasible) winners[ident].push_back({st.problem, r.best});
       done.emplace(task, si);
       ++plan.distinct_tasks;

@@ -3,11 +3,12 @@
 // and aggregates per-stage best times into an end-to-end pipeline
 // Talg with a per-stage breakdown.
 //
-// Four reuse mechanisms stack, each strictly work-saving (none can
+// Five reuse mechanisms stack, each strictly work-saving (none can
 // change a result — the dedup copies a finished answer, the shared
 // memo replays cached measurements, warm seeds only reorder and
-// prune Session::best_tile's sweep, and a shared tile space is the
-// one each stage would have enumerated):
+// prune Session::best_tile's sweep, a shared tile space is the one
+// each stage would have enumerated, and a stage cache entry is the
+// answer an earlier plan computed for the same inputs):
 //   1. Stage dedup: stages agreeing on (stencil identity, problem,
 //      effective variant) are tuned once; later copies reuse the
 //      earlier StageResult (reused == true, zero additional work).
@@ -29,6 +30,12 @@
 //      enumeration options are fixed within a plan, so every stage
 //      of one dim and radius sweeps the same enumerate_feasible
 //      result, computed once.
+//   5. Stage results across plans: a planner given a StageCache (the
+//      tuned service hands over its own) serves a distinct stage that
+//      any earlier plan tuned from the cache. The copy is plan-local
+//      in everything else: `reused` marks only a repeat inside this
+//      plan, distinct_tasks counts the stage and its winner joins the
+//      warm-seed pool, so the plan reads as a fresh one.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +47,7 @@
 #include "common/json.hpp"
 #include "device/descriptor.hpp"
 #include "pipeline/pipeline.hpp"
+#include "pipeline/stage_cache.hpp"
 #include "tuner/session.hpp"
 #include "tuner/space.hpp"
 
@@ -88,7 +96,8 @@ struct PipelinePlan {
   std::vector<StageResult> stages;  // declaration order
   std::size_t total_stages = 0;
   std::int64_t stage_executions = 0;  // Σ repeat
-  std::size_t distinct_tasks = 0;     // tasks actually tuned
+  std::size_t distinct_tasks = 0;     // tasks tuned, or served from a
+                                      // StageCache
   std::size_t spaces_enumerated = 0;  // tile spaces built, one per
                                       // (dim, radius) the plan tunes
   bool feasible = false;              // every stage found a feasible best
@@ -103,9 +112,10 @@ struct PipelinePlan {
 
 class Planner {
  public:
-  // `calibrations`, when given, must outlive the planner.
+  // `calibrations` and `stages`, when given, must outlive the planner.
   explicit Planner(const device::Descriptor& dev, PlanOptions opt = {},
-                   tuner::CalibrationCache* calibrations = nullptr);
+                   tuner::CalibrationCache* calibrations = nullptr,
+                   StageCache* stages = nullptr);
 
   // Tunes every stage (in topological order — seeds flow along the
   // level descent) and aggregates. The pipeline must have passed
@@ -114,8 +124,10 @@ class Planner {
 
  private:
   device::Descriptor dev_;
+  std::string dev_key_;  // tuner::device_key(dev_)
   PlanOptions opt_;
   tuner::CalibrationCache* calibrations_;
+  StageCache* stages_;
 };
 
 // A feasible winner found earlier in the walk, available as a warm

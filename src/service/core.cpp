@@ -172,8 +172,7 @@ std::string compute_lint(const Request& req) {
   return o.dump();
 }
 
-std::string compute_pipeline(const Request& req,
-                             tuner::CalibrationCache* calibrations) {
+std::string compute_pipeline(const Request& req, const PlanShared& shared) {
   // The planner runs its own shared Session pool (dedup + memo +
   // warm seeding, all strictly work-saving), so the payload is
   // jobs-invariant and byte-deterministic: cold == warm == coalesced
@@ -183,8 +182,10 @@ std::string compute_pipeline(const Request& req,
   popt.enumeration = req.enumeration;
   popt.session = tuner::SessionOptions{}.with_jobs(1);
   pipeline::Planner planner(*device::registry().find(req.device), popt,
-                            calibrations);
-  return pipeline::plan_to_json(planner.plan(*req.pipe)).dump();
+                            shared.calibrations, shared.stages);
+  const pipeline::PipelinePlan plan = planner.plan(*req.pipe);
+  if (shared.stats != nullptr) *shared.stats += plan.stats;
+  return pipeline::plan_to_json(plan).dump();
 }
 
 std::string compute_devices() {
@@ -232,7 +233,7 @@ std::string ServiceStats::to_json() const {
 
 std::string compute_payload(const Request& req, tuner::Session* session,
                             std::span<const tuner::WarmSeed> seeds,
-                            tuner::CalibrationCache* calibrations) {
+                            const PlanShared& shared) {
   switch (req.kind) {
     case RequestKind::kPredict:
       return compute_predict(req, *session);
@@ -249,7 +250,7 @@ std::string compute_payload(const Request& req, tuner::Session* session,
       // every counter is legitimately zero.
       return ServiceStats{}.to_json();
     case RequestKind::kPipeline:
-      return compute_pipeline(req, calibrations);
+      return compute_pipeline(req, shared);
   }
   throw std::logic_error("compute_payload: unhandled request kind");
 }
@@ -285,23 +286,32 @@ ServiceStats ServiceCore::stats() const {
     s.store_newest_age_s = d.newest_age_seconds;
   }
   {
-    // Tuner activity across the cached sessions. Sessions are only
-    // ever appended, and a Session's stats() takes its own lock, so a
-    // snapshot here is consistent per session.
+    // Tuner activity across the cached sessions and the finished
+    // plans. Sessions are only ever appended, and a Session's stats()
+    // takes its own lock, so a snapshot here is consistent per session.
+    tuner::SweepStats total;
+    {
+      std::lock_guard<std::mutex> lk(stats_mu_);
+      total = plan_stats_;
+    }
     std::lock_guard<std::mutex> lk(sessions_mu_);
     for (const auto& [key, entry] : sessions_) {
-      if (!entry || !entry->session) continue;
-      const tuner::SweepStats ss = entry->session->stats();
-      s.session_machine_points += ss.machine_points;
-      s.session_cache_hits += ss.cache_hits;
-      s.session_points_pruned += ss.points_pruned;
+      if (entry && entry->session) total += entry->session->stats();
     }
+    s.session_machine_points = total.machine_points;
+    s.session_cache_hits = total.cache_hits;
+    s.session_points_pruned = total.points_pruned;
   }
   const tuner::CalibrationCache::Counters cal = calibrations_.counters();
   s.calibration_entries = cal.entries;
   s.calibration_hits = cal.hits;
   s.calibration_misses = cal.misses;
   s.calibration_evictions = cal.evictions;
+  const pipeline::StageCache::Counters st = stages_.counters();
+  s.stage_cache_entries = st.entries;
+  s.stage_cache_hits = st.hits;
+  s.stage_cache_misses = st.misses;
+  s.stage_cache_evictions = st.evictions;
   return s;
 }
 
@@ -352,6 +362,7 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
   std::string payload;
   analysis::DiagnosticEngine diags;
   bool ok = false;
+  tuner::SweepStats plan_stats;  // a pipeline plan's session counters
   const Clock::time_point t0 = Clock::now();
   try {
     if (hook_) hook_();
@@ -396,15 +407,17 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
         const device::Descriptor& dev = *device::registry().find(req.device);
         const std::string stencil =
             tuner::stencil_identity(req.stencil_name, req.stencil_text);
+        const std::string dev_key = tuner::device_key(dev);
         const model::ModelInputs in =
-            calibrations_.inputs(dev, req.def, stencil);
+            calibrations_.inputs(dev_key, dev, req.def, stencil);
         entry.session = std::make_unique<tuner::Session>(
             tuner::TuningContext::with_inputs(dev, req.def, *req.problem, in),
             tuner::SessionOptions{}.with_jobs(opt_.session_jobs));
       }
       session = entry.session.get();
     }
-    payload = compute_payload(req, session, seeds, &calibrations_);
+    payload = compute_payload(req, session, seeds,
+                              {&calibrations_, &stages_, &plan_stats});
     ok = true;
   } catch (const std::exception& e) {
     diags.error(analysis::Code::kSvcInternal,
@@ -418,6 +431,7 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.computed;
     stats_.compute_seconds += elapsed;
+    plan_stats_ += plan_stats;
   }
 
   // The registry is process-local state (imports can extend it), so a
@@ -425,10 +439,11 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
   // shadow devices registered since.
   if (ok && store_ && req.kind != RequestKind::kDevices) {
     std::lock_guard<std::mutex> lk(store_mu_);
-    if (store_->save(key, payload) && index_) {
+    if (store_->save(key, payload) && index_ &&
+        SimilarityIndex::indexes(to_string(req.kind))) {
       // Keep the in-memory similarity index in step with the store. A
-      // payload that carries no usable point (lint, infeasible best)
-      // simply yields no entry.
+      // payload that carries no usable point (infeasible best) simply
+      // yields no entry.
       if (const std::optional<IndexEntry> e =
               SimilarityIndex::entry_from(key, payload)) {
         index_->append(*e);

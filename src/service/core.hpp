@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "pipeline/stage_cache.hpp"
 #include "service/index.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
@@ -118,9 +119,10 @@ struct ServiceStats {
   // candidate seeds they produced.
   std::uint64_t warm_lookups = 0;
   std::uint64_t warm_seeds = 0;
-  // Tuner activity aggregated over the live sessions (simulator
-  // pricings requested, memo-cache hits, bound-pruned points) — the
-  // near-miss bench's pricings-per-request numerator.
+  // Tuner activity aggregated over the live sessions and every
+  // pipeline plan's sessions (simulator pricings requested, memo-cache
+  // hits, bound-pruned points) — the near-miss bench's
+  // pricings-per-request numerator.
   std::uint64_t session_machine_points = 0;
   std::uint64_t session_cache_hits = 0;
   std::uint64_t session_points_pruned = 0;
@@ -131,6 +133,13 @@ struct ServiceStats {
   std::uint64_t calibration_hits = 0;
   std::uint64_t calibration_misses = 0;
   std::uint64_t calibration_evictions = 0;
+  // The service-wide pipeline stage cache (pipeline::StageCache), the
+  // same four counters: entries held (within its entry and byte
+  // bounds), stages served, stages tuned, entries evicted.
+  std::uint64_t stage_cache_entries = 0;
+  std::uint64_t stage_cache_hits = 0;
+  std::uint64_t stage_cache_misses = 0;
+  std::uint64_t stage_cache_evictions = 0;
   // Result-store directory scan (ResultStore::dir_stats; zeros
   // without a store).
   std::uint64_t store_entries = 0;
@@ -172,6 +181,10 @@ struct ServiceStats {
     f("", "calibration_hits", &ServiceStats::calibration_hits);
     f("", "calibration_misses", &ServiceStats::calibration_misses);
     f("", "calibration_evictions", &ServiceStats::calibration_evictions);
+    f("", "stage_cache_entries", &ServiceStats::stage_cache_entries);
+    f("", "stage_cache_hits", &ServiceStats::stage_cache_hits);
+    f("", "stage_cache_misses", &ServiceStats::stage_cache_misses);
+    f("", "stage_cache_evictions", &ServiceStats::stage_cache_evictions);
     f("", "store_entries", &ServiceStats::store_entries);
     f("", "store_bytes", &ServiceStats::store_bytes);
     f("", "store_oldest_age_s", &ServiceStats::store_oldest_age_s);
@@ -184,6 +197,16 @@ struct ServiceStats {
   std::string to_json() const;
 };
 
+// What a kPipeline plan shares with a serving instance: the caches it
+// draws from and the counters its sessions' work is added to. Each may
+// be null; a plan then keeps its own calibrations, tunes every distinct
+// stage itself and reports nothing. The payload is the same either way.
+struct PlanShared {
+  tuner::CalibrationCache* calibrations = nullptr;
+  pipeline::StageCache* stages = nullptr;
+  tuner::SweepStats* stats = nullptr;
+};
+
 // Executes one parsed request against a Session and returns the
 // serialized result payload. This is THE payload producer: the
 // service core, the `tuned once` mode and the byte-identity tests all
@@ -194,14 +217,12 @@ struct ServiceStats {
 // candidates for kBestTile, ignored by every other kind; because a
 // seed is strictly advisory (Session::best_tile re-prices it and only
 // admits in-space points), the payload is byte-identical for any
-// seed list, including none. `calibrations`, when given, is the
-// calibration cache a kPipeline plan draws from (the service passes
-// its own); without one the plan keeps its own, and the payload is the
-// same either way. Throws on internal failure (the core converts that
-// to SL407).
+// seed list, including none. `shared` is what a kPipeline plan shares
+// with the service (PlanShared); `tuned once` passes none. Throws on
+// internal failure (the core converts that to SL407).
 std::string compute_payload(const Request& req, tuner::Session* session,
                             std::span<const tuner::WarmSeed> seeds = {},
-                            tuner::CalibrationCache* calibrations = nullptr);
+                            const PlanShared& shared = {});
 
 class ServiceCore {
  public:
@@ -272,9 +293,14 @@ class ServiceCore {
   // Calibrated model inputs by (device, stencil), shared by every
   // session and pipeline plan this service builds. Thread-safe.
   tuner::CalibrationCache calibrations_;
+  // Finished pipeline stages, shared by every plan. Thread-safe.
+  pipeline::StageCache stages_;
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
+  // The session counters of every finished pipeline plan (the plans'
+  // sessions are gone). Guarded by stats_mu_.
+  tuner::SweepStats plan_stats_;
 
   std::function<void()> hook_;
 

@@ -53,6 +53,11 @@ SimilarityIndex::SimilarityIndex(std::string store_dir)
 
 std::string SimilarityIndex::path() const { return dir_ + "/index.jsonl"; }
 
+bool SimilarityIndex::indexes(std::string_view kind) noexcept {
+  return kind == "predict" || kind == "best_tile" ||
+         kind == "compare_strategies";
+}
+
 std::optional<IndexEntry> SimilarityIndex::entry_from(
     const std::string& key, const std::string& payload) {
   const std::optional<json::Value> kdoc = json::parse(key);

@@ -29,6 +29,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hhc/tile_sizes.hpp"
@@ -73,6 +74,11 @@ class SimilarityIndex {
   // devices and stats payloads — and infeasible answers — do not.
   static std::optional<IndexEntry> entry_from(const std::string& key,
                                               const std::string& payload);
+
+  // Whether results of this request kind (protocol name) can index:
+  // predict, best_tile and compare_strategies. The owner skips
+  // entry_from, which parses key and payload, for every other kind.
+  static bool indexes(std::string_view kind) noexcept;
 
   // Inserts `e`, replacing any entry under the same key; returns
   // whether the key was new to the index. Call it after the result

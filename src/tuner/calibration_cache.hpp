@@ -8,25 +8,21 @@
 // (its sessions and every pipeline plan draw from it), and a
 // pipeline::Planner without a shared cache keeps one per plan.
 //
-// Keys are the device's canonical descriptor JSON plus the stencil
-// identity (stencil_identity: catalogue name or DSL text), so two
-// descriptors that share a name but differ in any parameter, or a
-// DSL program named like a catalogue stencil, get their own entries.
-// The cache holds at most `capacity` entries and evicts the least
-// recently used one past that. Calibration is deterministic, so a
-// served entry equals a fresh calibration bit for bit and an evicted
-// one is recomputed identically.
+// Keys are the device's canonical descriptor JSON (device_key) plus
+// the stencil identity (stencil_identity: catalogue name or DSL text),
+// so two descriptors that share a name but differ in any parameter, or
+// a DSL program named like a catalogue stencil, get their own entries.
+// The cache (a repro::LruCache) holds at most `capacity` entries and
+// evicts the least recently used one past that. Calibration is
+// deterministic, so a served entry equals a fresh calibration bit for
+// bit and an evicted one is recomputed identically.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <list>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 
+#include "common/lru_cache.hpp"
 #include "device/descriptor.hpp"
 #include "model/talg.hpp"
 #include "stencil/stencil.hpp"
@@ -42,6 +38,11 @@ model::ModelInputs calibrate_model(const device::Descriptor& dev,
 // one, else its catalogue name, prefixed so the two cannot collide.
 std::string stencil_identity(std::string_view name, std::string_view text);
 
+// The identity of a device: its canonical descriptor JSON. Serializing
+// a descriptor is not free, so a caller that looks up many keys of one
+// device computes this once.
+std::string device_key(const device::Descriptor& dev);
+
 class CalibrationCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
@@ -49,34 +50,24 @@ class CalibrationCache {
   // A capacity below 1 holds one entry.
   explicit CalibrationCache(std::size_t capacity = kDefaultCapacity);
 
-  CalibrationCache(const CalibrationCache&) = delete;
-  CalibrationCache& operator=(const CalibrationCache&) = delete;
-
   // calibrate_model(dev, def), computed on the first lookup of (dev,
-  // `stencil`) and served from the cache after; `stencil` is def's
-  // stencil_identity. Thread-safe. The calibration runs outside the
-  // lock, so two racing first lookups of one key may both calibrate
-  // (each counts a miss) and store one identical entry.
-  model::ModelInputs inputs(const device::Descriptor& dev,
+  // `stencil`) and served from the cache after; `dev_key` is
+  // device_key(dev) and `stencil` def's stencil_identity. Thread-safe.
+  // The calibration runs outside the lock, so two racing first lookups
+  // of one key may both calibrate (each counts a miss) and store one
+  // identical entry.
+  model::ModelInputs inputs(std::string_view dev_key,
+                            const device::Descriptor& dev,
                             const stencil::StencilDef& def,
                             std::string_view stencil);
 
-  struct Counters {
-    std::uint64_t entries = 0;    // held now, <= capacity
-    std::uint64_t hits = 0;       // lookups served from an entry
-    std::uint64_t misses = 0;     // lookups that calibrated
-    std::uint64_t evictions = 0;  // entries dropped at the cap
-  };
-  Counters counters() const;
+  // `misses` counts the lookups that calibrated, `evictions` the
+  // entries dropped at the cap.
+  using Counters = LruCache<model::ModelInputs>::Counters;
+  Counters counters() const { return cache_.counters(); }
 
  private:
-  using Entry = std::pair<std::string, model::ModelInputs>;
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // most recently used first
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Counters counters_;
+  LruCache<model::ModelInputs> cache_;
 };
 
 }  // namespace repro::tuner

@@ -173,24 +173,31 @@ std::vector<hhc::TileSizes> baseline_tile_set(
   // footprint is as close as possible to M_SM / k from below
   // ("maximize the memory footprint of the tile subject to capacity
   // constraints", Section 5.1).
+  //
+  // Each footprint is computed once. The buckets sort tile indices on
+  // the footprint alone, so std::sort makes the moves a sort of the
+  // bare tiles by footprint would, ties included.
+  std::vector<std::int64_t> words(space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    words[i] = hhc::shared_words_per_tile(dim, space[i], radius);
+  }
   std::vector<hhc::TileSizes> out;
   const std::int64_t m_sm = hw.shared_words_per_sm;
+  std::vector<std::size_t> bucket;
   for (const std::int64_t k : {2LL, 4LL, 8LL, 16LL}) {
     const std::int64_t target = m_sm / k;
-    std::vector<hhc::TileSizes> bucket;
-    for (const auto& ts : space) {
-      const std::int64_t m = hhc::shared_words_per_tile(dim, ts, radius);
-      if (m <= target && m >= (target * 7) / 10) bucket.push_back(ts);
+    bucket.clear();
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      if (words[i] <= target && words[i] >= (target * 7) / 10) {
+        bucket.push_back(i);
+      }
     }
-    std::sort(bucket.begin(), bucket.end(),
-              [&](const hhc::TileSizes& a, const hhc::TileSizes& b) {
-                return hhc::shared_words_per_tile(dim, a, radius) >
-                       hhc::shared_words_per_tile(dim, b, radius);
-              });
+    std::sort(bucket.begin(), bucket.end(), [&](std::size_t a, std::size_t b) {
+      return words[a] > words[b];
+    });
     const std::size_t take = std::min<std::size_t>(
         bucket.size(), std::max<std::size_t>(1, max_count / 4));
-    out.insert(out.end(), bucket.begin(),
-               bucket.begin() + static_cast<std::ptrdiff_t>(take));
+    for (std::size_t i = 0; i < take; ++i) out.push_back(space[bucket[i]]);
   }
   // Deduplicate and cap.
   std::sort(out.begin(), out.end(),

@@ -248,5 +248,78 @@ TEST(ServiceCalibration, OnePerDeviceAndStencilAcrossRequestKinds) {
   EXPECT_EQ(s.calibration_evictions, 0u);
 }
 
+// A second pipeline that shares the "coarse" stage (and its 512^2
+// smoother) with kPipelineReq and adds one stage of its own.
+constexpr const char* kSharingReq =
+    R"({"v":1,"id":"pl2","kind":"pipeline",)"
+    R"("pipeline":{"pipeline_version":1,"name":"svc2","stages":[)"
+    R"({"id":"coarse","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4}},)"
+    R"({"id":"coarser","stencil":"Jacobi2D","problem":{"S":[128,128],"T":4},)"
+    R"("after":["coarse"]},)"
+    R"({"id":"fine","stencil":"Jacobi2D","problem":{"S":[512,512],"T":4},)"
+    R"("after":["coarser"]}]},)"
+    R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})";
+
+// One service tunes each distinct stage once across pipeline requests
+// and serves the same bytes as `tuned once` (and so `tuned pipeline`,
+// which computes the same request line): cold, on a stage-cache hit
+// inside a different pipeline, and again for the first pipeline, at
+// one and at four session jobs. Pipeline planning now shows in the
+// session counters.
+TEST(ServiceStageCache, HitsInOtherPipelinesServeTheOnceBytes) {
+  const std::vector<std::string> lines = {kPipelineReq, kSharingReq,
+                                          kPipelineReq};
+  std::vector<std::string> served_j1;
+  for (const int jobs : {1, 4}) {
+    ServiceCore core(
+        ServiceOptions{}.with_workers(1).with_session_jobs(jobs));
+    std::vector<std::string> served;
+    for (const std::string& line : lines) {
+      served.push_back(core.handle(line));
+      EXPECT_EQ(served.back(), once(line)) << "jobs " << jobs;
+    }
+    const ServiceStats s = core.stats();
+    EXPECT_EQ(s.computed, 3u);
+    // pl1 tunes fine and coarse; pl2 adds coarser and hits the other
+    // two; pl1 again hits both.
+    EXPECT_EQ(s.stage_cache_misses, 3u);
+    EXPECT_EQ(s.stage_cache_hits, 4u);
+    EXPECT_EQ(s.stage_cache_entries, 3u);
+    EXPECT_EQ(s.stage_cache_evictions, 0u);
+    EXPECT_GT(s.session_machine_points, 0u);
+    EXPECT_GT(s.session_points_pruned, 0u);
+    if (jobs == 1) {
+      served_j1 = served;
+    } else {
+      EXPECT_EQ(served, served_j1);
+    }
+  }
+}
+
+// A stage evicted from a one-entry cache is retuned to the same bytes.
+TEST(ServiceStageCache, EvictedStagesAreRetunedIdentically) {
+  tuner::CalibrationCache calibrations;
+  pipeline::StageCache stages(1);
+  tuner::SweepStats stats;
+  for (const std::string line : {kPipelineReq, kSharingReq, kPipelineReq}) {
+    analysis::DiagnosticEngine diags;
+    const auto req = parse_request(line, diags);
+    ASSERT_TRUE(req) << analysis::render_human(diags.diagnostics());
+    EXPECT_EQ(render_result(req->id, req->kind,
+                            compute_payload(*req, nullptr, {},
+                                            {&calibrations, &stages, &stats})),
+              once(line));
+  }
+  // Planned in topological order, each stage evicting the one before:
+  // pl1 tunes 512 and 256; pl2 hits 256, tunes 128 and 512 again; pl1
+  // hits 512 and retunes 256.
+  const pipeline::StageCache::Counters c = stages.counters();
+  EXPECT_EQ(c.entries, 1u);
+  EXPECT_EQ(c.hits, 2u);
+  EXPECT_EQ(c.misses, 5u);
+  EXPECT_EQ(c.evictions, 4u);
+  EXPECT_GT(stats.machine_points, 0u);
+}
+
 }  // namespace
 }  // namespace repro::service

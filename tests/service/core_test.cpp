@@ -403,6 +403,10 @@ TEST(ServiceStatsJson, FieldVisitorKeepsKeyOrderAndBytes) {
   s.calibration_hits = 27;
   s.calibration_misses = 28;
   s.calibration_evictions = 29;
+  s.stage_cache_entries = 30;
+  s.stage_cache_hits = 31;
+  s.stage_cache_misses = 32;
+  s.stage_cache_evictions = 33;
   s.store_entries = 22;
   s.store_bytes = 23;
   s.store_oldest_age_s = 24.5;
@@ -417,8 +421,9 @@ TEST(ServiceStatsJson, FieldVisitorKeepsKeyOrderAndBytes) {
 "devices":14,"stats":15,"pipeline":16},"warm_lookups":17,"warm_seeds":18,
 "session_machine_points":19,"session_cache_hits":20,
 "session_points_pruned":21,"calibration_entries":26,"calibration_hits":27,
-"calibration_misses":28,"calibration_evictions":29,"store_entries":22,
-"store_bytes":23,
+"calibration_misses":28,"calibration_evictions":29,
+"stage_cache_entries":30,"stage_cache_hits":31,"stage_cache_misses":32,
+"stage_cache_evictions":33,"store_entries":22,"store_bytes":23,
 "store_oldest_age_s":24.5,"store_newest_age_s":0.25,
 "compute_seconds":0.3333333333333333,"latency_seconds":1e-07,
 "latency_max":12345.678})";

@@ -43,9 +43,9 @@ TEST(CalibrationCache, CalibratesEachPairOnceAndServesItBitIdentical) {
     const std::string id = stencil_identity(heat2d().name, "");
     const model::ModelInputs fresh =
         TuningContext::calibrate(dev, heat2d(), p).inputs;
-    expect_same(cache.inputs(dev, heat2d(), id), fresh);
-    expect_same(cache.inputs(dev, heat2d(), id), fresh);
-    expect_same(cache.inputs(dev, heat2d(), id), fresh);
+    expect_same(cache.inputs(device_key(dev), dev, heat2d(), id), fresh);
+    expect_same(cache.inputs(device_key(dev), dev, heat2d(), id), fresh);
+    expect_same(cache.inputs(device_key(dev), dev, heat2d(), id), fresh);
     const CalibrationCache::Counters c = cache.counters();
     EXPECT_EQ(c.entries, 1u) << dev.name();
     EXPECT_EQ(c.misses, 1u) << dev.name();
@@ -58,7 +58,8 @@ TEST(CalibrationCache, DslTextAndReusedDeviceNamesGetTheirOwnEntries) {
   CalibrationCache cache;
   const device::Descriptor& gtx = *device::registry().find("GTX 980");
   const model::ModelInputs by_name =
-      cache.inputs(gtx, heat2d(), stencil_identity(heat2d().name, ""));
+      cache.inputs(device_key(gtx), gtx, heat2d(),
+                   stencil_identity(heat2d().name, ""));
 
   // A DSL program spelled with the catalogue stencil's name is keyed by
   // its text, not by the name.
@@ -67,7 +68,8 @@ TEST(CalibrationCache, DslTextAndReusedDeviceNamesGetTheirOwnEntries) {
       " tap (-1,0) 0.125\n tap (0,1) 0.125\n tap (0,-1) 0.125\n}\n";
   const stencil::StencilDef dsl = stencil::parse_stencil(text);
   ASSERT_EQ(dsl.name, heat2d().name);
-  expect_same(cache.inputs(gtx, dsl, stencil_identity(dsl.name, text)),
+  expect_same(cache.inputs(device_key(gtx), gtx, dsl,
+                           stencil_identity(dsl.name, text)),
               calibrate_model(gtx, dsl));
   EXPECT_EQ(cache.counters().entries, 2u);
 
@@ -78,7 +80,8 @@ TEST(CalibrationCache, DslTextAndReusedDeviceNamesGetTheirOwnEntries) {
   const device::Descriptor renamed(other);
   ASSERT_EQ(renamed.name(), gtx.name());
   const model::ModelInputs imported =
-      cache.inputs(renamed, heat2d(), stencil_identity(heat2d().name, ""));
+      cache.inputs(device_key(renamed), renamed, heat2d(),
+                   stencil_identity(heat2d().name, ""));
   EXPECT_EQ(imported.hw.n_sm, by_name.hw.n_sm + 4);
   expect_same(imported, calibrate_model(renamed, heat2d()));
 
@@ -93,7 +96,8 @@ TEST(CalibrationCache, TheCapEvictsTheLeastRecentlyUsedEntry) {
   const device::Descriptor& gtx = *device::registry().find("GTX 980");
   const auto lookup = [&](stencil::StencilKind kind) {
     const stencil::StencilDef& def = stencil::get_stencil(kind);
-    return cache.inputs(gtx, def, stencil_identity(def.name, ""));
+    return cache.inputs(device_key(gtx), gtx, def,
+                        stencil_identity(def.name, ""));
   };
   lookup(stencil::StencilKind::kHeat2D);
   lookup(stencil::StencilKind::kJacobi2D);

@@ -2,7 +2,9 @@
 // edge. The full-lattice walk (tests/support/space_oracle.*) visits
 // every point; the two must return the same tiles in the same order
 // on every lattice, device, dim and radius, including radius 0, whose
-// tS1 = 0 points fail on slope rather than capacity.
+// tS1 = 0 points fail on slope rather than capacity. The baseline set
+// drawn from a space must equal the per-comparison footprint form
+// (tests/support/baseline_oracle.hpp) in the same way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "device/registry.hpp"
+#include "support/baseline_oracle.hpp"
 #include "support/space_oracle.hpp"
 #include "tuner/space.hpp"
 
@@ -100,6 +103,35 @@ TEST(SpaceParity, RadiusZeroKeepsWalkingPastTheSlopeFailure) {
   ASSERT_FALSE(pts.empty());
   EXPECT_EQ(pts.front(), (hhc::TileSizes{.tT = 2, .tS1 = 1, .tS2 = 1, .tS3 = 1}));
   EXPECT_EQ(pts.size(), 6u);
+}
+
+// The baseline set sorts each bucket by a footprint computed once per
+// tile; the oracle recomputes it in every comparison. Ties (equal
+// footprints) must land where they did, on every device, dim, radius
+// and cap, over the default lattice and seeded ones.
+TEST(SpaceParity, BaselineSetMatchesThePerComparisonFootprintForm) {
+  Rng rng(8521);
+  for (const device::Descriptor& dev : device::registry().devices()) {
+    const model::HardwareParams hw = dev.to_model_hardware();
+    for (int dim = 1; dim <= 3; ++dim) {
+      for (std::int64_t radius = 1; radius <= 3; ++radius) {
+        for (const EnumOptions& opt :
+             {EnumOptions{}, random_options(rng, dim, radius)}) {
+          const std::vector<hhc::TileSizes> space =
+              enumerate_feasible(dim, hw, opt, radius);
+          for (const std::size_t cap :
+               {std::size_t{1}, std::size_t{10}, std::size_t{85},
+                std::size_t{400}}) {
+            EXPECT_EQ(baseline_tile_set(dim, space, hw, cap, radius),
+                      test::reference_baseline_tile_set(dim, space, hw, cap,
+                                                        radius))
+                << dev.name() << " dim=" << dim << " r=" << radius
+                << " cap=" << cap << " " << describe(opt);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
