@@ -27,9 +27,10 @@ stencil::KernelVariant effective_variant(const Stage& st) {
 }  // namespace
 
 Planner::Planner(const device::Descriptor& dev, PlanOptions opt,
-                 tuner::CalibrationCache* calibrations, StageCache* stages)
+                 tuner::CalibrationCache* calibrations, StageCache* stages,
+                 std::string dev_key)
     : dev_(dev),
-      dev_key_(tuner::device_key(dev)),
+      dev_key_(dev_key.empty() ? tuner::device_key(dev) : std::move(dev_key)),
       opt_(std::move(opt)),
       calibrations_(calibrations),
       stages_(stages) {}

@@ -113,9 +113,10 @@ struct PipelinePlan {
 class Planner {
  public:
   // `calibrations` and `stages`, when given, must outlive the planner.
+  // `dev_key` is tuner::device_key(dev), computed here when empty.
   explicit Planner(const device::Descriptor& dev, PlanOptions opt = {},
                    tuner::CalibrationCache* calibrations = nullptr,
-                   StageCache* stages = nullptr);
+                   StageCache* stages = nullptr, std::string dev_key = {});
 
   // Tunes every stage (in topological order — seeds flow along the
   // level descent) and aggregates. The pipeline must have passed

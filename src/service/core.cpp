@@ -182,7 +182,8 @@ std::string compute_pipeline(const Request& req, const PlanShared& shared) {
   popt.enumeration = req.enumeration;
   popt.session = tuner::SessionOptions{}.with_jobs(1);
   pipeline::Planner planner(*device::registry().find(req.device), popt,
-                            shared.calibrations, shared.stages);
+                            shared.calibrations, shared.stages,
+                            std::string(shared.device_key));
   const pipeline::PipelinePlan plan = planner.plan(*req.pipe);
   if (shared.stats != nullptr) *shared.stats += plan.stats;
   return pipeline::plan_to_json(plan).dump();
@@ -335,6 +336,13 @@ ServiceCore::SessionEntry& ServiceCore::session_entry(const Request& req) {
   return *entry;
 }
 
+const std::string& ServiceCore::device_key(const std::string& name) {
+  std::lock_guard<std::mutex> lk(device_keys_mu_);
+  std::string& key = device_keys_[name];
+  if (key.empty()) key = tuner::device_key(*device::registry().find(name));
+  return key;
+}
+
 void ServiceCore::finish_flight(const std::string& key,
                                 const std::shared_ptr<Flight>& flight,
                                 bool ok, std::string payload,
@@ -407,17 +415,19 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
         const device::Descriptor& dev = *device::registry().find(req.device);
         const std::string stencil =
             tuner::stencil_identity(req.stencil_name, req.stencil_text);
-        const std::string dev_key = tuner::device_key(dev);
-        const model::ModelInputs in =
-            calibrations_.inputs(dev_key, dev, req.def, stencil);
+        const model::ModelInputs in = calibrations_.inputs(
+            device_key(req.device), dev, req.def, stencil);
         entry.session = std::make_unique<tuner::Session>(
             tuner::TuningContext::with_inputs(dev, req.def, *req.problem, in),
             tuner::SessionOptions{}.with_jobs(opt_.session_jobs));
       }
       session = entry.session.get();
     }
-    payload = compute_payload(req, session, seeds,
-                              {&calibrations_, &stages_, &plan_stats});
+    PlanShared shared{&calibrations_, &stages_, &plan_stats, {}};
+    if (req.kind == RequestKind::kPipeline) {
+      shared.device_key = device_key(req.device);
+    }
+    payload = compute_payload(req, session, seeds, shared);
     ok = true;
   } catch (const std::exception& e) {
     diags.error(analysis::Code::kSvcInternal,

@@ -140,8 +140,9 @@ struct ServiceStats {
   std::uint64_t stage_cache_hits = 0;
   std::uint64_t stage_cache_misses = 0;
   std::uint64_t stage_cache_evictions = 0;
-  // Result-store directory scan (ResultStore::dir_stats; zeros
-  // without a store).
+  // The result store's table (ResultStore::dir_stats; zeros without a
+  // store): distinct keys, the log's length in bytes read in, and the
+  // ages of the oldest and newest of those keys' records.
   std::uint64_t store_entries = 0;
   std::uint64_t store_bytes = 0;
   double store_oldest_age_s = 0.0;
@@ -205,6 +206,9 @@ struct PlanShared {
   tuner::CalibrationCache* calibrations = nullptr;
   pipeline::StageCache* stages = nullptr;
   tuner::SweepStats* stats = nullptr;
+  // tuner::device_key of the request's device; empty: the planner
+  // serializes the descriptor itself.
+  std::string_view device_key;
 };
 
 // Executes one parsed request against a Session and returns the
@@ -271,6 +275,10 @@ class ServiceCore {
   void run_compute(const std::string& key, const Request& req,
                    const std::shared_ptr<Flight>& flight);
   SessionEntry& session_entry(const Request& req);
+  // tuner::device_key of the registered device `name`, serialized on
+  // first use. A name's descriptor never changes (the registry rejects
+  // duplicates), so the key is computed once per service.
+  const std::string& device_key(const std::string& name);
   void finish_flight(const std::string& key,
                      const std::shared_ptr<Flight>& flight, bool ok,
                      std::string payload,
@@ -289,6 +297,9 @@ class ServiceCore {
 
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<SessionEntry>> sessions_;
+
+  std::mutex device_keys_mu_;
+  std::map<std::string, std::string> device_keys_;
 
   // Calibrated model inputs by (device, stencil), shared by every
   // session and pipeline plan this service builds. Thread-safe.

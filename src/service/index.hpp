@@ -10,13 +10,14 @@
 //
 // Invariants:
 //   * The index owns no file. It is derived from the store alone: the
-//     first lookup scans the directory through ResultStore::scan (the
-//     same envelope check load() applies), and append() adds each
-//     result the owner saves. A fresh index over the same directory
-//     therefore holds the same entries as the one that appended them.
+//     first lookup reads the store through ResultStore::scan (each
+//     key's newest record, checked as load() checks it), and append()
+//     adds each result the owner saves. A fresh index over the same
+//     directory therefore holds the same entries as the one that
+//     appended them.
 //   * One entry per key, the latest append winning; neighbors() and
 //     entries() iterate in ascending key order.
-//   * The view is per process. A store file deleted while the index is
+//   * The view is per process. A store log deleted while the index is
 //     live stays indexed, and a result another process saves into the
 //     same directory is not seen, until the next scan (a restart or
 //     rebuild()).
@@ -89,9 +90,8 @@ class SimilarityIndex {
   // Every entry, in ascending key order.
   std::vector<IndexEntry> entries();
 
-  // Replaces the index with a fresh scan of the store directory.
-  // Returns the number of entries, nullopt when the directory could
-  // not be scanned.
+  // Replaces the index with a fresh scan of the store. Returns the
+  // number of entries, nullopt when the store's log cannot be opened.
   std::optional<std::size_t> rebuild();
 
   struct Neighbor {
@@ -121,7 +121,7 @@ class SimilarityIndex {
   // Scans the store on the first lookup.
   void load_once();
   // Adds every seedable store entry not yet indexed; false when the
-  // directory could not be scanned.
+  // store's log cannot be opened.
   bool scan();
 
   std::string dir_;

@@ -1,29 +1,41 @@
 // The warm-start result store: a versioned on-disk cache of computed
 // result payloads, keyed by the request's canonical computation key
 // (device + stencil definition + problem + options — see
-// Request::canonical_key). One file per key under the store
-// directory, named by the FNV-1a hash of the key:
+// Request::canonical_key). One append-only log per store directory,
+// `<dir>/store.log`, holding one record per save:
 //
-//   <dir>/<16-hex-digit-hash>.json
-//   {"store_version":1,"key":"<canonical key>","payload":"<result>"}
+//   header (32 bytes, host byte order):
+//     u32 magic  u32 version  u32 key length  u32 payload length
+//     i64 write time (ns since the Unix epoch)  u64 checksum
+//   key bytes, then payload bytes, both raw (nothing is escaped)
+//
+// The checksum covers the whole record, its own field read as zero.
+// In memory the store keeps a table from the FNV-1a 64-bit hash of
+// each key to its newest record's (offset, lengths, write time).
 //
 // Invariants:
-//   * Writes are atomic: the entry is written to a temp file in the
-//     same directory and renamed into place, so a concurrent reader
-//     (or a crash mid-write) sees either the old entry or the new
-//     one, never a torn file.
-//   * Loads are corruption-tolerant: an unreadable, unparsable,
-//     wrong-version or hash-colliding entry is a miss (counted in
-//     `errors`), never a crash and never a wrong answer — the stored
-//     key is compared against the requested one before the payload is
-//     served.
+//   * A save is one write() of the whole record to an O_APPEND
+//     descriptor. A lookup is a table lookup: a hit is one pread, a
+//     miss one fstat, which reads in any records another ResultStore
+//     or process appended since.
+//   * Loads are corruption-tolerant: a record is served only after its
+//     header, checksum and full key match. A torn or damaged record is
+//     skipped (counted in `errors`) and reading resumes at the next
+//     valid header, so a record appended after a torn tail is served.
+//     A record whose header runs past the end of the log, with no
+//     valid record after it, may still be being written; it is left
+//     unread until the log grows.
 //   * This class is the only code that knows the directory's format.
 //     Everything derived from the store (the warm-start similarity
-//     index) reads it through scan(), which applies load()'s envelope
-//     check to every file.
+//     index) reads it through scan(), which serves each key's newest
+//     valid record exactly as load() would.
 //   * The payload is stored verbatim (the serialized JSON string the
 //     service computed), so a warm-store response is byte-identical
 //     to the cold computation that produced it.
+//   * Construction does no I/O. The first load, save, scan or
+//     dir_stats creates the directory, opens the log and reads it
+//     once; the descriptor is kept until destruction. Entry files of
+//     older store versions (`*.json`) are ignored.
 #pragma once
 
 #include <cstdint>
@@ -31,57 +43,62 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace repro::service {
 
-// 64-bit FNV-1a, rendered as 16 lowercase hex digits (the store
-// filename stem). Exposed for tests.
+// 64-bit FNV-1a: the table hash of a key.
+std::uint64_t fnv1a(std::string_view s);
+
+// fnv1a rendered as 16 lowercase hex digits. Exposed for tests.
 std::string fnv1a_hex(std::string_view s);
 
 class ResultStore {
  public:
-  inline static constexpr int kStoreVersion = 1;
+  inline static constexpr int kStoreVersion = 2;
+  inline static constexpr std::size_t kHeaderBytes = 32;
 
   struct Counters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t writes = 0;
-    std::uint64_t errors = 0;  // unreadable / corrupt / mismatched entries
+    std::uint64_t errors = 0;  // failed saves, damaged or mismatched records
   };
 
-  // Creates `dir` (and parents) if missing. A directory that cannot
-  // be created is tolerated: every load is then a miss and every save
-  // a counted error — the service degrades to compute-only.
+  // Opens nothing. A directory or log that cannot be created or
+  // opened is tolerated: every load is then a miss and every save a
+  // counted error — the service degrades to compute-only.
   explicit ResultStore(std::string dir);
+  ~ResultStore();
+
+  ResultStore(const ResultStore&) = delete;
+  ResultStore& operator=(const ResultStore&) = delete;
 
   const std::string& dir() const noexcept { return dir_; }
+
+  // `<dir>/store.log` (exposed for tests).
+  std::string log_path() const;
 
   // The payload stored for `key`, or nullopt (miss). Never throws.
   std::optional<std::string> load(const std::string& key);
 
-  // Persists `payload` under `key` (write-temp + rename). Returns
-  // whether the entry landed on disk. Never throws.
+  // Appends `payload` under `key`. Returns whether the whole record
+  // was written. Never throws.
   bool save(const std::string& key, const std::string& payload);
 
-  // Full path of the entry file for `key` (exposed for tests).
-  std::string path_for(const std::string& key) const;
-
-  // Calls `visit(key, payload)` for every entry file load() would
-  // serve, in directory order: the envelope must parse, carry the
-  // current store_version, a string key and a string payload, and sit
-  // in the file named for its key. Other files are skipped silently.
-  // Returns false when the directory cannot be scanned. Never throws
-  // (unless `visit` does).
+  // Calls `visit(key, payload)` once per key, with its newest valid
+  // record, in log order of those records. Reads in everything
+  // appended so far first. Returns false when the log cannot be
+  // opened. Never throws (unless `visit` does).
   bool scan(
       const std::function<void(const std::string& key,
                                const std::string& payload)>& visit) const;
 
-  // A directory scan over the store's entry files (*.json): how many
-  // results are persisted, their total size, and the age of the
-  // oldest/newest entry in seconds (0 when empty). Groundwork for
-  // eviction; also surfaced in the daemon's shutdown stats line and
-  // the `stats` request kind. Never throws; an unscannable directory
-  // reads as empty.
+  // What the table holds: distinct keys, the log's length in bytes, and
+  // the age of the oldest/newest of those keys' records in seconds (0
+  // when empty). No directory walk and, once the log is open, no I/O.
+  // Surfaced in the daemon's shutdown stats line and the `stats`
+  // request kind. Never throws; an unopenable log reads as empty.
   struct DirStats {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
@@ -92,9 +109,37 @@ class ResultStore {
 
   Counters counters() const noexcept { return counters_; }
 
+  // The checksum a record's header carries: a hash of the whole
+  // record with the checksum field read as zero. Exposed for tests.
+  static std::uint64_t checksum(std::string_view record);
+
  private:
+  // Where a key's newest record sits in the log.
+  struct Slot {
+    std::uint64_t offset = 0;
+    std::uint32_t key_len = 0;
+    std::uint32_t payload_len = 0;
+    std::int64_t time_ns = 0;
+  };
+
+  // Opens the log and reads it in on the first call; false when it
+  // cannot be opened.
+  bool open() const;
+  // Reads in the records between read_end_ and the log's current end.
+  void catch_up() const;
+  // Keeps `s` under `hash` unless the table holds a later record.
+  void remember(std::uint64_t hash, const Slot& s) const;
+  // The record at `s`, read whole and checked against `s`, or nullopt.
+  std::optional<std::string> read_record(const Slot& s) const;
+
   std::string dir_;
-  Counters counters_;
+  // Mutable: the open descriptor and the table cache the log, which
+  // the const readers (scan, dir_stats) may open and read in.
+  mutable bool opened_ = false;
+  mutable int fd_ = -1;
+  mutable std::uint64_t read_end_ = 0;  // the log is read in up to here
+  mutable std::unordered_map<std::uint64_t, Slot> table_;
+  mutable Counters counters_;
 };
 
 }  // namespace repro::service

@@ -305,9 +305,9 @@ TEST(ServiceStageCache, EvictedStagesAreRetunedIdentically) {
     analysis::DiagnosticEngine diags;
     const auto req = parse_request(line, diags);
     ASSERT_TRUE(req) << analysis::render_human(diags.diagnostics());
+    const PlanShared shared{&calibrations, &stages, &stats, {}};
     EXPECT_EQ(render_result(req->id, req->kind,
-                            compute_payload(*req, nullptr, {},
-                                            {&calibrations, &stages, &stats})),
+                            compute_payload(*req, nullptr, {}, shared)),
               once(line));
   }
   // Planned in topological order, each stage evicting the one before:

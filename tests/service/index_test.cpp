@@ -1,19 +1,20 @@
 // The warm-start similarity index: entry extraction from stored
 // payloads, appends visible without a rescan, the store scan it is
-// derived from (which skips exactly the entry files the store would
-// not serve), and the log-distance neighbor ranking the service seeds
+// derived from (which skips exactly the records the store would not
+// serve), and the log-distance neighbor ranking the service seeds
 // sweeps from.
 #include "service/index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "service/store.hpp"
+#include "support/store_log.hpp"
 #include "support/temp_dir.hpp"
 
 namespace repro::service {
@@ -162,8 +163,8 @@ TEST_F(IndexTest, LaterLineSupersedesEarlierForSameKey) {
 }
 
 // After the first lookup has scanned the store, a saved-then-appended
-// result is served from memory: it stays visible even once its store
-// file is gone, which only a fresh scan notices.
+// result is served from memory: it stays visible even once the store's
+// log is gone, which only a fresh scan notices.
 TEST_F(IndexTest, AppendIsVisibleToNeighborsWithoutRescan) {
   SimilarityIndex index(dir_.string());
   const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
@@ -173,11 +174,13 @@ TEST_F(IndexTest, AppendIsVisibleToNeighborsWithoutRescan) {
                   .empty());
 
   const std::string key = best_tile_key(512);
-  ResultStore store(dir_.string());
-  ASSERT_TRUE(store.save(key, best_tile_payload()));
-  ASSERT_TRUE(
-      index.append(*SimilarityIndex::entry_from(key, best_tile_payload())));
-  ASSERT_TRUE(fs::remove(store.path_for(key)));
+  {
+    ResultStore store(dir_.string());
+    ASSERT_TRUE(store.save(key, best_tile_payload()));
+    ASSERT_TRUE(
+        index.append(*SimilarityIndex::entry_from(key, best_tile_payload())));
+    ASSERT_TRUE(fs::remove(store.log_path()));
+  }
 
   const std::vector<SimilarityIndex::Neighbor> near = index.neighbors(
       "GTX 980", "Heat2D", "", q, stencil::KernelVariant{}, 8);
@@ -187,51 +190,56 @@ TEST_F(IndexTest, AppendIsVisibleToNeighborsWithoutRescan) {
   EXPECT_EQ(index.rebuild(), std::optional<std::size_t>(0));
 }
 
-// The scan indexes every seedable entry the store would serve, and
-// skips exactly the entry files load() misses: corrupt, wrong-version
-// and misnamed ones.
+// The scan indexes every seedable record the store would serve, and
+// skips exactly the records load() misses: another version's, a
+// damaged one, one torn mid-log and one re-keyed to another key; files
+// beside the log are not records.
 TEST_F(IndexTest, ScanIndexesEverySeedableStoreEntry) {
-  ResultStore store(dir_.string());
   const std::string lint_key =
       "{\"audit\":false,\"device\":\"GTX 980\",\"kind\":\"lint\","
       "\"problem\":{\"S\":[512,512],\"T\":64},\"stencil\":\"Heat2D\",\"v\":1}";
-  ASSERT_TRUE(store.save(lint_key, "{\"ok\":true,\"diagnostics\":[]}"));
+  const std::string lint_payload = "{\"ok\":true,\"diagnostics\":[]}";
   std::vector<std::string> keys;
   for (const int s : {256, 416, 448, 480, 512, 544, 576}) {
     keys.push_back(best_tile_key(s));
-    ASSERT_TRUE(store.save(keys.back(), best_tile_payload()));
   }
-  const auto rewrite = [&](const std::string& key, const std::string& from,
-                           const std::string& to) {
-    std::string text;
-    {
-      std::ifstream in(store.path_for(key), std::ios::binary);
-      std::getline(in, text);
-    }
-    ASSERT_NE(text.find(from), std::string::npos);
-    text.replace(text.find(from), from.size(), to);
-    std::ofstream out(store.path_for(key), std::ios::binary | std::ios::trunc);
-    out << text << "\n";
+  // Where each best_tile record starts in the log; they are all the
+  // same size.
+  const std::size_t len = test::record_size(keys[0], best_tile_payload());
+  const auto at = [&](std::size_t i) {
+    return test::record_size(lint_key, lint_payload) + i * len;
   };
-  rewrite(keys[0], "{\"store_version\":1", "{\"store_version\":2");
-  rewrite(keys[1], "\"payload\":", "\"payload\":7,\"x\":");
   {
-    std::ofstream out(store.path_for(keys[2]), std::ios::trunc);
-    out << "{\"store_version\":1,\"key\":";  // torn write
+    ResultStore store(dir_.string());
+    ASSERT_TRUE(store.save(lint_key, lint_payload));
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(store.save(key, best_tile_payload()));
+    }
   }
-  // keys[3]'s envelope moved under keys[4]'s file name: keys[3] has no
-  // file, and keys[4]'s file holds another key.
-  fs::rename(store.path_for(keys[3]), store.path_for(keys[4]));
-  // A write's temp file and a non-entry file are not entries.
-  fs::copy_file(store.path_for(keys[5]), store.path_for(keys[5]) + ".tmp");
-  {
-    std::ofstream out(dir_ / "index.jsonl");
-    out << "{}\n";
-  }
+  std::string log = test::read_bytes(dir_ / "store.log");
+  ASSERT_EQ(log.size(), at(keys.size()));
+  // keys[0]: another store version, checksum intact.
+  const std::uint32_t version = 3;
+  std::memcpy(log.data() + at(0) + test::kVersionAt, &version, sizeof version);
+  test::reseal(log, at(0), len);
+  // keys[1]: one payload byte flipped.
+  log[at(2) - 5] ^= 0x01;
+  // keys[3]: re-keyed to keys[4], checksum intact; keys[4]'s own, later
+  // record stays its newest.
+  log.replace(at(3) + ResultStore::kHeaderBytes, keys[4].size(), keys[4]);
+  test::reseal(log, at(3), len);
+  // keys[2]: torn mid-log, its last 9 bytes gone.
+  log.erase(at(3) - 9, 9);
+  test::write_bytes(dir_ / "store.log", log);
+  // Files beside the log: an entry file of the per-file format and the
+  // sidecar older versions kept.
+  test::write_bytes(dir_ / (fnv1a_hex(keys[6]) + ".json"), "{}");
+  test::write_bytes(dir_ / "index.jsonl", "{}\n");
 
   SimilarityIndex index(dir_.string());
   std::vector<std::string> indexed;
   for (const IndexEntry& e : index.entries()) indexed.push_back(e.key);
+  ResultStore store(dir_.string());
   std::vector<std::string> served;
   for (const std::string& key : keys) {
     if (store.load(key)) served.push_back(key);
@@ -239,8 +247,8 @@ TEST_F(IndexTest, ScanIndexesEverySeedableStoreEntry) {
   EXPECT_TRUE(store.load(lint_key).has_value());
   std::sort(served.begin(), served.end());
   EXPECT_EQ(indexed, served);
-  EXPECT_EQ(indexed, (std::vector<std::string>{keys[5], keys[6]}));
-  EXPECT_EQ(index.rebuild(), std::optional<std::size_t>(2));
+  EXPECT_EQ(indexed, (std::vector<std::string>{keys[4], keys[5], keys[6]}));
+  EXPECT_EQ(index.rebuild(), std::optional<std::size_t>(3));
 }
 
 // A fresh index over a store another index followed, append by
