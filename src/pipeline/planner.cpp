@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -15,10 +14,6 @@ namespace {
 
 // At most this many same-stencil winners seed one stage's sweep.
 constexpr std::size_t kWarmSeedLimit = 3;
-
-std::string variant_key(const stencil::KernelVariant& var) {
-  return var.to_string();
-}
 
 stencil::KernelVariant effective_variant(const Stage& st) {
   return st.variant.value_or(stencil::KernelVariant{});
@@ -58,10 +53,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   // the enumeration options are fixed, as they are within a plan:
   // enumerated once per pair, shared by every stage that needs it.
   std::map<std::pair<int, int>, std::vector<hhc::TileSizes>> spaces;
-  // The shared Session pool: one memoized session per (stencil,
-  // problem).
-  std::map<std::string, std::unique_ptr<tuner::Session>> sessions;
-  // Finished tasks, by (stencil, problem, variant): the dedup map.
+  // The first stage of each stage_key: a repeat copies its answer.
   std::map<std::string, std::size_t> done;
   // Feasible winners per stencil identity, in discovery order: the
   // warm-seed pool the level descent draws from.
@@ -78,28 +70,25 @@ PipelinePlan Planner::plan(const Pipeline& p) {
 
     const std::string ident =
         tuner::stencil_identity(st.stencil_name, st.stencil_text);
-    const std::string task = ident + "|" + problem_key(st.problem) + "|" +
-                             variant_key(effective_variant(st));
-    const auto prev = done.find(task);
-    if (opt_.dedup && prev != done.end()) {
-      // An identical task already ran: copy its finished answer.
+    const auto [first, fresh] = done.try_emplace(
+        stage_key(dev_key_, ident, st.problem, effective_variant(st),
+                  opt_.delta, opt_.enumeration),
+        si);
+    if (!fresh) {
+      // An identical stage already ran: copy its finished answer.
       // Costs zero sweeps, zero pricings — the reuse tests pin this.
-      const StageResult& src = plan.stages[prev->second];
+      const StageResult& src = plan.stages[first->second];
       r.reused = true;
       r.space_size = src.space_size;
       r.candidates_tried = src.candidates_tried;
       r.best = src.best;
     } else {
       const auto tune = [&] {
-        std::unique_ptr<tuner::Session>& sess =
-            sessions[ident + "|" + problem_key(st.problem)];
-        if (!sess) {
-          sess = std::make_unique<tuner::Session>(
-              tuner::TuningContext::with_inputs(
-                  dev_, st.def, st.problem,
-                  calibrations.inputs(dev_key_, dev_, st.def, ident)),
-              opt_.session);
-        }
+        tuner::Session sess(
+            tuner::TuningContext::with_inputs(
+                dev_, st.def, st.problem,
+                calibrations.inputs(dev_key_, dev_, st.def, ident)),
+            opt_.session);
 
         const std::pair<int, int> space_key{st.problem.dim, st.def.radius};
         auto sit = spaces.find(space_key);
@@ -107,13 +96,13 @@ PipelinePlan Planner::plan(const Pipeline& p) {
           sit = spaces
                     .emplace(space_key,
                              tuner::enumerate_feasible(
-                                 st.problem.dim, sess->inputs().hw,
+                                 st.problem.dim, sess.inputs().hw,
                                  opt_.enumeration, st.def.radius))
                     .first;
           ++plan.spaces_enumerated;
         }
         const std::vector<hhc::TileSizes>& space = sit->second;
-        const tuner::ModelSweep sweep = sess->sweep_model(space, opt_.delta);
+        const tuner::ModelSweep sweep = sess.sweep_model(space, opt_.delta);
         StageOutcome out;
         out.space_size = sweep.space_size;
         out.candidates_tried = sweep.candidates.size();
@@ -136,25 +125,20 @@ PipelinePlan Planner::plan(const Pipeline& p) {
                                pool[i].best.dp.var});
             }
           }
-          out.best = sess->best_tile(sweep, vars, seeds);
+          out.best = sess.best_tile(sweep, vars, seeds);
         }
+        plan.stats += sess.stats();
         return out;
       };
       // A stage any earlier plan tuned comes from the shared cache,
       // byte for byte what tune() would compute here.
-      const StageOutcome out =
-          stages_ != nullptr
-              ? stages_->get_or_make(
-                    stage_key(dev_key_, ident, st.problem,
-                              effective_variant(st), opt_.delta,
-                              opt_.enumeration),
-                    tune)
-              : tune();
+      const StageOutcome out = stages_ != nullptr
+                                   ? stages_->get_or_make(first->first, tune)
+                                   : tune();
       r.space_size = out.space_size;
       r.candidates_tried = out.candidates_tried;
       r.best = out.best;
       if (r.best.feasible) winners[ident].push_back({st.problem, r.best});
-      done.emplace(task, si);
       ++plan.distinct_tasks;
     }
 
@@ -169,10 +153,6 @@ PipelinePlan Planner::plan(const Pipeline& p) {
     plan.talg += r.talg_total;
     plan.texec += r.texec_total;
     plan.feasible = plan.feasible && r.best.feasible;
-  }
-  for (const auto& [key, sess] : sessions) {
-    (void)key;
-    if (sess) plan.stats += sess->stats();
   }
   return plan;
 }

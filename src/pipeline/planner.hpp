@@ -1,41 +1,42 @@
-// The pipeline planner: tunes every distinct (stencil, problem,
-// variant) task of a pipeline through one shared tuner::Session pool
-// and aggregates per-stage best times into an end-to-end pipeline
-// Talg with a per-stage breakdown.
+// The pipeline planner: tunes every distinct stage of a pipeline, each
+// on its own tuner::Session, and aggregates per-stage best times into
+// an end-to-end pipeline Talg with a per-stage breakdown.
 //
-// Five reuse mechanisms stack, each strictly work-saving (none can
-// change a result — the dedup copies a finished answer, the shared
-// memo replays cached measurements, warm seeds only reorder and
-// prune Session::best_tile's sweep, a shared tile space is the one
-// each stage would have enumerated, and a stage cache entry is the
-// answer an earlier plan computed for the same inputs):
-//   1. Stage dedup: stages agreeing on (stencil identity, problem,
-//      effective variant) are tuned once; later copies reuse the
-//      earlier StageResult (reused == true, zero additional work).
-//   2. Shared sessions: one Session per (stencil identity, problem)
-//      carries its measurement memo across stages, and the
+// A stage's identity is its stage_key (stage_cache.hpp): within a plan
+// the device, delta and enumeration options are fixed, so stages
+// agreeing on (stencil identity, problem, effective variant) share
+// one key. Four reuse mechanisms stack, each strictly work-saving
+// (none can change a result — a copy is a finished answer, warm seeds
+// only reorder and prune Session::best_tile's sweep, a shared tile
+// space is the one each stage would have enumerated, and a calibration
+// or stage cache entry is what an earlier lookup computed for the same
+// inputs):
+//   1. One tuning per stage key: the first stage of a key is tuned (or
+//      served from a StageCache, below); later stages of the key copy
+//      its StageResult (reused == true, zero additional work). The
 //      calibration (device + stencil only) comes from a
 //      tuner::CalibrationCache, shared across every problem size via
 //      TuningContext::with_inputs. The tuned service hands every
 //      planner its own service-wide cache, so a stencil calibrated by
 //      any earlier request is not calibrated again; a planner built
 //      without one keeps a cache for the plan.
-//   3. Cross-level warm seeding: each stage's sweep is seeded with
+//   2. Cross-level warm seeding: each stage's sweep is seeded with
 //      the winners already found for the *same stencil* at other
 //      problem sizes (the multigrid descent: level l's smoother seeds
 //      level l+1's), ranked same-variant-first then by log-space
 //      problem distance — the WarmSeed path re-prices every seed, so
 //      seeded results stay byte-identical to cold.
-//   4. One tile space per (dim, radius): the device and the
+//   3. One tile space per (dim, radius): the device and the
 //      enumeration options are fixed within a plan, so every stage
 //      of one dim and radius sweeps the same enumerate_feasible
 //      result, computed once.
-//   5. Stage results across plans: a planner given a StageCache (the
-//      tuned service hands over its own) serves a distinct stage that
-//      any earlier plan tuned from the cache. The copy is plan-local
-//      in everything else: `reused` marks only a repeat inside this
-//      plan, distinct_tasks counts the stage and its winner joins the
-//      warm-seed pool, so the plan reads as a fresh one.
+//   4. Stage results across plans: a planner given a StageCache (the
+//      tuned service hands over its own) looks the same stage key up
+//      there and serves a stage that any earlier plan tuned from the
+//      cache. The copy is plan-local in everything else: `reused`
+//      marks only a repeat inside this plan, distinct_tasks counts the
+//      stage and its winner joins the warm-seed pool, so the plan
+//      reads as a fresh one.
 #pragma once
 
 #include <cstddef>
@@ -57,10 +58,9 @@ struct PlanOptions {
   double delta = 0.10;  // within-delta candidate fraction (Section 6)
   tuner::EnumOptions enumeration;
   tuner::SessionOptions session;
-  // A/B switches for the reuse tests. Both default on; flipping
-  // either must not change a single result byte.
-  bool dedup = true;      // reuse finished results of repeated stages
-  bool warm_seed = true;  // seed sweeps from same-stencil winners
+  // Seed sweeps from same-stencil winners. The reuse tests plan
+  // without it as their reference; it must not change a result byte.
+  bool warm_seed = true;
 
   PlanOptions& with_delta(double d) noexcept { delta = d; return *this; }
   PlanOptions& with_enumeration(const tuner::EnumOptions& e) {
@@ -71,7 +71,6 @@ struct PlanOptions {
     session = s;
     return *this;
   }
-  PlanOptions& with_dedup(bool b) noexcept { dedup = b; return *this; }
   PlanOptions& with_warm_seed(bool b) noexcept { warm_seed = b; return *this; }
 };
 
@@ -96,17 +95,17 @@ struct PipelinePlan {
   std::vector<StageResult> stages;  // declaration order
   std::size_t total_stages = 0;
   std::int64_t stage_executions = 0;  // Σ repeat
-  std::size_t distinct_tasks = 0;     // tasks tuned, or served from a
-                                      // StageCache
+  std::size_t distinct_tasks = 0;     // stage keys tuned, or served
+                                      // from a StageCache
   std::size_t spaces_enumerated = 0;  // tile spaces built, one per
                                       // (dim, radius) the plan tunes
   bool feasible = false;              // every stage found a feasible best
   double talg = 0.0;   // end-to-end: Σ repeat × best.talg
   double texec = 0.0;  // end-to-end: Σ repeat × best.texec
 
-  // Aggregated Session counters across the pool (fresh pricings =
-  // machine_points - cache_hits). Jobs- and wall-time-dependent, so
-  // the service payload never includes them.
+  // The counters of every Session the plan tuned a stage on (fresh
+  // pricings = machine_points - cache_hits). Jobs- and
+  // wall-time-dependent, so the service payload never includes them.
   tuner::SweepStats stats;
 };
 

@@ -140,19 +140,7 @@ std::string compute_lint(const Request& req) {
 
   json::Value o = json::Value::object();
   o.set("ok", ok);
-  json::Value arr = json::Value::array();
-  for (const analysis::Diagnostic& d : diags.diagnostics()) {
-    json::Value e = json::Value::object();
-    e.set("severity", std::string(analysis::to_string(d.severity)));
-    e.set("code", std::string(analysis::code_name(d.code)));
-    e.set("line", d.line);
-    e.set("message", d.message);
-    // Only audit-mode findings carry hints; audit-less payloads stay
-    // byte-identical to the pre-audit protocol.
-    if (!d.hint.empty()) e.set("hint", d.hint);
-    arr.push_back(std::move(e));
-  }
-  o.set("diagnostics", std::move(arr));
+  o.set("diagnostics", diagnostics_to_json(diags.diagnostics()));
   if (cone) {
     json::Value c = json::Value::object();
     c.set("dim", cone->dim);
@@ -173,10 +161,11 @@ std::string compute_lint(const Request& req) {
 }
 
 std::string compute_pipeline(const Request& req, const PlanShared& shared) {
-  // The planner runs its own shared Session pool (dedup + memo +
-  // warm seeding, all strictly work-saving), so the payload is
-  // jobs-invariant and byte-deterministic: cold == warm == coalesced
-  // == CLI `once`. One job keeps the serving cost predictable.
+  // The planner tunes each distinct stage on its own Session (stage
+  // copies, caches and warm seeding are all strictly work-saving), so
+  // the payload is jobs-invariant and byte-deterministic: cold == warm
+  // == coalesced == CLI `once`. One job keeps the serving cost
+  // predictable.
   pipeline::PlanOptions popt;
   popt.delta = req.delta;
   popt.enumeration = req.enumeration;
@@ -272,6 +261,9 @@ ServiceStats ServiceCore::stats() const {
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     s = stats_;
+    s.session_machine_points = tuner_stats_.machine_points;
+    s.session_cache_hits = tuner_stats_.cache_hits;
+    s.session_points_pruned = tuner_stats_.points_pruned;
   }
   if (store_) {
     std::lock_guard<std::mutex> lk(store_mu_);
@@ -285,23 +277,6 @@ ServiceStats ServiceCore::stats() const {
     s.store_bytes = d.bytes;
     s.store_oldest_age_s = d.oldest_age_seconds;
     s.store_newest_age_s = d.newest_age_seconds;
-  }
-  {
-    // Tuner activity across the cached sessions and the finished
-    // plans. Sessions are only ever appended, and a Session's stats()
-    // takes its own lock, so a snapshot here is consistent per session.
-    tuner::SweepStats total;
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      total = plan_stats_;
-    }
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    for (const auto& [key, entry] : sessions_) {
-      if (entry && entry->session) total += entry->session->stats();
-    }
-    s.session_machine_points = total.machine_points;
-    s.session_cache_hits = total.cache_hits;
-    s.session_points_pruned = total.points_pruned;
   }
   const tuner::CalibrationCache::Counters cal = calibrations_.counters();
   s.calibration_entries = cal.entries;
@@ -370,7 +345,11 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
   std::string payload;
   analysis::DiagnosticEngine diags;
   bool ok = false;
-  tuner::SweepStats plan_stats;  // a pipeline plan's session counters
+  // This computation's tuner counters: a pipeline plan's, or what the
+  // request's cached session booked.
+  tuner::SweepStats tuner_stats;
+  tuner::Session* session = nullptr;
+  std::unique_lock<std::mutex> session_lock;
   const Clock::time_point t0 = Clock::now();
   try {
     if (hook_) hook_();
@@ -403,8 +382,6 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
       stats_.warm_seeds += seeds.size();
     }
 
-    tuner::Session* session = nullptr;
-    std::unique_lock<std::mutex> session_lock;
     if (needs_session(req)) {
       SessionEntry& entry = session_entry(req);
       session_lock = std::unique_lock<std::mutex>(entry.mu);
@@ -423,7 +400,7 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
       }
       session = entry.session.get();
     }
-    PlanShared shared{&calibrations_, &stages_, &plan_stats, {}};
+    PlanShared shared{&calibrations_, &stages_, &tuner_stats, {}};
     if (req.kind == RequestKind::kPipeline) {
       shared.device_key = device_key(req.device);
     }
@@ -436,12 +413,18 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
     diags.error(analysis::Code::kSvcInternal,
                 "computation failed: unknown exception");
   }
+  if (session != nullptr) {
+    // Move the counters it booked while the session is still ours.
+    tuner_stats += session->stats();
+    session->reset_stats();
+  }
+  if (session_lock.owns_lock()) session_lock.unlock();
   const double elapsed = seconds_since(t0);
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.computed;
     stats_.compute_seconds += elapsed;
-    plan_stats_ += plan_stats;
+    tuner_stats_ += tuner_stats;
   }
 
   // The registry is process-local state (imports can extend it), so a

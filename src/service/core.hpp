@@ -119,10 +119,10 @@ struct ServiceStats {
   // candidate seeds they produced.
   std::uint64_t warm_lookups = 0;
   std::uint64_t warm_seeds = 0;
-  // Tuner activity aggregated over the live sessions and every
-  // pipeline plan's sessions (simulator pricings requested, memo-cache
-  // hits, bound-pruned points) — the near-miss bench's
-  // pricings-per-request numerator.
+  // Tuner activity summed over every finished computation, pipeline
+  // plans included (simulator pricings requested, memo-cache hits,
+  // bound-pruned points) — the near-miss bench's pricings-per-request
+  // numerator.
   std::uint64_t session_machine_points = 0;
   std::uint64_t session_cache_hits = 0;
   std::uint64_t session_points_pruned = 0;
@@ -216,7 +216,7 @@ struct PlanShared {
 // service core, the `tuned once` mode and the byte-identity tests all
 // call it, so "served result == direct Session result" holds by
 // construction. `session` may be null for kLint, kDevices, kStats and
-// kPipeline (the planner owns its own shared Session pool; the others
+// kPipeline (the planner builds a Session per distinct stage; the others
 // need no per-problem tuner state). `seeds` are warm-start
 // candidates for kBestTile, ignored by every other kind; because a
 // seed is strictly advisory (Session::best_tile re-prices it and only
@@ -295,7 +295,7 @@ class ServiceCore {
   std::mutex flights_mu_;
   std::map<std::string, std::shared_ptr<Flight>> flights_;
 
-  mutable std::mutex sessions_mu_;
+  std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<SessionEntry>> sessions_;
 
   std::mutex device_keys_mu_;
@@ -309,9 +309,10 @@ class ServiceCore {
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
-  // The session counters of every finished pipeline plan (the plans'
-  // sessions are gone). Guarded by stats_mu_.
-  tuner::SweepStats plan_stats_;
+  // The tuner counters of every finished computation: its pipeline
+  // plan's sessions, or what it booked on a cached session. Guarded by
+  // stats_mu_.
+  tuner::SweepStats tuner_stats_;
 
   std::function<void()> hook_;
 

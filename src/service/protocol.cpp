@@ -373,6 +373,21 @@ std::string render_result(const std::string& id, RequestKind kind,
   return out;
 }
 
+json::Value diagnostics_to_json(std::span<const analysis::Diagnostic> diags) {
+  json::Value arr = json::Value::array();
+  for (const analysis::Diagnostic& d : diags) {
+    json::Value o = json::Value::object();
+    o.set("severity", std::string(analysis::to_string(d.severity)));
+    o.set("code", std::string(analysis::code_name(d.code)));
+    o.set("line", d.line);
+    o.set("message", d.message);
+    // Only when present: hint-less diagnostics keep their pre-audit bytes.
+    if (!d.hint.empty()) o.set("hint", d.hint);
+    arr.push_back(std::move(o));
+  }
+  return arr;
+}
+
 std::string render_error(const std::string& id,
                          std::span<const analysis::Diagnostic> diags) {
   const analysis::Diagnostic* first = nullptr;
@@ -381,17 +396,6 @@ std::string render_error(const std::string& id,
       first = &d;
       break;
     }
-  }
-  json::Value arr = json::Value::array();
-  for (const analysis::Diagnostic& d : diags) {
-    json::Value o = json::Value::object();
-    o.set("severity", std::string(analysis::to_string(d.severity)));
-    o.set("code", std::string(analysis::code_name(d.code)));
-    o.set("line", d.line);
-    o.set("message", d.message);
-    // Only when present: pre-hint error replies stay byte-identical.
-    if (!d.hint.empty()) o.set("hint", d.hint);
-    arr.push_back(std::move(o));
   }
   std::string out = "{\"v\":" + std::to_string(kProtocolVersion) + ",\"id\":";
   json::escape_string(out, id);
@@ -403,7 +407,7 @@ std::string render_error(const std::string& id,
   json::escape_string(out, first != nullptr ? first->message
                                             : "no error diagnostic recorded");
   out += "},\"diagnostics\":";
-  out += arr.dump();
+  out += diagnostics_to_json(diags).dump();
   out += "}";
   return out;
 }

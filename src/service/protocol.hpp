@@ -150,4 +150,9 @@ std::string render_result(const std::string& id, RequestKind kind,
 std::string render_error(const std::string& id,
                          std::span<const analysis::Diagnostic> diags);
 
+// The diagnostics array of a lint payload and of an error response:
+// one {severity, code, line, message[, hint]} object per diagnostic,
+// in order, "hint" only when non-empty.
+json::Value diagnostics_to_json(std::span<const analysis::Diagnostic> diags);
+
 }  // namespace repro::service

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -416,43 +417,29 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
   // infinite cut (no feasible tile) price every tile.
   const model::TalgFloor floor(in, p);
   // The walk needs the runs in ascending (tT, tS1), the order
-  // enumerate_feasible emits; another span is walked through a sorted
-  // copy, and `index` maps a walk position back to the span.
-  const auto by_run = [](const hhc::TileSizes& a, const hhc::TileSizes& b) {
-    return std::tie(a.tT, a.tS1) < std::tie(b.tT, b.tS1);
-  };
-  std::span<const hhc::TileSizes> tiles = space;
-  std::vector<std::size_t> perm;
-  std::vector<hhc::TileSizes> sorted;
-  if (!std::is_sorted(space.begin(), space.end(), by_run)) {
-    perm.resize(space.size());
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return by_run(space[a], space[b]);
-                     });
-    sorted.reserve(space.size());
-    for (const std::size_t i : perm) sorted.push_back(space[i]);
-    tiles = sorted;
+  // enumerate_feasible emits.
+  if (!std::is_sorted(space.begin(), space.end(),
+                      [](const hhc::TileSizes& a, const hhc::TileSizes& b) {
+                        return std::tie(a.tT, a.tS1) < std::tie(b.tT, b.tS1);
+                      })) {
+    throw std::invalid_argument(
+        "sweep_model: the space is not in ascending (tT, tS1) order");
   }
-  const auto index = [&](std::size_t j) {
-    return perm.empty() ? j : perm[j];
-  };
-  // The end of the stretch of `tiles` from j (below hi) on which
+  // The end of the stretch of `space` from j (below hi) on which
   // `pred` holds, given that it holds at j and then on a prefix: a
   // galloping search, logarithmic in the stretch's length, since most
   // runs and many segments hold a few tiles.
   const auto stretch_end = [&](std::size_t j, std::size_t hi,
                                const auto& pred) {
     std::size_t step = 1;
-    for (; j + step < hi && pred(tiles[j + step]); step *= 2) j += step;
+    for (; j + step < hi && pred(space[j + step]); step *= 2) j += step;
     return static_cast<std::size_t>(
-        std::partition_point(tiles.begin() + j + 1,
-                             tiles.begin() + std::min(j + step, hi), pred) -
-        tiles.begin());
+        std::partition_point(space.begin() + j + 1,
+                             space.begin() + std::min(j + step, hi), pred) -
+        space.begin());
   };
 
-  // Segment k is [begin, end) of `tiles`, its first run floor `head`;
+  // Segment k is [begin, end) of `space`, its first run floor `head`;
   // the argmin search holds the tile floors of its first `held` tiles
   // (whole runs), from floors[floors_at].
   struct Segment {
@@ -461,15 +448,15 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
     std::size_t held = 0, floors_at = 0;
   };
   std::vector<Segment> segments;
-  for (std::size_t j = 0; j < tiles.size();) {
-    const std::int64_t tT = tiles[j].tT;
-    const std::int64_t stop = floor.segment_end(tiles[j]);
+  for (std::size_t j = 0; j < space.size();) {
+    const std::int64_t tT = space[j].tT;
+    const std::int64_t stop = floor.segment_end(space[j]);
     const std::size_t end =
-        stretch_end(j, tiles.size(), [&](const hhc::TileSizes& t) {
+        stretch_end(j, space.size(), [&](const hhc::TileSizes& t) {
           return t.tT == tT && t.tS1 < stop;
         });
     segments.push_back(
-        {.begin = j, .end = end, .head = floor.over_run(tiles[j])});
+        {.begin = j, .end = end, .head = floor.over_run(space[j])});
     j = end;
   }
   // Calls visit(begin, end) on each run of `seg`, in ascending tS1,
@@ -479,12 +466,12 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
                         const auto& visit) {
     double run_floor = seg.head;
     for (std::size_t j = seg.begin; j < seg.end && run_floor <= bound;) {
-      const std::int64_t tS1 = tiles[j].tS1;
+      const std::int64_t tS1 = space[j].tS1;
       const std::size_t end = stretch_end(
           j, seg.end, [&](const hhc::TileSizes& t) { return t.tS1 == tS1; });
       visit(j, end);
       j = end;
-      if (j < seg.end) run_floor = floor.over_run(tiles[j]);
+      if (j < seg.end) run_floor = floor.over_run(space[j]);
     }
   };
 
@@ -499,11 +486,10 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
       seg.floors_at = floors.size();
       walk(seg, best, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j = lo; j < hi; ++j) {
-          const double f = floors.emplace_back(floor(tiles[j], run));
-          const std::size_t i = index(j);
-          if (f < best || (f == best && i < b)) {
+          const double f = floors.emplace_back(floor(space[j], run));
+          if (f < best || (f == best && j < b)) {
             best = f;
-            b = i;
+            b = j;
           }
         }
       });
@@ -549,23 +535,18 @@ ModelSweep Session::sweep_model(std::span<const hhc::TileSizes> space,
       const KeptRun& kr = kept[k];
       for (std::size_t j = kr.begin; j < kr.end; ++j) {
         auto& [i, t] = talg[kr.slot + j - kr.begin];
-        i = index(j);
-        if (i == b) {
+        i = j;
+        if (j == b) {
           t = talg_b;
           continue;
         }
         const double f = kr.floors_at == kNotHeld
-                             ? floor(tiles[j], run)
+                             ? floor(space[j], run)
                              : floors[kr.floors_at + j - kr.begin];
-        if (f <= cut) t = model_talg_or_inf(in, p, tiles[j]);
+        if (f <= cut) t = model_talg_or_inf(in, p, space[j]);
       }
     }
   });
-  if (!perm.empty()) {
-    std::sort(talg.begin(), talg.end(), [](const auto& x, const auto& y) {
-      return x.first < y.first;
-    });
-  }
 
   // Selection in span index order, as the full loop makes it.
   std::size_t priced = 0;

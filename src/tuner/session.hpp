@@ -316,10 +316,12 @@ class Session {
   // are walked in (tT, tS1) runs, segment by segment
   // (TalgFloor::segment_end): run floors never decrease along a
   // segment, so a walk stops at the first run above its bound and the
-  // cost follows the runs kept, not the size of the space. A span not
-  // in ascending (tT, tS1) order is walked through a sorted copy. The
-  // result is the full loop's bit for bit, and
-  // SweepStats::model_points counts the exact evaluations.
+  // cost follows the runs kept, not the size of the space. `space`
+  // must list its runs in ascending (tT, tS1) order, as
+  // enumerate_feasible does (any order within a run); another order
+  // throws std::invalid_argument. The result is the full loop's bit
+  // for bit, and SweepStats::model_points counts the exact
+  // evaluations.
   ModelSweep sweep_model(std::span<const hhc::TileSizes> space, double delta);
 
   // One machine measurement (memoized).

@@ -77,9 +77,8 @@ TEST(Planner, AggregatesRepeatIntoEndToEndTalg) {
   EXPECT_DOUBLE_EQ(plan.stages[0].talg_total, plan.talg);
 }
 
-// Satellite pin: a repeated stage costs ZERO additional pricings.
-// With dedup the second copy never touches a session; with dedup off
-// but shared sessions on, its sweep replays the memo point for point.
+// Satellite pin: a repeated stage costs ZERO additional pricings: the
+// second copy never touches a session.
 TEST(Planner, RepeatedStageCostsZeroAdditionalPricings) {
   const Pipeline one = parse(kSingle);
   const Pipeline two = parse(kRepeated);
@@ -90,7 +89,7 @@ TEST(Planner, RepeatedStageCostsZeroAdditionalPricings) {
   const std::size_t single_cost = fresh_pricings(ref);
   ASSERT_GT(single_cost, 0u);
 
-  // Dedup path: the duplicate is copied, not recomputed.
+  // The duplicate is copied, not recomputed.
   Planner dedup(gtx980(), test_options());
   const PipelinePlan d = dedup.plan(two);
   ASSERT_TRUE(d.feasible);
@@ -98,25 +97,7 @@ TEST(Planner, RepeatedStageCostsZeroAdditionalPricings) {
   EXPECT_FALSE(d.stages[0].reused);
   EXPECT_TRUE(d.stages[1].reused);
   EXPECT_EQ(fresh_pricings(d), single_cost);
-
-  // Memo path (dedup off, shared sessions on): the duplicate runs a
-  // full sweep, but every measurement is a cache hit.
-  Planner memo(gtx980(), test_options().with_dedup(false));
-  const PipelinePlan m = memo.plan(two);
-  ASSERT_TRUE(m.feasible);
-  EXPECT_EQ(m.distinct_tasks, 2u);
-  EXPECT_FALSE(m.stages[1].reused);
-  EXPECT_GT(m.stats.machine_points, d.stats.machine_points);
-  EXPECT_EQ(fresh_pricings(m), single_cost);
-
-  // All three agree on the winning configurations and the end-to-end
-  // times (only the reuse bookkeeping — reused/distinct_tasks — may
-  // differ between the dedup and memo spellings).
-  ASSERT_EQ(d.stages.size(), m.stages.size());
-  for (std::size_t i = 0; i < d.stages.size(); ++i) {
-    EXPECT_EQ(d.stages[i].best, m.stages[i].best);
-  }
-  EXPECT_DOUBLE_EQ(d.talg, m.talg);
+  EXPECT_EQ(d.stages[1].best, d.stages[0].best);
   EXPECT_EQ(d.stages[0].best.dp.ts, ref.stages[0].best.dp.ts);
 }
 
@@ -160,36 +141,28 @@ TEST(Planner, WarmSeededDescentPrunesStrictlyMoreThanCold) {
 }
 
 // The reuse stack on the shipped 3-level V-cycle (11 stages, 8
-// distinct tasks). Dedup and warm seeding each save pricings, and
-// neither changes a stage's winner or the end-to-end times. When this
-// test was written the fresh pricings were 299 (no dedup), 299 (no
-// warm seeding) and 287 (all on).
+// distinct tasks). Stage copies and warm seeding save pricings, and
+// seeding changes no stage's winner and no end-to-end time.
 TEST(Planner, VcycleReuseStackSavesPricingsIdentically) {
   const Pipeline p = parse(read_file(std::filesystem::path(REPRO_SOURCE_DIR) /
                                      "examples" / "pipelines" / "vcycle3.json"));
 
-  const PipelinePlan no_dedup =
-      Planner(gtx980(), test_options().with_dedup(false).with_warm_seed(false))
-          .plan(p);
   const PipelinePlan no_warm =
       Planner(gtx980(), test_options().with_warm_seed(false)).plan(p);
   const PipelinePlan all_on = Planner(gtx980(), test_options()).plan(p);
 
   ASSERT_TRUE(all_on.feasible);
-  for (const PipelinePlan* other : {&no_dedup, &no_warm}) {
-    ASSERT_EQ(other->stages.size(), all_on.stages.size());
-    for (std::size_t i = 0; i < all_on.stages.size(); ++i) {
-      EXPECT_EQ(other->stages[i].best, all_on.stages[i].best)
-          << all_on.stages[i].id;
-      EXPECT_EQ(other->stages[i].talg_total, all_on.stages[i].talg_total);
-    }
-    EXPECT_EQ(other->feasible, all_on.feasible);
-    EXPECT_EQ(other->talg, all_on.talg);
-    EXPECT_EQ(other->texec, all_on.texec);
+  ASSERT_EQ(no_warm.stages.size(), all_on.stages.size());
+  for (std::size_t i = 0; i < all_on.stages.size(); ++i) {
+    EXPECT_EQ(no_warm.stages[i].best, all_on.stages[i].best)
+        << all_on.stages[i].id;
+    EXPECT_EQ(no_warm.stages[i].talg_total, all_on.stages[i].talg_total);
   }
+  EXPECT_EQ(no_warm.feasible, all_on.feasible);
+  EXPECT_EQ(no_warm.talg, all_on.talg);
+  EXPECT_EQ(no_warm.texec, all_on.texec);
 
   EXPECT_LT(all_on.distinct_tasks, all_on.total_stages);
-  EXPECT_LT(fresh_pricings(all_on), fresh_pricings(no_dedup));
   EXPECT_GE(all_on.stats.seeds_admitted, 1u);
   EXPECT_GT(all_on.stats.points_pruned, no_warm.stats.points_pruned);
 }
@@ -220,6 +193,59 @@ TEST(Planner, PinnedVariantIsHonored) {
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.stages[0].best.dp.var.unroll, 2);
   EXPECT_EQ(plan.stages[0].best.dp.var.staging, stencil::Staging::kRegister);
+}
+
+// Two stages of one (stencil, problem) pinned to different variants
+// are two stage keys, each tuned on its own Session; a third stage
+// repeating the first is copied.
+constexpr const char* kPinnedVariants =
+    R"({"pipeline_version":1,"name":"pins","stages":[
+         {"id":"reg","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4},
+          "variant":{"unroll":2,"staging":"register"}},
+         {"id":"u4","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4},
+          "variant":{"unroll":4},"after":["reg"]},
+         {"id":"reg_again","stencil":"Jacobi2D",
+          "problem":{"S":[256,256],"T":4},
+          "variant":{"unroll":2,"staging":"register"},"after":["u4"]}]})";
+
+TEST(Planner, PinnedVariantsOfOneProblemAreTunedApart) {
+  const Pipeline p = parse(kPinnedVariants);
+  const PipelinePlan plan = Planner(gtx980(), test_options()).plan(p);
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_EQ(plan.distinct_tasks, 2u);
+  EXPECT_FALSE(plan.stages[0].reused);
+  EXPECT_FALSE(plan.stages[1].reused);
+  EXPECT_TRUE(plan.stages[2].reused);
+  EXPECT_EQ(plan.stages[0].best.dp.var.unroll, 2);
+  EXPECT_EQ(plan.stages[1].best.dp.var.unroll, 4);
+  EXPECT_EQ(plan.stages[2].best, plan.stages[0].best);
+
+  // Each stage's answer is the one a one-stage plan of it gives.
+  for (std::size_t i = 0; i < p.stages.size(); ++i) {
+    Pipeline one;
+    one.name = "one";
+    one.stages = {p.stages[i]};
+    one.stages[0].after.clear();
+    const PipelinePlan alone = Planner(gtx980(), test_options()).plan(one);
+    EXPECT_EQ(plan.stages[i].best, alone.stages[0].best) << p.stages[i].id;
+    EXPECT_EQ(plan.stages[i].space_size, alone.stages[0].space_size);
+    EXPECT_EQ(plan.stages[i].candidates_tried,
+              alone.stages[0].candidates_tried);
+  }
+
+  // A StageCache changes no byte: cold, it tunes the two keys; a
+  // second plan is served from it.
+  StageCache cache;
+  const std::string want = plan_to_json(plan).dump();
+  for (int pass = 0; pass < 2; ++pass) {
+    const PipelinePlan cached =
+        Planner(gtx980(), test_options(), nullptr, &cache).plan(p);
+    EXPECT_EQ(plan_to_json(cached).dump(), want) << "pass " << pass;
+  }
+  const StageCache::Counters c = cache.counters();
+  EXPECT_EQ(c.misses, 2u);
+  EXPECT_EQ(c.hits, 2u);
+  EXPECT_EQ(c.entries, 2u);
 }
 
 // One tile space per (dim, radius): the V-cycle's 11 stages (8 tuned

@@ -248,6 +248,69 @@ TEST(ServiceCalibration, OnePerDeviceAndStencilAcrossRequestKinds) {
   EXPECT_EQ(s.calibration_evictions, 0u);
 }
 
+// Two stages of one (stencil, problem) pinned to different variants,
+// then a repeat of the first: two stage keys, one copy.
+constexpr const char* kPinnedReq =
+    R"({"v":1,"id":"pins","kind":"pipeline",)"
+    R"("pipeline":{"pipeline_version":1,"name":"pins","stages":[)"
+    R"({"id":"reg","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4},)"
+    R"("variant":{"unroll":2,"staging":"register"}},)"
+    R"({"id":"u4","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4},)"
+    R"("variant":{"unroll":4},"after":["reg"]},)"
+    R"({"id":"reg_again","stencil":"Jacobi2D",)"
+    R"("problem":{"S":[256,256],"T":4},)"
+    R"("variant":{"unroll":2,"staging":"register"},"after":["u4"]}]},)"
+    R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})";
+
+// The pinned-variant plan served cold, from the stage cache and from
+// the store reads as `tuned once`, and each stage's best is the one a
+// one-stage request for it gets.
+TEST_F(ServicePipelineTest, PinnedVariantsOfOneProblemServeTheOnceBytes) {
+  const std::string want = once(kPinnedReq);
+  {
+    ServiceCore core(ServiceOptions{}.with_workers(1));
+    EXPECT_EQ(core.handle(kPinnedReq), want);
+    EXPECT_EQ(core.handle(kPinnedReq), want);
+    const ServiceStats s = core.stats();
+    EXPECT_EQ(s.computed, 2u);
+    EXPECT_EQ(s.stage_cache_misses, 2u);
+    EXPECT_EQ(s.stage_cache_hits, 2u);
+  }
+  {
+    ServiceCore core(ServiceOptions{}.with_store_dir(store_dir_.string()));
+    EXPECT_EQ(core.handle(kPinnedReq), want);
+    EXPECT_EQ(core.handle(kPinnedReq), want);
+    EXPECT_EQ(core.stats().store_hits, 1u);
+  }
+
+  const auto doc = json::parse(want);
+  ASSERT_TRUE(doc && doc->is_object()) << want;
+  const json::Value* r = doc->find("result");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->find("distinct_tasks")->as_int(), 2);
+  const json::Value* stages = r->find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->size(), 3u);
+  const char* const variants[] = {R"({"unroll":2,"staging":"register"})",
+                                  R"({"unroll":4})",
+                                  R"({"unroll":2,"staging":"register"})"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const json::Value& st = stages->items()[i];
+    EXPECT_EQ(st.find("reused")->as_bool(), i == 2) << i;
+    const std::string alone =
+        std::string(R"({"v":1,"id":"one","kind":"pipeline",)"
+                    R"("pipeline":{"pipeline_version":1,"name":"one",)"
+                    R"("stages":[{"id":"s","stencil":"Jacobi2D",)"
+                    R"("problem":{"S":[256,256],"T":4},"variant":)") +
+        variants[i] +
+        R"(}]},"enum":{"tT_max":8,"tS1_max":12,"tS2_max":192}})";
+    const auto one = json::parse(once(alone));
+    ASSERT_TRUE(one && one->is_object());
+    const json::Value& only = one->find("result")->find("stages")->items()[0];
+    EXPECT_EQ(st.find("best")->dump(), only.find("best")->dump()) << i;
+  }
+}
+
 // A second pipeline that shares the "coarse" stage (and its 512^2
 // smoother) with kPipelineReq and adds one stage of its own.
 constexpr const char* kSharingReq =

@@ -373,6 +373,32 @@ TEST_F(CoreTest, StatsJsonIsValidAndComplete) {
   EXPECT_TRUE(doc->find("latency_seconds")->is_number());
 }
 
+// The session counters in `stats` count each computation's work once:
+// after every request they equal the counters of one direct Session
+// that served the same requests.
+TEST_F(CoreTest, SessionCountersCountEachComputationOnce) {
+  ServiceCore core(ServiceOptions{}.with_workers(1));
+  std::unique_ptr<tuner::Session> direct;
+  analysis::DiagnosticEngine diags;
+  for (const char* line : {kBestTile, kPredict, kBestTile}) {
+    (void)core.handle(line);
+    const auto req = parse_request(line, diags);
+    ASSERT_TRUE(req);
+    if (!direct) {
+      direct = std::make_unique<tuner::Session>(
+          *device::registry().find(req->device), req->def, *req->problem,
+          tuner::SessionOptions{}.with_jobs(1));
+    }
+    (void)compute_payload(*req, direct.get());
+    const ServiceStats s = core.stats();
+    const tuner::SweepStats d = direct->stats();
+    EXPECT_GT(d.machine_points, 0u);
+    EXPECT_EQ(s.session_machine_points, d.machine_points) << line;
+    EXPECT_EQ(s.session_cache_hits, d.cache_hits) << line;
+    EXPECT_EQ(s.session_points_pruned, d.points_pruned) << line;
+  }
+}
+
 // ServiceStats::to_json walks ServiceStats::for_each_field. The
 // expected line is what the hand-written field list it replaced
 // printed for these values: same keys, same order, same bytes.

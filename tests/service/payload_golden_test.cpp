@@ -1,8 +1,9 @@
 // Byte identity against committed payloads. tests/golden/payloads/
 // holds request lines and the response lines `tuned once` printed for
 // them: the example V-cycle and sub-step pipelines and 2- to 4-level
-// V-cycles over the default tile space on both GPUs, and predict,
-// best_tile and compare_strategies on GPU and CPU descriptors. Each
+// V-cycles over the default tile space on both GPUs, predict,
+// best_tile and compare_strategies on GPU and CPU descriptors, and lint
+// on catalogue and DSL stencils with and without the audit. Each
 // request is recomputed the way `tuned once` computes it (one job,
 // compute_payload, render_result) and must match its line byte for
 // byte, so a rewrite of the model, the enumerator or the planner

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace repro::service {
 namespace {
@@ -282,12 +283,22 @@ TEST(Render, ErrorCarriesFirstErrorCodeAndAllDiagnostics) {
   analysis::DiagnosticEngine diags;
   diags.warn(Code::kSvcBadField, "just a warning");
   diags.error(Code::kSvcMissingField, "'problem' is required");
-  diags.error(Code::kSvcBadField, "second error");
-  const std::string out = render_error("r2", diags.diagnostics());
-  EXPECT_NE(out.find(R"("ok":false)"), std::string::npos);
-  EXPECT_NE(out.find(R"("code":"SL404")"), std::string::npos);
-  EXPECT_NE(out.find("just a warning"), std::string::npos);
-  EXPECT_NE(out.find("second error"), std::string::npos);
+  diags.error(Code::kSvcBadField, "second \"error\"", 3);
+  std::vector<analysis::Diagnostic> all = diags.diagnostics();
+  all.back().hint = "drop the field";
+  const std::string out = render_error("r2", all);
+  // The envelope names the first error; the diagnostics array holds
+  // every diagnostic in order, with a "hint" only where one is set.
+  EXPECT_EQ(out,
+            R"({"v":1,"id":"r2","ok":false,)"
+            R"("error":{"code":"SL404","message":"'problem' is required"},)"
+            R"("diagnostics":[)"
+            R"({"severity":"warning","code":"SL405","line":0,)"
+            R"("message":"just a warning"},)"
+            R"({"severity":"error","code":"SL404","line":0,)"
+            R"("message":"'problem' is required"},)"
+            R"({"severity":"error","code":"SL405","line":3,)"
+            R"("message":"second \"error\"","hint":"drop the field"}]})");
   // The envelope itself is valid JSON.
   EXPECT_TRUE(json::parse(out).has_value());
 }

@@ -4,16 +4,19 @@
 // plain full-space loop (tests/support/sweep_oracle.hpp), bit for
 // bit, at one and four jobs, for delta in {0, 0.05, 0.1, 0.5}: on the
 // default spaces of every registered device, on a seeded grid of
-// V-cycle level problems, on shuffled spans and on columns with holes,
-// on empty spans, on spans with Eqn-31-infeasible tiles and +inf
-// segment heads, on all-infeasible spans and under inputs the floor
-// does not model.
+// V-cycle level problems, on spans shuffled within runs and on columns
+// with holes, on empty spans, on spans with Eqn-31-infeasible tiles
+// and +inf segment heads, on all-infeasible spans and under inputs the
+// floor does not model. A span out of (tT, tS1) order is refused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,6 +81,23 @@ std::vector<hhc::TileSizes> shuffled(std::vector<hhc::TileSizes> tiles,
     const auto j = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
     std::swap(tiles[i - 1], tiles[j]);
+  }
+  return tiles;
+}
+
+// The order sweep_model requires of a span: ascending (tT, tS1).
+bool by_run(const hhc::TileSizes& a, const hhc::TileSizes& b) {
+  return std::tie(a.tT, a.tS1) < std::tie(b.tT, b.tS1);
+}
+
+// `tiles` (in run order) with each (tT, tS1) run shuffled in place,
+// the runs left in order.
+std::vector<hhc::TileSizes> shuffled_within_runs(
+    std::vector<hhc::TileSizes> tiles, Rng& rng) {
+  for (auto lo = tiles.begin(); lo != tiles.end();) {
+    const auto hi = std::upper_bound(lo, tiles.end(), *lo, by_run);
+    const std::vector<hhc::TileSizes> run = shuffled({lo, hi}, rng);
+    lo = std::copy(run.begin(), run.end(), lo);
   }
   return tiles;
 }
@@ -173,6 +193,9 @@ TEST(SweepParity, EmptyInfeasibleAndMixedSpans) {
     mixed.push_back(ts);
     if (mixed.size() % 97 == 0) mixed.push_back(none[mixed.size() % 3]);
   }
+  // In (tT, tS1) order, as sweep_model requires: the infeasible tiles
+  // then sit inside runs.
+  std::stable_sort(mixed.begin(), mixed.end(), by_run);
   check_span(ctx, mixed, "mixed");
 }
 
@@ -248,8 +271,9 @@ TEST(SweepParity, VcycleLevelProblemsMatchTheFullLoop) {
   EXPECT_EQ(priced, kVcycleLevelPriced);
 }
 
-// The walk sorts a span that is not in (tT, tS1) order and skips runs
-// that are missing from a column; neither may change a result.
+// The walk takes the tiles of a run in any order and skips runs that
+// are missing from a column; neither may change a result. A span
+// whose runs are out of (tT, tS1) order is refused.
 TEST(SweepParity, ShuffledSpansAndColumnsWithHolesMatchTheFullLoop) {
   const auto& def = stencil::get_stencil(stencil::StencilKind::kJacobi2D);
   const model::ModelInputs in = calibrate_model(gpusim::gtx980(), def);
@@ -261,7 +285,12 @@ TEST(SweepParity, ShuffledSpansAndColumnsWithHolesMatchTheFullLoop) {
     const TuningContext ctx =
         TuningContext::with_inputs(gpusim::gtx980(), def, p, in);
     const std::string where = p.to_string();
-    check_span(ctx, shuffled(space, rng), where + " shuffled");
+    Session s(ctx);
+    EXPECT_THROW((void)s.sweep_model(shuffled(space, rng), 0.10),
+                 std::invalid_argument)
+        << where;
+    check_span(ctx, shuffled_within_runs(space, rng),
+               where + " shuffled within runs");
     // Holes: whole runs and single tiles dropped at random, segment
     // heads among them, the rest left in order.
     std::vector<hhc::TileSizes> holes;
@@ -273,7 +302,8 @@ TEST(SweepParity, ShuffledSpansAndColumnsWithHolesMatchTheFullLoop) {
       if (!drop_run && rng.uniform_int(0, 4) != 0) holes.push_back(space[i]);
     }
     check_span(ctx, holes, where + " holes");
-    check_span(ctx, shuffled(holes, rng), where + " shuffled holes");
+    check_span(ctx, shuffled_within_runs(holes, rng),
+               where + " holes shuffled within runs");
   }
 }
 
