@@ -1,5 +1,6 @@
 // Micro-benchmarks of the library's own hot paths: model evaluation,
-// feasible-space enumeration and sweeps, one whole pipeline plan,
+// feasible-space enumeration and sweeps, one whole pipeline plan and
+// its two output layers (payload and canonical key),
 // schedule construction, simulator pricing
 // (whole, and per layer: profile build, bounds-only build, histograms,
 // step, lower bound, the pricing fold, cold session sweep of one
@@ -34,6 +35,7 @@
 #include "hhc/tiled_executor.hpp"
 #include "model/talg.hpp"
 #include "pipeline/planner.hpp"
+#include "service/protocol.hpp"
 #include "stencil/reference.hpp"
 #include "tuner/session.hpp"
 #include "tuner/space.hpp"
@@ -47,19 +49,38 @@ const stencil::StencilDef& heat2d() {
 }
 
 // The shipped 3-level V-cycle (examples/pipelines/vcycle3.json).
-pipeline::Pipeline vcycle3() {
+std::string vcycle3_text() {
   std::ifstream in(std::filesystem::path(REPRO_SOURCE_DIR) / "examples" /
                    "pipelines" / "vcycle3.json");
   std::stringstream text;
   text << in.rdbuf();
+  return text.str();
+}
+
+pipeline::Pipeline vcycle3() {
   analysis::DiagnosticEngine diags;
   std::optional<pipeline::Pipeline> p =
-      pipeline::parse_pipeline_text(text.str(), diags);
+      pipeline::parse_pipeline_text(vcycle3_text(), diags);
   if (!p) {
     throw std::runtime_error("cannot read examples/pipelines/vcycle3.json: " +
                              analysis::render_human(diags.diagnostics()));
   }
   return *p;
+}
+
+// The service's pipeline request for vcycle3 on the GTX 980.
+service::Request vcycle3_request() {
+  std::string line = R"({"v":1,"kind":"pipeline","device":"GTX 980",)";
+  line += "\"pipeline\":";
+  line += vcycle3_text();
+  line += "}";
+  analysis::DiagnosticEngine diags;
+  std::optional<service::Request> req = service::parse_request(line, diags);
+  if (!req) {
+    throw std::runtime_error("vcycle3 request rejected: " +
+                             analysis::render_human(diags.diagnostics()));
+  }
+  return *req;
 }
 
 // Per-call time in a readable unit.
@@ -102,6 +123,10 @@ int main() {
   const pipeline::Pipeline vcycle = vcycle3();
   pipeline::PlanOptions plan_opt;
   plan_opt.session = tuner::SessionOptions{}.with_jobs(1);
+  const pipeline::PipelinePlan vcycle_plan =
+      pipeline::Planner(*device::registry().find("GTX 980"), plan_opt)
+          .plan(vcycle);
+  const service::Request vcycle_request = vcycle3_request();
   const auto init = stencil::make_initial_grid(small, 1);
 
   std::vector<bench::Arm> arms = {
@@ -129,6 +154,13 @@ int main() {
                          .talg);
        },
        2},
+      // The output layers of that request in the service: rendering
+      // the plan's payload (11 stages, ~5 KB) and writing the request's
+      // canonical key (~1.5 KB).
+      {"render_plan_vcycle3",
+       [&] { bench::keep(pipeline::render_plan(vcycle_plan).size()); }, 2000},
+      {"canonical_key_vcycle3",
+       [&] { bench::keep(vcycle_request.canonical_key().size()); }, 2000},
       {"hex_schedule_construction",
        [] {
          const hhc::HexSchedule s(8192, 8192, 16, 16);

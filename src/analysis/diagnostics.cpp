@@ -4,6 +4,8 @@
 #include <array>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace repro::analysis {
 
 namespace {
@@ -136,25 +138,6 @@ const CodeInfo& info(Code c) noexcept {
   return kCodeTable[0];  // unreachable for valid codes
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(ch >> 4) & 0xf] << hex[ch & 0xf];
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view to_string(Severity s) noexcept {
@@ -222,26 +205,27 @@ std::string render_human(std::span<const Diagnostic> diags,
 }
 
 std::string render_json(std::span<const Diagnostic> diags) {
-  std::ostringstream os;
-  os << "[";
+  std::string out = "[";
   bool first = true;
   for (const Diagnostic& d : diags) {
-    os << (first ? "\n" : ",\n");
+    out += first ? "\n" : ",\n";
     first = false;
-    os << "  {\"severity\": \"" << to_string(d.severity) << "\", \"code\": \""
-       << code_name(d.code) << "\", \"line\": " << d.line
-       << ", \"message\": \"";
-    json_escape(os, d.message);
-    os << "\"";
+    out += "  {\"severity\": \"";
+    out += to_string(d.severity);
+    out += "\", \"code\": \"";
+    out += code_name(d.code);
+    out += "\", \"line\": ";
+    out += std::to_string(d.line);
+    out += ", \"message\": ";
+    json::escape_string(out, d.message);
     if (!d.hint.empty()) {
-      os << ", \"hint\": \"";
-      json_escape(os, d.hint);
-      os << "\"";
+      out += ", \"hint\": ";
+      json::escape_string(out, d.hint);
     }
-    os << "}";
+    out += "}";
   }
-  os << (first ? "]" : "\n]");
-  return os.str();
+  out += first ? "]" : "\n]";
+  return out;
 }
 
 }  // namespace repro::analysis

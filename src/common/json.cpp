@@ -1,10 +1,7 @@
 #include "common/json.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 namespace repro::json {
 
@@ -246,8 +243,15 @@ const Value* Value::find(std::string_view key) const noexcept {
 }
 
 void escape_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (const char c : s) {
+  // Each run of bytes that need no escape is appended whole.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -255,93 +259,90 @@ void escape_string(std::string& out, std::string_view s) {
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xf]);
-          out.push_back(hex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xf]);
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
-std::string format_double(double d) {
-  if (!std::isfinite(d)) return "null";
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), d);
-  if (ec != std::errc()) return "null";  // cannot happen for doubles
-  return std::string(buf, p);
+std::string format_double(double d) { return Writer().value(d).take(); }
+
+Writer& Writer::key(std::string_view k) {
+  if (comma_) out_.push_back(',');
+  escape_string(out_, k);
+  out_.push_back(':');
+  comma_ = false;
+  return *this;
 }
 
-void Value::dump_to(std::string& out, bool canonical) const {
+Writer& Writer::value(std::string_view s) {
+  if (comma_) out_.push_back(',');
+  escape_string(out_, s);
+  comma_ = true;
+  return *this;
+}
+
+// 32 bytes hold any double's shortest form, 24 any int64.
+Writer& Writer::value(double d) {
+  if (!std::isfinite(d)) return null();
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
+  return raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
+Writer& Writer::int_value(std::int64_t i) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), i).ptr;
+  return raw(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
+Writer& Writer::raw(std::string_view json) {
+  if (comma_) out_.push_back(',');
+  out_ += json;
+  comma_ = true;
+  return *this;
+}
+
+void Value::write(Writer& w) const {
   switch (type_) {
     case Type::kNull:
-      out += "null";
+      w.null();
       return;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      w.value(bool_);
       return;
     case Type::kInt:
-      out += std::to_string(int_);
+      w.value(int_);
       return;
     case Type::kDouble:
-      out += format_double(double_);
+      w.value(double_);
       return;
     case Type::kString:
-      escape_string(out, str_);
+      w.value(std::string_view(str_));
       return;
-    case Type::kArray: {
-      out.push_back('[');
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        arr_[i].dump_to(out, canonical);
+    case Type::kArray:
+      w.begin_array();
+      for (const Value& v : arr_) v.write(w);
+      w.end_array();
+      return;
+    case Type::kObject:
+      w.begin_object();
+      for (const auto& [key, v] : obj_) {
+        w.key(key);
+        v.write(w);
       }
-      out.push_back(']');
+      w.end_object();
       return;
-    }
-    case Type::kObject: {
-      out.push_back('{');
-      if (canonical) {
-        std::vector<const Member*> sorted;
-        sorted.reserve(obj_.size());
-        for (const Member& m : obj_) sorted.push_back(&m);
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const Member* a, const Member* b) {
-                    return a->first < b->first;
-                  });
-        for (std::size_t i = 0; i < sorted.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          escape_string(out, sorted[i]->first);
-          out.push_back(':');
-          sorted[i]->second.dump_to(out, canonical);
-        }
-      } else {
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          escape_string(out, obj_[i].first);
-          out.push_back(':');
-          obj_[i].second.dump_to(out, canonical);
-        }
-      }
-      out.push_back('}');
-      return;
-    }
   }
 }
 
 std::string Value::dump() const {
-  std::string out;
-  dump_to(out, /*canonical=*/false);
-  return out;
-}
-
-std::string Value::dump_canonical() const {
-  std::string out;
-  dump_to(out, /*canonical=*/true);
-  return out;
+  Writer w;
+  write(w);
+  return w.take();
 }
 
 std::optional<Value> parse(std::string_view text, std::string* error) {

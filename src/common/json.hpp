@@ -1,33 +1,88 @@
-// A minimal JSON value type, parser and deterministic serializer for
-// the service protocol (src/service) and the machine-readable bench
-// reports.
+// JSON for the service protocol, the pipeline IR and the bench
+// reports: a Writer that renders text into one string, and a Value
+// tree with its parser for reading.
 //
-// Determinism contract: dump() is byte-stable — integers print via
-// std::to_string, doubles via std::to_chars (shortest round-trip
-// form), object keys keep insertion order, and dump_canonical()
-// additionally sorts object keys lexicographically at every level.
-// Two semantically-equal values therefore always serialize to the
-// same bytes, which is what the result store's byte-identity
-// guarantee and the request-coalescing key rest on.
+// Writer contract: the caller opens and closes objects and arrays in
+// order, writes key() before each member value and never names a key
+// twice in one object (nothing checks or replaces a repeat); the
+// Writer places the commas. Nothing is sorted: a canonical document
+// (sorted keys at every level, like a request's computation key) is
+// one whose caller writes each object's keys in lexicographic byte
+// order. Output is compact and byte-stable (the result store and the
+// request-coalescing key rest on it): integers in decimal, doubles in
+// std::to_chars' shortest round-trip form, non-finite doubles as null.
 //
-// Non-finite doubles have no JSON representation and serialize as
-// null (callers that care, like the service payload builders, encode
-// infeasibility explicitly instead of shipping infinities).
+// Value is for parsing (and for callers that edit a parsed document);
+// its dump() writes through the Writer, members in insertion order.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace repro::json {
 
+// Appends `s` as a quoted JSON string to `out`: `"`, `\` and bytes
+// 0x00-0x1f escaped, every other byte (UTF-8 included) verbatim.
+void escape_string(std::string& out, std::string_view s);
+
+// The Writer's form of a double: shortest round trip, or "null".
+std::string format_double(double d);
+
+class Writer {
+ public:
+  explicit Writer(std::size_t capacity = 0) { out_.reserve(capacity); }
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+
+  // The next member's key; its value follows.
+  Writer& key(std::string_view k);
+
+  Writer& null() { return raw("null"); }
+  Writer& value(bool b) { return raw(b ? "true" : "false"); }
+  Writer& value(double d);
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  // Every integer type, rendered through int64 (as Value stores it).
+  template <class I, class = std::enable_if_t<std::is_integral_v<I>>>
+  Writer& value(I i) { return int_value(static_cast<std::int64_t>(i)); }
+  // An already-rendered JSON value, embedded verbatim.
+  Writer& raw(std::string_view json);
+
+  const std::string& str() const noexcept { return out_; }
+  std::string take() noexcept { return std::move(out_); }
+
+ private:
+  Writer& open(char c) {
+    if (comma_) out_.push_back(',');
+    out_.push_back(c);
+    comma_ = false;
+    return *this;
+  }
+  Writer& close(char c) {
+    out_.push_back(c);
+    comma_ = true;
+    return *this;
+  }
+  Writer& int_value(std::int64_t i);
+
+  std::string out_;
+  // Whether the last thing written was a complete value, so a comma
+  // is due before the next key or value.
+  bool comma_ = false;
+};
+
 class Value;
 
-// Objects preserve insertion order so rendered payloads read the way
-// they were built; canonical form sorts on serialization instead.
+// Objects preserve insertion order so a dumped document reads the way
+// it was parsed or built.
 using Member = std::pair<std::string, Value>;
 
 class Value {
@@ -99,13 +154,11 @@ class Value {
     return is_array() ? arr_.size() : is_object() ? obj_.size() : 0;
   }
 
-  // Deterministic serialization (see the header comment). Compact:
-  // no whitespace.
+  // The tree through the Writer, members in insertion order.
   std::string dump() const;
-  std::string dump_canonical() const;
 
  private:
-  void dump_to(std::string& out, bool canonical) const;
+  void write(Writer& w) const;
 
   Type type_ = Type::kNull;
   bool bool_ = false;
@@ -115,15 +168,6 @@ class Value {
   std::vector<Value> arr_;
   std::vector<Member> obj_;
 };
-
-// Appends the JSON string-literal encoding of `s` (including the
-// surrounding quotes) to `out`. Shared with the renderers that build
-// JSON textually.
-void escape_string(std::string& out, std::string_view s);
-
-// Deterministic number formatting used by dump(): shortest
-// round-trip form for finite doubles, "null" otherwise.
-std::string format_double(double d);
 
 // Parses a complete JSON document (trailing whitespace allowed,
 // trailing garbage rejected). On failure returns nullopt and, when

@@ -9,9 +9,9 @@ namespace {
 
 using analysis::Code;
 
-// Shortest-round-trip number rendering, shared with the JSON dump so
+// Shortest-round-trip number rendering, shared with the JSON writer so
 // summaries and serialized descriptors can never disagree on a value.
-std::string fmt(double d) { return json::Value(d).dump(); }
+std::string fmt(double d) { return json::format_double(d); }
 
 std::string fmt_bytes(std::int64_t bytes) {
   if (bytes >= 1024 * 1024 && bytes % (1024 * 1024) == 0) {
@@ -88,79 +88,60 @@ class Reader {
   bool ok_ = true;
 };
 
-json::Value gpu_to_json(const gpusim::DeviceParams& d) {
-  json::Value v = json::Value::object();
-  v.set("kind", "gpu");
-  v.set("name", d.name);
-  v.set("n_sm", d.n_sm);
-  v.set("n_v", d.n_v);
-  v.set("regs_per_sm", d.regs_per_sm);
-  v.set("shared_bytes_per_sm", d.shared_bytes_per_sm);
-  v.set("max_shared_bytes_per_block", d.max_shared_bytes_per_block);
-  v.set("shared_banks", d.shared_banks);
-  v.set("max_tb_per_sm", d.max_tb_per_sm);
-  v.set("max_threads_per_block", d.max_threads_per_block);
-  v.set("max_threads_per_sm", d.max_threads_per_sm);
-  v.set("max_regs_per_thread", d.max_regs_per_thread);
-  v.set("clock_hz", d.clock_hz);
-  v.set("mem_bandwidth_bps", d.mem_bandwidth_bps);
-  v.set("mem_latency_s", d.mem_latency_s);
-  v.set("kernel_launch_s", d.kernel_launch_s);
-  v.set("block_sched_s", d.block_sched_s);
-  v.set("sync_cycles", d.sync_cycles);
-  v.set("spill_cycles_per_reg", d.spill_cycles_per_reg);
-  v.set("jitter_amplitude", d.jitter_amplitude);
-  v.set("warps_for_full_issue", d.warps_for_full_issue);
-  v.set("latency_stall_factor", d.latency_stall_factor);
-  v.set("coalesce_words", d.coalesce_words);
-  json::Value cost = json::Value::object();
-  cost.set("issue_base", d.cost.issue_base);
-  cost.set("shared_load", d.cost.shared_load);
-  cost.set("fma", d.cost.fma);
-  cost.set("add", d.cost.add);
-  cost.set("special", d.cost.special);
-  cost.set("addr", d.cost.addr);
-  v.set("cost", std::move(cost));
-  return v;
+void write_device(json::Writer& w, const gpusim::DeviceParams& d) {
+  w.begin_object().key("kind").value("gpu").key("name").value(d.name);
+  w.key("n_sm").value(d.n_sm).key("n_v").value(d.n_v);
+  w.key("regs_per_sm").value(d.regs_per_sm);
+  w.key("shared_bytes_per_sm").value(d.shared_bytes_per_sm);
+  w.key("max_shared_bytes_per_block").value(d.max_shared_bytes_per_block);
+  w.key("shared_banks").value(d.shared_banks);
+  w.key("max_tb_per_sm").value(d.max_tb_per_sm);
+  w.key("max_threads_per_block").value(d.max_threads_per_block);
+  w.key("max_threads_per_sm").value(d.max_threads_per_sm);
+  w.key("max_regs_per_thread").value(d.max_regs_per_thread);
+  w.key("clock_hz").value(d.clock_hz);
+  w.key("mem_bandwidth_bps").value(d.mem_bandwidth_bps);
+  w.key("mem_latency_s").value(d.mem_latency_s);
+  w.key("kernel_launch_s").value(d.kernel_launch_s);
+  w.key("block_sched_s").value(d.block_sched_s);
+  w.key("sync_cycles").value(d.sync_cycles);
+  w.key("spill_cycles_per_reg").value(d.spill_cycles_per_reg);
+  w.key("jitter_amplitude").value(d.jitter_amplitude);
+  w.key("warps_for_full_issue").value(d.warps_for_full_issue);
+  w.key("latency_stall_factor").value(d.latency_stall_factor);
+  w.key("coalesce_words").value(d.coalesce_words);
+  w.key("cost").begin_object().key("issue_base").value(d.cost.issue_base);
+  w.key("shared_load").value(d.cost.shared_load);
+  w.key("fma").value(d.cost.fma).key("add").value(d.cost.add);
+  w.key("special").value(d.cost.special).key("addr").value(d.cost.addr);
+  w.end_object().end_object();
 }
 
-json::Value cpu_to_json(const cpusim::CpuParams& d) {
-  json::Value v = json::Value::object();
-  v.set("kind", "cpu");
-  v.set("name", d.name);
-  v.set("cores", d.cores);
-  v.set("vector_words", d.vector_words);
-  v.set("smt", d.smt);
-  v.set("clock_hz", d.clock_hz);
-  json::Value levels = json::Value::array();
+void write_device(json::Writer& w, const cpusim::CpuParams& d) {
+  w.begin_object().key("kind").value("cpu").key("name").value(d.name);
+  w.key("cores").value(d.cores).key("vector_words").value(d.vector_words);
+  w.key("smt").value(d.smt).key("clock_hz").value(d.clock_hz);
+  w.key("levels").begin_array();
   for (const cpusim::CacheLevel& lvl : d.levels) {
-    json::Value l = json::Value::object();
-    l.set("name", lvl.name);
-    l.set("size_bytes", lvl.size_bytes);
-    l.set("line_bytes", lvl.line_bytes);
-    l.set("shared", lvl.shared);
-    l.set("latency_s", lvl.latency_s);
-    l.set("bandwidth_bps", lvl.bandwidth_bps);
-    levels.push_back(std::move(l));
+    w.begin_object().key("name").value(lvl.name);
+    w.key("size_bytes").value(lvl.size_bytes);
+    w.key("line_bytes").value(lvl.line_bytes);
+    w.key("shared").value(lvl.shared).key("latency_s").value(lvl.latency_s);
+    w.key("bandwidth_bps").value(lvl.bandwidth_bps).end_object();
   }
-  v.set("levels", std::move(levels));
-  v.set("write_allocate", d.write_allocate);
-  v.set("mem_bandwidth_bps", d.mem_bandwidth_bps);
-  v.set("mem_latency_s", d.mem_latency_s);
-  v.set("parallel_launch_s", d.parallel_launch_s);
-  v.set("step_fence_s", d.step_fence_s);
-  v.set("stall_factor", d.stall_factor);
-  v.set("oversub_penalty", d.oversub_penalty);
-  v.set("jitter_amplitude", d.jitter_amplitude);
-  json::Value cost = json::Value::object();
-  cost.set("issue_base", d.cost.issue_base);
-  cost.set("load", d.cost.load);
-  cost.set("fma", d.cost.fma);
-  cost.set("add", d.cost.add);
-  cost.set("special", d.cost.special);
-  cost.set("addr", d.cost.addr);
-  v.set("cost", std::move(cost));
-  return v;
+  w.end_array().key("write_allocate").value(d.write_allocate);
+  w.key("mem_bandwidth_bps").value(d.mem_bandwidth_bps);
+  w.key("mem_latency_s").value(d.mem_latency_s);
+  w.key("parallel_launch_s").value(d.parallel_launch_s);
+  w.key("step_fence_s").value(d.step_fence_s);
+  w.key("stall_factor").value(d.stall_factor);
+  w.key("oversub_penalty").value(d.oversub_penalty);
+  w.key("jitter_amplitude").value(d.jitter_amplitude);
+  w.key("cost").begin_object().key("issue_base").value(d.cost.issue_base);
+  w.key("load").value(d.cost.load);
+  w.key("fma").value(d.cost.fma).key("add").value(d.cost.add);
+  w.key("special").value(d.cost.special).key("addr").value(d.cost.addr);
+  w.end_object().end_object();
 }
 
 std::optional<Descriptor> gpu_from_json(const json::Value& v,
@@ -317,9 +298,14 @@ std::string Descriptor::summary() const {
          fmt(d.mem_bandwidth_bps / 1e9) + " GB/s";
 }
 
-json::Value Descriptor::to_json() const {
-  return is_gpu() ? gpu_to_json(std::get<gpusim::DeviceParams>(payload_))
-                  : cpu_to_json(std::get<cpusim::CpuParams>(payload_));
+void Descriptor::write(json::Writer& w) const {
+  std::visit([&w](const auto& params) { write_device(w, params); }, payload_);
+}
+
+std::string Descriptor::to_json() const {
+  json::Writer w;
+  write(w);
+  return w.take();
 }
 
 std::optional<Descriptor> Descriptor::from_json(

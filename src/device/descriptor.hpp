@@ -62,9 +62,11 @@ class Descriptor {
   // lanes @ ...").
   std::string summary() const;
 
-  // Byte-stable JSON: fixed key order, shortest-round-trip doubles.
-  // from_json(to_json(d)).to_json() re-serializes byte-identically.
-  json::Value to_json() const;
+  // Byte-stable JSON: fixed key order, shortest-round-trip doubles,
+  // written into `w` or returned as text. Parsing it and from_json
+  // give back a descriptor that writes the same bytes.
+  void write(json::Writer& w) const;
+  std::string to_json() const;
 
   // Parses a descriptor object. On malformed input returns nullopt
   // and reports SL524 diagnostics (when an engine is supplied).

@@ -113,12 +113,11 @@ std::vector<std::string> DeviceRegistry::nearest(
   return out;
 }
 
-json::Value DeviceRegistry::to_json() const {
-  json::Value arr = json::Value::array();
-  for (const Descriptor& d : devices_) arr.push_back(d.to_json());
-  json::Value v = json::Value::object();
-  v.set("devices", std::move(arr));
-  return v;
+std::string DeviceRegistry::dump() const {
+  json::Writer w;
+  w.begin_object().key("devices").begin_array();
+  for (const Descriptor& d : devices_) d.write(w);
+  return w.end_array().end_object().take();
 }
 
 bool DeviceRegistry::load_json(const json::Value& v,

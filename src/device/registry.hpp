@@ -49,8 +49,7 @@ class DeviceRegistry {
 
   // {"devices": [<descriptor>, ...]} in registration order;
   // dump -> load -> dump is byte-identical.
-  json::Value to_json() const;
-  std::string dump() const { return to_json().dump(); }
+  std::string dump() const;
 
   // Registers every descriptor of a registry JSON object. Malformed
   // input reports SL524, duplicates SL523; returns true only when

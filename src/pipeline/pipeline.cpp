@@ -141,32 +141,26 @@ std::optional<Stage> parse_stage(const json::Value& v,
 
 }  // namespace
 
-json::Value Pipeline::to_json() const {
-  json::Value o = json::Value::object();
-  o.set("pipeline_version", kPipelineVersion);
-  o.set("name", name);
-  json::Value arr = json::Value::array();
+void Pipeline::write(json::Writer& w) const {
+  // Keys sorted at every level (the canonical form).
+  w.begin_object().key("name").value(name);
+  w.key("pipeline_version").value(kPipelineVersion).key("stages").begin_array();
   for (const Stage& st : stages) {
-    json::Value s = json::Value::object();
-    s.set("id", st.id);
-    if (!st.stencil_text.empty()) {
-      s.set("text", st.stencil_text);
-    } else {
-      s.set("stencil", st.stencil_name);
-    }
-    s.set("problem", wire::to_json(st.problem));
-    s.set("repeat", st.repeat);
-    json::Value after = json::Value::array();
-    for (const std::string& a : st.after) after.push_back(a);
-    s.set("after", std::move(after));
+    w.begin_object().key("after").begin_array();
+    for (const std::string& a : st.after) w.value(a);
+    w.end_array().key("id").value(st.id);
     // Only when present: the annotations are optional in the IR, and
     // the normalized form keeps them optional (absent != 0).
-    if (st.level) s.set("level", *st.level);
-    if (st.variant) s.set("variant", wire::to_json(*st.variant));
-    arr.push_back(std::move(s));
+    if (st.level) w.key("level").value(*st.level);
+    wire::write(w.key("problem"), st.problem);
+    w.key("repeat").value(st.repeat);
+    wire::write_stencil(w, st.stencil_name, st.stencil_text);
+    if (st.variant) {
+      wire::write(w.key("variant"), *st.variant, wire::Order::kSorted);
+    }
+    w.end_object();
   }
-  o.set("stages", std::move(arr));
-  return o;
+  w.end_array().end_object();
 }
 
 std::optional<std::vector<std::size_t>> topo_order(const Pipeline& p) {

@@ -7,7 +7,7 @@
 // of stages — `after` edges express data dependence, and the optional
 // `level` annotation ties stages of one multigrid level together.
 //
-// JSON format (byte-stable; parse(to_json()) round-trips exactly):
+// JSON format (parsing the normalized form round-trips exactly):
 //
 //   {"pipeline_version":1,"name":"vcycle3","stages":[
 //     {"id":"smooth_l0","stencil":"Jacobi2D",
@@ -24,9 +24,10 @@
 // its stencil's dimensionality, and stages sharing a `level` must
 // agree on the spatial extents).
 //
-// Determinism: to_json() emits a fully-normalized form (defaults
-// spelled out, fixed member order), so two spellings of the same
-// pipeline produce identical bytes — the service embeds it in the
+// Determinism: Pipeline::write emits a fully-normalized form, with
+// defaults spelled out and every object's keys sorted (the canonical
+// form of common/json.hpp), so two spellings of the same pipeline
+// produce identical bytes: the service writes it straight into the
 // request's canonical computation key.
 #pragma once
 
@@ -67,7 +68,7 @@ struct Pipeline {
   std::vector<Stage> stages;  // declaration order
 
   // The normalized byte-stable JSON form (see the header comment).
-  json::Value to_json() const;
+  void write(json::Writer& w) const;
 };
 
 // Deterministic execution order: Kahn's algorithm over the `after`

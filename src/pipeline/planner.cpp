@@ -166,37 +166,34 @@ std::vector<std::size_t> seed_order(std::span<const Winner> pool,
   return tuner::rank_warm_seeds(candidates, problem, want);
 }
 
-json::Value plan_to_json(const PipelinePlan& plan) {
-  json::Value o = json::Value::object();
-  o.set("pipeline", plan.name);
-  o.set("total_stages", plan.total_stages);
-  o.set("stage_executions", plan.stage_executions);
-  o.set("distinct_tasks", plan.distinct_tasks);
-  o.set("feasible", plan.feasible);
-  o.set("talg", plan.talg);
-  o.set("texec", plan.texec);
-  json::Value stages = json::Value::array();
+std::string render_plan(const PipelinePlan& plan) {
+  json::Writer w(512 + 640 * plan.stages.size());
+  w.begin_object().key("pipeline").value(plan.name);
+  w.key("total_stages").value(plan.total_stages);
+  w.key("stage_executions").value(plan.stage_executions);
+  w.key("distinct_tasks").value(plan.distinct_tasks);
+  w.key("feasible").value(plan.feasible).key("talg").value(plan.talg);
+  w.key("texec").value(plan.texec).key("stages").begin_array();
   for (const StageResult& r : plan.stages) {
-    json::Value s = json::Value::object();
-    s.set("id", r.id);
-    if (!r.stencil_text.empty()) {
-      s.set("text", r.stencil_text);
+    w.begin_object().key("id").value(r.id);
+    tuner::wire::write_stencil(w, r.stencil_name, r.stencil_text);
+    tuner::wire::write(w.key("problem"), r.problem);
+    w.key("repeat").value(r.repeat).key("reused").value(r.reused);
+    w.key("space_size").value(r.space_size);
+    w.key("candidates_tried").value(r.candidates_tried);
+    if (r.best.feasible) {
+      tuner::wire::write(w.key("best"), r.best, /*with_variant=*/true);
     } else {
-      s.set("stencil", r.stencil_name);
+      w.key("best").null();
     }
-    s.set("problem", tuner::wire::to_json(r.problem));
-    s.set("repeat", r.repeat);
-    s.set("reused", r.reused);
-    s.set("space_size", r.space_size);
-    s.set("candidates_tried", r.candidates_tried);
-    s.set("best", r.best.feasible ? tuner::wire::point_to_json(r.best, true)
-                                  : json::Value());
-    s.set("talg_total", r.talg_total);
-    s.set("texec_total", r.texec_total);
-    stages.push_back(std::move(s));
+    w.key("talg_total").value(r.talg_total);
+    w.key("texec_total").value(r.texec_total).end_object();
   }
-  o.set("stages", std::move(stages));
-  return o;
+  return w.end_array().end_object().take();
+}
+
+json::Value plan_to_json(const PipelinePlan& plan) {
+  return *json::parse(render_plan(plan));
 }
 
 }  // namespace repro::pipeline

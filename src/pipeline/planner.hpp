@@ -150,6 +150,12 @@ std::vector<std::size_t> seed_order(std::span<const Winner> pool,
 // declaration order plus the end-to-end aggregates. Contains only
 // jobs-invariant fields (never the SweepStats counters), so the
 // service can embed it in a byte-deterministic payload.
+std::string render_plan(const PipelinePlan& plan);
+
+// render_plan's text parsed back into a tree (its dump() gives the
+// same bytes), for the benchmark's replay (perfbench/src/traced.cpp)
+// only. It goes when ROADMAP item 1's benchmark change deletes that
+// replay.
 json::Value plan_to_json(const PipelinePlan& plan);
 
 }  // namespace repro::pipeline

@@ -27,13 +27,15 @@ double seconds_since(Clock::time_point t0) {
 
 // best_tile and compare sweep the default variant; their points
 // predate the variant axis and carry none.
-json::Value point_to_json(const tuner::EvaluatedPoint& ep) {
-  return wire::point_to_json(ep, false);
+void write_point(json::Writer& w, const tuner::EvaluatedPoint& ep) {
+  wire::write(w, ep, /*with_variant=*/false);
 }
 
 std::string compute_predict(const Request& req, tuner::Session& session) {
-  json::Value o = json::Value::object();
-  o.set("tile", wire::to_json(*req.tile));
+  json::Writer w;
+  wire::write(w.begin_object().key("tile"), *req.tile);
+  if (req.threads) wire::write(w.key("threads"), *req.threads);
+  if (req.variant) wire::write(w.key("variant"), *req.variant);
   const double talg =
       tuner::model_talg_or_inf(session.inputs(), *req.problem, *req.tile);
   const bool model_feasible = std::isfinite(talg);
@@ -44,19 +46,13 @@ std::string compute_predict(const Request& req, tuner::Session& session) {
     const tuner::EvaluatedPoint ep = session.evaluate_point(
         {*req.tile, *req.threads,
          req.variant.value_or(stencil::KernelVariant{})});
-    o.set("threads", wire::to_json(*req.threads));
-    if (req.variant) o.set("variant", wire::to_json(*req.variant));
-    o.set("feasible", ep.feasible);
-    o.set("talg", ep.talg);
-    o.set("texec", ep.texec);
-    o.set("gflops", ep.gflops);
+    w.key("feasible").value(ep.feasible).key("talg").value(ep.talg);
+    w.key("texec").value(ep.texec).key("gflops").value(ep.gflops);
   } else {
-    if (req.threads) o.set("threads", wire::to_json(*req.threads));
-    if (req.variant) o.set("variant", wire::to_json(*req.variant));
-    o.set("feasible", model_feasible);
-    o.set("talg", talg);  // null when infeasible
+    w.key("feasible").value(model_feasible);
+    w.key("talg").value(talg);  // null when infeasible
   }
-  return o.dump();
+  return w.end_object().take();
 }
 
 std::string compute_best_tile(const Request& req, tuner::Session& session,
@@ -65,25 +61,27 @@ std::string compute_best_tile(const Request& req, tuner::Session& session,
       req.problem->dim, session.inputs().hw, req.enumeration, req.def.radius);
   const tuner::ModelSweep sweep = session.sweep_model(space, req.delta);
 
-  json::Value o = json::Value::object();
-  o.set("space_size", sweep.space_size);
-  o.set("candidates_tried", sweep.candidates.size());
+  json::Writer w;
+  w.begin_object().key("space_size").value(sweep.space_size);
+  w.key("candidates_tried").value(sweep.candidates.size());
   if (sweep.candidates.empty()) {
-    o.set("talg_min", nullptr);
-    o.set("argmin", nullptr);
-    o.set("best", nullptr);
-    return o.dump();
+    w.key("talg_min").null().key("argmin").null().key("best").null();
+    return w.end_object().take();
   }
-  o.set("talg_min", sweep.talg_min);
-  o.set("argmin", wire::to_json(sweep.argmin));
+  w.key("talg_min").value(sweep.talg_min);
+  wire::write(w.key("argmin"), sweep.argmin);
 
   // Measure every within-delta candidate and reduce with the
   // first-strictly-better rule in candidate index order (best_tile's
   // reduction — deterministic for any job count, any pruning setting,
   // and any seed list; seeds only tighten the prune cutoff).
   const tuner::EvaluatedPoint best = session.best_tile(sweep, {}, seeds);
-  o.set("best", best.feasible ? point_to_json(best) : json::Value());
-  return o.dump();
+  if (best.feasible) {
+    write_point(w.key("best"), best);
+  } else {
+    w.key("best").null();
+  }
+  return w.end_object().take();
 }
 
 std::string compute_compare(const Request& req, tuner::Session& session) {
@@ -94,15 +92,15 @@ std::string compute_compare(const Request& req, tuner::Session& session) {
   copt.baseline_count = req.baseline_count;
   const tuner::StrategyComparison cmp = session.compare_strategies(copt);
 
-  json::Value o = json::Value::object();
-  o.set("hhc_default", point_to_json(cmp.hhc_default));
-  o.set("talg_min", point_to_json(cmp.talg_min));
-  o.set("baseline_best", point_to_json(cmp.baseline_best));
-  o.set("within10_best", point_to_json(cmp.within10_best));
-  o.set("exhaustive", point_to_json(cmp.exhaustive));
-  o.set("candidates_tried", cmp.candidates_tried);
-  o.set("space_size", cmp.space_size);
-  return o.dump();
+  json::Writer w;
+  write_point(w.begin_object().key("hhc_default"), cmp.hhc_default);
+  write_point(w.key("talg_min"), cmp.talg_min);
+  write_point(w.key("baseline_best"), cmp.baseline_best);
+  write_point(w.key("within10_best"), cmp.within10_best);
+  write_point(w.key("exhaustive"), cmp.exhaustive);
+  w.key("candidates_tried").value(cmp.candidates_tried);
+  w.key("space_size").value(cmp.space_size);
+  return w.end_object().take();
 }
 
 std::string compute_lint(const Request& req) {
@@ -138,26 +136,20 @@ std::string compute_lint(const Request& req) {
     cone = res.cone;
   }
 
-  json::Value o = json::Value::object();
-  o.set("ok", ok);
-  o.set("diagnostics", diagnostics_to_json(diags.diagnostics()));
-  if (cone) {
-    json::Value c = json::Value::object();
-    c.set("dim", cone->dim);
-    json::Value radius = json::Value::array();
-    for (int i = 0; i < cone->dim; ++i) {
-      radius.push_back(cone->radius[static_cast<std::size_t>(i)]);
-    }
-    c.set("radius", std::move(radius));
-    c.set("max_radius", cone->max_radius);
-    c.set("symmetric", cone->symmetric);
-    c.set("has_center", cone->has_center);
-    c.set("tap_count", cone->tap_count);
-    o.set("cone", std::move(c));
-  } else {
-    o.set("cone", nullptr);
+  json::Writer w;
+  w.begin_object().key("ok").value(ok);
+  write_diagnostics(w.key("diagnostics"), diags.diagnostics());
+  if (!cone) return w.key("cone").null().end_object().take();
+  w.key("cone").begin_object().key("dim").value(cone->dim);
+  w.key("radius").begin_array();
+  for (int i = 0; i < cone->dim; ++i) {
+    w.value(cone->radius[static_cast<std::size_t>(i)]);
   }
-  return o.dump();
+  w.end_array().key("max_radius").value(cone->max_radius);
+  w.key("symmetric").value(cone->symmetric);
+  w.key("has_center").value(cone->has_center);
+  w.key("tap_count").value(cone->tap_count);
+  return w.end_object().end_object().take();
 }
 
 std::string compute_pipeline(const Request& req, const PlanShared& shared) {
@@ -175,50 +167,42 @@ std::string compute_pipeline(const Request& req, const PlanShared& shared) {
                             std::string(shared.device_key));
   const pipeline::PipelinePlan plan = planner.plan(*req.pipe);
   if (shared.stats != nullptr) *shared.stats += plan.stats;
-  return pipeline::plan_to_json(plan).dump();
+  return pipeline::render_plan(plan);
 }
 
 std::string compute_devices() {
   // A registry listing in registration order: stable identity plus
   // the human-oriented capability summary each descriptor renders.
-  json::Value arr = json::Value::array();
+  json::Writer w;
+  w.begin_object().key("count").value(device::registry().size());
+  w.key("devices").begin_array();
   for (const device::Descriptor& d : device::registry().devices()) {
-    json::Value e = json::Value::object();
-    e.set("name", d.name());
-    e.set("kind", std::string(device::to_string(d.kind())));
-    e.set("summary", d.summary());
-    arr.push_back(std::move(e));
+    w.begin_object().key("name").value(d.name());
+    w.key("kind").value(device::to_string(d.kind()));
+    w.key("summary").value(d.summary()).end_object();
   }
-  json::Value o = json::Value::object();
-  o.set("count", device::registry().size());
-  o.set("devices", std::move(arr));
-  return o.dump();
+  return w.end_array().end_object().take();
 }
 
 }  // namespace
 
 std::string ServiceStats::to_json() const {
-  json::Value o = json::Value::object();
-  json::Value group = json::Value::object();
-  std::string group_name;
-  // A group is written, in place, once its last field is set.
-  const auto close_group = [&] {
-    if (group_name.empty()) return;
-    o.set(group_name, std::move(group));
-    group = json::Value::object();
-    group_name.clear();
-  };
+  json::Writer w;
+  w.begin_object();
+  // The group whose object is open, if any: a group's fields are
+  // contiguous, so it opens at its first field and closes at the next
+  // field outside it.
+  std::string_view open;
   for_each_field([&](std::string_view g, std::string_view name, auto member) {
-    if (g != group_name) close_group();
-    if (g.empty()) {
-      o.set(std::string(name), this->*member);
-    } else {
-      group_name = g;
-      group.set(std::string(name), this->*member);
+    if (g != open) {
+      if (!open.empty()) w.end_object();
+      if (!g.empty()) w.key(g).begin_object();
+      open = g;
     }
+    w.key(name).value(this->*member);
   });
-  close_group();
-  return o.dump();
+  if (!open.empty()) w.end_object();
+  return w.end_object().take();
 }
 
 std::string compute_payload(const Request& req, tuner::Session* session,
@@ -295,15 +279,12 @@ ServiceCore::SessionEntry& ServiceCore::session_entry(const Request& req) {
   // Sessions are shared across requests that agree on device, stencil
   // identity and problem size — the Session's memoization then makes
   // overlapping requests (e.g. predict after best_tile) cache hits.
-  json::Value k = json::Value::object();
-  k.set("device", req.device);
-  if (!req.stencil_text.empty()) {
-    k.set("text", req.stencil_text);
-  } else {
-    k.set("stencil", req.stencil_name);
-  }
-  k.set("problem", wire::to_json(*req.problem));
-  const std::string key = k.dump_canonical();
+  // Keys sorted, like every canonical key.
+  json::Writer k;
+  k.begin_object().key("device").value(req.device);
+  wire::write(k.key("problem"), *req.problem);
+  wire::write_stencil(k, req.stencil_name, req.stencil_text);
+  const std::string key = k.end_object().take();
 
   std::lock_guard<std::mutex> lk(sessions_mu_);
   std::unique_ptr<SessionEntry>& entry = sessions_[key];

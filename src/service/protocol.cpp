@@ -93,57 +93,49 @@ bool needs_session(const Request& req) noexcept {
 }
 
 std::string Request::canonical_key() const {
-  json::Value o = json::Value::object();
-  o.set("v", version);
-  o.set("kind", std::string(to_string(kind)));
+  // Canonical: every object's keys in lexicographic order, nested
+  // fragments included (wire::Order::kSorted).
+  constexpr wire::Order kSorted = wire::Order::kSorted;
+  json::Writer w(1024);
+  w.begin_object();
   // A `devices` listing or `stats` snapshot depends on nothing but
   // the protocol version (registry and counters are process state);
   // the key carries no device or stencil identity.
   if (kind == RequestKind::kDevices || kind == RequestKind::kStats) {
-    return o.dump_canonical();
+    w.key("kind").value(to_string(kind)).key("v").value(version);
+    return w.end_object().take();
   }
-  o.set("device", device);
   // A pipeline names its stencils inside the normalized pipeline
   // document: two spellings of the same DAG key identically.
   if (kind == RequestKind::kPipeline) {
-    if (pipe) o.set("pipeline", pipe->to_json());
-    o.set("delta", delta);
-    o.set("enum", wire::to_json(enumeration));
-    return o.dump_canonical();
+    w.key("delta").value(delta).key("device").value(device);
+    wire::write(w.key("enum"), enumeration, kSorted);
+    w.key("kind").value(to_string(kind));
+    if (pipe) pipe->write(w.key("pipeline"));
+    return w.key("v").value(version).end_object().take();
   }
-  if (!stencil_text.empty()) {
-    o.set("text", stencil_text);
-  } else {
-    o.set("stencil", stencil_name);
-  }
-  if (problem) o.set("problem", wire::to_json(*problem));
-  switch (kind) {
-    case RequestKind::kPredict:
-    case RequestKind::kLint:
-      if (tile) o.set("tile", wire::to_json(*tile));
-      if (threads) o.set("threads", wire::to_json(*threads));
-      // Only when present: default-variant requests keep their
-      // pre-variant keys, so stored results stay valid (and
-      // byte-identical).
-      if (variant) o.set("variant", wire::to_json(*variant));
-      // Only when on: audit-less lint requests keep their pre-audit
-      // keys, so stored results stay valid (and byte-identical).
-      if (audit) o.set("audit", true);
-      break;
-    case RequestKind::kCompareStrategies:
-      o.set("exhaustive_cap", exhaustive_cap);
-      o.set("baseline_count", baseline_count);
-      [[fallthrough]];
-    case RequestKind::kBestTile:
-      o.set("delta", delta);
-      o.set("enum", wire::to_json(enumeration));
-      break;
-    case RequestKind::kDevices:
-    case RequestKind::kStats:
-    case RequestKind::kPipeline:
-      break;  // unreachable: early return above
-  }
-  return o.dump_canonical();
+  const bool compare = kind == RequestKind::kCompareStrategies;
+  const bool sweep = compare || kind == RequestKind::kBestTile;
+  const bool point = !sweep;  // predict or lint
+  // Only when on: audit-less lint requests keep their pre-audit keys,
+  // so stored results stay valid (and byte-identical).
+  if (point && audit) w.key("audit").value(true);
+  if (compare) w.key("baseline_count").value(baseline_count);
+  if (sweep) w.key("delta").value(delta);
+  w.key("device").value(device);
+  if (sweep) wire::write(w.key("enum"), enumeration, kSorted);
+  if (compare) w.key("exhaustive_cap").value(exhaustive_cap);
+  w.key("kind").value(to_string(kind));
+  if (problem) wire::write(w.key("problem"), *problem);
+  wire::write_stencil(w, stencil_name, stencil_text);
+  if (point && threads) wire::write(w.key("threads"), *threads);
+  if (point && tile) wire::write(w.key("tile"), *tile, kSorted);
+  w.key("v").value(version);
+  // Only when present: default-variant requests keep their
+  // pre-variant keys, so stored results stay valid (and
+  // byte-identical).
+  if (point && variant) wire::write(w.key("variant"), *variant, kSorted);
+  return w.end_object().take();
 }
 
 std::optional<Request> parse_request(std::string_view line,
@@ -363,29 +355,24 @@ std::optional<Request> parse_request(std::string_view line,
 
 std::string render_result(const std::string& id, RequestKind kind,
                           const std::string& payload) {
-  std::string out = "{\"v\":" + std::to_string(kProtocolVersion) + ",\"id\":";
-  json::escape_string(out, id);
-  out += ",\"ok\":true,\"kind\":";
-  json::escape_string(out, std::string(to_string(kind)));
-  out += ",\"result\":";
-  out += payload;
-  out += "}";
-  return out;
+  json::Writer w(payload.size() + id.size() + 64);
+  w.begin_object().key("v").value(kProtocolVersion).key("id").value(id);
+  w.key("ok").value(true).key("kind").value(to_string(kind));
+  return w.key("result").raw(payload).end_object().take();
 }
 
-json::Value diagnostics_to_json(std::span<const analysis::Diagnostic> diags) {
-  json::Value arr = json::Value::array();
+void write_diagnostics(json::Writer& w,
+                       std::span<const analysis::Diagnostic> diags) {
+  w.begin_array();
   for (const analysis::Diagnostic& d : diags) {
-    json::Value o = json::Value::object();
-    o.set("severity", std::string(analysis::to_string(d.severity)));
-    o.set("code", std::string(analysis::code_name(d.code)));
-    o.set("line", d.line);
-    o.set("message", d.message);
+    w.begin_object().key("severity").value(analysis::to_string(d.severity));
+    w.key("code").value(analysis::code_name(d.code)).key("line").value(d.line);
+    w.key("message").value(d.message);
     // Only when present: hint-less diagnostics keep their pre-audit bytes.
-    if (!d.hint.empty()) o.set("hint", d.hint);
-    arr.push_back(std::move(o));
+    if (!d.hint.empty()) w.key("hint").value(d.hint);
+    w.end_object();
   }
-  return arr;
+  w.end_array();
 }
 
 std::string render_error(const std::string& id,
@@ -397,19 +384,18 @@ std::string render_error(const std::string& id,
       break;
     }
   }
-  std::string out = "{\"v\":" + std::to_string(kProtocolVersion) + ",\"id\":";
-  json::escape_string(out, id);
-  out += ",\"ok\":false,\"error\":{\"code\":";
-  json::escape_string(
-      out, first != nullptr ? std::string(analysis::code_name(first->code))
-                            : "SL407");
-  out += ",\"message\":";
-  json::escape_string(out, first != nullptr ? first->message
-                                            : "no error diagnostic recorded");
-  out += "},\"diagnostics\":";
-  out += diagnostics_to_json(diags).dump();
-  out += "}";
-  return out;
+  json::Writer w;
+  w.begin_object().key("v").value(kProtocolVersion).key("id").value(id);
+  w.key("ok").value(false).key("error").begin_object();
+  if (first != nullptr) {
+    w.key("code").value(analysis::code_name(first->code));
+    w.key("message").value(first->message);
+  } else {
+    w.key("code").value("SL407");
+    w.key("message").value("no error diagnostic recorded");
+  }
+  write_diagnostics(w.end_object().key("diagnostics"), diags);
+  return w.end_object().take();
 }
 
 }  // namespace repro::service

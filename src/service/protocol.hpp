@@ -25,7 +25,7 @@
 //   {"v":1,"id":"r1","ok":false,"error":{"code":"SL404","message":"..."},
 //    "diagnostics":[{"severity":...,"code":...,"line":...,"message":...}]}
 //
-// Determinism: the result payload is rendered with json::Value::dump
+// Determinism: the result payload is rendered with a json::Writer
 // (byte-stable), and render_result splices a payload string verbatim
 // into the envelope — so a payload served from the warm store, from a
 // coalesced in-flight computation, or computed fresh is byte-identical
@@ -109,20 +109,19 @@ struct Request {
   // so pre-audit clients (and their stored results) keep byte-
   // identical payloads.
   bool audit = false;
-  // Pipeline only: the parsed stage DAG. Its normalized to_json()
-  // form — never the client's spelling — enters canonical_key(), so
-  // two spellings of the same pipeline share one computation.
+  // Pipeline only: the parsed stage DAG. Its normalized form — never
+  // the client's spelling — enters canonical_key(), so two spellings
+  // of the same pipeline share one computation.
   std::optional<pipeline::Pipeline> pipe;
   double delta = 0.10;
   tuner::EnumOptions enumeration;
   std::size_t exhaustive_cap = 150;
   std::size_t baseline_count = 40;
 
-  // The identity of the computation this request names: a canonical
-  // (sorted-key) JSON encoding of every field the answer depends on —
-  // and nothing else (the id never enters). Equal keys <=> identical
-  // answers; this string keys both request coalescing and the
-  // persistent result store.
+  // The identity of the computation this request names: every field
+  // the answer depends on, and nothing else (never the id), written
+  // with sorted keys at every level. Equal keys <=> identical answers;
+  // this string keys both request coalescing and the result store.
   std::string canonical_key() const;
 };
 
@@ -150,9 +149,10 @@ std::string render_result(const std::string& id, RequestKind kind,
 std::string render_error(const std::string& id,
                          std::span<const analysis::Diagnostic> diags);
 
-// The diagnostics array of a lint payload and of an error response:
-// one {severity, code, line, message[, hint]} object per diagnostic,
-// in order, "hint" only when non-empty.
-json::Value diagnostics_to_json(std::span<const analysis::Diagnostic> diags);
+// Writes the diagnostics array of a lint payload and of an error
+// response: one {severity, code, line, message[, hint]} object per
+// diagnostic, in order, "hint" only when non-empty.
+void write_diagnostics(json::Writer& w,
+                       std::span<const analysis::Diagnostic> diags);
 
 }  // namespace repro::service

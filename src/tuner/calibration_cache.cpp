@@ -18,7 +18,7 @@ std::string stencil_identity(std::string_view name, std::string_view text) {
 }
 
 std::string device_key(const device::Descriptor& dev) {
-  return dev.to_json().dump();
+  return dev.to_json();
 }
 
 CalibrationCache::CalibrationCache(std::size_t capacity) : cache_(capacity) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iterator>
 
 namespace repro::tuner::wire {
 
@@ -67,59 +68,58 @@ std::optional<std::int64_t> optional_int(const json::Value& obj,
 
 }  // namespace
 
-json::Value to_json(const stencil::ProblemSize& p) {
-  json::Value o = json::Value::object();
-  json::Value s = json::Value::array();
-  for (int i = 0; i < p.dim; ++i) {
-    s.push_back(p.S[static_cast<std::size_t>(i)]);
+void write(json::Writer& w, const stencil::ProblemSize& p) {
+  w.begin_object().key("S").begin_array();
+  for (int i = 0; i < p.dim; ++i) w.value(p.S[static_cast<std::size_t>(i)]);
+  w.end_array().key("T").value(p.T).end_object();
+}
+
+void write(json::Writer& w, const hhc::TileSizes& ts, Order order) {
+  w.begin_object();
+  if (order == Order::kWire) w.key("tT").value(ts.tT);
+  w.key("tS1").value(ts.tS1).key("tS2").value(ts.tS2).key("tS3").value(ts.tS3);
+  if (order == Order::kSorted) w.key("tT").value(ts.tT);
+  w.end_object();
+}
+
+void write(json::Writer& w, const hhc::ThreadConfig& thr) {
+  w.begin_object().key("n1").value(thr.n1).key("n2").value(thr.n2);
+  w.key("n3").value(thr.n3).end_object();
+}
+
+void write(json::Writer& w, const stencil::KernelVariant& var, Order order) {
+  const std::string_view staging = stencil::to_string(var.staging);
+  w.begin_object();
+  if (order == Order::kSorted) w.key("staging").value(staging);
+  w.key("unroll").value(var.unroll);
+  if (order == Order::kWire) w.key("staging").value(staging);
+  w.end_object();
+}
+
+void write(json::Writer& w, const EnumOptions& e, Order order) {
+  // kEnumFields starts with the tT pair, which sorts last: the sorted
+  // order is the wire order rotated by two.
+  constexpr std::size_t n = std::size(kEnumFields);
+  const std::size_t first = order == Order::kWire ? 0 : 2;
+  w.begin_object();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [key, member] = kEnumFields[(first + i) % n];
+    w.key(key).value(e.*member);
   }
-  o.set("S", std::move(s));
-  o.set("T", p.T);
-  return o;
+  w.end_object();
 }
 
-json::Value to_json(const hhc::TileSizes& ts) {
-  json::Value o = json::Value::object();
-  o.set("tT", ts.tT);
-  o.set("tS1", ts.tS1);
-  o.set("tS2", ts.tS2);
-  o.set("tS3", ts.tS3);
-  return o;
+void write(json::Writer& w, const EvaluatedPoint& ep, bool with_variant) {
+  write(w.begin_object().key("tile"), ep.dp.ts);
+  write(w.key("threads"), ep.dp.thr);
+  if (with_variant) write(w.key("variant"), ep.dp.var);
+  w.key("feasible").value(ep.feasible).key("talg").value(ep.talg);
+  w.key("texec").value(ep.texec).key("gflops").value(ep.gflops).end_object();
 }
 
-json::Value to_json(const hhc::ThreadConfig& thr) {
-  json::Value o = json::Value::object();
-  o.set("n1", thr.n1);
-  o.set("n2", thr.n2);
-  o.set("n3", thr.n3);
-  return o;
-}
-
-json::Value to_json(const stencil::KernelVariant& var) {
-  json::Value o = json::Value::object();
-  o.set("unroll", var.unroll);
-  o.set("staging", stencil::to_string(var.staging));
-  return o;
-}
-
-json::Value to_json(const EnumOptions& e) {
-  json::Value o = json::Value::object();
-  for (const auto& [key, member] : kEnumFields) {
-    o.set(std::string(key), e.*member);
-  }
-  return o;
-}
-
-json::Value point_to_json(const EvaluatedPoint& ep, bool with_variant) {
-  json::Value o = json::Value::object();
-  o.set("tile", to_json(ep.dp.ts));
-  o.set("threads", to_json(ep.dp.thr));
-  if (with_variant) o.set("variant", to_json(ep.dp.var));
-  o.set("feasible", ep.feasible);
-  o.set("talg", ep.talg);  // non-finite doubles render as null
-  o.set("texec", ep.texec);
-  o.set("gflops", ep.gflops);
-  return o;
+void write_stencil(json::Writer& w, std::string_view name,
+                   std::string_view text) {
+  w.key(text.empty() ? "stencil" : "text").value(text.empty() ? name : text);
 }
 
 std::optional<std::int64_t> read_int(const json::Value& obj,

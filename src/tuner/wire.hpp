@@ -11,7 +11,7 @@
 //   {"unroll":2,"staging":"register"}
 //   {"tT_max":24,"tT_step":2,"tS1_max":32,...,"tS3_step":32}
 //
-// Encoders always write every field (byte-stable json::Value::dump).
+// Encoders write every field through a json::Writer (Order below).
 // Decoders reject unknown keys and out-of-range values, default the
 // optional fields (tS2/tS3 = 1, n2/n3 = 1, the default variant, the
 // EnumOptions defaults), and report through the caller's Codes: the
@@ -43,19 +43,32 @@ struct Codes {
   std::string prefix;      // prepended to every message
 };
 
-json::Value to_json(const stencil::ProblemSize& p);
-json::Value to_json(const hhc::TileSizes& ts);
-json::Value to_json(const hhc::ThreadConfig& thr);
-json::Value to_json(const stencil::KernelVariant& var);
+// The key order an encoder writes: kWire for payloads, documents and
+// index lines, kSorted (byte order) for canonical keys. Problem sizes
+// and thread blocks read the same either way.
+enum class Order : std::uint8_t { kWire, kSorted };
+
+void write(json::Writer& w, const stencil::ProblemSize& p);
+void write(json::Writer& w, const hhc::TileSizes& ts,
+           Order order = Order::kWire);
+void write(json::Writer& w, const hhc::ThreadConfig& thr);
+void write(json::Writer& w, const stencil::KernelVariant& var,
+           Order order = Order::kWire);
 // The eight bounds and steps; the variant list is not part of the
 // wire form.
-json::Value to_json(const EnumOptions& e);
+void write(json::Writer& w, const EnumOptions& e, Order order = Order::kWire);
 
 // A tuned point: {"tile","threads"[,"variant"],"feasible","talg",
 // "texec","gflops"}, non-finite times rendering as null. The service's
 // best_tile and compare payloads sweep the default variant and omit
 // it; the planner's stage points carry it.
-json::Value point_to_json(const EvaluatedPoint& ep, bool with_variant);
+void write(json::Writer& w, const EvaluatedPoint& ep, bool with_variant);
+
+// A stencil's identity as one member: "text" (the inline DSL program)
+// when `text` is non-empty, else "stencil" (the catalogue name). Both
+// names sort between "problem" and "threads".
+void write_stencil(json::Writer& w, std::string_view name,
+                   std::string_view text);
 
 // The integer at `key` when it lies in [lo, hi]; nullopt when the key
 // is absent (no diagnostic) or the value is not such an integer

@@ -204,7 +204,7 @@ TEST(CpuBatchParity, TileBoundMatchesPerStrandReferenceAndStaysAFloor) {
 // and one with stall_factor = oversub_penalty = 0, where every strand
 // count's one-strand floor is the same and several floors tie.
 std::vector<CpuParams> registry_copies(const CpuParams& dev) {
-  const json::Value base = device::Descriptor(dev).to_json();
+  const json::Value base = *json::parse(device::Descriptor(dev).to_json());
   json::Value list = json::Value::array();
   for (const int smt : {1, 4, 8}) {
     json::Value v = base;

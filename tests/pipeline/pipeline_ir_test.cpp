@@ -25,6 +25,13 @@ constexpr const char* kVcycle = R"({
   ]
 })";
 
+// The normalized form Pipeline::write emits, as text.
+std::string normalized(const Pipeline& p) {
+  json::Writer w;
+  p.write(w);
+  return w.take();
+}
+
 std::optional<Pipeline> parse_ok(const std::string& text) {
   analysis::DiagnosticEngine diags;
   auto p = parse_pipeline_text(text, diags);
@@ -65,10 +72,10 @@ TEST(PipelineIr, ParsesVcycleAndResolvesStages) {
 TEST(PipelineIr, ToJsonRoundTripsByteStably) {
   const auto p = parse_ok(kVcycle);
   ASSERT_TRUE(p);
-  const std::string once = p->to_json().dump();
+  const std::string once = normalized(*p);
   const auto again = parse_ok(once);
   ASSERT_TRUE(again);
-  EXPECT_EQ(again->to_json().dump(), once);
+  EXPECT_EQ(normalized(*again), once);
 }
 
 TEST(PipelineIr, TwoSpellingsNormalizeToIdenticalBytes) {
@@ -84,7 +91,7 @@ TEST(PipelineIr, TwoSpellingsNormalizeToIdenticalBytes) {
           "name":"","pipeline_version":1})");
   ASSERT_TRUE(terse);
   ASSERT_TRUE(verbose);
-  EXPECT_EQ(terse->to_json().dump(), verbose->to_json().dump());
+  EXPECT_EQ(normalized(*terse), normalized(*verbose));
 }
 
 TEST(PipelineIr, InlineDslTextStageParses) {

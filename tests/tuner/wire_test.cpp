@@ -18,10 +18,19 @@ namespace {
 
 using analysis::Code;
 
-// Encode, render to text, parse the text back, decode.
-template <class T>
-std::optional<T> round_trip(const T& x, Decoder<T> parse) {
-  const std::optional<json::Value> doc = json::parse(to_json(x).dump());
+// One encoded fragment as text.
+template <class T, class... Args>
+std::string to_json(const T& x, Args... args) {
+  json::Writer w;
+  write(w, x, args...);
+  return w.take();
+}
+
+// Encode to text (in `order` where the fragment has one), parse the
+// text back, decode.
+template <class T, class... Order>
+std::optional<T> round_trip(const T& x, Decoder<T> parse, Order... order) {
+  const std::optional<json::Value> doc = json::parse(to_json(x, order...));
   EXPECT_TRUE(doc.has_value());
   analysis::DiagnosticEngine diags;
   std::optional<T> out = parse(*doc, service::kRequestCodes, diags);
@@ -45,6 +54,7 @@ TEST(Wire, DecodeInvertsEncodeOnGeneratedValues) {
                             .tS2 = rng.uniform_int(1, 1 << 20),
                             .tS3 = rng.uniform_int(1, 1 << 20)};
     EXPECT_EQ(round_trip(ts, &parse_tile), ts) << ts.to_string();
+    EXPECT_EQ(round_trip(ts, &parse_tile, Order::kSorted), ts);
 
     const hhc::ThreadConfig thr{
         .n1 = static_cast<int>(rng.uniform_int(1, 1024)),
@@ -61,20 +71,23 @@ TEST(Wire, DecodeInvertsEncodeOnGeneratedValues) {
     e.tS2_step = rng.uniform_int(1, 1 << 20);
     e.tS3_max = rng.uniform_int(1, 1 << 20);
     e.tS3_step = rng.uniform_int(1, 1 << 20);
-    const std::optional<EnumOptions> back = round_trip(e, &parse_enum);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->tT_max, e.tT_max);
-    EXPECT_EQ(back->tT_step, e.tT_step);
-    EXPECT_EQ(back->tS1_max, e.tS1_max);
-    EXPECT_EQ(back->tS1_step, e.tS1_step);
-    EXPECT_EQ(back->tS2_max, e.tS2_max);
-    EXPECT_EQ(back->tS2_step, e.tS2_step);
-    EXPECT_EQ(back->tS3_max, e.tS3_max);
-    EXPECT_EQ(back->tS3_step, e.tS3_step);
-    EXPECT_TRUE(back->variants.empty());
+    for (const Order order : {Order::kWire, Order::kSorted}) {
+      const std::optional<EnumOptions> back = round_trip(e, &parse_enum, order);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(back->tT_max, e.tT_max);
+      EXPECT_EQ(back->tT_step, e.tT_step);
+      EXPECT_EQ(back->tS1_max, e.tS1_max);
+      EXPECT_EQ(back->tS1_step, e.tS1_step);
+      EXPECT_EQ(back->tS2_max, e.tS2_max);
+      EXPECT_EQ(back->tS2_step, e.tS2_step);
+      EXPECT_EQ(back->tS3_max, e.tS3_max);
+      EXPECT_EQ(back->tS3_step, e.tS3_step);
+      EXPECT_TRUE(back->variants.empty());
+    }
   }
   for (const stencil::KernelVariant& var : stencil::all_kernel_variants()) {
     EXPECT_EQ(round_trip(var, &parse_variant), var) << var.to_string();
+    EXPECT_EQ(round_trip(var, &parse_variant, Order::kSorted), var);
   }
 }
 
@@ -91,12 +104,13 @@ TEST(Wire, PointFragmentsDecodeToThePoint) {
   ep.gflops = 300.0;
   const Codes& codes = service::kRequestCodes;
   analysis::DiagnosticEngine diags;
-  const json::Value with = point_to_json(ep, true);
-  EXPECT_EQ(parse_tile(*with.find("tile"), codes, diags), ep.dp.ts);
-  EXPECT_EQ(parse_threads(*with.find("threads"), codes, diags), ep.dp.thr);
-  EXPECT_EQ(parse_variant(*with.find("variant"), codes, diags), ep.dp.var);
+  const std::optional<json::Value> with = json::parse(to_json(ep, true));
+  ASSERT_TRUE(with.has_value());
+  EXPECT_EQ(parse_tile(*with->find("tile"), codes, diags), ep.dp.ts);
+  EXPECT_EQ(parse_threads(*with->find("threads"), codes, diags), ep.dp.thr);
+  EXPECT_EQ(parse_variant(*with->find("variant"), codes, diags), ep.dp.var);
   EXPECT_TRUE(diags.empty());
-  EXPECT_EQ(point_to_json(ep, false).find("variant"), nullptr);
+  EXPECT_EQ(to_json(ep, false).find("variant"), std::string::npos);
 }
 
 // One malformed fragment and the first error code each entry point

@@ -29,6 +29,7 @@
 #include "analysis/diagnostics.hpp"
 #include "analysis/lint.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "device/registry.hpp"
 #include "stencil/stencil.hpp"
 
@@ -318,7 +319,9 @@ int main(int argc, char** argv) {
       std::string out = "[";
       for (std::size_t i = 0; i < reports.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
-        out += " {\"file\": \"" + reports[i].source_name + "\", \"ok\": ";
+        out += " {\"file\": ";
+        json::escape_string(out, reports[i].source_name);
+        out += ", \"ok\": ";
         out += reports[i].diags.has_errors() ? "false" : "true";
         out += ", \"diagnostics\": ";
         out += analysis::render_json(reports[i].diags.diagnostics());

@@ -433,29 +433,20 @@ int cmd_index(const CliArgs& args) {
   const std::vector<service::IndexEntry> entries = index.entries();
 
   if (args.has_flag("json")) {
-    json::Value o = json::Value::object();
-    o.set("store", *dir);
-    o.set("count", entries.size());
-    json::Value arr = json::Value::array();
+    json::Writer w;
+    w.begin_object().key("store").value(*dir);
+    w.key("count").value(entries.size()).key("entries").begin_array();
     for (const service::IndexEntry& e : entries) {
-      json::Value v = json::Value::object();
-      v.set("key", e.key);
-      v.set("kind", e.kind);
-      v.set("device", e.device);
-      if (!e.stencil_text.empty()) {
-        v.set("text", e.stencil_text);
-      } else {
-        v.set("stencil", e.stencil_name);
-      }
-      v.set("problem", tuner::wire::to_json(e.problem));
-      v.set("tile", tuner::wire::to_json(e.tile));
-      v.set("threads", tuner::wire::to_json(e.threads));
-      v.set("variant", tuner::wire::to_json(e.variant));
-      v.set("texec", e.texec);
-      arr.push_back(std::move(v));
+      w.begin_object().key("key").value(e.key).key("kind").value(e.kind);
+      w.key("device").value(e.device);
+      tuner::wire::write_stencil(w, e.stencil_name, e.stencil_text);
+      tuner::wire::write(w.key("problem"), e.problem);
+      tuner::wire::write(w.key("tile"), e.tile);
+      tuner::wire::write(w.key("threads"), e.threads);
+      tuner::wire::write(w.key("variant"), e.variant);
+      w.key("texec").value(e.texec).end_object();
     }
-    o.set("entries", std::move(arr));
-    std::cout << o.dump() << "\n";
+    std::cout << w.end_array().end_object().str() << "\n";
     return 0;
   }
 
@@ -468,10 +459,13 @@ int cmd_index(const CliArgs& args) {
       if (i > 0) std::cout << "x";
       std::cout << e.problem.S[static_cast<std::size_t>(i)];
     }
-    std::cout << " T=" << e.problem.T
-              << "  tile=" << tuner::wire::to_json(e.tile).dump()
-              << " threads=" << tuner::wire::to_json(e.threads).dump()
-              << " texec=" << e.texec << "  [" << e.kind << "]\n";
+    json::Writer tile;
+    json::Writer threads;
+    tuner::wire::write(tile, e.tile);
+    tuner::wire::write(threads, e.threads);
+    std::cout << " T=" << e.problem.T << "  tile=" << tile.str();
+    std::cout << " threads=" << threads.str() << " texec=" << e.texec;
+    std::cout << "  [" << e.kind << "]\n";
   }
   return 0;
 }
