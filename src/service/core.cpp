@@ -275,23 +275,6 @@ ServiceStats ServiceCore::stats() const {
   return s;
 }
 
-ServiceCore::SessionEntry& ServiceCore::session_entry(const Request& req) {
-  // Sessions are shared across requests that agree on device, stencil
-  // identity and problem size — the Session's memoization then makes
-  // overlapping requests (e.g. predict after best_tile) cache hits.
-  // Keys sorted, like every canonical key.
-  json::Writer k;
-  k.begin_object().key("device").value(req.device);
-  wire::write(k.key("problem"), *req.problem);
-  wire::write_stencil(k, req.stencil_name, req.stencil_text);
-  const std::string key = k.end_object().take();
-
-  std::lock_guard<std::mutex> lk(sessions_mu_);
-  std::unique_ptr<SessionEntry>& entry = sessions_[key];
-  if (!entry) entry = std::make_unique<SessionEntry>();
-  return *entry;
-}
-
 const std::string& ServiceCore::device_key(const std::string& name) {
   std::lock_guard<std::mutex> lk(device_keys_mu_);
   std::string& key = device_keys_[name];
@@ -326,11 +309,10 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
   std::string payload;
   analysis::DiagnosticEngine diags;
   bool ok = false;
-  // This computation's tuner counters: a pipeline plan's, or what the
-  // request's cached session booked.
+  // This computation's tuner counters: its pipeline plan's, or its
+  // Session's.
   tuner::SweepStats tuner_stats;
-  tuner::Session* session = nullptr;
-  std::unique_lock<std::mutex> session_lock;
+  std::optional<tuner::Session> session;
   const Clock::time_point t0 = Clock::now();
   try {
     if (hook_) hook_();
@@ -364,28 +346,24 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
     }
 
     if (needs_session(req)) {
-      SessionEntry& entry = session_entry(req);
-      session_lock = std::unique_lock<std::mutex>(entry.mu);
-      if (!entry.session) {
-        // parse_request already resolved the name, so find() cannot
-        // miss here. The calibration comes from the service-wide
-        // cache: it depends on the device and the stencil only.
-        const device::Descriptor& dev = *device::registry().find(req.device);
-        const std::string stencil =
-            tuner::stencil_identity(req.stencil_name, req.stencil_text);
-        const model::ModelInputs in = calibrations_.inputs(
-            device_key(req.device), dev, req.def, stencil);
-        entry.session = std::make_unique<tuner::Session>(
-            tuner::TuningContext::with_inputs(dev, req.def, *req.problem, in),
-            tuner::SessionOptions{}.with_jobs(opt_.session_jobs));
-      }
-      session = entry.session.get();
+      // Each computation tunes on its own Session. Only the calibration
+      // is shared, through the service-wide cache: it depends on the
+      // device and the stencil alone. parse_request already resolved
+      // the name, so find() cannot miss here.
+      const device::Descriptor& dev = *device::registry().find(req.device);
+      const model::ModelInputs in = calibrations_.inputs(
+          device_key(req.device), dev, req.def,
+          tuner::stencil_identity(req.stencil_name, req.stencil_text));
+      session.emplace(
+          tuner::TuningContext::with_inputs(dev, req.def, *req.problem, in),
+          tuner::SessionOptions{}.with_jobs(opt_.session_jobs));
     }
     PlanShared shared{&calibrations_, &stages_, &tuner_stats, {}};
     if (req.kind == RequestKind::kPipeline) {
       shared.device_key = device_key(req.device);
     }
-    payload = compute_payload(req, session, seeds, shared);
+    payload = compute_payload(req, session ? &*session : nullptr, seeds,
+                              shared);
     ok = true;
   } catch (const std::exception& e) {
     diags.error(analysis::Code::kSvcInternal,
@@ -394,12 +372,7 @@ void ServiceCore::run_compute(const std::string& key, const Request& req,
     diags.error(analysis::Code::kSvcInternal,
                 "computation failed: unknown exception");
   }
-  if (session != nullptr) {
-    // Move the counters it booked while the session is still ours.
-    tuner_stats += session->stats();
-    session->reset_stats();
-  }
-  if (session_lock.owns_lock()) session_lock.unlock();
+  if (session) tuner_stats += session->stats();
   const double elapsed = seconds_since(t0);
   {
     std::lock_guard<std::mutex> lk(stats_mu_);

@@ -47,8 +47,9 @@ namespace repro::service {
 
 struct ServiceOptions {
   // Compute worker threads and bounded-queue depth (admission
-  // control). One worker keeps per-session computation strictly
-  // ordered; more workers parallelize across distinct sessions.
+  // control). Each computation tunes on its own tuner::Session, so
+  // workers run distinct computations in parallel, on one problem or
+  // many.
   int workers = 2;
   std::size_t queue_depth = 16;
   // How long a leader may wait for a queue slot before the request is
@@ -265,16 +266,13 @@ class ServiceCore {
     std::vector<analysis::Diagnostic> diags;
   };
 
-  // A cached Session plus the mutex that serializes computations on
-  // it (a Session's sweep methods must not run concurrently).
-  struct SessionEntry {
-    std::mutex mu;
-    std::unique_ptr<tuner::Session> session;
-  };
-
+  // Runs one computation on the worker thread: a kPredict, kBestTile
+  // or kCompareStrategies request on a Session of its own (calibrated
+  // through calibrations_), a pipeline through the shared caches.
+  // Adds its tuner counters to tuner_stats_, saves the payload and
+  // finishes the flight.
   void run_compute(const std::string& key, const Request& req,
                    const std::shared_ptr<Flight>& flight);
-  SessionEntry& session_entry(const Request& req);
   // tuner::device_key of the registered device `name`, serialized on
   // first use. A name's descriptor never changes (the registry rejects
   // duplicates), so the key is computed once per service.
@@ -295,22 +293,19 @@ class ServiceCore {
   std::mutex flights_mu_;
   std::map<std::string, std::shared_ptr<Flight>> flights_;
 
-  std::mutex sessions_mu_;
-  std::map<std::string, std::unique_ptr<SessionEntry>> sessions_;
-
   std::mutex device_keys_mu_;
   std::map<std::string, std::string> device_keys_;
 
   // Calibrated model inputs by (device, stencil), shared by every
-  // session and pipeline plan this service builds. Thread-safe.
+  // computation's Session and every pipeline plan. Thread-safe.
   tuner::CalibrationCache calibrations_;
   // Finished pipeline stages, shared by every plan. Thread-safe.
   pipeline::StageCache stages_;
 
   mutable std::mutex stats_mu_;
   ServiceStats stats_;
-  // The tuner counters of every finished computation: its pipeline
-  // plan's sessions, or what it booked on a cached session. Guarded by
+  // The tuner counters of every finished computation: its own
+  // Session's, or its pipeline plan's sessions'. Guarded by
   // stats_mu_.
   tuner::SweepStats tuner_stats_;
 

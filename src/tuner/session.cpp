@@ -134,11 +134,6 @@ SweepStats Session::stats() const {
   return stats_;
 }
 
-void Session::reset_stats() {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_ = SweepStats{};
-}
-
 std::size_t Session::cache_size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return points_held_;
@@ -653,16 +648,6 @@ EvaluatedPoint Session::best_over_threads(const hhc::TileSizes& ts) {
   const auto t0 = Clock::now();
   Incumbent inc;  // thread-sweep-scoped
   const EvaluatedPoint best = sweep_tile(ts, {}, &inc);
-  add_machine_time(seconds_since(t0));
-  return best;
-}
-
-EvaluatedPoint Session::best_over_variants(
-    const hhc::TileSizes& ts,
-    std::span<const stencil::KernelVariant> variants) {
-  const auto t0 = Clock::now();
-  Incumbent inc;  // sweep-scoped, shared across the variant axis
-  const EvaluatedPoint best = sweep_tile(ts, variants, &inc);
   add_machine_time(seconds_since(t0));
   return best;
 }

@@ -346,16 +346,6 @@ class Session {
   // batch APIs parallelize over).
   EvaluatedPoint best_over_threads(const hhc::TileSizes& ts);
 
-  // Variant-extended form: best measured (thread config, kernel
-  // variant) pair for one tile size. An empty span means the default
-  // variant only (== best_over_threads); the fold visits variants in
-  // span order, thread configs innermost, with the serial loops'
-  // first-strictly-better tie-breaking. CPU sessions collapse the
-  // axis to the default variant.
-  EvaluatedPoint best_over_variants(
-      const hhc::TileSizes& ts,
-      std::span<const stencil::KernelVariant> variants);
-
   // Batch form: out[i] corresponds to tiles[i]; evaluated in parallel.
   std::vector<EvaluatedPoint> best_over_threads_many(
       std::span<const hhc::TileSizes> tiles);
@@ -376,7 +366,10 @@ class Session {
   // (counted in SweepStats::seeds_offered but not seeds_admitted).
   // `incumbent_seed` must be a valid cutoff (SL315 otherwise): +inf
   // means none; a finite value must be the measured texec of a point
-  // the caller folds into the same final answer.
+  // the caller folds into the same final answer. The fold is the
+  // serial loop's: tiles in list order, variants in span order, thread
+  // configs innermost, the first strictly better point wins; a CPU
+  // session collapses the variant axis to the default variant.
   EvaluatedPoint best_tile(
       std::span<const hhc::TileSizes> tiles,
       std::span<const stencil::KernelVariant> variants = {},
@@ -433,7 +426,6 @@ class Session {
   static constexpr std::size_t kFloorChunk = 64;
 
   SweepStats stats() const;
-  void reset_stats();
   // Measured points held across all tile records.
   std::size_t cache_size() const;
   // Tile records held: a tile with a measured point or a GPU profile.

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -25,15 +26,38 @@ TEST(ThreadPool, JobsResolvesToAtLeastOne) {
   EXPECT_EQ(pool4.jobs(), 4);
 }
 
+// Sets REPRO_JOBS to `value` (unsets it when null), prints the
+// default_jobs() that follows and exits. Run as a death-test
+// statement, so that read is the first of its process.
+[[noreturn]] void print_default_jobs_and_exit(const char* value) {
+  if (value != nullptr) {
+    ::setenv("REPRO_JOBS", value, 1);
+  } else {
+    ::unsetenv("REPRO_JOBS");
+  }
+  std::fprintf(stderr, "default_jobs=%d\n", default_jobs());
+  std::exit(0);
+}
+
+// env_once captures REPRO_JOBS at the process's first read, so each
+// case runs in a child process of its own: the threadsafe death-test
+// style re-executes the test binary for it, and nothing an earlier
+// test in this process read can leak in.
 TEST(ThreadPool, DefaultJobsHonorsEnvVar) {
-  ::setenv("REPRO_JOBS", "3", 1);
-  EXPECT_EQ(default_jobs(), 3);
-  ::setenv("REPRO_JOBS", "not-a-number", 1);
-  EXPECT_GE(default_jobs(), 1);  // falls back to hardware
-  ::setenv("REPRO_JOBS", "0", 1);
-  EXPECT_GE(default_jobs(), 1);  // non-positive rejected
-  ::unsetenv("REPRO_JOBS");
-  EXPECT_GE(default_jobs(), 1);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::string fallback = "default_jobs=";
+  fallback += std::to_string(hw == 0 ? 1u : hw);
+  fallback += "\n";
+  EXPECT_EXIT(print_default_jobs_and_exit("3"), ::testing::ExitedWithCode(0),
+              "default_jobs=3\n");
+  // Not a number and non-positive are rejected: the hardware count.
+  EXPECT_EXIT(print_default_jobs_and_exit("not-a-number"),
+              ::testing::ExitedWithCode(0), fallback);
+  EXPECT_EXIT(print_default_jobs_and_exit("0"), ::testing::ExitedWithCode(0),
+              fallback);
+  EXPECT_EXIT(print_default_jobs_and_exit(nullptr),
+              ::testing::ExitedWithCode(0), fallback);
 }
 
 TEST(ThreadPool, ForEachIndexVisitsEveryIndexExactlyOnce) {

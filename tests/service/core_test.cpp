@@ -373,29 +373,93 @@ TEST_F(CoreTest, StatsJsonIsValidAndComplete) {
   EXPECT_TRUE(doc->find("latency_seconds")->is_number());
 }
 
+// The response and tuner counters of `line` computed by compute_payload
+// on a fresh Session, as the service computes every request.
+struct Direct {
+  std::string response;
+  tuner::SweepStats stats;
+};
+Direct direct_on_fresh_session(const std::string& line) {
+  analysis::DiagnosticEngine diags;
+  const auto req = parse_request(line, diags);
+  EXPECT_TRUE(req) << line;
+  if (!req) return {};
+  tuner::Session session(*device::registry().find(req->device), req->def,
+                         *req->problem, tuner::SessionOptions{}.with_jobs(1));
+  Direct d;
+  d.response = render_result(req->id, req->kind,
+                             compute_payload(*req, &session));
+  d.stats = session.stats();
+  return d;
+}
+
 // The session counters in `stats` count each computation's work once:
-// after every request they equal the counters of one direct Session
-// that served the same requests.
+// after every request they equal the sum of the counters of a fresh
+// direct Session per request served so far.
 TEST_F(CoreTest, SessionCountersCountEachComputationOnce) {
   ServiceCore core(ServiceOptions{}.with_workers(1));
-  std::unique_ptr<tuner::Session> direct;
-  analysis::DiagnosticEngine diags;
+  tuner::SweepStats want;
   for (const char* line : {kBestTile, kPredict, kBestTile}) {
     (void)core.handle(line);
-    const auto req = parse_request(line, diags);
-    ASSERT_TRUE(req);
-    if (!direct) {
-      direct = std::make_unique<tuner::Session>(
-          *device::registry().find(req->device), req->def, *req->problem,
-          tuner::SessionOptions{}.with_jobs(1));
-    }
-    (void)compute_payload(*req, direct.get());
+    const tuner::SweepStats d = direct_on_fresh_session(line).stats;
+    EXPECT_GT(d.machine_points, 0u) << line;
+    want += d;
     const ServiceStats s = core.stats();
-    const tuner::SweepStats d = direct->stats();
-    EXPECT_GT(d.machine_points, 0u);
-    EXPECT_EQ(s.session_machine_points, d.machine_points) << line;
-    EXPECT_EQ(s.session_cache_hits, d.cache_hits) << line;
-    EXPECT_EQ(s.session_points_pruned, d.points_pruned) << line;
+    EXPECT_EQ(s.session_machine_points, want.machine_points) << line;
+    EXPECT_EQ(s.session_cache_hits, want.cache_hits) << line;
+    EXPECT_EQ(s.session_points_pruned, want.points_pruned) << line;
+  }
+}
+
+// Distinct computations on one (device, stencil, problem) run side by
+// side on two workers, each on its own Session: every response equals
+// a one-worker core's and compute_payload's on a fresh Session.
+TEST_F(CoreTest, ConcurrentRequestsOnOneProblemMatchSerialBytes) {
+  const std::string problem =
+      R"("stencil":"Heat2D","problem":{"S":[512,512],"T":64},)";
+  const std::string space =
+      R"("enum":{"tT_max":8,"tS1_max":12,"tS2_max":192})";
+  std::vector<std::string> lines;
+  for (const char* delta : {"0.02", "0.05", "0.1"}) {
+    lines.push_back(R"({"v":1,"id":"b","kind":"best_tile",)" + problem +
+                    R"("delta":)" + delta + "," + space + "}");
+  }
+  lines.push_back(predict_with_tT(6, "p6"));
+  lines.push_back(predict_with_tT(4, "p4"));
+  lines.push_back(R"({"v":1,"id":"c","kind":"compare_strategies",)" +
+                  problem + space +
+                  R"(,"exhaustive_cap":40,"baseline_count":10})");
+
+  ServiceCore core(ServiceOptions{}.with_workers(2));
+  // Hold the first two computations until both have started, so the
+  // two workers overlap on the one problem.
+  std::atomic<int> started{0};
+  core.set_compute_hook([&started] {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::string> concurrent(lines.size());
+  {
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      clients.emplace_back([&, i] { concurrent[i] = core.handle(lines[i]); });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  const ServiceStats s = core.stats();
+  EXPECT_EQ(s.computed, lines.size());
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(s.errors, 0u);
+
+  ServiceCore serial(ServiceOptions{}.with_workers(1));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(concurrent[i], serial.handle(lines[i])) << lines[i];
+    EXPECT_EQ(concurrent[i], direct_on_fresh_session(lines[i]).response)
+        << lines[i];
   }
 }
 

@@ -1,8 +1,8 @@
 // The kernel-variant search axis through the Session's pricing path:
 // sweeping the variant-extended space must equal the serial scalar
 // fold and be byte-identical across pruning on vs off and any job
-// count (mirroring prune_test.cpp's invariant), best_over_variants
-// must reproduce the serial variant-major fold, the Session must
+// count (mirroring prune_test.cpp's invariant), best_tile over one
+// tile must reproduce the serial variant-major fold, the Session must
 // keep its counter pins (one profile build per tile, incremental
 // steps for inner-extent neighbours), and the SL312/SL314
 // diagnostics must fire on invalid or register-hungry variants.
@@ -110,7 +110,7 @@ TEST(Variant, CompareStrategiesBitwiseEqualAcrossBatchPruneJobs) {
   }
 }
 
-// best_over_variants == the serial variant-major fold over scalar
+// best_tile over one tile == the serial variant-major fold over scalar
 // single-point measurements (variants in span order, thread configs
 // innermost, first strictly-better point wins).
 TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
@@ -122,7 +122,7 @@ TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
       TuningContext::with_inputs(gpusim::gtx980(), def, kProblem, in);
 
   Session session(ctx, SessionOptions{}.with_jobs(1));
-  const EvaluatedPoint got = session.best_over_variants(ts, vars);
+  const EvaluatedPoint got = session.best_tile({&ts, 1}, vars);
   const EvaluatedPoint want = test::scalar_best(ctx, {&ts, 1}, vars);
   ASSERT_TRUE(want.feasible);
   EXPECT_EQ(got, want);
@@ -134,7 +134,7 @@ TEST(Variant, BestOverVariantsMatchesManualScalarFold) {
   EXPECT_LE(got.texec, default_best.texec);
 }
 
-// An empty span and a CPU-free default both collapse to
+// An empty variant span collapses best_tile over one tile to
 // best_over_threads exactly.
 TEST(Variant, EmptyVariantSpanEqualsBestOverThreads) {
   const auto& def = get_stencil(StencilKind::kHeat2D);
@@ -145,7 +145,7 @@ TEST(Variant, EmptyVariantSpanEqualsBestOverThreads) {
             SessionOptions{}.with_jobs(1));
   Session b(TuningContext::with_inputs(gpusim::gtx980(), def, kProblem, in),
             SessionOptions{}.with_jobs(1));
-  EXPECT_EQ(a.best_over_variants(ts, {}), b.best_over_threads(ts));
+  EXPECT_EQ(a.best_tile({&ts, 1}, {}), b.best_over_threads(ts));
 }
 
 // The memo cache is variant-keyed: the same (tile, threads) under two
