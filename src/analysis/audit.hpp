@@ -46,7 +46,7 @@ struct AuditOptions {
   // Converts implicitly from gpusim::DeviceParams or
   // cpusim::CpuParams, so pre-redesign call sites read unchanged.
   std::optional<device::Descriptor> dev;
-  // Calibrated model inputs, e.g. loaded via gpusim/calibration_io.
+  // Calibrated model inputs, e.g. from tuner::CalibrationCache.
   std::optional<model::ModelInputs> calibration;
   // Enumeration grid to certify (requires `dev`).
   std::optional<SweepGrid> sweep;

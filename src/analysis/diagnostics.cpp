@@ -17,7 +17,7 @@ struct CodeInfo {
 };
 
 // Numeric order; all_codes() exposes this table for docs and tests.
-constexpr std::array<CodeInfo, 62> kCodeTable{{
+constexpr std::array<CodeInfo, 57> kCodeTable{{
     {Code::kParseSyntax, "SL101", "malformed stencil DSL syntax"},
     {Code::kParseDim, "SL102", "missing or out-of-range 'dim'"},
     {Code::kParseTapBeyondDim, "SL103",
@@ -77,14 +77,6 @@ constexpr std::array<CodeInfo, 62> kCodeTable{{
     {Code::kSvcOverloaded, "SL406",
      "service overloaded: request rejected by admission control"},
     {Code::kSvcInternal, "SL407", "internal service error during computation"},
-    {Code::kCalibIo, "SL411", "calibration file cannot be opened or written"},
-    {Code::kCalibMalformed, "SL412",
-     "calibration file has a malformed line or unparsable value"},
-    {Code::kCalibMissingKey, "SL413", "calibration file misses a required key"},
-    {Code::kCalibUnknownKey, "SL414",
-     "calibration file contains an unrecognized key"},
-    {Code::kCalibVersion, "SL415",
-     "calibration file has an unsupported format version"},
     {Code::kAuditTapBeyondRadius, "SL501",
      "tap reaches beyond the declared dependence radius (halo overrun)"},
     {Code::kAuditRadiusOverdeclared, "SL502",

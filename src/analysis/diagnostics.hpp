@@ -28,7 +28,6 @@ std::string_view to_string(Severity s) noexcept;
 //   SL2xx — dependence analysis,
 //   SL3xx — tiling / configuration legality (Eqn 31 and friends),
 //   SL40x — tuned service protocol / admission control,
-//   SL41x — calibration persistence (gpusim/calibration_io),
 //   SL5xx — semantic audit (analysis/audit: tap ranges, resource
 //           prediction, descriptor invariants, sweep certificates),
 //   SL6xx — pipeline IR (src/pipeline: stage DAG structure and
@@ -74,12 +73,7 @@ enum class Code : std::uint16_t {
   kSvcBadField = 405,    // field has the wrong type or an invalid value
   kSvcOverloaded = 406,  // admission control rejected the request
   kSvcInternal = 407,    // computation failed inside the service
-  // --- calibration persistence (gpusim/calibration_io) ---------------
-  kCalibIo = 411,        // calibration file cannot be opened / written
-  kCalibMalformed = 412,  // malformed line or unparsable value
-  kCalibMissingKey = 413,  // required key absent
-  kCalibUnknownKey = 414,  // unrecognized key (likely a typo)
-  kCalibVersion = 415,   // unsupported format version
+  // 411-415 are retired: never reassign them.
   // --- semantic audit: tap/footprint range analysis -------------------
   kAuditTapBeyondRadius = 501,   // tap reaches beyond the declared radius
   kAuditRadiusOverdeclared = 502,  // declared radius exceeds the taps' reach

@@ -1,12 +1,12 @@
 // Once-per-process environment configuration.
 //
-// Every REPRO_* switch (REPRO_JOBS, REPRO_LOG) is
-// captured from the environment exactly once — the first time any
-// code asks for that variable — and the captured value is served for
-// the remainder of the process. Set these variables before the first
-// use; mutating the environment afterwards has no effect. This file
-// is the single home of that contract: call sites (default_jobs, the
-// log threshold) reference it instead of restating the semantics.
+// Every REPRO_* switch (REPRO_JOBS) is captured from the environment
+// exactly once — the first time any code asks for that variable — and
+// the captured value is served for the remainder of the process. Set
+// these variables before the first use; mutating the environment
+// afterwards has no effect. This file is the single home of that
+// contract: call sites (default_jobs) reference it instead of
+// restating the semantics.
 #pragma once
 
 #include <optional>

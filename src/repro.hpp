@@ -15,7 +15,6 @@
 #include "common/rng.hpp"          // IWYU pragma: export
 #include "common/stats.hpp"        // IWYU pragma: export
 #include "common/table.hpp"        // IWYU pragma: export
-#include "gpusim/calibration_io.hpp" // IWYU pragma: export
 #include "gpusim/device.hpp"       // IWYU pragma: export
 #include "gpusim/microbench.hpp"   // IWYU pragma: export
 #include "gpusim/registers.hpp"    // IWYU pragma: export

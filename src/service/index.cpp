@@ -114,7 +114,6 @@ std::optional<IndexEntry> SimilarityIndex::entry_from(
 }
 
 bool SimilarityIndex::append(const IndexEntry& e) {
-  ++counters_.appends;
   return entries_.insert_or_assign(e.key, e).second;
 }
 

@@ -26,7 +26,7 @@
 //     cold computation gets.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,10 +56,6 @@ struct IndexEntry {
 
 class SimilarityIndex {
  public:
-  struct Counters {
-    std::uint64_t appends = 0;
-  };
-
   // `store_dir` is the ResultStore directory the index is derived
   // from. Construction does no I/O; the first lookup scans.
   explicit SimilarityIndex(std::string store_dir);
@@ -115,8 +111,6 @@ class SimilarityIndex {
                                   const stencil::KernelVariant& variant,
                                   std::size_t max_results);
 
-  Counters counters() const noexcept { return counters_; }
-
  private:
   // Scans the store on the first lookup.
   void load_once();
@@ -127,7 +121,6 @@ class SimilarityIndex {
   std::string dir_;
   bool loaded_ = false;
   std::map<std::string, IndexEntry> entries_;
-  Counters counters_;
 };
 
 }  // namespace repro::service

@@ -50,24 +50,4 @@ std::vector<ProblemSize> paper_3d_problem_sizes() {
   return out;
 }
 
-std::vector<ProblemSize> reduced_2d_problem_sizes() {
-  std::vector<ProblemSize> out;
-  for (const std::int64_t s : {1024LL, 2048LL}) {
-    for (const std::int64_t t : {256LL, 512LL, 1024LL}) {
-      out.push_back({.dim = 2, .S = {s, s, 0}, .T = t});
-    }
-  }
-  return out;
-}
-
-std::vector<ProblemSize> reduced_3d_problem_sizes() {
-  std::vector<ProblemSize> out;
-  for (const std::int64_t s : {128LL, 192LL}) {
-    for (const std::int64_t t : {64LL, 128LL}) {
-      if (t <= s) out.push_back({.dim = 3, .S = {s, s, s}, .T = t});
-    }
-  }
-  return out;
-}
-
 }  // namespace repro::stencil

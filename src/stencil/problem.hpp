@@ -46,9 +46,4 @@ std::vector<ProblemSize> paper_2d_problem_sizes();
 // T in {128, 256, 384, 512, 640} restricted to T <= S — 12 combos.
 std::vector<ProblemSize> paper_3d_problem_sizes();
 
-// Reduced-size variants with the same shape (for default bench runs
-// and integration tests on one core).
-std::vector<ProblemSize> reduced_2d_problem_sizes();
-std::vector<ProblemSize> reduced_3d_problem_sizes();
-
 }  // namespace repro::stencil

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_set>
@@ -199,12 +198,10 @@ double Session::price_misses(const hhc::TileSizes& ts,
 void Session::measure_tile(const hhc::TileSizes& ts,
                            std::span<const stencil::KernelVariant> vars,
                            std::span<const hhc::ThreadConfig> thrs,
-                           Incumbent* inc,
+                           const TileBound* bound,
                            std::span<std::optional<EvaluatedPoint>> out,
-                           std::optional<double> talg,
-                           std::optional<double> floor_s) {
+                           std::optional<double> talg) {
   const bool cpu = ctx_.dev.is_cpu();
-  const bool bounded = inc != nullptr && opt_.prune;
   const TileKey key = tile_key(ts);
   const std::size_t nthr = thrs.size();
   std::fill(out.begin(), out.end(), std::nullopt);
@@ -275,14 +272,12 @@ void Session::measure_tile(const hhc::TileSizes& ts,
   // Pass 1 walks the points variant-major, serving hits and bounding
   // misses; pass 2 prices the surviving misses.
   //
-  // The tile's floor over its (thread, variant) axes is the caller's
-  // when it has one, else evaluated once, on the first miss that
-  // needs a bound. While the floor exceeds the incumbent, which only
-  // tightens, every miss is pruned on it without a profile or a point
-  // bound; otherwise each miss is bounded on its own (a CPU tile is
-  // analyzed once, on the first such miss). The floor is <= every
-  // point bound, so the pruned set is the one the point bounds alone
-  // would prune.
+  // While the tile's floor over its (thread, variant) axes exceeds
+  // the incumbent, which only tightens, every miss is pruned on it
+  // without a profile or a point bound; otherwise each miss is bounded
+  // on its own (a CPU tile is analyzed once, on the first such miss).
+  // The floor is <= every point bound, so the pruned set is the one
+  // the point bounds alone would prune.
   std::optional<cpusim::TileFloors> cpu_floors;
   const auto analyze_cpu = [&]() -> const cpusim::TileFloors& {
     if (!cpu_floors) {
@@ -295,39 +290,29 @@ void Session::measure_tile(const hhc::TileSizes& ts,
     if (out[i]) {
       ++local.machine_points;
       ++local.cache_hits;
-      if (bounded && out[i]->feasible) inc->offer(out[i]->texec);
+      if (bound != nullptr && out[i]->feasible) bound->inc.offer(out[i]->texec);
       continue;
     }
-    if (bounded) {
+    if (bound != nullptr) {
       // Bound gate: only worth evaluating once an incumbent exists. A
       // prune requires bound > incumbent strictly — see the header
       // comment's determinism invariant.
-      const double cut = inc->load();
+      const double cut = bound->inc.load();
       if (cut < std::numeric_limits<double>::infinity()) {
-        if (!floor_s) {
-          if (!cpu) stage_one(/*priced=*/false);
-          const auto tb = Clock::now();
-          floor_s = cpu ? analyze_cpu().over(thrs).seconds
-                        : gpusim::tile_floor(ctx_.dev.gpu(), ctx_.def,
-                                             ctx_.problem, ts, thrs, vars,
-                                             *prof)
-                              .seconds;
-          local.bound_seconds += seconds_since(tb);
-        }
-        if (*floor_s > cut) {
+        if (bound->floor_s > cut) {
           ++local.points_pruned;
           continue;
         }
         if (!cpu) stage_one(/*priced=*/false);
         const hhc::ThreadConfig& thr = thrs[i % nthr];
         const auto tb = Clock::now();
-        const double bound =
+        const double point_s =
             cpu ? analyze_cpu().point(thr).seconds
                 : gpusim::lower_bound(ctx_.dev.gpu(), ctx_.def, ctx_.problem,
                                       ts, thr, *prof, vars[i / nthr])
                       .seconds;
         local.bound_seconds += seconds_since(tb);
-        if (bound > cut) {
+        if (point_s > cut) {
           ++local.points_pruned;
           continue;
         }
@@ -343,9 +328,9 @@ void Session::measure_tile(const hhc::TileSizes& ts,
     local.pricing_seconds +=
         price_misses(ts, vars, thrs, miss, *talg, prof.get(), out);
     local.machine_points += miss.size();
-    if (bounded) {
+    if (bound != nullptr) {
       for (const std::size_t i : miss) {
-        if (out[i]->feasible) inc->offer(out[i]->texec);
+        if (out[i]->feasible) bound->inc.offer(out[i]->texec);
       }
     }
   }
@@ -587,56 +572,16 @@ std::vector<EvaluatedPoint> Session::evaluate_points(
   return out;
 }
 
-std::vector<EvaluatedPoint> Session::evaluate_points(
-    std::span<const DataPoint> dps, Incumbent& inc) {
-  // A poisoned incumbent (NaN / negative) would silently prune valid
-  // points — reject it at the entry point, like a bad seed (SL315).
-  validate_incumbent_seed(inc.load());
-  const auto t0 = Clock::now();
-  // Visit in ascending model-Talg order so the incumbent tightens
-  // early; results still land in their original slots, so out[i]
-  // always corresponds to dps[i].
-  const auto tb = Clock::now();
-  const std::vector<double> talg = parallel_map<double>(
-      pool_, dps.size(), /*grain=*/64, [&](std::size_t i) {
-        return model_talg_or_inf(ctx_.inputs, ctx_.problem, dps[i].ts);
-      });
-  std::vector<std::size_t> order(dps.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return talg[a] < talg[b];
-                   });
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.bound_seconds += seconds_since(tb);
-  }
-  std::vector<EvaluatedPoint> out(dps.size());
-  pool_.for_each_index(dps.size(), /*grain=*/1, [&](std::size_t j) {
-    const std::size_t i = order[j];
-    const DataPoint& dp = dps[i];
-    std::optional<EvaluatedPoint> ep;
-    measure_tile(dp.ts, {&dp.var, 1}, {&dp.thr, 1}, &inc, {&ep, 1}, talg[i]);
-    if (ep) {
-      out[i] = *ep;
-    } else {
-      out[i].dp = dp;  // pruned: provably not the scope's argmin
-    }
-  });
-  add_machine_time(seconds_since(t0));
-  return out;
-}
-
 EvaluatedPoint Session::sweep_tile(
     const hhc::TileSizes& ts,
-    std::span<const stencil::KernelVariant> variants, Incumbent* inc,
-    std::optional<double> talg, std::optional<double> floor_s) {
+    std::span<const stencil::KernelVariant> variants, const TileBound* bound,
+    std::optional<double> talg) {
   const std::span<const stencil::KernelVariant> vars = variant_axis(variants);
   // Results land in visit-order slots, so the fold's tie-breaking is
   // the serial variant-major loop's.
   std::vector<std::optional<EvaluatedPoint>> slot(vars.size() *
                                                   threads_.size());
-  measure_tile(ts, vars, threads_, inc, slot, talg, floor_s);
+  measure_tile(ts, vars, threads_, bound, slot, talg);
   EvaluatedPoint best;
   for (const std::optional<EvaluatedPoint>& ep : slot) {
     if (ep) fold_best(best, *ep);
@@ -646,8 +591,7 @@ EvaluatedPoint Session::sweep_tile(
 
 EvaluatedPoint Session::best_over_threads(const hhc::TileSizes& ts) {
   const auto t0 = Clock::now();
-  Incumbent inc;  // thread-sweep-scoped
-  const EvaluatedPoint best = sweep_tile(ts, {}, &inc);
+  const EvaluatedPoint best = sweep_tile(ts, {}, nullptr);
   add_machine_time(seconds_since(t0));
   return best;
 }
@@ -655,14 +599,11 @@ EvaluatedPoint Session::best_over_threads(const hhc::TileSizes& ts) {
 std::vector<EvaluatedPoint> Session::best_over_threads_many(
     std::span<const hhc::TileSizes> tiles) {
   const auto t0 = Clock::now();
-  // The incumbent is per tile, not shared: every tile's best is an
-  // output here (fig5 emits one CSV row per tile), so pruning may
-  // only ever discard points dominated within their own tile.
+  // Unbounded: every tile's best is an output here (fig5 emits one
+  // CSV row per tile), so no tile can be pruned against another.
   std::vector<EvaluatedPoint> out = parallel_map<EvaluatedPoint>(
-      pool_, tiles.size(), /*grain=*/4, [&](std::size_t i) {
-        Incumbent inc;
-        return sweep_tile(tiles[i], {}, &inc);
-      });
+      pool_, tiles.size(), /*grain=*/4,
+      [&](std::size_t i) { return sweep_tile(tiles[i], {}, nullptr); });
   add_machine_time(seconds_since(t0));
   return out;
 }
@@ -793,7 +734,8 @@ EvaluatedPoint Session::best_of_tiles(
       skipped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    slot[i] = sweep_tile(tiles[i], variants, &inc, talg[i], floors[i]);
+    const TileBound bound{inc, floors[i]};
+    slot[i] = sweep_tile(tiles[i], variants, &bound, talg[i]);
   });
   {
     std::lock_guard<std::mutex> lk(mu_);

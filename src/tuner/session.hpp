@@ -28,11 +28,11 @@
 // served from the record instead of being re-simulated.
 //
 // Bound-and-prune (SessionOptions::prune, default on): every
-// reduction-shaped method (best_over_threads, best_over_threads_many,
-// the strategy-comparison passes) keeps an atomic incumbent — the
-// best measured texec inside its own reduction scope — and skips the
-// simulator for any point whose admissible lower bound
-// (gpusim/lower_bound.hpp, cpusim/lower_bound.hpp) exceeds it. Every
+// reduction over a tile list (best_tile, the strategy-comparison
+// passes) keeps an atomic incumbent — the best measured texec inside
+// its own reduction scope — and skips the simulator for any point
+// whose admissible lower bound (gpusim/lower_bound.hpp,
+// cpusim/lower_bound.hpp) exceeds it. Every
 // tile has one floor over its whole (thread, variant) axis; a tile
 // visit prunes every miss on it while it exceeds the incumbent, and
 // the floor is <= every point bound, so this prunes exactly the
@@ -42,10 +42,11 @@
 // Talg values when the caller passes the sweep) so the incumbent
 // tightens early, and never visits a tile whose floor exceeds the
 // incumbent: it takes no lock, builds no profile and leaves no
-// record. The bounded single-point and per-tile paths (evaluate_points,
-// best_over_threads{,_many}) visit in ascending model-Talg order and
-// evaluate the floor inside the visit. Visit order never affects the
-// reduction order.
+// record. A visited tile is bounded by that floor and by its points'
+// own bounds. Visit order never affects the reduction order. The
+// per-tile sweeps (best_over_threads{,_many}) are unbounded: every
+// miss of a fresh tile is bounded before any is priced, so a
+// tile-scoped incumbent would prune nothing there.
 //
 // Determinism invariant (why pruned results are bitwise-identical to
 // unpruned, for any job count):
@@ -332,18 +333,10 @@ class Session {
   // complete table.
   std::vector<EvaluatedPoint> evaluate_points(std::span<const DataPoint> dps);
 
-  // Bounded batch form: points are visited in ascending model-Talg
-  // order, each consulting (and tightening) the caller's incumbent.
-  // A point pruned because its lower bound exceeded the incumbent
-  // comes back with its `dp` set but `feasible == false` — exactly
-  // like an infeasible point, it is provably not the argmin over the
-  // incumbent's scope. out[i] still corresponds to dps[i].
-  std::vector<EvaluatedPoint> evaluate_points(std::span<const DataPoint> dps,
-                                              Incumbent& inc);
-
   // Best measured thread config for one tile size (Section 7's
   // empirical thread-count step; serial — it is the unit of work the
-  // batch APIs parallelize over).
+  // batch APIs parallelize over). Unbounded: every point of the tile
+  // is measured or served from its record.
   EvaluatedPoint best_over_threads(const hhc::TileSizes& ts);
 
   // Batch form: out[i] corresponds to tiles[i]; evaluated in parallel.
@@ -482,25 +475,31 @@ class Session {
                       const gpusim::TileCostProfile* prof,
                       std::span<std::optional<EvaluatedPoint>> out);
 
+  // The bound of one tile visit inside a pruned reduction: the
+  // reduction's incumbent and the tile's floor over the visited
+  // (thread, variant) axes, as tile_floors computed it.
+  struct TileBound {
+    Incumbent& inc;
+    double floor_s;
+  };
+
   // The one per-tile path behind every measurement: the points
   // vars x thrs of tile `ts`, variant-major (out[vi * thrs.size() +
   // ti]). Points the tile's record holds are served from it (cache
-  // hits); with `inc` and pruning on, each miss whose admissible
-  // lower bound exceeds the incumbent strictly is skipped (nullopt,
-  // counted in points_pruned), and hits and fresh measurements offer
-  // their texec to it; the surviving misses are priced by
-  // price_misses. `talg`, when the caller
-  // has it, is the tile's model Talg, so the tile is not priced by
-  // the model again; `floor_s`, when the caller has it, is the tile's
-  // floor over vars x thrs (tile_floors), so it is not evaluated
+  // hits); with a `bound`, each miss whose floor or admissible point
+  // bound exceeds the incumbent strictly is skipped (nullopt, counted
+  // in points_pruned), and hits and fresh measurements offer their
+  // texec to it; nullptr measures every point. The surviving misses
+  // are priced by price_misses. `talg`, when the caller has it, is
+  // the tile's model Talg, so the tile is not priced by the model
   // again. Takes the session lock once to read the record and once
   // to commit. Not timed — callers own the phase.
   void measure_tile(const hhc::TileSizes& ts,
                     std::span<const stencil::KernelVariant> vars,
-                    std::span<const hhc::ThreadConfig> thrs, Incumbent* inc,
+                    std::span<const hhc::ThreadConfig> thrs,
+                    const TileBound* bound,
                     std::span<std::optional<EvaluatedPoint>> out,
-                    std::optional<double> talg = std::nullopt,
-                    std::optional<double> floor_s = std::nullopt);
+                    std::optional<double> talg = std::nullopt);
 
   // One point through measure_tile, unbounded.
   EvaluatedPoint measure(const DataPoint& dp);
@@ -509,15 +508,13 @@ class Session {
   static void fold_best(EvaluatedPoint& best, const EvaluatedPoint& candidate);
   // The unit of work of every thread sweep: the best measured
   // (thread, variant) point of one tile over the device's thread
-  // configs, folded variant-major in variant_axis order. `inc`
-  // participates as in measure_tile: nullptr (or prune off) measures
-  // every point; so do `talg` and `floor_s`. Not timed — callers own
+  // configs, folded variant-major in variant_axis order. `bound` and
+  // `talg` participate as in measure_tile. Not timed — callers own
   // the phase.
   EvaluatedPoint sweep_tile(const hhc::TileSizes& ts,
                             std::span<const stencil::KernelVariant> variants,
-                            Incumbent* inc,
-                            std::optional<double> talg = std::nullopt,
-                            std::optional<double> floor_s = std::nullopt);
+                            const TileBound* bound,
+                            std::optional<double> talg = std::nullopt);
 
   // Best-over-threads reduction across a tile list, parallel with
   // deterministic chunk order. Not timed — callers own the phase.

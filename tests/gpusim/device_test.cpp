@@ -57,5 +57,17 @@ TEST(Device, LookupByName) {
   EXPECT_EQ(device::registry().find("Volta"), nullptr);
 }
 
+TEST(ParametricVariant, ScalesInstructionCostsAndKillsSpills) {
+  const DeviceParams base = gtx980();
+  const DeviceParams par = parametric_codegen_variant(base, 0.15);
+  EXPECT_NE(par.name, base.name);
+  EXPECT_NEAR(par.cost.fma, base.cost.fma * 1.15, 1e-12);
+  EXPECT_NEAR(par.cost.addr, base.cost.addr * 1.15 * 1.5, 1e-12);
+  EXPECT_EQ(par.spill_cycles_per_reg, 0.0);
+  // Hardware resources are unchanged — it is the same chip.
+  EXPECT_EQ(par.n_sm, base.n_sm);
+  EXPECT_EQ(par.mem_bandwidth_bps, base.mem_bandwidth_bps);
+}
+
 }  // namespace
 }  // namespace repro::gpusim

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/log.hpp"
 #include "gpusim/microbench.hpp"
 #include "hhc/tiled_executor.hpp"
 #include "overtile/ghost.hpp"
@@ -87,13 +86,6 @@ TEST(Baselines, GhostAtDepthOneIsTheNaivePerStepScheme) {
   ASSERT_TRUE(naive.feasible);
   ASSERT_TRUE(tiled.feasible);
   EXPECT_GT(naive.seconds, tiled.seconds * 1.5);
-}
-
-TEST(LogThreshold, RuntimeOverride) {
-  const LogLevel before = log_threshold();
-  set_log_threshold(LogLevel::kError);
-  EXPECT_EQ(log_threshold(), LogLevel::kError);
-  set_log_threshold(before);
 }
 
 }  // namespace

@@ -139,7 +139,6 @@ TEST_F(IndexTest, AppendLoadRoundTrip) {
   EXPECT_EQ(live[0].threads, e->threads);
   EXPECT_EQ(live[0].variant, e->variant);
   EXPECT_DOUBLE_EQ(live[0].texec, e->texec);
-  EXPECT_EQ(index.counters().appends, 1u);
 }
 
 TEST_F(IndexTest, LaterLineSupersedesEarlierForSameKey) {

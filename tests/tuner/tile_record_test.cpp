@@ -5,7 +5,8 @@
 // replaced, (b) what the profile counters mean now that a tile's
 // band histograms are derived only when it is first priced, and (c)
 // that workers bounding and pricing the same tiles concurrently still
-// return the one-job and scalar-oracle results bit for bit.
+// return the one-job and scalar-oracle results bit for bit, and (d)
+// that a per-tile sweep prices each point it does not hold once.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +14,9 @@
 
 #include "device/registry.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/lower_bound.hpp"
 #include "stencil/variant.hpp"
+#include "support/cpu_scalar_oracle.hpp"
 #include "support/scalar_oracle.hpp"
 #include "tuner/session.hpp"
 #include "tuner/space.hpp"
@@ -139,8 +142,9 @@ TEST(TileRecord, CountersMatchThePointMemoAtOneJob) {
 // A tile whose floor exceeds the incumbent is skipped before any
 // visit: the floor pass builds its bounds-only profile and drops it,
 // and the tile keeps no record. A visited tile whose points are all
-// pruned keeps a bounds-only profile; its histograms are derived when
-// it is first priced, and a later visit finds the profile in its
+// pruned (its floor does not exceed the incumbent, but every point
+// bound does) keeps a bounds-only profile; its histograms are derived
+// when it is first priced, and a later visit finds the profile in its
 // record.
 TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   const stencil::StencilDef& def = stencil::get_stencil_by_name("Heat2D");
@@ -148,7 +152,7 @@ TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   const std::vector<hhc::ThreadConfig> threads = default_thread_configs(2);
   const std::size_t nthr = threads.size();
   const hhc::TileSizes good{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
-  const hhc::TileSizes poor{.tT = 2, .tS1 = 4, .tS2 = 32, .tS3 = 1};
+  const hhc::TileSizes poor{.tT = 4, .tS1 = 1, .tS2 = 32, .tS3 = 1};
 
   // No incumbent yet inside the sweep: every point is priced, from
   // one profile built with histograms.
@@ -176,26 +180,32 @@ TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   EXPECT_EQ(s.cache_size(), nthr);
   EXPECT_EQ(s.tiles_held(), 1u);  // `poor` left no record
 
-  // A bounded single point of `poor` is a visit: it builds the
-  // bounds-only profile its floor needs, is pruned, and the record
-  // keeps the profile.
-  Incumbent inc;
-  inc.offer(first.texec);
-  const DataPoint p0{poor, threads.front()};
-  const std::vector<EvaluatedPoint> pruned = s.evaluate_points({&p0, 1}, inc);
-  ASSERT_FALSE(pruned.front().feasible);
+  // Seeded at `poor`'s own floor, which lies strictly below each of
+  // its point bounds, `poor` is visited: the floor pass builds one
+  // bounds-only profile and drops it, the visit builds the one its
+  // point bounds need, every point is pruned and the record keeps the
+  // profile.
+  Session probe(s.context(), SessionOptions{}.with_jobs(1));
+  const double floor_s = probe.tile_floors({&poor, 1}).front();
+  for (const hhc::ThreadConfig& thr : threads) {
+    ASSERT_LT(floor_s, gpusim::lower_bound(gpusim::gtx980(), def, kSmall2D,
+                                           poor, thr)
+                           .seconds);
+  }
+  const EvaluatedPoint pruned = s.best_tile({&poor, 1}, {}, {}, floor_s);
+  ASSERT_FALSE(pruned.feasible);
   st = s.stats();
-  EXPECT_EQ(st.points_pruned, nthr + 1);
-  EXPECT_EQ(st.profile_builds, 4u);
+  EXPECT_EQ(st.points_pruned, 2 * nthr);
+  EXPECT_EQ(st.profile_builds, 5u);
   EXPECT_EQ(st.histogram_builds, 1u);
   EXPECT_EQ(s.cache_size(), nthr);
   EXPECT_EQ(s.tiles_held(), 2u);
 
-  // Pricing that point finds the profile in the record and derives
-  // the histograms: no new build.
-  s.evaluate_point(p0);
+  // Pricing one of its points finds the profile in the record and
+  // derives the histograms: no new build.
+  s.evaluate_point({poor, threads.front()});
   st = s.stats();
-  EXPECT_EQ(st.profile_builds, 4u);
+  EXPECT_EQ(st.profile_builds, 5u);
   EXPECT_EQ(st.profile_hits, 1u);
   EXPECT_EQ(st.histogram_builds, 2u);
   EXPECT_EQ(s.cache_size(), nthr + 1);
@@ -204,10 +214,40 @@ TEST(TileRecord, BoundedTilesDeriveHistogramsOnlyWhenPriced) {
   // hit, no new derivation.
   s.evaluate_point({poor, threads.back()});
   st = s.stats();
-  EXPECT_EQ(st.profile_builds, 4u);
+  EXPECT_EQ(st.profile_builds, 5u);
   EXPECT_EQ(st.profile_hits, 2u);
   EXPECT_EQ(st.histogram_builds, 2u);
   EXPECT_EQ(s.cache_size(), nthr + 2);
+}
+
+// A per-tile sweep is unbounded: after one of a tile's points was
+// priced on its own, best_over_threads serves that point from the
+// record, prices every other thread config exactly once, prunes
+// nothing and returns the scalar oracle's best.
+TEST(TileRecord, BestOverThreadsAfterOnePointPricesTheRestOnce) {
+  const stencil::StencilDef& def = stencil::get_stencil_by_name("Heat2D");
+  const hhc::TileSizes ts{.tT = 8, .tS1 = 16, .tS2 = 64, .tS3 = 1};
+  for (const char* name : {"GTX 980", "Xeon E5-2690 v4"}) {
+    const device::Descriptor* dev = device::registry().find(name);
+    ASSERT_NE(dev, nullptr) << name;
+    const TuningContext ctx = TuningContext::calibrate(*dev, def, kSmall2D);
+    const std::vector<hhc::ThreadConfig> threads =
+        device_thread_configs(*dev, 2);
+    const std::size_t nthr = threads.size();
+    ASSERT_GT(nthr, 1u) << name;
+    Session s(ctx, SessionOptions{}.with_jobs(1));
+    s.evaluate_point({ts, threads[nthr / 2]});
+
+    const EvaluatedPoint best = s.best_over_threads(ts);
+    EXPECT_EQ(best, dev->is_gpu() ? test::scalar_best(ctx, {&ts, 1})
+                                  : test::cpu_scalar_best(ctx, {&ts, 1}))
+        << name;
+    const SweepStats st = s.stats();
+    EXPECT_EQ(st.machine_points, nthr + 1) << name;
+    EXPECT_EQ(st.cache_hits, 1u) << name;
+    EXPECT_EQ(st.points_pruned, 0u) << name;
+    EXPECT_EQ(s.cache_size(), nthr) << name;
+  }
 }
 
 // Four workers on the same few tiles: each tile appears several times
@@ -246,26 +286,17 @@ TEST(TileRecord, RacingWorkersMatchOneJobAndTheScalarOracle) {
   EXPECT_EQ(want, test::scalar_best(ctx, tiles, kVariants));
   const std::vector<EvaluatedPoint> want_many =
       one.best_over_threads_many(tiles);
-  Incumbent one_inc;
-  const std::vector<EvaluatedPoint> want_pts =
-      one.evaluate_points(dps, one_inc);
+  const std::vector<EvaluatedPoint> want_pts = one.evaluate_points(dps);
 
   for (int round = 0; round < 4; ++round) {
     const std::string what = "round " + std::to_string(round);
     Session four(ctx, SessionOptions{}.with_jobs(4));
-    // Bounded points first, so the sweeps below race on tiles whose
-    // records hold bounds-only profiles.
-    Incumbent inc;
-    const std::vector<EvaluatedPoint> pts = four.evaluate_points(dps, inc);
-    ASSERT_EQ(pts.size(), dps.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      // A point either side pruned is provably worse than the scope's
-      // argmin; every point both measured is bitwise the same.
-      if (pts[i].feasible && want_pts[i].feasible) {
-        EXPECT_EQ(pts[i], want_pts[i]) << what << " point " << i;
-      }
-    }
-    EXPECT_EQ(inc.load(), one_inc.load()) << what;
+    // A best_tile seeded with the winner's texec first: it visits
+    // every tile whose floor does not exceed the winner and prunes
+    // each point whose bound does, so the passes below race on tiles
+    // whose records may hold bounds-only profiles.
+    EXPECT_EQ(four.best_tile(tiles, kVariants, {}, want.texec), want) << what;
+    EXPECT_EQ(four.evaluate_points(dps), want_pts) << what;
     EXPECT_EQ(four.best_tile(tiles, kVariants), want) << what;
     const std::vector<EvaluatedPoint> many = four.best_over_threads_many(tiles);
     EXPECT_EQ(many, want_many) << what;

@@ -240,16 +240,6 @@ TEST(Warmstart, IncumbentSeedRejectedAsSL315) {
     EXPECT_TRUE(eng.has_code(analysis::Code::kIncumbentSeed));
   }
 
-  // A poisoned shared incumbent is caught at evaluate_points too.
-  {
-    Session session(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
-                    SessionOptions{}.with_jobs(1));
-    Incumbent inc;
-    inc.offer(-2.0);
-    std::vector<DataPoint> dps{{tiles[0], hhc::ThreadConfig{32, 4, 1}}};
-    EXPECT_THROW(session.evaluate_points(dps, inc), std::invalid_argument);
-  }
-
   // +inf (no seed) and 0 (prune everything but cache hits) are legal.
   Session fine(TuningContext::with_inputs(gpusim::gtx980(), def, p, in),
                SessionOptions{}.with_jobs(1));
