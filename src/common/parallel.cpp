@@ -83,58 +83,35 @@ void ThreadPool::run_chunks(Batch& b) {
   }
 }
 
-BoundedTaskQueue::BoundedTaskQueue(int workers, std::size_t depth)
-    : workers_n_(workers > 0 ? workers : default_jobs()),
-      depth_(depth == 0 ? 1 : depth) {
-  threads_.reserve(static_cast<std::size_t>(workers_n_));
-  for (int i = 0; i < workers_n_; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+AdmissionGate::AdmissionGate(int workers, std::size_t depth)
+    : workers_(workers > 0 ? workers : default_jobs()),
+      depth_(depth == 0 ? 1 : depth) {}
+
+AdmissionGate::Slot AdmissionGate::enter(std::chrono::milliseconds wait) {
+  const std::uint64_t workers = static_cast<std::uint64_t>(workers_);
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!cv_.wait_for(lk, wait,
+                    [&] { return issued_ - finished_ < workers + depth_; })) {
+    return Slot(nullptr);
   }
+  const std::uint64_t ticket = issued_++;
+  cv_.wait(lk, [&] { return ticket < finished_ + workers; });
+  return Slot(this);
 }
 
-BoundedTaskQueue::~BoundedTaskQueue() {
+std::size_t AdmissionGate::waiting() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::uint64_t held = issued_ - finished_;
+  const std::uint64_t workers = static_cast<std::uint64_t>(workers_);
+  return static_cast<std::size_t>(held > workers ? held - workers : 0);
+}
+
+void AdmissionGate::leave() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
+    ++finished_;
   }
-  cv_work_.notify_all();
-  cv_space_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void BoundedTaskQueue::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || !queue_.empty(); });
-      // Drain before exiting: accepted work always runs.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    cv_space_.notify_one();
-    task();
-  }
-}
-
-bool BoundedTaskQueue::try_submit(std::function<void()> task,
-                                  std::chrono::milliseconds wait) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (queue_.size() >= depth_ && wait.count() > 0) {
-    cv_space_.wait_for(lk, wait,
-                       [&] { return stop_ || queue_.size() < depth_; });
-  }
-  if (stop_ || queue_.size() >= depth_) return false;
-  queue_.push_back(std::move(task));
-  lk.unlock();
-  cv_work_.notify_one();
-  return true;
-}
-
-std::size_t BoundedTaskQueue::pending() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
+  cv_.notify_all();
 }
 
 void ThreadPool::for_each_index(std::size_t n, std::size_t grain,

@@ -1,6 +1,7 @@
 // The work-pool layer: a fixed thread pool plus deterministic
 // parallel-for / map / chunked-reduce primitives for the tuner's hot
-// sweeps (model sweep, machine evaluation, validation scatter).
+// sweeps (model sweep, machine evaluation, validation scatter), and
+// the service's admission gate (AdmissionGate).
 //
 // Determinism contract: every primitive here produces results that are
 // bitwise-identical for any worker count. parallel_map writes each
@@ -21,7 +22,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -87,51 +87,61 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// A bounded work queue with its own fixed worker threads — the
-// admission-control companion of ThreadPool for *service* workloads:
-// where ThreadPool runs one batch at a time to completion, a
-// BoundedTaskQueue accepts independent tasks from many producer
-// threads, holds at most `depth` of them pending, and REJECTS new
-// work when full (try_submit returns false) instead of blocking the
-// producer forever. The tuned daemon turns a rejection into a
-// structured `overloaded` error (SL406) — backpressure the client
-// can see, never a silent drop: every accepted task runs, including
-// the ones still pending at destruction.
-class BoundedTaskQueue {
+// Admission control for service computations, each run on the
+// thread that asks for it: at most `workers` callers hold a slot at
+// once, at most `depth` more wait in line for one, and they enter in
+// arrival order. A caller that finds the line full waits up to `wait`
+// for room and is then turned away, so an overloaded service answers
+// with an error (the tuned daemon's SL406) instead of blocking its
+// clients forever.
+class AdmissionGate {
  public:
-  // jobs <= 0 means default_jobs(); depth 0 means depth 1.
-  BoundedTaskQueue(int workers, std::size_t depth);
-  // Drains every already-accepted task, then joins the workers.
-  ~BoundedTaskQueue();
+  // A held slot, given back when it goes out of scope; empty (false)
+  // when the caller was turned away.
+  class Slot {
+   public:
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    ~Slot() {
+      if (gate_ != nullptr) gate_->leave();
+    }
+    explicit operator bool() const noexcept { return gate_ != nullptr; }
 
-  BoundedTaskQueue(const BoundedTaskQueue&) = delete;
-  BoundedTaskQueue& operator=(const BoundedTaskQueue&) = delete;
+   private:
+    friend class AdmissionGate;
+    explicit Slot(AdmissionGate* gate) noexcept : gate_(gate) {}
+    AdmissionGate* gate_;
+  };
 
-  int workers() const noexcept { return workers_n_; }
+  // workers <= 0 means default_jobs(); depth 0 means depth 1.
+  AdmissionGate(int workers, std::size_t depth);
+
+  AdmissionGate(const AdmissionGate&) = delete;
+  AdmissionGate& operator=(const AdmissionGate&) = delete;
+
+  int workers() const noexcept { return workers_; }
   std::size_t depth() const noexcept { return depth_; }
 
-  // Enqueues `task` unless the pending queue is at capacity; when
-  // full, waits up to `wait` for a slot (the admission deadline),
-  // then gives up. Returns whether the task was accepted. Tasks must
-  // not throw (they are run on worker threads with nowhere to
-  // rethrow); wrap fallible work in its own try/catch.
-  bool try_submit(std::function<void()> task,
-                  std::chrono::milliseconds wait = std::chrono::milliseconds(0));
+  // Takes a place in line, waiting up to `wait` for one while the line
+  // is full (an empty Slot if none frees up), then blocks until every
+  // earlier caller has entered and a slot is free.
+  [[nodiscard]] Slot enter(
+      std::chrono::milliseconds wait = std::chrono::milliseconds(0));
 
-  // Pending (accepted, not yet started) tasks, for introspection.
-  std::size_t pending() const;
+  // Callers in line, not yet holding a slot.
+  std::size_t waiting() const;
 
  private:
-  void worker_loop();
+  void leave();
 
-  int workers_n_;
+  int workers_;
   std::size_t depth_;
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   // workers wait for tasks
-  std::condition_variable cv_space_;  // producers wait for a slot
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
-  bool stop_ = false;
+  std::condition_variable cv_;
+  // Ticket t enters once t < finished_ + workers_: tickets issued and
+  // slots given back, so at most workers_ are inside at once.
+  std::uint64_t issued_ = 0;
+  std::uint64_t finished_ = 0;
 };
 
 // out[i] = fn(i) for i in [0, n), computed in parallel. Element order

@@ -231,7 +231,7 @@ std::string compute_payload(const Request& req, tuner::Session* session,
 
 ServiceCore::ServiceCore(ServiceOptions opt)
     : opt_(std::move(opt)),
-      queue_(opt_.workers, opt_.queue_depth) {
+      gate_(opt_.workers, opt_.queue_depth) {
   if (!opt_.store_dir.empty()) {
     store_.emplace(opt_.store_dir);
     if (opt_.warm_start) index_.emplace(opt_.store_dir);
@@ -438,9 +438,9 @@ std::string ServiceCore::handle(const std::string& line) {
     }
   }
 
-  // `stats` is instance state, answered inline: never stored, never
-  // coalesced, never queued (it must stay responsive when the compute
-  // queue is saturated — that is exactly when you ask for stats).
+  // `stats` is instance state, answered at once: never stored, never
+  // coalesced, never gated (it must stay responsive when every slot
+  // is taken — that is exactly when you ask for stats).
   if (req->kind == RequestKind::kStats) {
     return answered(render_result(req->id, req->kind, stats().to_json()));
   }
@@ -472,14 +472,15 @@ std::string ServiceCore::handle(const std::string& line) {
   }
 
   if (leader) {
-    const bool accepted = queue_.try_submit(
-        [this, key, flight, r = *req] { run_compute(key, r, flight); },
-        std::chrono::milliseconds(opt_.submit_wait_ms));
-    if (!accepted) {
+    const AdmissionGate::Slot slot =
+        gate_.enter(std::chrono::milliseconds(opt_.submit_wait_ms));
+    if (slot) {
+      run_compute(key, *req, flight);
+    } else {
       analysis::DiagnosticEngine odiags;
       odiags.error(analysis::Code::kSvcOverloaded,
-                   "service overloaded: compute queue full (depth " +
-                       std::to_string(queue_.depth()) +
+                   "service overloaded: compute line full (depth " +
+                       std::to_string(gate_.depth()) +
                        "); retry later or raise --queue-depth");
       // Wake any followers that joined this flight before the
       // rejection — they get the same structured error.

@@ -5,17 +5,20 @@
 //
 // One request line in, one response line out:
 //
-//   parse  ->  store lookup  ->  coalesce  ->  bounded queue  ->
+//   parse  ->  store lookup  ->  coalesce  ->  admission gate  ->
 //   tuner::Session compute  ->  store save  ->  response
+//
+// Every step runs on the thread that called handle().
 //
 // Coalescing (singleflight): concurrent requests with the same
 // canonical computation key share ONE in-flight computation — the
-// first caller (the leader) submits the work, everyone else waits on
-// the same Flight and receives the identical payload bytes.
+// first caller (the leader) computes it, everyone else waits on the
+// same Flight and receives the identical payload bytes.
 //
-// Admission control: the compute queue is bounded
-// (ServiceOptions::queue_depth). When it is full, the leader waits at
-// most `submit_wait_ms` for a slot and then fails fast with a
+// Admission control: at most ServiceOptions::workers leaders compute
+// at once and at most `queue_depth` more wait for a turn, in arrival
+// order (AdmissionGate). A leader that finds the line full waits at
+// most `submit_wait_ms` for room and then fails fast with a
 // structured SL406 `overloaded` error — the daemon never blocks a
 // client forever and never drops a request silently.
 //
@@ -46,14 +49,15 @@
 namespace repro::service {
 
 struct ServiceOptions {
-  // Compute worker threads and bounded-queue depth (admission
-  // control). Each computation tunes on its own tuner::Session, so
-  // workers run distinct computations in parallel, on one problem or
-  // many.
+  // Admission control: computations running at once (<= 0:
+  // default_jobs()), each on the thread of the request that leads it,
+  // and leaders that may wait in line for a turn (0 means 1). Each
+  // computation tunes on its own tuner::Session, so distinct
+  // computations run in parallel, on one problem or many.
   int workers = 2;
   std::size_t queue_depth = 16;
-  // How long a leader may wait for a queue slot before the request is
-  // rejected as overloaded (0 = fail immediately when full).
+  // How long a leader may wait for room in a full line before the
+  // request is rejected as overloaded (0 = fail immediately when full).
   int submit_wait_ms = 0;
   // Worker threads inside each tuner::Session (<= 0: default_jobs()).
   int session_jobs = 1;
@@ -246,10 +250,11 @@ class ServiceCore {
   ServiceStats stats() const;
   std::string stats_json() const { return stats().to_json(); }
 
-  // Test hook: runs at the start of every computation, on the worker
-  // thread. Set it before issuing traffic (not thread-safe against
-  // concurrent handle() calls); tests use it to hold a computation
-  // open while followers pile up or the queue fills.
+  // Test hook: runs at the start of every computation, on the
+  // leader's thread once it holds a slot. Set it before issuing
+  // traffic (not thread-safe against concurrent handle() calls); tests
+  // use it to hold a computation open while followers pile up or the
+  // line fills.
   void set_compute_hook(std::function<void()> hook) {
     hook_ = std::move(hook);
   }
@@ -266,7 +271,7 @@ class ServiceCore {
     std::vector<analysis::Diagnostic> diags;
   };
 
-  // Runs one computation on the worker thread: a kPredict, kBestTile
+  // Runs one computation on the leader's thread: a kPredict, kBestTile
   // or kCompareStrategies request on a Session of its own (calibrated
   // through calibrations_), a pipeline through the shared caches.
   // Adds its tuner counters to tuner_stats_, saves the payload and
@@ -311,9 +316,7 @@ class ServiceCore {
 
   std::function<void()> hook_;
 
-  // Declared last: its destructor drains pending tasks, which may
-  // touch everything above.
-  BoundedTaskQueue queue_;
+  AdmissionGate gate_;
 };
 
 }  // namespace repro::service

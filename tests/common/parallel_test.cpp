@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -168,57 +169,140 @@ TEST(ParallelReduce, SumMatchesSerialAtAnyJobCount) {
   }
 }
 
-TEST(BoundedTaskQueue, RunsEveryAcceptedTask) {
-  std::atomic<int> ran{0};
-  {
-    BoundedTaskQueue q(2, 8);
-    EXPECT_EQ(q.workers(), 2);
-    EXPECT_EQ(q.depth(), 8u);
-    for (int i = 0; i < 20; ++i) {
-      while (!q.try_submit([&] { ran.fetch_add(1); },
-                           std::chrono::milliseconds(100))) {
-      }
+// Callers that each take a place at one AdmissionGate and, once
+// inside, hold their slot until release(); entry order is recorded.
+class GateClients {
+ public:
+  explicit GateClients(AdmissionGate& gate) : gate_(gate) {}
+  ~GateClients() {
+    release();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  // Starts client `id` and returns once it is inside or in line.
+  void start(int id) {
+    const std::size_t in_line = gate_.waiting();
+    const std::size_t inside = entered();
+    threads_.emplace_back([this, id] {
+      const AdmissionGate::Slot slot = gate_.enter(std::chrono::seconds(30));
+      std::unique_lock<std::mutex> lk(mu_);
+      ASSERT_TRUE(slot) << "client " << id;
+      order_.push_back(id);
+      cv_.wait(lk, [&] { return released_; });
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (gate_.waiting() == in_line && entered() == inside &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-  }  // destructor drains the queue
-  EXPECT_EQ(ran.load(), 20);
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  // Joins every client; the ids in the order they entered.
+  std::vector<int> finish() {
+    release();
+    for (std::thread& t : threads_) t.join();
+    threads_.clear();
+    return order_;
+  }
+
+  std::size_t entered() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return order_.size();
+  }
+
+ private:
+  AdmissionGate& gate_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  std::vector<int> order_;
+  std::vector<std::thread> threads_;
+};
+
+TEST(AdmissionGate, AdmitsEveryCallerWithAtMostWorkersInside) {
+  AdmissionGate gate(2, 8);
+  EXPECT_EQ(gate.workers(), 2);
+  EXPECT_EQ(gate.depth(), 8u);
+  std::atomic<int> inside{0};
+  std::atomic<int> most{0};
+  std::atomic<int> ran{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 10; ++i) {  // workers + depth: every caller has room
+    callers.emplace_back([&] {
+      const AdmissionGate::Slot slot = gate.enter(std::chrono::seconds(30));
+      ASSERT_TRUE(slot);
+      const int now = inside.fetch_add(1) + 1;
+      int m = most.load();
+      while (now > m && !most.compare_exchange_weak(m, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      inside.fetch_sub(1);
+      ran.fetch_add(1);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(ran.load(), 10);
+  EXPECT_GE(most.load(), 1);
+  EXPECT_LE(most.load(), 2);
+  EXPECT_EQ(gate.waiting(), 0u);
+  EXPECT_TRUE(gate.enter());  // every slot was given back
 }
 
-TEST(BoundedTaskQueue, RejectsWhenFullInsteadOfBlocking) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  BoundedTaskQueue q(1, 1);
-  // Occupy the single worker...
-  ASSERT_TRUE(q.try_submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  }));
-  // ...then fill the single pending slot. The worker may briefly hold
-  // the first task before blocking, so allow a short retry window.
-  bool filled = false;
-  for (int i = 0; i < 100 && !filled; ++i) {
-    filled = q.pending() == 1 ||
-             q.try_submit([] {}, std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(filled);
-  // A zero-wait submit against a full queue must fail immediately.
-  EXPECT_FALSE(q.try_submit([] {}));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+TEST(AdmissionGate, HoldsAtMostDepthInLineAndRejectsAfterItsWait) {
+  AdmissionGate gate(2, 2);
+  GateClients clients(gate);
+  clients.start(0);
+  clients.start(1);
+  ASSERT_EQ(clients.entered(), 2u);
+  clients.start(2);
+  clients.start(3);
+  ASSERT_EQ(gate.waiting(), 2u);
+  EXPECT_EQ(clients.entered(), 2u);  // no third caller inside
+
+  // A full line turns a caller away at once with no wait...
+  EXPECT_FALSE(gate.enter());
+  // ...and after its wait with one.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(gate.enter(std::chrono::milliseconds(50)));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(gate.waiting(), 2u);
+
+  // Both waiters enter once both slots free up, in either order.
+  std::vector<int> order = clients.finish();
+  std::sort(order.begin() + 2, order.end());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(gate.waiting(), 0u);
 }
 
-TEST(BoundedTaskQueue, DepthZeroIsClampedToOne) {
-  BoundedTaskQueue q(1, 0);
-  EXPECT_EQ(q.depth(), 1u);
-  std::atomic<bool> ran{false};
-  ASSERT_TRUE(
-      q.try_submit([&] { ran = true; }, std::chrono::milliseconds(100)));
-  while (!ran.load()) {
-    std::this_thread::yield();
-  }
+TEST(AdmissionGate, EntersInArrivalOrder) {
+  AdmissionGate gate(1, 6);
+  GateClients clients(gate);
+  for (int id = 0; id < 7; ++id) clients.start(id);
+  EXPECT_EQ(clients.entered(), 1u);
+  EXPECT_EQ(gate.waiting(), 6u);
+  EXPECT_EQ(clients.finish(), (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(AdmissionGate, DepthZeroIsClampedToOne) {
+  AdmissionGate gate(1, 0);
+  EXPECT_EQ(gate.depth(), 1u);
+  GateClients clients(gate);
+  clients.start(0);
+  clients.start(1);
+  EXPECT_EQ(clients.entered(), 1u);
+  EXPECT_EQ(gate.waiting(), 1u);
+  EXPECT_FALSE(gate.enter());
+  EXPECT_EQ(clients.finish(), (std::vector<int>{0, 1}));
 }
 
 }  // namespace

@@ -312,6 +312,109 @@ TEST_F(CoreTest, FullQueueReturnsStructuredOverloadError) {
   EXPECT_EQ(s.computed, 2u);  // r1 and r2 still completed
 }
 
+// A computation runs on the thread that asked for it: no handoff to
+// a worker thread.
+TEST_F(CoreTest, ComputesOnTheCallingThread) {
+  ServiceCore core{ServiceOptions{}};
+  std::thread::id computed_on;
+  core.set_compute_hook([&] { computed_on = std::this_thread::get_id(); });
+  EXPECT_NE(core.handle(kPredict).find(R"("ok":true)"), std::string::npos);
+  EXPECT_EQ(computed_on, std::this_thread::get_id());
+
+  std::thread::id client;
+  std::thread t([&] {
+    client = std::this_thread::get_id();
+    (void)core.handle(kBestTile);
+  });
+  t.join();
+  EXPECT_EQ(computed_on, client);
+}
+
+// Admission at its bounds: with `workers` computations held in the
+// hook and `queue_depth` leaders in line, the next leader waits
+// `submit_wait_ms` for room and gets SL406; every held request is
+// answered once the hook lets go.
+TEST_F(CoreTest, FullLineRejectsAfterSubmitWaitAndAnswersEveryHeldRequest) {
+  constexpr int kWorkers = 2;
+  constexpr int kDepth = 2;
+  constexpr int kWaitMs = 100;
+  ServiceOptions opt;
+  opt.workers = kWorkers;
+  opt.queue_depth = kDepth;
+  opt.submit_wait_ms = kWaitMs;
+  ServiceCore core(opt);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> entered{0};
+  core.set_compute_hook([&] {
+    entered.fetch_add(1);
+    std::unique_lock<std::mutex> lk(mu);
+    // Bounded, so a failure below cannot leave the test hanging.
+    cv.wait_for(lk, std::chrono::seconds(30), [&] { return release; });
+  });
+
+  constexpr int kHeld = kWorkers + kDepth;
+  std::vector<std::string> responses(kHeld);
+  std::vector<std::thread> clients;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // Request i reads id "h<i>" (built with += for GCC 12's -Wrestrict).
+  const auto held_id = [](int i) {
+    std::string id = "h";
+    id += std::to_string(i);
+    return id;
+  };
+  for (int i = 0; i < kHeld; ++i) {
+    clients.emplace_back([&core, &responses, &held_id, i] {
+      responses[static_cast<std::size_t>(i)] =
+          core.handle(predict_with_tT(2 * (i + 1), held_id(i)));
+    });
+    if (i + 1 == kWorkers) {
+      while (entered.load() < kWorkers &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(entered.load(), kWorkers);
+    }
+  }
+  while (core.stats().requests < static_cast<std::uint64_t>(kHeld) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Give the last leaders time to take their places in line.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(entered.load(), kWorkers);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string rejected = core.handle(predict_with_tT(12, "over"));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(rejected.find("SL406"), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find(R"("id":"over")"), std::string::npos);
+  EXPECT_GE(waited, std::chrono::milliseconds(kWaitMs));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : clients) t.join();
+  for (int i = 0; i < kHeld; ++i) {
+    const std::string& r = responses[static_cast<std::size_t>(i)];
+    EXPECT_NE(r.find(R"("ok":true)"), std::string::npos) << r;
+    std::string id = R"("id":")";
+    id += held_id(i);
+    id += '"';
+    EXPECT_NE(r.find(id), std::string::npos) << r;
+  }
+  const ServiceStats s = core.stats();
+  EXPECT_EQ(s.computed, static_cast<std::uint64_t>(kHeld));
+  EXPECT_EQ(s.overloaded, 1u);
+  EXPECT_EQ(s.errors, 1u);
+}
+
 TEST_F(CoreTest, DevicesListingEnumeratesRegistryAndBypassesStore) {
   ServiceCore core(ServiceOptions{}.with_store_dir(store_dir_.string()));
   const std::string out =

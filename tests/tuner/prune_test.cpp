@@ -1,7 +1,7 @@
 // Bound-and-prune correctness: pruning must be invisible in results
-// — compare_strategies and best_over_threads_many return
-// bitwise-identical winners with pruning on or off, for any job
-// count — while actually skipping
+// — compare_strategies returns bitwise-identical winners with pruning
+// on or off, and best_over_threads_many the scalar oracle's per-tile
+// bests, for any job count — while actually skipping
 // simulator work (points_pruned > 0, machine_points reduced). Also
 // pins the SL313 delta validation at the sweep entry points.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "gpusim/microbench.hpp"
+#include "support/scalar_oracle.hpp"
 #include "tuner/session.hpp"
 
 namespace repro::tuner {
@@ -85,29 +86,30 @@ TEST(Prune, CompareStrategiesBitwiseEqualPrunedVsUnpruned) {
   }
 }
 
-TEST(Prune, BestOverThreadsManyPerTileResultsUnchanged) {
+TEST(Prune, BestOverThreadsManyEqualsTheScalarOracleAtJobs1And3) {
   // Per-tile bests are outputs (fig5 rows), so no tile may be pruned
-  // against another: every slot has to match the unpruned sweep
-  // exactly.
+  // against another: at any job count every slot is its tile's best
+  // point in the serial scalar fold.
   const auto& def = get_stencil(StencilKind::kHeat2D);
   const model::ModelInputs in = gpusim::calibrate_model(gpusim::gtx980(), def);
   const std::vector<hhc::TileSizes> tiles =
       enumerate_feasible(2, in.hw, small_space());
   ASSERT_GT(tiles.size(), 10u);
+  const TuningContext ctx =
+      TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D, in);
 
-  Session exact(TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D,
-                                           in),
-                SessionOptions{}.with_jobs(2).with_prune(false));
-  const std::vector<EvaluatedPoint> reference =
-      exact.best_over_threads_many(tiles);
-
-  Session pruned(TuningContext::with_inputs(gpusim::gtx980(), def, kSmall2D,
-                                            in),
-                 SessionOptions{}.with_jobs(2));
-  const std::vector<EvaluatedPoint> got = pruned.best_over_threads_many(tiles);
-  ASSERT_EQ(got.size(), reference.size());
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    EXPECT_EQ(got[i], reference[i]) << "tile " << i;
+  std::vector<EvaluatedPoint> want;
+  for (const hhc::TileSizes& ts : tiles) {
+    want.push_back(test::scalar_best(ctx, {&ts, 1}));
+  }
+  for (const int jobs : {1, 3}) {
+    Session session(ctx, SessionOptions{}.with_jobs(jobs));  // prune on
+    const std::vector<EvaluatedPoint> got =
+        session.best_over_threads_many(tiles);
+    ASSERT_EQ(got.size(), want.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "jobs=" << jobs << " tile " << i;
+    }
   }
 }
 

@@ -6,10 +6,11 @@
 //     Serves newline-delimited JSON requests (service/protocol.hpp).
 //     Default transport is stdin/stdout (one response line per request
 //     line); with --socket it listens on a Unix domain socket and
-//     serves each connection on its own thread. On shutdown (stdin
-//     EOF, SIGINT or SIGTERM) a one-line JSON stats summary —
-//     request, coalescing, store hit-rate and latency counters — is
-//     printed to stderr.
+//     serves each connection on its own thread, which also runs that
+//     connection's computations; a closed connection's thread is
+//     joined at the next accept. On shutdown (stdin EOF, SIGINT or
+//     SIGTERM) a one-line JSON stats summary — request, coalescing,
+//     store hit-rate and latency counters — is printed to stderr.
 //
 //   tuned client --socket=PATH
 //     Pumps stdin request lines to a serving daemon and prints the
@@ -17,9 +18,10 @@
 //
 //   tuned once --request='<json>'   (or one request line on stdin)
 //     Computes a single request in-process with a direct
-//     tuner::Session — no queue, no store — and prints the response
-//     line. Exits 0 on an ok response, 1 on an error response. The CI
-//     smoke job byte-compares this against daemon output.
+//     tuner::Session — no admission gate, no store — and prints the
+//     response line. Exits 0 on an ok response, 1 on an error
+//     response. The CI smoke job byte-compares this against daemon
+//     output.
 //
 //   tuned pipeline --file=FILE [--device=NAME] [--delta=X]
 //                  [--enum='<json>'] [--id=ID]
@@ -41,10 +43,12 @@
 // Every mode accepts --devices=FILE to import additional descriptors
 // ({"devices":[...]}, the exact format `tuned devices --json` emits)
 // into the process registry before serving/computing.
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -237,13 +241,28 @@ int serve_socket(service::ServiceCore& core, const std::string& path) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  std::vector<std::thread> conns;
+  // One thread per open connection: a thread whose client has gone is
+  // joined at the next accept.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Connection> conns;
   while (g_stop == 0) {
     const int cfd = ::accept(fd, nullptr, nullptr);
     if (cfd < 0) break;  // listener closed by the signal handler
-    conns.emplace_back([&core, cfd] { serve_connection(core, cfd); });
+    conns.remove_if([](Connection& c) {
+      if (!c.done.load()) return false;
+      c.thread.join();
+      return true;
+    });
+    Connection& c = conns.emplace_back();
+    c.thread = std::thread([&core, &c, cfd] {
+      serve_connection(core, cfd);
+      c.done.store(true);
+    });
   }
-  for (std::thread& t : conns) t.join();
+  for (Connection& c : conns) c.thread.join();
   if (g_listen_fd >= 0) {
     ::close(g_listen_fd);
     g_listen_fd = -1;
