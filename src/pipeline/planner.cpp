@@ -1,6 +1,5 @@
 #include "pipeline/planner.hpp"
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -11,9 +10,6 @@
 namespace repro::pipeline {
 
 namespace {
-
-// At most this many same-stencil winners seed one stage's sweep.
-constexpr std::size_t kWarmSeedLimit = 3;
 
 stencil::KernelVariant effective_variant(const Stage& st) {
   return st.variant.value_or(stencil::KernelVariant{});
@@ -55,9 +51,6 @@ PipelinePlan Planner::plan(const Pipeline& p) {
   std::map<std::pair<int, int>, std::vector<hhc::TileSizes>> spaces;
   // The first stage of each stage_key: a repeat copies its answer.
   std::map<std::string, std::size_t> done;
-  // Feasible winners per stencil identity, in discovery order: the
-  // warm-seed pool the level descent draws from.
-  std::map<std::string, std::vector<Winner>> winners;
 
   for (const std::size_t si : *order) {
     const Stage& st = p.stages[si];
@@ -109,23 +102,7 @@ PipelinePlan Planner::plan(const Pipeline& p) {
         if (!sweep.candidates.empty()) {
           std::vector<stencil::KernelVariant> vars;
           if (st.variant) vars.push_back(*st.variant);
-
-          // Cross-level warm seeding: offer the winners already found
-          // for this stencil at other problem sizes, same-variant
-          // first, then nearest in log problem space, discovery order
-          // breaking ties. best_tile re-prices every seed under this
-          // stage's problem, so the result is byte-identical to cold.
-          std::vector<tuner::WarmSeed> seeds;
-          if (opt_.warm_seed) {
-            const std::vector<Winner>& pool = winners[ident];
-            for (const std::size_t i :
-                 seed_order(pool, st.problem, effective_variant(st))) {
-              if (seeds.size() >= kWarmSeedLimit) break;
-              seeds.push_back({pool[i].best.dp.ts, pool[i].best.dp.thr,
-                               pool[i].best.dp.var});
-            }
-          }
-          out.best = sess.best_tile(sweep, vars, seeds);
+          out.best = sess.best_tile(sweep, vars);
         }
         plan.stats += sess.stats();
         return out;
@@ -138,7 +115,6 @@ PipelinePlan Planner::plan(const Pipeline& p) {
       r.space_size = out.space_size;
       r.candidates_tried = out.candidates_tried;
       r.best = out.best;
-      if (r.best.feasible) winners[ident].push_back({st.problem, r.best});
       ++plan.distinct_tasks;
     }
 
@@ -155,15 +131,6 @@ PipelinePlan Planner::plan(const Pipeline& p) {
     plan.feasible = plan.feasible && r.best.feasible;
   }
   return plan;
-}
-
-std::vector<std::size_t> seed_order(std::span<const Winner> pool,
-                                    const stencil::ProblemSize& problem,
-                                    const stencil::KernelVariant& want) {
-  std::vector<tuner::SeedCandidate> candidates;
-  candidates.reserve(pool.size());
-  for (const Winner& w : pool) candidates.push_back({w.problem, w.best.dp.var});
-  return tuner::rank_warm_seeds(candidates, problem, want);
 }
 
 std::string render_plan(const PipelinePlan& plan) {

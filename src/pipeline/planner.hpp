@@ -5,12 +5,14 @@
 // A stage's identity is its stage_key (stage_cache.hpp): within a plan
 // the device, delta and enumeration options are fixed, so stages
 // agreeing on (stencil identity, problem, effective variant) share
-// one key. Four reuse mechanisms stack, each strictly work-saving
-// (none can change a result — a copy is a finished answer, warm seeds
-// only reorder and prune Session::best_tile's sweep, a shared tile
-// space is the one each stage would have enumerated, and a calibration
-// or stage cache entry is what an earlier lookup computed for the same
-// inputs):
+// one key. Each key is tuned from scratch, as the paper's Section 6
+// optimizer tunes one problem: a model sweep, then Session::best_tile
+// over the within-delta candidates. A stage's result and its work are
+// therefore a function of its key alone. Three reuse mechanisms stack,
+// each strictly work-saving (none can change a result — a copy is a
+// finished answer, a shared tile space is the one each stage would
+// have enumerated, and a calibration or stage cache entry is what an
+// earlier lookup computed for the same inputs):
 //   1. One tuning per stage key: the first stage of a key is tuned (or
 //      served from a StageCache, below); later stages of the key copy
 //      its StageResult (reused == true, zero additional work). The
@@ -20,28 +22,20 @@
 //      planner its own service-wide cache, so a stencil calibrated by
 //      any earlier request is not calibrated again; a planner built
 //      without one keeps a cache for the plan.
-//   2. Cross-level warm seeding: each stage's sweep is seeded with
-//      the winners already found for the *same stencil* at other
-//      problem sizes (the multigrid descent: level l's smoother seeds
-//      level l+1's), ranked same-variant-first then by log-space
-//      problem distance — the WarmSeed path re-prices every seed, so
-//      seeded results stay byte-identical to cold.
-//   3. One tile space per (dim, radius): the device and the
+//   2. One tile space per (dim, radius): the device and the
 //      enumeration options are fixed within a plan, so every stage
 //      of one dim and radius sweeps the same enumerate_feasible
 //      result, computed once.
-//   4. Stage results across plans: a planner given a StageCache (the
+//   3. Stage results across plans: a planner given a StageCache (the
 //      tuned service hands over its own) looks the same stage key up
 //      there and serves a stage that any earlier plan tuned from the
 //      cache. The copy is plan-local in everything else: `reused`
-//      marks only a repeat inside this plan, distinct_tasks counts the
-//      stage and its winner joins the warm-seed pool, so the plan
-//      reads as a fresh one.
+//      marks only a repeat inside this plan and distinct_tasks counts
+//      the stage, so the plan reads as a fresh one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +52,6 @@ struct PlanOptions {
   double delta = 0.10;  // within-delta candidate fraction (Section 6)
   tuner::EnumOptions enumeration;
   tuner::SessionOptions session;
-  // Seed sweeps from same-stencil winners. The reuse tests plan
-  // without it as their reference; it must not change a result byte.
-  bool warm_seed = true;
 
   PlanOptions& with_delta(double d) noexcept { delta = d; return *this; }
   PlanOptions& with_enumeration(const tuner::EnumOptions& e) {
@@ -71,7 +62,6 @@ struct PlanOptions {
     session = s;
     return *this;
   }
-  PlanOptions& with_warm_seed(bool b) noexcept { warm_seed = b; return *this; }
 };
 
 // One stage's tuning outcome. `talg_total`/`texec_total` fold the
@@ -117,9 +107,9 @@ class Planner {
                    tuner::CalibrationCache* calibrations = nullptr,
                    StageCache* stages = nullptr, std::string dev_key = {});
 
-  // Tunes every stage (in topological order — seeds flow along the
-  // level descent) and aggregates. The pipeline must have passed
-  // parse_pipeline; a cyclic DAG throws std::invalid_argument.
+  // Tunes every distinct stage (in topological order) and aggregates.
+  // The pipeline must have passed parse_pipeline; a cyclic DAG throws
+  // std::invalid_argument.
   PipelinePlan plan(const Pipeline& p);
 
  private:
@@ -129,22 +119,6 @@ class Planner {
   tuner::CalibrationCache* calibrations_;
   StageCache* stages_;
 };
-
-// A feasible winner found earlier in the walk, available as a warm
-// seed for later stages of the same stencil.
-struct Winner {
-  stencil::ProblemSize problem;
-  tuner::EvaluatedPoint best;
-};
-
-// The order the level descent offers `pool` (winners in discovery
-// order) to a stage tuning `problem` with variant `want`: the
-// tuner::rank_warm_seeds rule (same-variant winners first, then
-// nearest by stencil::log_distance), discovery order breaking ties.
-// Returns indices into `pool`.
-std::vector<std::size_t> seed_order(std::span<const Winner> pool,
-                                    const stencil::ProblemSize& problem,
-                                    const stencil::KernelVariant& want);
 
 // The deterministic JSON rendering of a plan: per-stage breakdown in
 // declaration order plus the end-to-end aggregates. Contains only

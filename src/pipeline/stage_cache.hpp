@@ -13,8 +13,8 @@
 // canonical descriptor JSON, the stencil identity (catalogue name or
 // DSL text), the problem, the effective variant, delta bit for bit and
 // every EnumOptions field, its variant list included. Session options
-// and warm seeding stay out: neither can change a result (the
-// planner's determinism invariants). The planner keys its in-plan
+// stay out: they cannot change a result (the planner's determinism
+// invariants). The planner keys its in-plan
 // copies of a repeated stage by the same string. An entry is a few
 // hundred bytes, never a Session. The cache is bounded by entry count
 // and by bytes (DSL text makes keys long) and evicts the least recently

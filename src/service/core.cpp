@@ -153,10 +153,10 @@ std::string compute_lint(const Request& req) {
 }
 
 std::string compute_pipeline(const Request& req, const PlanShared& shared) {
-  // The planner tunes each distinct stage on its own Session (stage
-  // copies, caches and warm seeding are all strictly work-saving), so
-  // the payload is jobs-invariant and byte-deterministic: cold == warm
-  // == coalesced == CLI `once`. One job keeps the serving cost
+  // The planner tunes each distinct stage from scratch on its own
+  // Session (stage copies and caches are strictly work-saving), so the
+  // payload is jobs-invariant and byte-deterministic: cold == warm ==
+  // coalesced == CLI `once`. One job keeps the serving cost
   // predictable.
   pipeline::PlanOptions popt;
   popt.delta = req.delta;

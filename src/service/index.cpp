@@ -1,11 +1,12 @@
 #include "service/index.hpp"
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "common/json.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
-#include "tuner/session.hpp"
 #include "tuner/wire.hpp"
 
 namespace repro::service {
@@ -154,23 +155,33 @@ std::vector<SimilarityIndex::Neighbor> SimilarityIndex::neighbors(
   std::vector<Neighbor> out;
   if (max_results == 0) return out;
   load_once();
-  std::vector<const IndexEntry*> match;
-  std::vector<tuner::SeedCandidate> candidates;
+  // The warm-seed rule: entries of the wanted variant first (another
+  // variant's point lies outside the sweep's span, so best_tile rejects
+  // it and the seed slot is wasted), then the nearest by log distance.
+  // The map iterates in ascending key order, so the stable sort breaks
+  // ties on the key.
+  struct Match {
+    const IndexEntry* entry;
+    bool other_variant;
+    double distance;
+  };
+  std::vector<Match> match;
   for (const auto& [key, e] : entries_) {
     if (e.device != device || e.stencil_name != stencil_name ||
         e.stencil_text != stencil_text || e.problem.dim != problem.dim) {
       continue;
     }
-    match.push_back(&e);
-    candidates.push_back({e.problem, e.variant});
+    match.push_back({&e, e.variant != variant,
+                     stencil::log_distance(problem, e.problem)});
   }
-  // The map iterates in ascending key order, so the ranking's stable
-  // ties break on the key.
-  for (const std::size_t i :
-       tuner::rank_warm_seeds(candidates, problem, variant)) {
+  std::stable_sort(match.begin(), match.end(),
+                   [](const Match& a, const Match& b) {
+                     return std::tie(a.other_variant, a.distance) <
+                            std::tie(b.other_variant, b.distance);
+                   });
+  for (const Match& m : match) {
     if (out.size() == max_results) break;
-    out.push_back(
-        {*match[i], stencil::log_distance(problem, match[i]->problem)});
+    out.push_back({*m.entry, m.distance});
   }
   return out;
 }

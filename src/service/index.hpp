@@ -97,9 +97,9 @@ class SimilarityIndex {
 
   // Stored results usable as warm-start candidates for (device,
   // stencil identity, problem, variant): same device, same stencil,
-  // same dimensionality, in tuner::rank_warm_seeds order (same
-  // variant first, then stencil::log_distance(problem, entry
-  // problem)) with ascending-key tie-breaks, at most `max_results`.
+  // same dimensionality, same variant first, then by
+  // stencil::log_distance(problem, entry problem), ascending key
+  // breaking ties, at most `max_results`.
   // Other-variant entries still rank (the fallback when same-variant
   // neighbors run out); an entry for the *identical* problem is a
   // legitimate distance-0 neighbor (a different request kind or

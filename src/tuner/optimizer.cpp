@@ -92,7 +92,7 @@ SolverResult anneal_talg(const model::ModelInputs& in,
                          const stencil::ProblemSize& p,
                          const EnumOptions& bounds, std::uint64_t seed,
                          int iterations) {
-  validate_enum_options(bounds);  // the neighbor moves divide by steps
+  bounds.validate();  // the neighbor moves divide by steps
   Rng rng(seed);
   const int dim = p.dim;
 

@@ -894,23 +894,4 @@ SolverResult Session::anneal_talg(const EnumOptions& bounds,
   return sol;
 }
 
-std::vector<std::size_t> rank_warm_seeds(
-    std::span<const SeedCandidate> candidates,
-    const stencil::ProblemSize& problem, const stencil::KernelVariant& want) {
-  std::vector<double> distance(candidates.size());
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    distance[i] = stencil::log_distance(problem, candidates[i].problem);
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool am = candidates[a].variant == want;
-                     const bool bm = candidates[b].variant == want;
-                     if (am != bm) return am;
-                     return distance[a] < distance[b];
-                   });
-  return order;
-}
-
 }  // namespace repro::tuner

@@ -60,8 +60,6 @@ void EnumOptions::validate() const {
   }
 }
 
-void validate_enum_options(const EnumOptions& opt) { opt.validate(); }
-
 analysis::SweepGrid to_sweep_grid(const EnumOptions& opt) noexcept {
   analysis::SweepGrid g;
   g.tT_max = opt.tT_max;
@@ -80,7 +78,7 @@ std::vector<hhc::TileSizes> enumerate_feasible(int dim,
                                                const EnumOptions& opt,
                                                std::int64_t radius) {
   assert(dim >= 1 && dim <= 3);
-  validate_enum_options(opt);
+  opt.validate();
   // Feasibility is delegated to the analysis subsystem so the
   // enumerator, the optimizer and stencil-lint share one definition
   // of Eqn 31 (the lattice below already guarantees the shape

@@ -67,9 +67,6 @@ struct EnumOptions {
   void validate() const;
 };
 
-// Back-compat alias for EnumOptions::validate().
-void validate_enum_options(const EnumOptions& opt);
-
 // The enumeration lattice these options describe, in the analysis
 // subsystem's own vocabulary (analysis cannot depend on tuner, so the
 // audit pass certifies over a SweepGrid mirror; a parity test pins

@@ -39,10 +39,25 @@ std::string read_file(const std::filesystem::path& path) {
   return text.str();
 }
 
+// The shipped 3-level V-cycle (11 stages, 8 distinct tasks).
+Pipeline vcycle3() {
+  return parse(read_file(std::filesystem::path(REPRO_SOURCE_DIR) /
+                         "examples" / "pipelines" / "vcycle3.json"));
+}
+
 const device::Descriptor& gtx980() {
   const device::Descriptor* d = device::registry().find("GTX 980");
   EXPECT_NE(d, nullptr);
   return *d;
+}
+
+// Stage `i` of `p` as a one-stage pipeline of its own.
+Pipeline stage_alone(const Pipeline& p, std::size_t i) {
+  Pipeline one;
+  one.name = "one";
+  one.stages = {p.stages[i]};
+  one.stages[0].after.clear();
+  return one;
 }
 
 // Fresh pricings: simulator measurements that actually ran (the
@@ -101,70 +116,57 @@ TEST(Planner, RepeatedStageCostsZeroAdditionalPricings) {
   EXPECT_EQ(d.stages[0].best.dp.ts, ref.stages[0].best.dp.ts);
 }
 
-// Satellite pin: the warm-seeded level descent prunes strictly more
-// than the cold sweep, and the results are byte-identical.
-TEST(Planner, WarmSeededDescentPrunesStrictlyMoreThanCold) {
-  // Two levels of the same smoother: the 512-level winner seeds the
-  // 256-level sweep (same stencil, nearest problem).
-  const Pipeline p = parse(
-      R"({"pipeline_version":1,"name":"descent","stages":[
-           {"id":"fine","stencil":"Jacobi2D","problem":{"S":[512,512],"T":4}},
-           {"id":"coarse","stencil":"Jacobi2D","problem":{"S":[256,256],"T":4},
-            "after":["fine"]}]})");
+// The reuse stack on the shipped 3-level V-cycle (11 stages, 8
+// distinct tasks). In-plan copies and a StageCache save pricings and
+// change no byte; no stage's sweep is seeded.
+TEST(Planner, VcycleReuseStackSavesPricingsIdentically) {
+  const Pipeline p = vcycle3();
 
-  Planner cold_planner(gtx980(), test_options().with_warm_seed(false));
-  const PipelinePlan cold = cold_planner.plan(p);
+  StageCache cache;
+  const PipelinePlan cold =
+      Planner(gtx980(), test_options(), nullptr, &cache).plan(p);
   ASSERT_TRUE(cold.feasible);
+  EXPECT_LT(cold.distinct_tasks, cold.total_stages);
   EXPECT_EQ(cold.stats.seeds_offered, 0u);
+  EXPECT_GT(fresh_pricings(cold), 0u);
+  std::size_t copies = 0;
+  for (const StageResult& r : cold.stages) copies += r.reused ? 1 : 0;
+  EXPECT_EQ(copies, cold.total_stages - cold.distinct_tasks);
 
-  Planner warm_planner(gtx980(), test_options());
-  const PipelinePlan warm = warm_planner.plan(p);
-  ASSERT_TRUE(warm.feasible);
-  EXPECT_GT(warm.stats.seeds_offered, 0u);
-  EXPECT_GT(warm.stats.seeds_admitted, 0u);
-
-  // Seeding is strictly work-saving and cannot change any answer.
-  EXPECT_GT(warm.stats.points_pruned, cold.stats.points_pruned);
-  EXPECT_LT(fresh_pricings(warm), fresh_pricings(cold));
-  EXPECT_EQ(render_plan(warm), render_plan(cold));
-
-  // The seed order ranks by stencil::log_distance, like the service's
-  // similarity index: IndexTest.NeighborsRankByLogDistanceAndFilterIdentity
-  // ranks the same pool for the same 500^2 query as 512, 256, 1024.
-  std::vector<Winner> pool;
-  for (const std::int64_t s : {256, 512, 1024}) {
-    pool.push_back({{.dim = 2, .S = {s, s, 0}, .T = 64}, {}});
-  }
-  const stencil::ProblemSize q{.dim = 2, .S = {500, 500, 0}, .T = 64};
-  EXPECT_EQ(seed_order(pool, q, stencil::KernelVariant{}),
-            (std::vector<std::size_t>{1, 0, 2}));
+  // A second plan is served whole from the cache: no Session, no
+  // pricing, the same bytes.
+  const PipelinePlan served =
+      Planner(gtx980(), test_options(), nullptr, &cache).plan(p);
+  EXPECT_EQ(render_plan(served), render_plan(cold));
+  EXPECT_EQ(served.stats.machine_points, 0u);
+  EXPECT_EQ(served.distinct_tasks, cold.distinct_tasks);
 }
 
-// The reuse stack on the shipped 3-level V-cycle (11 stages, 8
-// distinct tasks). Stage copies and warm seeding save pricings, and
-// seeding changes no stage's winner and no end-to-end time.
-TEST(Planner, VcycleReuseStackSavesPricingsIdentically) {
-  const Pipeline p = parse(read_file(std::filesystem::path(REPRO_SOURCE_DIR) /
-                                     "examples" / "pipelines" / "vcycle3.json"));
+// A stage's work depends on its stage key alone: over the shipped
+// V-cycle at the default enumeration, a plan's fresh pricings and
+// pruned points are the sums over one-stage plans of its distinct
+// stages, whatever the stages tuned before them.
+TEST(Planner, PlanWorkIsTheSumOfItsDistinctStagesTunedAlone) {
+  const Pipeline p = vcycle3();
+  PlanOptions opt;
+  opt.session = tuner::SessionOptions{}.with_jobs(1);
+  const PipelinePlan plan = Planner(gtx980(), opt).plan(p);
+  ASSERT_TRUE(plan.feasible);
 
-  const PipelinePlan no_warm =
-      Planner(gtx980(), test_options().with_warm_seed(false)).plan(p);
-  const PipelinePlan all_on = Planner(gtx980(), test_options()).plan(p);
-
-  ASSERT_TRUE(all_on.feasible);
-  ASSERT_EQ(no_warm.stages.size(), all_on.stages.size());
-  for (std::size_t i = 0; i < all_on.stages.size(); ++i) {
-    EXPECT_EQ(no_warm.stages[i].best, all_on.stages[i].best)
-        << all_on.stages[i].id;
-    EXPECT_EQ(no_warm.stages[i].talg_total, all_on.stages[i].talg_total);
+  std::size_t fresh = 0;
+  std::size_t pruned = 0;
+  std::size_t tuned = 0;
+  for (std::size_t i = 0; i < p.stages.size(); ++i) {
+    if (plan.stages[i].reused) continue;
+    const PipelinePlan alone = Planner(gtx980(), opt).plan(stage_alone(p, i));
+    EXPECT_EQ(plan.stages[i].best, alone.stages[0].best) << p.stages[i].id;
+    fresh += fresh_pricings(alone);
+    pruned += alone.stats.points_pruned;
+    ++tuned;
   }
-  EXPECT_EQ(no_warm.feasible, all_on.feasible);
-  EXPECT_EQ(no_warm.talg, all_on.talg);
-  EXPECT_EQ(no_warm.texec, all_on.texec);
-
-  EXPECT_LT(all_on.distinct_tasks, all_on.total_stages);
-  EXPECT_GE(all_on.stats.seeds_admitted, 1u);
-  EXPECT_GT(all_on.stats.points_pruned, no_warm.stats.points_pruned);
+  EXPECT_EQ(tuned, plan.distinct_tasks);
+  EXPECT_EQ(fresh_pricings(plan), fresh);
+  EXPECT_EQ(plan.stats.points_pruned, pruned);
 }
 
 TEST(Planner, SharedCalibrationAcrossProblemSizes) {
@@ -222,11 +224,8 @@ TEST(Planner, PinnedVariantsOfOneProblemAreTunedApart) {
 
   // Each stage's answer is the one a one-stage plan of it gives.
   for (std::size_t i = 0; i < p.stages.size(); ++i) {
-    Pipeline one;
-    one.name = "one";
-    one.stages = {p.stages[i]};
-    one.stages[0].after.clear();
-    const PipelinePlan alone = Planner(gtx980(), test_options()).plan(one);
+    const PipelinePlan alone =
+        Planner(gtx980(), test_options()).plan(stage_alone(p, i));
     EXPECT_EQ(plan.stages[i].best, alone.stages[0].best) << p.stages[i].id;
     EXPECT_EQ(plan.stages[i].space_size, alone.stages[0].space_size);
     EXPECT_EQ(plan.stages[i].candidates_tried,
@@ -254,9 +253,7 @@ TEST(Planner, PinnedVariantsOfOneProblemAreTunedApart) {
 // tasks, three stencils) are all 2D radius-1, so the plan enumerates
 // once; a radius-2 stage adds one more, a 1D stage another.
 TEST(Planner, EnumeratesOncePerDimAndRadius) {
-  const Pipeline vcycle = parse(read_file(
-      std::filesystem::path(REPRO_SOURCE_DIR) / "examples" / "pipelines" /
-      "vcycle3.json"));
+  const Pipeline vcycle = vcycle3();
   const PipelinePlan plan = Planner(gtx980(), test_options()).plan(vcycle);
   EXPECT_EQ(plan.distinct_tasks, 8u);
   EXPECT_EQ(plan.spaces_enumerated, 1u);

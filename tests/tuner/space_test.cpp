@@ -119,14 +119,14 @@ TEST(Space, RejectsNonPositiveSteps) {
                       +[](EnumOptions* o) { o->tS3_step = -8; }}) {
     EnumOptions opt;
     mutate(&opt);
-    EXPECT_THROW(validate_enum_options(opt), std::invalid_argument);
+    EXPECT_THROW(opt.validate(), std::invalid_argument);
     EXPECT_THROW(enumerate_feasible(2, hw(), opt), std::invalid_argument);
     EXPECT_THROW(baseline_tile_set(2, hw(), 85, opt), std::invalid_argument);
   }
   try {
     EnumOptions opt;
     opt.tS2_step = 0;
-    validate_enum_options(opt);
+    opt.validate();
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("SL310"), std::string::npos);
